@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyCloud, InvalidParameter
+from .errors import DegenerateCloud, EmptyCloud, InvalidParameter
 
 DENSE_MST_MAX = 5000
 KNN_CACHE_SIZE = 16
@@ -141,11 +141,11 @@ def _components(parent: np.ndarray) -> np.ndarray:
         roots = nxt
 
 
-def _find(parent: np.ndarray, x: int) -> int:
+def _find(parent: list[int], x: int) -> int:
     """Union-find root of x with path halving."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
-        x = int(parent[x])
+        x = parent[x]
     return x
 
 
@@ -170,20 +170,22 @@ def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
     dist, idx = _strip_self(dist, idx)
     mr = np.maximum(np.maximum(dist, core[:, None]), core[idx])
 
-    # order each candidate row by (mutual reachability, neighbor index)
-    rows = np.repeat(np.arange(n), mr.shape[1])
-    order = np.lexsort((idx.ravel(), mr.ravel(), rows)).reshape(n, -1)
-    order -= np.arange(n)[:, None] * mr.shape[1]
-    row_ix = np.arange(n)[:, None]
-    mr_sorted = mr[row_ix, order]
-    idx_sorted = idx[row_ix, order]
+    # order each candidate row by (mutual reachability, neighbor index):
+    # a stable sort by index, then a stable sort by weight
+    by_idx = np.argsort(idx, axis=1, kind="stable")
+    mr_sorted = np.take_along_axis(mr, by_idx, axis=1)
+    idx_sorted = np.take_along_axis(idx, by_idx, axis=1)
+    by_mr = np.argsort(mr_sorted, axis=1, kind="stable")
+    mr_sorted = np.take_along_axis(mr_sorted, by_mr, axis=1)
+    idx_sorted = np.take_along_axis(idx_sorted, by_mr, axis=1)
+    del by_idx, by_mr, mr
 
     cache_ring = dist[:, -1]
 
-    parent = np.arange(n)
+    parent = list(range(n))
     edges: list[tuple[int, int, float]] = []
     while True:
-        comp = _components(parent)
+        comp = _components(np.array(parent))
         uniq, comp_ids = np.unique(comp, return_inverse=True)
         if len(uniq) == 1:
             break
@@ -227,17 +229,20 @@ def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
             np.minimum(chosen, cand_j[chosen]),
             cand_w[chosen],
         ))
+        picks = chosen[merge_order]
         merged_any = False
-        for p in chosen[merge_order]:
-            q = int(cand_j[p])
-            rp, rq = _find(parent, int(p)), _find(parent, q)
+        for p, q, w in zip(picks.tolist(), cand_j[picks].tolist(),
+                           cand_w[picks].tolist()):
+            rp, rq = _find(parent, p), _find(parent, q)
             if rp == rq:
                 continue
             parent[max(rp, rq)] = min(rp, rq)
-            edges.append((int(p), q, float(cand_w[p])))
+            edges.append((p, q, w))
             merged_any = True
         if not merged_any:
-            raise RuntimeError("Boruvka made no progress; graph inconsistent")
+            raise DegenerateCloud(
+                "Boruvka made no progress; the mutual-reachability graph is "
+                "inconsistent (non-finite core distances?)")
 
     out = np.array(edges, dtype=np.float64).reshape(-1, 3)
     return out
@@ -367,11 +372,10 @@ def single_linkage(mst_edges: np.ndarray, n: int):
     order = np.lexsort((mst_edges[:, 1], mst_edges[:, 0], mst_edges[:, 2]))
     edges = mst_edges[order]
     total = 2 * n - 1
-    uf_parent = np.full(total, -1, dtype=np.int64)
-    node_size = np.ones(total, dtype=np.int64)
-    left = np.zeros(n - 1, dtype=np.int64)
-    right = np.zeros(n - 1, dtype=np.int64)
-    height = np.zeros(n - 1)
+    uf_parent = [-1] * total
+    node_size = [1] * total
+    left: list[int] = []
+    right: list[int] = []
     nxt = n
 
     def find(x: int) -> int:
@@ -382,16 +386,16 @@ def single_linkage(mst_edges: np.ndarray, n: int):
             uf_parent[x], x = root, uf_parent[x]
         return root
 
-    for a, b, w in edges:
-        ra, rb = find(int(a)), find(int(b))
+    for a, b in edges[:, :2].astype(np.int64).tolist():
+        ra, rb = find(a), find(b)
         uf_parent[ra] = nxt
         uf_parent[rb] = nxt
-        left[nxt - n] = ra
-        right[nxt - n] = rb
-        height[nxt - n] = w
+        left.append(ra)
+        right.append(rb)
         node_size[nxt] = node_size[ra] + node_size[rb]
         nxt += 1
-    return left, right, height, node_size
+    return (np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+            np.ascontiguousarray(edges[:, 2]), np.array(node_size, dtype=np.int64))
 
 
 def condense_tree(left, right, height, node_size, n: int, min_cluster_size: int):
@@ -403,6 +407,8 @@ def condense_tree(left, right, height, node_size, n: int, min_cluster_size: int)
     Cluster ids start at n (the root).
     """
     root = 2 * n - 2
+    left, right, height, node_size = (
+        a.tolist() for a in (left, right, height, node_size))
     parents: list[int] = []
     children: list[int] = []
     lambdas: list[float] = []
@@ -416,8 +422,8 @@ def condense_tree(left, right, height, node_size, n: int, min_cluster_size: int)
             if v < n:
                 out.append(v)
             else:
-                stack.append(int(left[v - n]))
-                stack.append(int(right[v - n]))
+                stack.append(left[v - n])
+                stack.append(right[v - n])
         return out
 
     def emit_points(cluster: int, node: int, lam: float):
@@ -431,19 +437,17 @@ def condense_tree(left, right, height, node_size, n: int, min_cluster_size: int)
     stack = [(root, n)]
     while stack:
         node, cluster = stack.pop()
-        lo, hi = int(left[node - n]), int(right[node - n])
-        d = float(height[node - n])
+        lo, hi = left[node - n], right[node - n]
+        d = height[node - n]
         lam = 1.0 / d if d > 0 else np.inf
-        size_lo = int(node_size[lo])
-        size_hi = int(node_size[hi])
-        lo_big = size_lo >= min_cluster_size
-        hi_big = size_hi >= min_cluster_size
+        lo_big = node_size[lo] >= min_cluster_size
+        hi_big = node_size[hi] >= min_cluster_size
         if lo_big and hi_big:
             for child in (lo, hi):
                 parents.append(cluster)
                 children.append(next_cluster)
                 lambdas.append(lam)
-                sizes.append(int(node_size[child]))
+                sizes.append(node_size[child])
                 stack.append((child, next_cluster))
                 next_cluster += 1
         elif lo_big or hi_big:
@@ -464,29 +468,29 @@ def condense_tree(left, right, height, node_size, n: int, min_cluster_size: int)
 
 
 def cluster_stability(parents, children, lambdas, sizes, n: int) -> dict[int, float]:
-    """Excess-of-mass stability: sum over rows of (lambda - birth) * size."""
-    birth: dict[int, float] = {n: 0.0}
-    for c, lam in zip(children, lambdas):
-        if c >= n:
-            birth[int(c)] = float(lam)
-    stability: dict[int, float] = {c: 0.0 for c in birth}
-    for par, lam, size in zip(parents, lambdas, sizes):
-        b = birth[int(par)]
-        contrib = (float(lam) - b) * int(size)
-        if np.isnan(contrib):
-            contrib = 0.0
-        stability[int(par)] += contrib
-    return stability
+    """Excess-of-mass stability: sum over rows of (lambda - birth) * size.
+
+    Cluster ids are contiguous from the root n.  np.bincount adds the
+    contributions in row order, so each sum is the sequential one.
+    """
+    is_cluster = children >= n
+    birth = np.zeros(1 + int(is_cluster.sum()))      # the root is born at 0
+    birth[children[is_cluster] - n] = lambdas[is_cluster]
+    with np.errstate(invalid="ignore"):              # inf - inf at d == 0
+        contrib = (lambdas - birth[parents - n]) * sizes
+    contrib[np.isnan(contrib)] = 0.0
+    stability = np.bincount(parents - n, weights=contrib, minlength=len(birth))
+    return dict(enumerate(stability.tolist(), start=n))
 
 
 def select_eom(parents, children, n: int,
                stability: dict[int, float]) -> set[int]:
     """Excess-of-mass selection; the root is eligible, so a lone dense blob
     comes back as one cluster rather than all noise."""
+    is_cluster = children >= n
     children_of: dict[int, list[int]] = {}
-    for par, ch in zip(parents, children):
-        if ch >= n:
-            children_of.setdefault(int(par), []).append(int(ch))
+    for par, ch in zip(parents[is_cluster].tolist(), children[is_cluster].tolist()):
+        children_of.setdefault(par, []).append(ch)
     stab = dict(stability)
     selected: dict[int, bool] = {}
     for c in sorted(stab, reverse=True):
@@ -511,13 +515,10 @@ def label_points(parents, children, n: int, selected: set[int]) -> ClusterLabels
     External ids are contiguous and ordered by each cluster's first member
     point index, making labels covariant under input permutation.
     """
-    parent_of: dict[int, int] = {}
+    is_point = children < n
     home = np.full(n, -1, dtype=np.int64)
-    for par, ch in zip(parents, children):
-        if ch >= n:
-            parent_of[int(ch)] = int(par)
-        else:
-            home[int(ch)] = int(par)
+    home[children[is_point]] = parents[is_point]
+    parent_of = dict(zip(children[~is_point].tolist(), parents[~is_point].tolist()))
 
     resolve_cache: dict[int, int] = {}
 
@@ -543,13 +544,15 @@ def label_points(parents, children, n: int, selected: set[int]) -> ClusterLabels
             resolve_cache[v] = found
         return found
 
-    raw = np.array([nearest_selected(int(c)) if c >= 0 else -1 for c in home])
-    ids = [c for c in np.unique(raw) if c >= 0]
-    first_member = {c: int(np.argmax(raw == c)) for c in ids}
-    ordered = sorted(ids, key=lambda c: first_member[c])
-    remap = {c: i for i, c in enumerate(ordered)}
-    labels = np.array([remap.get(int(c), NOISE) for c in raw], dtype=np.int64)
-    return ClusterLabels(labels=labels, cluster_count=len(ordered))
+    homes, home_ix = np.unique(home, return_inverse=True)
+    raw = np.array([nearest_selected(c) if c >= 0 else -1 for c in homes.tolist()],
+                   dtype=np.int64)[home_ix]
+    clustered = raw >= 0
+    ids, first_member, id_ix = np.unique(raw[clustered], return_index=True,
+                                         return_inverse=True)
+    labels = np.full(n, NOISE, dtype=np.int64)
+    labels[clustered] = np.argsort(np.argsort(first_member))[id_ix]
+    return ClusterLabels(labels=labels, cluster_count=len(ids))
 
 
 def run_hdbscan(xyz: np.ndarray, params: HdbscanParams,

@@ -2,11 +2,11 @@
 extraction.
 
 The radius filter keeps points with at least n_min other points within
-r0.  It is accelerated by a uniform hash grid of cell size r0, but the
-output is contractually identical to the naive all-pairs loop, which the
-test suite checks against a brute-force oracle.  Cluster extraction runs
-the mutual-reachability clustering chain and keeps the most populated
-cluster, isolating the measured pile from residual clutter.
+r0.  The counts come from a kd-tree ball query and are contractually
+identical to the naive all-pairs loop, which the test suite checks
+against a brute-force oracle.  Cluster extraction runs the
+mutual-reachability clustering chain and keeps the most populated cluster,
+isolating the measured pile from residual clutter.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .errors import InvalidParameter, LabelMismatch
@@ -42,68 +43,6 @@ class RadiusFilterParams:
             raise InvalidParameter(f"n_min must be >= 0, got {self.n_min}")
 
 
-def _count_neighbors_grid(xyz: np.ndarray, r0: float) -> np.ndarray:
-    """Neighbors (excluding self) within Euclidean distance <= r0 per point.
-
-    Points are bucketed into cubic cells of side r0; every neighbor of a
-    point lies in its 3x3x3 cell block, so scanning the 27 offsets with a
-    strict distance check reproduces the all-pairs result exactly.
-    """
-    n = len(xyz)
-    counts = np.zeros(n, dtype=np.int64)
-    if n < 2:
-        return counts
-    cells = np.floor((xyz - xyz.min(axis=0)) / r0).astype(np.int64) + 1
-    dims = cells.max(axis=0) + 2
-    if int(dims[0]) * int(dims[1]) * int(dims[2]) >= 2 ** 62:
-        return _count_neighbors_brute(xyz, r0)
-    keys = np.ravel_multi_index((cells[:, 0], cells[:, 1], cells[:, 2]), dims)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq_keys, starts = np.unique(sorted_keys, return_index=True)
-    block_len = np.diff(np.append(starts, n))
-    r2 = r0 * r0
-
-    point_idx = np.arange(n)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                nb_keys = np.ravel_multi_index(
-                    (cells[:, 0] + dx, cells[:, 1] + dy, cells[:, 2] + dz), dims
-                )
-                pos = np.searchsorted(uniq_keys, nb_keys)
-                pos = np.clip(pos, 0, len(uniq_keys) - 1)
-                hit = uniq_keys[pos] == nb_keys
-                if not hit.any():
-                    continue
-                pts = point_idx[hit]
-                lens = block_len[pos[hit]]
-                offs = starts[pos[hit]]
-                total = int(lens.sum())
-                i_rep = np.repeat(pts, lens)
-                base = np.repeat(offs, lens)
-                head = np.repeat(np.cumsum(lens) - lens, lens)
-                j = order[base + (np.arange(total) - head)]
-                d2 = ((xyz[i_rep] - xyz[j]) ** 2).sum(axis=1)
-                valid = (d2 <= r2) & (i_rep != j)
-                np.add.at(counts, i_rep[valid], 1)
-    return counts
-
-
-def _count_neighbors_brute(xyz: np.ndarray, r0: float) -> np.ndarray:
-    """Chunked all-pairs fallback for pathological grid extents."""
-    n = len(xyz)
-    counts = np.zeros(n, dtype=np.int64)
-    r2 = r0 * r0
-    chunk = max(1, 2_000_000 // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d2 = ((xyz[lo:hi, None, :] - xyz[None, :, :]) ** 2).sum(axis=2)
-        within = d2 <= r2
-        counts[lo:hi] = within.sum(axis=1) - 1
-    return counts
-
-
 def radius_outlier_filter(cloud: PointCloud,
                           params: RadiusFilterParams) -> PointCloud:
     """Keep points whose count of other points within r0 is >= n_min.
@@ -112,7 +51,9 @@ def radius_outlier_filter(cloud: PointCloud,
     """
     if len(cloud) == 0:
         return cloud
-    counts = _count_neighbors_grid(cloud.xyz, params.r0)
+    # the ball around each point includes the point itself
+    counts = cKDTree(cloud.xyz).query_ball_point(
+        cloud.xyz, params.r0, return_length=True) - 1
     return cloud.select(counts >= params.n_min)
 
 

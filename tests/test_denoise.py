@@ -1,9 +1,16 @@
 """Radius filtering and clustering against brute-force oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from pilevol._hdbscan import core_distances, mutual_reachability_mst
+from pilevol._hdbscan import (
+    DENSE_MST_MAX,
+    core_distances,
+    mutual_reachability_mst,
+    run_hdbscan,
+)
 from pilevol.cloud import PointCloud
 from pilevol.denoise import (
     HdbscanParams,
@@ -13,7 +20,7 @@ from pilevol.denoise import (
     radius_outlier_filter,
     robust_filter,
 )
-from pilevol.errors import InvalidParameter, LabelMismatch
+from pilevol.errors import InvalidParameter, LabelMismatch, PilevolError
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +28,7 @@ from pilevol.errors import InvalidParameter, LabelMismatch
 # ---------------------------------------------------------------------------
 
 def brute_neighbor_counts(xyz: np.ndarray, r0: float) -> np.ndarray:
-    """Quadratic-loop neighbor counting, the reference the grid must match."""
+    """Quadratic-loop neighbor counting, the reference the filter must match."""
     n = len(xyz)
     counts = np.zeros(n, dtype=int)
     for i in range(n):
@@ -94,6 +101,16 @@ def test_radius_filter_brute_equivalence_edge_cases():
         counts = brute_neighbor_counts(xyz, r0)
         out = radius_outlier_filter(PointCloud(xyz), RadiusFilterParams(r0, n_min))
         np.testing.assert_array_equal(out.xyz, xyz[counts >= n_min])
+
+
+def test_radius_filter_keeps_pair_at_rounded_r0():
+    # the pair is 0.04999999999999999 apart, but its coordinates sit two
+    # r0-sized cells apart when measured from the cloud minimum
+    xyz = np.array([[0.0, -3.98, 0.0], [0.0, -0.18, 0.0], [0.0, -0.13, 0.0]])
+    counts = brute_neighbor_counts(xyz, 0.05)
+    np.testing.assert_array_equal(counts, [0, 1, 1])
+    out = radius_outlier_filter(PointCloud(xyz), RadiusFilterParams(0.05, 1))
+    np.testing.assert_array_equal(out.xyz, xyz[1:])
 
 
 def test_radius_filter_subset_and_order():
@@ -216,6 +233,35 @@ def test_mst_paths_agree_at_switch_boundary():
     dense = mutual_reachability_mst(xyz, core, method="dense")
     accel = mutual_reachability_mst(xyz, core, method="accelerated")
     assert abs(dense[:, 2].sum() - accel[:, 2].sum()) < 1e-9
+
+
+def test_boruvka_labels_golden_with_duplicate_ties():
+    # exact duplicates give zero-distance pairs, so many mutual-reachability
+    # weights tie at a core distance and tie-breaking decides merge order
+    rng = np.random.default_rng(2407)
+    xyz = np.vstack([
+        rng.normal(0, 0.25, size=(3000, 3)),
+        rng.normal(0, 0.2, size=(2000, 3)) + [1.5, 0, 0],
+        rng.uniform(-3, 3, size=(600, 3)),
+    ])
+    xyz = np.vstack([xyz, xyz[::7]])
+    assert len(xyz) > DENSE_MST_MAX
+    labels = run_hdbscan(xyz, HdbscanParams(min_cluster_size=50, min_samples=10))
+    assert labels.cluster_count == 2
+    assert (hashlib.sha256(labels.labels.tobytes()).hexdigest()
+            == "a7ab8d29934d3ea84055799c708ea26fd89d025a7f274c6af8afd0199c8ac38d")
+    # labels absorb most MST tie changes, so the Boruvka edges, their
+    # orientation and their merge order are pinned as well
+    mst = mutual_reachability_mst(xyz, core_distances(xyz, 10), "accelerated")
+    assert (hashlib.sha256(mst.tobytes()).hexdigest()
+            == "a8a018d7acfdff0a0efdf082772132c7bfbc90766eb43a17f72313f29335087d")
+
+
+def test_boruvka_without_progress_raises_typed_error():
+    xyz = np.random.default_rng(0).uniform(size=(6000, 3))
+    core = np.full(len(xyz), np.nan)
+    with pytest.raises(PilevolError), np.errstate(invalid="ignore"):
+        mutual_reachability_mst(xyz, core, "accelerated")
 
 
 def test_largest_cluster_selection_and_ties():

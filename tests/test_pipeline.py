@@ -93,6 +93,16 @@ def test_pipeline_passthrough_ranges(small_scene):
     assert report.stage_counts["passthrough"] == expected
 
 
+def test_far_outlier_leaves_volume_unchanged(small_scene):
+    config = PipelineConfig(seed=3)
+    base = run_pipeline(config, cloud=small_scene.cloud)
+    far = PointCloud(np.vstack([small_scene.cloud.xyz, [[1e6, 1e6, 1e6]]]))
+    report = run_pipeline(config, cloud=far)
+    assert report.stage_counts["passthrough"] == base.stage_counts["passthrough"] + 1
+    assert report.stage_counts["prefilter"] == base.stage_counts["prefilter"]
+    assert report.estimates[0].volume == base.estimates[0].volume
+
+
 def test_pipeline_empty_input():
     with pytest.raises(EmptyCloud):
         run_pipeline(PipelineConfig(), cloud=PointCloud.empty())
