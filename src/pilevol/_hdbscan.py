@@ -7,24 +7,25 @@ mutual-reachability graph, a single-linkage merge hierarchy, a condensed
 tree with a minimum cluster size, and excess-of-mass cluster selection.
 Points under no selected cluster are noise.
 
-Two MST paths are provided and must agree exactly: a dense Prim sweep for
-small inputs, and a Boruvka variant that works from cached k-nearest
+The MST comes from a Boruvka variant that works from cached k-nearest
 neighbor lists with per-point exactness bounds, expanding the search only
 for points whose bound says a better foreign edge could exist outside the
-cache.  Equal-weight ties are broken toward lower point indices so results
-are reproducible.
+cache.  One kd-tree and one kNN query per clustering call serve both the
+core distances and that cache.  A dense Prim sweep stays available as the
+reference the Boruvka path must agree with in total weight.  Equal-weight
+ties are broken toward lower point indices so results are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateCloud, EmptyCloud, InvalidParameter
 
-DENSE_MST_MAX = 5000
 KNN_CACHE_SIZE = 16
 NOISE = -1
 
@@ -55,34 +56,67 @@ class ClusterLabels:
                            minlength=self.cluster_count)
 
 
+class KnnCache:
+    """One kd-tree over a cloud and its self-stripped kNN query, built on
+    first use and shared by the core distances and the Boruvka MST.
+
+    The query is the k = KNN_CACHE_SIZE + 1 one itself, never a slice of a
+    wider query: among equal distances the kd-tree's index order depends
+    on k, and the Boruvka tie-breaking reads that order.
+    """
+
+    def __init__(self, xyz: np.ndarray):
+        self.xyz = xyz
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        return cKDTree(self.xyz)
+
+    @cached_property
+    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, k-1) distances and indices of each point's nearest others."""
+        k = min(KNN_CACHE_SIZE + 1, len(self.xyz))
+        return _strip_self(*self.tree.query(self.xyz, k=k))
+
+
 def core_distances(xyz: np.ndarray, min_samples: int,
-                   tree: cKDTree | None = None) -> np.ndarray:
+                   knn: KnnCache | None = None) -> np.ndarray:
     """Distance to the min_samples-th nearest *other* point.
 
     Clouds with fewer than min_samples other points use the farthest
-    available neighbor; a single point has core distance 0.
+    available neighbor; a single point has core distance 0.  With a shared
+    cache and min_samples <= KNN_CACHE_SIZE the distance is read from the
+    cached query: the sorted distance columns of a kd-tree query do not
+    depend on k, so the value is the one a (min_samples + 1) query gives.
     """
     n = len(xyz)
     if n == 1:
         return np.zeros(1)
-    if tree is None:
-        tree = cKDTree(xyz)
     k_other = min(min_samples, n - 1)
-    dist, idx = tree.query(xyz, k=k_other + 1)
-    dist, _ = _strip_self(dist, idx)
+    if knn is not None and k_other <= KNN_CACHE_SIZE:
+        dist = knn.neighbors[0]
+    else:
+        tree = cKDTree(xyz) if knn is None else knn.tree
+        dist, _ = _strip_self(*tree.query(xyz, k=k_other + 1))
     return np.ascontiguousarray(dist[:, k_other - 1])
 
 
-def _strip_self(dist: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Remove each row's own point from a kNN query result."""
-    n, k = idx.shape
-    self_mask = idx == np.arange(n)[:, None]
+def _strip_self(dist: np.ndarray, idx: np.ndarray,
+                rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Remove each row's own point from a kNN query result.
+
+    ``rows`` names the queried points when the query was made on a subset.
+    """
+    m, k = idx.shape
+    if rows is None:
+        rows = np.arange(m)
+    self_mask = idx == rows[:, None]
     # coincident duplicates can push the self entry out of the list; then
     # drop the last entry instead so row widths stay equal
     drop = np.where(self_mask.any(axis=1), self_mask.argmax(axis=1), k - 1)
-    keep = np.ones((n, k), dtype=bool)
-    keep[np.arange(n), drop] = False
-    return dist[keep].reshape(n, k - 1), idx[keep].reshape(n, k - 1)
+    keep = np.ones((m, k), dtype=bool)
+    keep[np.arange(m), drop] = False
+    return dist[keep].reshape(m, k - 1), idx[keep].reshape(m, k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +124,22 @@ def _strip_self(dist: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 
 def mutual_reachability_mst(xyz: np.ndarray, core: np.ndarray,
-                            method: str = "auto") -> np.ndarray:
+                            method: str = "auto",
+                            knn: KnnCache | None = None) -> np.ndarray:
     """Exact MST as an (n-1, 3) array of (i, j, weight) rows.
 
-    method: "auto" picks "dense" for n <= 5000 and "accelerated" above;
-    both paths return spanning trees of identical total weight.
+    method: "auto" and "accelerated" run the Boruvka path at every size,
+    reusing the kd-tree and kNN query of ``knn`` when given; "dense" runs
+    the O(n^2) Prim reference.  Both return spanning trees of identical
+    total weight; on equal weights they may pick different edges.
     """
     n = len(xyz)
     if n < 2:
         return np.zeros((0, 3))
-    if method == "auto":
-        method = "dense" if n <= DENSE_MST_MAX else "accelerated"
     if method == "dense":
         return _mst_dense_prim(xyz, core)
-    if method == "accelerated":
-        return _mst_knn_boruvka(xyz, core)
+    if method in ("auto", "accelerated"):
+        return _mst_knn_boruvka(xyz, core, KnnCache(xyz) if knn is None else knn)
     raise InvalidParameter(f"unknown MST method {method!r}")
 
 
@@ -149,10 +184,12 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-DOUBLING_K_CAP = 128
+# neighbor counts of the capped doubling re-queries, in the order tried
+DOUBLING_LEVELS = (2 * KNN_CACHE_SIZE, 4 * KNN_CACHE_SIZE, 8 * KNN_CACHE_SIZE)
 
 
-def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
+def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray,
+                     knn: KnnCache) -> np.ndarray:
     """Exact Boruvka MST driven by cached kNN candidate lists.
 
     Per round, every point proposes its cheapest foreign (other-component)
@@ -164,10 +201,8 @@ def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
     islands, where the cache is blind -- get an exact complement-tree pass.
     """
     n = len(xyz)
-    tree = cKDTree(xyz)
-    k_cache = min(KNN_CACHE_SIZE + 1, n)
-    dist, idx = tree.query(xyz, k=k_cache)
-    dist, idx = _strip_self(dist, idx)
+    tree = knn.tree
+    dist, idx = knn.neighbors
     mr = np.maximum(np.maximum(dist, core[:, None]), core[idx])
 
     # order each candidate row by (mutual reachability, neighbor index):
@@ -181,6 +216,10 @@ def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
     del by_idx, by_mr, mr
 
     cache_ring = dist[:, -1]
+    # per doubling level, the ring of each point whose re-query there found
+    # no foreign point (NaN until then); components only merge, so such a
+    # query stays foreign-free in every later round and is not repeated
+    foreign_free = [np.full(n, np.nan) for _ in DOUBLING_LEVELS]
 
     parent = list(range(n))
     edges: list[tuple[int, int, float]] = []
@@ -209,7 +248,7 @@ def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
             leftover = _resolve_doubling(xyz, core, tree, comp_ids,
                                          np.flatnonzero(open_mask),
                                          cand_w, cand_j, comp_min,
-                                         k_cap=DOUBLING_K_CAP)
+                                         foreign_free)
             for c in np.unique(comp_ids[leftover]):
                 _resolve_complement(xyz, core, tree, comp_ids, int(c),
                                     cand_w, cand_j, comp_min)
@@ -246,17 +285,6 @@ def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
 
     out = np.array(edges, dtype=np.float64).reshape(-1, 3)
     return out
-
-
-def _strip_self_subset(dist: np.ndarray, idx: np.ndarray,
-                       subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_strip_self for queries made on a subset of the points."""
-    m, k = idx.shape
-    self_mask = idx == subset[:, None]
-    drop = np.where(self_mask.any(axis=1), self_mask.argmax(axis=1), k - 1)
-    keep = np.ones((m, k), dtype=bool)
-    keep[np.arange(m), drop] = False
-    return dist[keep].reshape(m, k - 1), idx[keep].reshape(m, k - 1)
 
 
 def _resolve_complement(xyz, core, tree, comp_ids, c,
@@ -321,41 +349,47 @@ def _refine_point(xyz, core, tree, comp_ids, a, cand_w, cand_j, comp_min) -> Non
 
 
 def _resolve_doubling(xyz, core, tree, comp_ids, open_pts,
-                      cand_w, cand_j, comp_min,
-                      k_cap: int | None = None) -> np.ndarray:
+                      cand_w, cand_j, comp_min, foreign_free) -> np.ndarray:
     """Batched k-doubling re-queries for points with uncertain candidates.
 
     A point settles once its examined ring reaches its component minimum,
     which happens at small k when foreign points are close (adjacent
     components).  Points that would need huge neighborhoods (separated
-    islands) are returned at the cap for the complement-tree resolver.
+    islands) are returned after the last level for the complement-tree
+    resolver.  All open points step through the levels together, so each
+    level sees the component minima the earlier levels left; a point whose
+    query at a level is known foreign-free (``foreign_free``) only
+    contributes its stored ring there.
     """
     n = len(xyz)
-    k2 = 2 * KNN_CACHE_SIZE
-    while open_pts.size:
+    for k2, known in zip(DOUBLING_LEVELS, foreign_free):
+        if not open_pts.size:
+            break
         k_eff = min(k2 + 1, n)
-        d_o, i_o = tree.query(xyz[open_pts], k=k_eff)
-        d_o, i_o = _strip_self_subset(d_o, i_o, open_pts)
-        mr_o = np.maximum(np.maximum(d_o, core[open_pts, None]), core[i_o])
-        for_o = comp_ids[i_o] != comp_ids[open_pts, None]
-        mr_masked = np.where(for_o, mr_o, np.inf)
-        wmin = mr_masked.min(axis=1)
-        tie = mr_masked == wmin[:, None]
-        jbest = np.where(tie, i_o, n + 1).min(axis=1)
-        found = np.isfinite(wmin)
-        better = found & (wmin < cand_w[open_pts])
-        upd = open_pts[better]
-        cand_w[upd] = wmin[better]
-        cand_j[upd] = jbest[better]
-        np.minimum.at(comp_min, comp_ids[upd], wmin[better])
+        ring = known[open_pts]
+        ask = np.isnan(ring)
+        pts = open_pts[ask]
+        if pts.size:
+            d_o, i_o = tree.query(xyz[pts], k=k_eff)
+            d_o, i_o = _strip_self(d_o, i_o, pts)
+            mr_o = np.maximum(np.maximum(d_o, core[pts, None]), core[i_o])
+            for_o = comp_ids[i_o] != comp_ids[pts, None]
+            mr_masked = np.where(for_o, mr_o, np.inf)
+            wmin = mr_masked.min(axis=1)
+            tie = mr_masked == wmin[:, None]
+            jbest = np.where(tie, i_o, n + 1).min(axis=1)
+            found = np.isfinite(wmin)
+            better = found & (wmin < cand_w[pts])
+            upd = pts[better]
+            cand_w[upd] = wmin[better]
+            cand_j[upd] = jbest[better]
+            np.minimum.at(comp_min, comp_ids[upd], wmin[better])
+            ring[ask] = d_o[:, -1]
+            known[pts[~found]] = d_o[~found, -1]
         if k_eff >= n:
             return open_pts[:0]     # every point examined; candidates exact
-        ring = d_o[:, -1]
         still = np.maximum(core[open_pts], ring) < comp_min[comp_ids[open_pts]]
         open_pts = open_pts[still]
-        k2 *= 2
-        if k_cap is not None and k2 > k_cap:
-            return open_pts
     return open_pts
 
 
@@ -564,8 +598,11 @@ def run_hdbscan(xyz: np.ndarray, params: HdbscanParams,
     if n < params.min_cluster_size:
         return ClusterLabels(labels=np.full(n, NOISE, dtype=np.int64),
                              cluster_count=0)
-    core = core_distances(xyz, params.min_samples)
-    mst = mutual_reachability_mst(xyz, core, method=mst_method)
+    # the kd-tree and its kNN query are built inside core_distances, on
+    # first use, and reused by the MST
+    knn = KnnCache(xyz)
+    core = core_distances(xyz, params.min_samples, knn)
+    mst = mutual_reachability_mst(xyz, core, method=mst_method, knn=knn)
     left, right, height, node_size = single_linkage(mst, n)
     parents, children, lambdas, sizes = condense_tree(
         left, right, height, node_size, n, params.min_cluster_size

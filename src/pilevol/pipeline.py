@@ -223,6 +223,12 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,
     if config.enable_fine_filter:
         cloud = fine_filter(cloud, rparams, config.hdbscan_params)
     cloud = record("fine_filter", cloud, t0)
+    if len(cloud) == 0:
+        emptied = next(stage for stage, count in report.stage_counts.items()
+                       if count == 0)
+        report.warnings.append(
+            f"the {emptied} stage left no points; the volume of an empty "
+            "cloud is 0")
 
     t0 = time.perf_counter()
     comp = CompensationFactor(config.compensation)

@@ -4,14 +4,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from pilevol import _hdbscan
 from pilevol._hdbscan import (
-    DENSE_MST_MAX,
+    KnnCache,
+    _strip_self,
     core_distances,
     mutual_reachability_mst,
     run_hdbscan,
 )
-from pilevol.cloud import PointCloud
+from pilevol.cloud import PointCloud, voxel_downsample
 from pilevol.denoise import (
     HdbscanParams,
     RadiusFilterParams,
@@ -21,6 +24,7 @@ from pilevol.denoise import (
     robust_filter,
 )
 from pilevol.errors import InvalidParameter, LabelMismatch, PilevolError
+from pilevol.synth import generate_scene, reference_scenes
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +249,7 @@ def test_boruvka_labels_golden_with_duplicate_ties():
         rng.uniform(-3, 3, size=(600, 3)),
     ])
     xyz = np.vstack([xyz, xyz[::7]])
-    assert len(xyz) > DENSE_MST_MAX
+    assert len(xyz) > 5000
     labels = run_hdbscan(xyz, HdbscanParams(min_cluster_size=50, min_samples=10))
     assert labels.cluster_count == 2
     assert (hashlib.sha256(labels.labels.tobytes()).hexdigest()
@@ -262,6 +266,84 @@ def test_boruvka_without_progress_raises_typed_error():
     core = np.full(len(xyz), np.nan)
     with pytest.raises(PilevolError), np.errstate(invalid="ignore"):
         mutual_reachability_mst(xyz, core, "accelerated")
+
+
+def _lattice_with_duplicates() -> np.ndarray:
+    """400 points on a 10 cm lattice, some repeated up to three times: the
+    self entry can fall out of a kNN query and many distances tie."""
+    base = np.round(np.random.default_rng(77).uniform(0, 1, size=(400, 3)), 1)
+    return np.vstack([base, base[::2], base[::5]])
+
+
+@pytest.mark.parametrize("min_samples", [1, 10, 16])
+def test_shared_knn_core_distances_are_exact(min_samples):
+    dups = _lattice_with_duplicates()
+    clouds = [dups] + [np.repeat(dups[:(n + 1) // 2], 2, axis=0)[:n]
+                       for n in (2, 17, 18)]
+    for xyz in clouds:
+        # alone, core_distances queries exactly min_samples + 1 neighbors
+        shared = core_distances(xyz, min_samples, KnnCache(xyz))
+        assert shared.tobytes() == core_distances(xyz, min_samples).tobytes()
+
+
+def test_core_distances_above_cache_width_use_own_query():
+    xyz = _lattice_with_duplicates()
+    knn = KnnCache(xyz)
+    shared = core_distances(xyz, 20, knn)
+    assert shared.tobytes() == core_distances(xyz, 20).tobytes()
+    assert "neighbors" not in vars(knn)     # the 17-neighbor query never ran
+
+
+def test_knn_cache_is_the_17_neighbor_query():
+    # among equal distances the kd-tree's index order, and at the last
+    # column the neighbor set, depend on k: the cache must be this query,
+    # not a slice of a wider one
+    xyz = _lattice_with_duplicates()
+    dist, idx = KnnCache(xyz).neighbors
+    want_dist, want_idx = _strip_self(*cKDTree(xyz).query(xyz, k=17))
+    assert dist.tobytes() == want_dist.tobytes()
+    assert idx.tobytes() == want_idx.tobytes()
+
+
+def test_doubling_reuse_matches_fresh_requeries(monkeypatch):
+    # a doubling re-query that found no foreign point is reused in later
+    # Boruvka rounds; forgetting every stored ring must give the same edges
+    # in the same order
+    xyz = generate_scene(reference_scenes()[5]).cloud.xyz
+    core = core_distances(xyz, 10)
+    original = _hdbscan._resolve_doubling
+    reused = [0]
+
+    def counting(*args):
+        open_pts, foreign_free = args[4], args[-1]
+        reused[0] += sum(int(np.isfinite(known[open_pts]).sum())
+                         for known in foreign_free)
+        return original(*args)
+
+    def forgetful(*args):
+        return original(*args[:-1], [np.full_like(known, np.nan)
+                                     for known in args[-1]])
+
+    monkeypatch.setattr(_hdbscan, "_resolve_doubling", counting)
+    kept = mutual_reachability_mst(xyz, core, "accelerated")
+    monkeypatch.setattr(_hdbscan, "_resolve_doubling", forgetful)
+    fresh = mutual_reachability_mst(xyz, core, "accelerated")
+    assert reused[0] > 0
+    assert kept.tobytes() == fresh.tobytes()
+
+
+def test_auto_labels_match_dense_on_voxel_thinned_cloud_with_ties():
+    # "auto" runs Boruvka at every size; on a voxel-thinned capture under
+    # 5000 points, with exact duplicates, it must label like dense Prim
+    scene = generate_scene(reference_scenes()[0])
+    xyz = voxel_downsample(scene.cloud, 0.03).xyz
+    xyz = np.vstack([xyz, xyz[::6]])
+    assert 2000 < len(xyz) <= 5000
+    params = HdbscanParams(min_cluster_size=50, min_samples=10)
+    auto = run_hdbscan(xyz, params, "auto")
+    dense = run_hdbscan(xyz, params, "dense")
+    assert auto.cluster_count == dense.cluster_count >= 1
+    np.testing.assert_array_equal(auto.labels, dense.labels)
 
 
 def test_largest_cluster_selection_and_ties():

@@ -9,6 +9,7 @@ import pytest
 from pilevol.cli import main as cli_main
 from pilevol.cloud import AxisRange, PointCloud
 from pilevol.config import parse_config_text
+from pilevol.denoise import HdbscanParams
 from pilevol.errors import ConfigError, EmptyCloud
 from pilevol.pipeline import (
     PipelineConfig,
@@ -57,6 +58,7 @@ def test_run_pipeline_reference_accuracy(small_scene):
     assert counts == sorted(counts, reverse=True)
     assert report.ground is not None
     assert report.ground.mode == "FIRST_PEAK"
+    assert report.warnings == []
 
 
 def test_disabled_stages_pass_through(small_scene):
@@ -72,6 +74,20 @@ def test_calibration_without_posture_flags_dependency(small_scene):
     cfg = PipelineConfig(seed=3, enable_posture=False)
     report = run_pipeline(cfg, scene=small_scene)
     assert any("posture" in w for w in report.warnings)
+
+
+def test_emptied_cloud_warns_with_the_stage():
+    # a minimum cluster size above the cloud size labels every point noise,
+    # so the fine filter keeps nothing and the volume comes out as 0
+    cfg = PipelineConfig(enable_prefilter=False,
+                         hdbscan_params=HdbscanParams(min_cluster_size=10 ** 6))
+    report = run_pipeline(cfg, scene=generate_scene(reference_scenes()[0]))
+    assert report.stage_counts["calibration"] > 0
+    assert report.stage_counts["fine_filter"] == 0
+    assert report.volume == 0.0
+    assert len(report.warnings) == 1
+    assert "fine_filter stage left no points" in report.warnings[0]
+    assert f"warning,{report.warnings[0]}\n" in run_report_csv(report)
 
 
 def test_report_csv_deterministic(small_scene):
