@@ -552,35 +552,16 @@ def label_points(parents, children, n: int, selected: set[int]) -> ClusterLabels
     is_point = children < n
     home = np.full(n, -1, dtype=np.int64)
     home[children[is_point]] = parents[is_point]
-    parent_of = dict(zip(children[~is_point].tolist(), parents[~is_point].tolist()))
-
-    resolve_cache: dict[int, int] = {}
-
-    def nearest_selected(c: int) -> int:
-        out = resolve_cache.get(c)
-        if out is not None:
-            return out
-        chain = []
-        cur = c
-        found = -1
-        while True:
-            if cur in resolve_cache:
-                found = resolve_cache[cur]
-                break
-            chain.append(cur)
-            if cur in selected:
-                found = cur
-                break
-            if cur not in parent_of:
-                break
-            cur = parent_of[cur]
-        for v in chain:
-            resolve_cache[v] = found
-        return found
-
-    homes, home_ix = np.unique(home, return_inverse=True)
-    raw = np.array([nearest_selected(c) if c >= 0 else -1 for c in homes.tolist()],
-                   dtype=np.int64)[home_ix]
+    # condense_tree numbers every cluster above its parent, so one upward
+    # pass resolves each cluster to its nearest selected ancestor (or -1)
+    parent_of = np.full(int(parents.max(initial=n - 1)) + 1 - n, -1, dtype=np.int64)
+    parent_of[children[~is_point] - n] = parents[~is_point]
+    resolved: list[int] = []
+    for c, par in enumerate(parent_of.tolist(), start=n):
+        resolved.append(c if c in selected else resolved[par - n] if par >= 0 else -1)
+    raw = np.full(n, -1, dtype=np.int64)
+    has_home = home >= 0
+    raw[has_home] = np.asarray(resolved, dtype=np.int64)[home[has_home] - n]
     clustered = raw >= 0
     ids, first_member, id_ix = np.unique(raw[clustered], return_index=True,
                                          return_inverse=True)

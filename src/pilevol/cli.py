@@ -16,6 +16,7 @@ from .config import load_config
 from .errors import ConfigError, PilevolError
 from .pipeline import (
     PipelineConfig,
+    _with_round_seed,
     bench_csv,
     bench_reference,
     compression_sweep,
@@ -88,8 +89,7 @@ def _load_pipeline_config(args) -> PipelineConfig:
     if args.config:
         config = load_config(args.config, config)
     if args.seed is not None:
-        config = replace(config, seed=args.seed,
-                         ransac=replace(config.ransac, seed=args.seed))
+        config = _with_round_seed(config, args.seed)
     config.validate()
     return config
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from .cloud import AxisRange
 from .denoise import HdbscanParams, RadiusFilterParams
 from .errors import ConfigError
-from .pipeline import PipelineConfig
+from .pipeline import PipelineConfig, _with_round_seed
 from .volume import GridSpec
 
 
@@ -83,8 +83,7 @@ def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
 def _apply(cfg: PipelineConfig, section: str, key: str, value: str) -> PipelineConfig:
     if section == "pipeline":
         if key == "seed":
-            return replace(cfg, seed=_parse_int(value),
-                           ransac=replace(cfg.ransac, seed=_parse_int(value)))
+            return _with_round_seed(cfg, _parse_int(value))
         if key == "prefilter":
             return replace(cfg, enable_prefilter=_parse_bool(value))
         if key == "posture":

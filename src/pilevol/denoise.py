@@ -57,10 +57,9 @@ def radius_outlier_filter(cloud: PointCloud,
     return cloud.select(counts >= params.n_min)
 
 
-def hdbscan(cloud: PointCloud, params: HdbscanParams,
-            mst_method: str = "auto") -> ClusterLabels:
+def hdbscan(cloud: PointCloud, params: HdbscanParams) -> ClusterLabels:
     """Cluster the cloud; unclustered points get the NOISE label (-1)."""
-    return run_hdbscan(cloud.xyz, params, mst_method=mst_method)
+    return run_hdbscan(cloud.xyz, params)
 
 
 def largest_cluster(cloud: PointCloud, labels: ClusterLabels) -> PointCloud:

@@ -1,11 +1,14 @@
 """End-to-end measurement pipeline and batch studies.
 
-Stage order is fixed: pass-through trim, optional voxel downsampling,
-robust pre-filtering, posture correction, ground calibration, fine
-filtering, then the volume estimator.  Every stage can be toggled off for
-ablation runs, in which case the cloud passes through unchanged.  Reports
-are plain CSV and are byte-identical for identical config and seed; stage
-timings are kept out of the CSV for exactly that reason.
+Stage order is fixed (``STAGE_ORDER``): pass-through trim, optional voxel
+downsampling, robust pre-filtering, posture correction, ground calibration,
+fine filtering, then the volume estimator.  One stage sequence,
+``_run_stages``, serves both ``run_pipeline`` and ``emit_histogram`` (which
+stops after posture), and the batch studies share one round loop.  Every
+stage can be toggled off for ablation runs, in which case the cloud passes
+through unchanged.  Reports are plain CSV and are byte-identical for
+identical config and seed; stage timings are kept out of the CSV for
+exactly that reason.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ class PipelineConfig:
     compensation: float = 1.0
     signed: bool = True
 
+    # seeds RANSAC: the pipeline overrides ``ransac.seed`` with it
     seed: int = 0
 
     # downsampling thins the cloud below the default neighborhood scales, so
@@ -147,82 +151,69 @@ def _with_round_seed(config: PipelineConfig, seed: int) -> PipelineConfig:
     return replace(config, seed=seed, ransac=replace(config.ransac, seed=seed))
 
 
-def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,
-                 scene: Scene | None = None) -> RunReport:
-    """Execute the enabled stages in order on a cloud or synthetic scene.
+def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
+                scene: Scene | None, report: RunReport,
+                last: str = "fine_filter") -> PointCloud:
+    """Run the stages of ``STAGE_ORDER`` from the pass-through through
+    ``last`` and return the cloud they leave.
 
-    Disabled stages pass the cloud through unchanged (the ablation
-    semantics).  When a scene with ground truth is given, the report also
-    carries the relative volume error.
+    Each stage records its point count and time in ``report``; a disabled
+    stage passes the cloud through unchanged (the ablation semantics).
+    RANSAC is seeded from ``config.seed``.
     """
     config.validate()
     if cloud is None:
         if scene is None:
-            raise ConfigError("run_pipeline needs a cloud or a scene")
+            raise ConfigError("the pipeline needs a cloud or a scene")
         cloud = scene.cloud
+    if len(cloud) == 0:
+        raise EmptyCloud("pipeline input cloud is empty")
+    rparams = config.effective_radius_params()
+    for stage in STAGE_ORDER[:STAGE_ORDER.index(last) + 1]:
+        t0 = time.perf_counter()
+        if stage == "passthrough":
+            cloud = passthrough_filter(cloud, config.passthrough_ranges)
+        elif stage == "downsample" and config.downsample_voxel is not None:
+            cloud = voxel_downsample(cloud, config.downsample_voxel)
+        elif stage == "prefilter" and config.enable_prefilter:
+            cloud = robust_filter(cloud, rparams, config.hdbscan_params)
+        elif stage == "posture" and config.enable_posture:
+            plane = ransac_plane(cloud, replace(config.ransac, seed=config.seed))
+            cloud = correct_posture(cloud, plane)
+        elif stage == "calibration" and config.enable_calibration:
+            if config.ground_mode == MODE_OVERRIDE:
+                report.ground = override_ground(config.override_height)
+            else:
+                hist = smooth_histogram(height_histogram(cloud, config.n_interval),
+                                        config.smooth_step)
+                report.ground = find_ground(hist, config.search_band,
+                                            config.ground_mode)
+            cloud = calibrate(cloud, report.ground, config.margin)
+            if config.restore_margin_datum and config.margin > 0:
+                cloud = cloud.translated((0.0, 0.0, config.margin))
+        elif stage == "fine_filter" and config.enable_fine_filter:
+            cloud = fine_filter(cloud, rparams, config.hdbscan_params)
+        report.stage_counts[stage] = len(cloud)
+        report.timings_s[stage] = time.perf_counter() - t0
+    return cloud
+
+
+def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,
+                 scene: Scene | None = None) -> RunReport:
+    """Execute the enabled stages in order on a cloud or synthetic scene.
+
+    When a scene with ground truth is given, the report also carries the
+    relative volume error.
+    """
     report = RunReport(config=config)
     if scene is not None:
         report.true_volume = scene.true_volume
-    if len(cloud) == 0:
-        raise EmptyCloud("pipeline input cloud is empty")
-    scene_area = config.scene_area
-    if scene_area is None and scene is not None:
-        scene_area = scene.spec.footprint_area
-
     if config.enable_calibration and not config.enable_posture:
         report.warnings.append(
             "calibration without posture correction: the height histogram "
             "is built on an unlevelled cloud and the ground peak degrades"
         )
-
-    def record(stage: str, value: PointCloud, t0: float) -> PointCloud:
-        report.stage_counts[stage] = len(value)
-        report.timings_s[stage] = time.perf_counter() - t0
-        return value
-
-    t0 = time.perf_counter()
-    cloud = record("passthrough",
-                   passthrough_filter(cloud, config.passthrough_ranges), t0)
-
-    t0 = time.perf_counter()
-    if config.downsample_voxel is not None:
-        cloud = voxel_downsample(cloud, config.downsample_voxel)
-    cloud = record("downsample", cloud, t0)
-
-    rparams = config.effective_radius_params()
-
-    t0 = time.perf_counter()
-    if config.enable_prefilter:
-        cloud = robust_filter(cloud, rparams, config.hdbscan_params)
-    cloud = record("prefilter", cloud, t0)
-    # the pre-processed cloud is the uniform sampling of the scene the
-    # element-area division refers to
-    n_preprocessed = len(cloud)
-
-    t0 = time.perf_counter()
-    if config.enable_posture:
-        plane = ransac_plane(cloud, config.ransac)
-        cloud = correct_posture(cloud, plane)
-    cloud = record("posture", cloud, t0)
-
-    t0 = time.perf_counter()
-    if config.enable_calibration:
-        if config.ground_mode == MODE_OVERRIDE:
-            ground = override_ground(config.override_height)
-        else:
-            hist = height_histogram(cloud, config.n_interval)
-            hist = smooth_histogram(hist, config.smooth_step)
-            ground = find_ground(hist, config.search_band, config.ground_mode)
-        report.ground = ground
-        cloud = calibrate(cloud, ground, config.margin)
-        if config.restore_margin_datum and config.margin > 0:
-            cloud = cloud.translated((0.0, 0.0, config.margin))
-    cloud = record("calibration", cloud, t0)
-
-    t0 = time.perf_counter()
-    if config.enable_fine_filter:
-        cloud = fine_filter(cloud, rparams, config.hdbscan_params)
-    cloud = record("fine_filter", cloud, t0)
+    cloud = _run_stages(config, cloud, scene, report)
     if len(cloud) == 0:
         emptied = next(stage for stage, count in report.stage_counts.items()
                        if count == 0)
@@ -231,10 +222,16 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,
             "cloud is 0")
 
     t0 = time.perf_counter()
+    scene_area = config.scene_area
+    if scene_area is None and scene is not None:
+        scene_area = scene.spec.footprint_area
     comp = CompensationFactor(config.compensation)
     if config.estimator == METHOD_COLUMN_UNIFORM:
         if scene_area is None:
             raise ConfigError("COLUMN_UNIFORM needs scene_area")
+        # the pre-processed cloud is the uniform sampling of the scene the
+        # element-area division refers to
+        n_preprocessed = report.stage_counts["prefilter"]
         if n_preprocessed == 0:
             raise EmptyCloud("no points left before volume integration")
         element = footprint_area(scene_area, n_preprocessed)
@@ -260,6 +257,18 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,
 
 def _round_seed(base_seed: int, round_index: int) -> int:
     return int(np.random.SeedSequence((base_seed, round_index)).generate_state(1)[0])
+
+
+def _round_reports(spec: SceneSpec, base_seed: int, rounds: int,
+                   config: PipelineConfig) -> list[RunReport]:
+    """One pipeline run per round, each on a fresh capture of ``spec``; the
+    round seed drives both the scene and the pipeline."""
+    reports = []
+    for r in range(rounds):
+        seed = _round_seed(base_seed, r)
+        scene = generate_scene(with_seed(spec, seed))
+        reports.append(run_pipeline(_with_round_seed(config, seed), scene=scene))
+    return reports
 
 
 @dataclass
@@ -295,15 +304,10 @@ def bench_reference(specs: list[SceneSpec] | None = None, rounds: int = 1,
                        area=spec.footprint_area,
                        true_volume=spec.pile.true_volume,
                        rounds=rounds)
-        volumes: list[float] = []
-        errors: list[float] = []
         try:
-            for r in range(rounds):
-                seed = _round_seed(spec.seed, r)
-                scene = generate_scene(with_seed(spec, seed))
-                report = run_pipeline(_with_round_seed(config, seed), scene=scene)
-                volumes.append(report.volume)
-                errors.append(abs(report.relative_error))
+            reports = _round_reports(spec, spec.seed, rounds, config)
+            volumes = [report.volume for report in reports]
+            errors = [abs(report.relative_error) for report in reports]
             row.mean_volume = float(np.mean(volumes))
             row.mean_rel_error = float(np.mean(errors))
             row.max_rel_error = float(np.max(errors))
@@ -349,9 +353,11 @@ def compression_sweep(spec: SceneSpec, voxel_sizes: list[float],
 
     The first returned row is the uncompressed origin (voxel_size 0, ratio
     1).  The compressed ratio is the downsampled point count over the
-    original count.  With the uniform-column estimator the element area
-    recomputes from the downsampled count automatically, since it divides
-    the scene area by the pre-processed count that reaches the integrator.
+    count entering the downsample stage (the original count unless a
+    pass-through range trims it).  With the uniform-column estimator the
+    element area recomputes from the downsampled count automatically, since
+    it divides the scene area by the pre-processed count that reaches the
+    integrator.
     """
     if any(s <= 0 for s in voxel_sizes):
         raise ConfigError("voxel sizes must be positive")
@@ -361,19 +367,11 @@ def compression_sweep(spec: SceneSpec, voxel_sizes: list[float],
         config = PipelineConfig()
     rows: list[SweepRow] = []
     for size in [None] + list(voxel_sizes):
-        ratios: list[float] = []
-        errors: list[float] = []
-        for r in range(rounds):
-            seed = _round_seed(spec.seed + 31, r)
-            scene = generate_scene(with_seed(spec, seed))
-            if size is not None:
-                n_after = len(voxel_downsample(scene.cloud, size))
-                ratios.append(n_after / len(scene.cloud))
-            else:
-                ratios.append(1.0)
-            cfg = replace(_with_round_seed(config, seed), downsample_voxel=size)
-            report = run_pipeline(cfg, scene=scene)
-            errors.append(abs(report.relative_error))
+        reports = _round_reports(spec, spec.seed + 31, rounds,
+                                 replace(config, downsample_voxel=size))
+        ratios = [r.stage_counts["downsample"] / r.stage_counts["passthrough"]
+                  for r in reports]
+        errors = [abs(r.relative_error) for r in reports]
         row = SweepRow(voxel_size=size if size is not None else 0.0,
                        compressed_ratio=float(np.mean(ratios)),
                        mean_error=float(np.mean(errors)))
@@ -396,25 +394,10 @@ def emit_histogram(config: PipelineConfig, cloud: PointCloud | None = None,
                    scene: Scene | None = None) -> tuple[str, GroundEstimate]:
     """Smoothed height histogram CSV with the detected ground bin marked.
 
-    The cloud is taken through the pre-processing and posture stages first
-    so the histogram matches what calibration actually sees.
+    The cloud is taken through the stages up to posture first, so the
+    histogram matches what calibration actually sees.
     """
-    config.validate()
-    if cloud is None:
-        if scene is None:
-            raise ConfigError("emit_histogram needs a cloud or a scene")
-        cloud = scene.cloud
-    if len(cloud) == 0:
-        raise EmptyCloud("cannot emit a histogram for an empty cloud")
-    cloud = passthrough_filter(cloud, config.passthrough_ranges)
-    if config.downsample_voxel is not None:
-        cloud = voxel_downsample(cloud, config.downsample_voxel)
-    if config.enable_prefilter:
-        cloud = robust_filter(cloud, config.effective_radius_params(),
-                              config.hdbscan_params)
-    if config.enable_posture:
-        plane = ransac_plane(cloud, config.ransac)
-        cloud = correct_posture(cloud, plane)
+    cloud = _run_stages(config, cloud, scene, RunReport(), last="posture")
     hist = smooth_histogram(height_histogram(cloud, config.n_interval),
                             config.smooth_step)
     if config.ground_mode == MODE_OVERRIDE:

@@ -1,7 +1,9 @@
 """Pipeline orchestration, reports, config files, and the CLI surface."""
 
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,11 @@ from pilevol.cloud import AxisRange, PointCloud
 from pilevol.config import parse_config_text
 from pilevol.denoise import HdbscanParams
 from pilevol.errors import ConfigError, EmptyCloud
+from pilevol.pose import ransac_plane
+from pilevol import pipeline
 from pilevol.pipeline import (
     PipelineConfig,
+    _with_round_seed,
     bench_csv,
     bench_reference,
     compression_sweep,
@@ -117,6 +122,55 @@ def test_far_outlier_leaves_volume_unchanged(small_scene):
     assert report.stage_counts["passthrough"] == base.stage_counts["passthrough"] + 1
     assert report.stage_counts["prefilter"] == base.stage_counts["prefilter"]
     assert report.estimates[0].volume == base.estimates[0].volume
+
+
+def test_pipeline_seed_alone_seeds_ransac(small_scene, monkeypatch):
+    fits = []
+
+    def spy(cloud, params):
+        plane = ransac_plane(cloud, params)
+        fits.append((params.seed, plane.a, plane.b, plane.c, plane.d))
+        return plane
+
+    monkeypatch.setattr(pipeline, "ransac_plane", spy)
+    base = PipelineConfig(enable_prefilter=False, enable_fine_filter=False)
+    alone = run_report_csv(run_pipeline(replace(base, seed=5), scene=small_scene))
+    both = run_report_csv(run_pipeline(_with_round_seed(base, 5), scene=small_scene))
+    run_pipeline(replace(base, seed=6), scene=small_scene)
+    assert alone == both
+    assert [fit[0] for fit in fits] == [5, 5, 6]
+    assert fits[0] == fits[1]
+    assert fits[2][1:] != fits[0][1:]
+
+
+def test_traced_run_reaches_every_wrapped_layer():
+    # the benchmark's tracer rebinds module attributes, so every stage must
+    # look its functions up through the module at call time
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import layers
+        from spans import Tracer
+    finally:
+        sys.path.pop(0)
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        report = run_pipeline(PipelineConfig(seed=1, downsample_voxel=0.01),
+                              scene=generate_scene(reference_scenes()[0]))
+    finally:
+        tracer.uninstall()
+    assert report.volume > 0
+    assert {name for _, _, name, _ in layers.WRAPPED} <= {s.name for s in tracer.spans}
+
+
+@pytest.mark.parametrize("config", [
+    PipelineConfig(seed=3),
+    PipelineConfig(seed=3, ground_mode="MID_PLATEAU"),
+    PipelineConfig(seed=3, downsample_voxel=0.02),
+], ids=["first-peak", "mid-plateau", "voxel"])
+def test_emit_histogram_ground_matches_run(small_scene, config):
+    _, ground = emit_histogram(config, scene=small_scene)
+    assert ground == run_pipeline(config, scene=small_scene).ground
 
 
 def test_pipeline_empty_input():
