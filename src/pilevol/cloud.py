@@ -7,6 +7,7 @@ they return new clouds and never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -154,17 +155,29 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     xyz = cloud.xyz
     anchor = xyz.min(axis=0)
     cells = np.floor((xyz - anchor) / voxel_size).astype(np.int64)
-    # unique rows, mapped back per point; "first occurrence" ordering below
-    _, first_idx, inverse = np.unique(
-        cells, axis=0, return_index=True, return_inverse=True
-    )
-    n_cells = first_idx.shape[0]
-    sums = np.zeros((n_cells, 3))
-    np.add.at(sums, inverse, xyz)
+    inverse, n_cells = _first_occurrence_cells(cells)
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
-    centroids = sums / counts[:, None]
-    order = np.argsort(first_idx, kind="stable")
-    return PointCloud(centroids[order], validate=False)
+    centroids = np.column_stack([
+        np.bincount(inverse, weights=xyz[:, k], minlength=n_cells) for k in range(3)
+    ]) / counts[:, None]
+    return PointCloud(centroids, validate=False)
+
+
+def _first_occurrence_cells(cells: np.ndarray) -> tuple[np.ndarray, int]:
+    """Number the distinct rows of the non-negative (N, 3) ``cells`` in order
+    of first occurrence; return each row's number and the count."""
+    extent = [int(v) + 1 for v in cells.max(axis=0)]
+    if math.prod(extent) <= np.iinfo(np.int64).max:
+        # one int64 key per cell; a stable sort keeps each run's first row first
+        key = (cells[:, 0] * extent[1] + cells[:, 1]) * extent[2] + cells[:, 2]
+        _, first_idx, run_of = np.unique(key, return_index=True, return_inverse=True)
+    else:
+        # the key would overflow (e.g. a far outlier): unique over the rows
+        _, first_idx, run_of = np.unique(cells, axis=0, return_index=True,
+                                         return_inverse=True)
+    rank = np.empty(first_idx.shape[0], dtype=np.intp)
+    rank[np.argsort(first_idx, kind="stable")] = np.arange(first_idx.shape[0])
+    return rank[run_of], first_idx.shape[0]
 
 
 def bounding_box(cloud: PointCloud) -> Aabb:

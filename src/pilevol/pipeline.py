@@ -95,7 +95,8 @@ class PipelineConfig:
     compensation: float = 1.0
     signed: bool = True
 
-    # seeds RANSAC: the pipeline overrides ``ransac.seed`` with it
+    # seeds RANSAC: the pipeline overrides ``ransac.seed`` with it, so
+    # ``validate`` rejects a ``ransac.seed`` that is neither 0 nor this seed
     seed: int = 0
 
     # downsampling thins the cloud below the default neighborhood scales, so
@@ -129,6 +130,11 @@ class PipelineConfig:
             raise ConfigError("search_band must be in (0, 1]")
         if self.downsample_voxel is not None and self.downsample_voxel <= 0:
             raise ConfigError("downsample_voxel must be > 0")
+        if self.ransac.seed not in (0, self.seed):
+            raise ConfigError(
+                f"ransac.seed {self.ransac.seed} would be ignored: RANSAC is "
+                f"seeded from the pipeline seed {self.seed} ([pipeline] seed, "
+                "--seed)")
 
 
 @dataclass

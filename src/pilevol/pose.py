@@ -8,6 +8,7 @@ so the fitted plane lands on z = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,9 @@ from .cloud import PointCloud
 from .errors import DegenerateCloud, InvalidParameter, NotUnitVector
 
 EZ = np.array([0.0, 0.0, 1.0])
+# probability that the adaptive stop has drawn at least one all-inlier
+# sample (Hartley & Zisserman, Multiple View Geometry, section 4.7)
+RANSAC_CONFIDENCE = 0.999
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,7 @@ class PlaneModel:
     d: float
     inlier_indices: np.ndarray = field(repr=False)
     rms_residual: float = 0.0
+    iterations: int = 0   # RANSAC candidates drawn before the stop
 
     @property
     def unit_normal(self) -> np.ndarray:
@@ -62,6 +67,17 @@ def _plane_from_points(p0, p1, p2):
         return None
     normal = normal / norm
     return normal, -float(normal @ p0)
+
+
+def _adaptive_bound(count: int, n: int, cap: int) -> int:
+    """Draws needed to sample 3 inliers with probability RANSAC_CONFIDENCE
+    when ``count`` of ``n`` points are inliers, capped at ``cap``."""
+    w3 = (count / n) ** 3
+    if w3 >= 1.0:
+        return 0
+    if w3 <= 0.0:
+        return cap
+    return min(cap, math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / math.log1p(-w3)))
 
 
 def _refine_plane(xyz: np.ndarray) -> tuple[np.ndarray, float]:
@@ -87,10 +103,15 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     """Fit the dominant plane by seeded RANSAC voting plus LS refinement.
 
     Each iteration samples 3 distinct points, forms a candidate plane, and
-    counts inliers within ``distance_threshold``.  The winning candidate is
+    counts inliers within ``distance_threshold``.  The loop stops adaptively
+    (Fischler & Bolles 1981): after each new best candidate with inlier
+    fraction w it needs ceil(log(1 - p) / log(1 - w^3)) draws in all, with
+    p = RANSAC_CONFIDENCE (0.999), capped at ``max_iterations``; a cloud
+    with w below about 0.19 runs the full cap.  The winning candidate is
     refined by a least-squares fit over its inliers; the refined normal is
     oriented upward (C >= 0).  Deterministic for a fixed seed: ties on the
-    inlier count keep the earlier iteration.
+    inlier count keep the earlier iteration, so the result equals a fixed
+    loop of ``iterations`` draws.
 
     Raises:
         DegenerateCloud: fewer than 3 points, all samples collinear, or no
@@ -103,7 +124,10 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     rng = np.random.default_rng(params.seed)
     best_count = -1
     best_plane = None
-    for _ in range(params.max_iterations):
+    needed = params.max_iterations
+    iterations = 0
+    while iterations < needed:
+        iterations += 1
         idx = rng.choice(n, size=3, replace=False)
         candidate = _plane_from_points(xyz[idx[0]], xyz[idx[1]], xyz[idx[2]])
         if candidate is None:
@@ -113,12 +137,14 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
         if count > best_count:
             best_count = count
             best_plane = (normal, d)
+            needed = _adaptive_bound(count, n, params.max_iterations)
     if best_plane is None or best_count < 3:
         raise DegenerateCloud("no non-degenerate plane candidate found")
     if best_count < params.min_inlier_fraction * n:
         raise DegenerateCloud(
             f"best candidate has {best_count}/{n} inliers, below "
-            f"min_inlier_fraction {params.min_inlier_fraction}"
+            f"[ransac] min_inlier_fraction {params.min_inlier_fraction}; "
+            "a crop dominated by the pile leaves too little ground"
         )
 
     normal, d = best_plane
@@ -132,7 +158,7 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     rms = float(np.sqrt(np.mean(dist[inlier_idx] ** 2))) if inlier_idx.size else 0.0
     a, b, c = (float(v) for v in refined_normal)
     return PlaneModel(a, b, c, float(refined_d), inlier_indices=inlier_idx,
-                      rms_residual=rms)
+                      rms_residual=rms, iterations=iterations)
 
 
 def rotation_to_up(v: np.ndarray) -> np.ndarray:

@@ -137,6 +137,48 @@ def test_voxel_downsample_compression_ratio_on_dense_pile():
     assert 0.06 <= ratio <= 0.10
 
 
+def unique_rows_voxel_reference(cloud, voxel_size):
+    """Voxel centroids through the row-wise ``np.unique(axis=0)``, summed in
+    point order and listed by each voxel's first point."""
+    xyz = cloud.xyz
+    cells = np.floor((xyz - xyz.min(axis=0)) / voxel_size).astype(np.int64)
+    _, first_idx, inverse = np.unique(cells, axis=0, return_index=True,
+                                      return_inverse=True)
+    sums = np.zeros((first_idx.shape[0], 3))
+    np.add.at(sums, inverse, xyz)
+    counts = np.bincount(inverse, minlength=first_idx.shape[0])
+    return (sums / counts[:, None])[np.argsort(first_idx, kind="stable")]
+
+
+@pytest.mark.parametrize("far", [None, (1e6, 1e6, 1e6), (2e6, 2e6, 2e6),
+                                 (3e6, 3e6, 3e6)],
+                         ids=["compact", "far-outlier", "key-fits", "key-overflows"])
+def test_voxel_downsample_matches_unique_rows_reference(far):
+    # rounded coordinates put many points on shared cells and cell faces;
+    # at voxel 1 an outlier at 2e6 keeps the cell key inside int64 and one
+    # at 3e6 or (at voxel 0.01) 1e6 does not
+    rng = np.random.default_rng(8)
+    xyz = np.round(rng.uniform(-0.5, 0.5, size=(20_000, 3)), 2)
+    xyz = np.vstack([xyz, xyz[:500]])
+    if far is not None:
+        xyz = np.vstack([xyz[:7000], [far], xyz[7000:]])
+    cloud = PointCloud(xyz)
+    for size in (0.01, 0.02, 0.034, 1.0):
+        out = voxel_downsample(cloud, size).xyz
+        assert out.tobytes() == unique_rows_voxel_reference(cloud, size).tobytes()
+
+
+def test_voxel_downsample_cell_key_does_not_wrap():
+    # cell extents 274177 x 67280421310721 x 1 multiply to 2**64 + 1, so a
+    # wrapped int64 cell key would put the far cell on the origin cell's key
+    cloud = PointCloud([[0.0, 0.0, 0.0], [274176.0, 67280421310720.0, 0.0],
+                        [0.5, 0.5, 0.0]])
+    out = voxel_downsample(cloud, 1.0)
+    np.testing.assert_array_equal(
+        out.xyz, [[0.25, 0.25, 0.0], [274176.0, 67280421310720.0, 0.0]])
+    assert out.xyz.tobytes() == unique_rows_voxel_reference(cloud, 1.0).tobytes()
+
+
 def test_voxel_downsample_invalid_size():
     with pytest.raises(InvalidParameter):
         voxel_downsample(PointCloud([[0, 0, 0]]), 0.0)

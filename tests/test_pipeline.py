@@ -13,7 +13,7 @@ from pilevol.cloud import AxisRange, PointCloud
 from pilevol.config import parse_config_text
 from pilevol.denoise import HdbscanParams
 from pilevol.errors import ConfigError, EmptyCloud
-from pilevol.pose import ransac_plane
+from pilevol.pose import RansacParams, ransac_plane
 from pilevol import pipeline
 from pilevol.pipeline import (
     PipelineConfig,
@@ -141,6 +141,23 @@ def test_pipeline_seed_alone_seeds_ransac(small_scene, monkeypatch):
     assert [fit[0] for fit in fits] == [5, 5, 6]
     assert fits[0] == fits[1]
     assert fits[2][1:] != fits[0][1:]
+
+
+def test_ignored_ransac_seed_is_rejected(small_scene):
+    # the posture fit is seeded from PipelineConfig.seed; a different
+    # ransac.seed would be dropped without notice
+    lone = PipelineConfig(ransac=RansacParams(seed=9))
+    with pytest.raises(ConfigError, match=r"ransac\.seed 9"):
+        lone.validate()
+    with pytest.raises(ConfigError):
+        run_pipeline(replace(lone, seed=8), scene=small_scene)
+    for ok in (replace(lone, seed=9), PipelineConfig(seed=9),
+               _with_round_seed(lone, 5)):
+        ok.validate()
+    # a config file's seed moves both seeds together
+    reseeded = parse_config_text("[pipeline]\nseed = 4\n",
+                                 base=_with_round_seed(PipelineConfig(), 3))
+    assert (reseeded.seed, reseeded.ransac.seed) == (4, 4)
 
 
 def test_traced_run_reaches_every_wrapped_layer():

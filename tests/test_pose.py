@@ -8,6 +8,8 @@ from pilevol.errors import DegenerateCloud, NotUnitVector
 from pilevol.pose import (
     PlaneModel,
     RansacParams,
+    _orient_up,
+    _refine_plane,
     correct_posture,
     ransac_plane,
     rotation_to_up,
@@ -57,6 +59,8 @@ def test_ransac_exact_horizontal_plane():
     np.testing.assert_allclose([plane.a, plane.b, plane.c], [0, 0, 1], atol=1e-9)
     assert abs(plane.d) < 1e-9
     assert plane.rms_residual < 1e-12
+    # every point is an inlier of the first candidate: w^3 = 1 stops at once
+    assert plane.iterations == 1
 
 
 def test_ransac_diagonal_plane_z_equals_x():
@@ -121,6 +125,14 @@ def test_ransac_degenerate_inputs():
     line = PointCloud([[t, 0, 0] for t in np.linspace(0, 1, 20)])
     with pytest.raises(DegenerateCloud):
         ransac_plane(line, RansacParams(seed=0, max_iterations=50))
+    # a threshold below rounding error can leave even the samples outside
+    # their own plane (seed 3's first candidate has zero inliers): the
+    # adaptive bound must not divide by log1p(-0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(DegenerateCloud):
+        ransac_plane(PointCloud(rng.uniform(-100, 300, size=(200, 3))),
+                     RansacParams(seed=3, distance_threshold=1e-300,
+                                  max_iterations=20))
 
 
 def test_ransac_min_inlier_fraction():
@@ -133,6 +145,105 @@ def test_ransac_min_inlier_fraction():
     cloud = PointCloud(np.vstack([a, b]))
     with pytest.raises(DegenerateCloud):
         ransac_plane(cloud, RansacParams(seed=1, min_inlier_fraction=0.9))
+
+
+def fixed_loop_plane(cloud, params, draws):
+    """Reference RANSAC: exactly ``draws`` candidates, the earliest of
+    equal-count candidates wins, then the least-squares refinement."""
+    xyz = cloud.xyz
+    rng = np.random.default_rng(params.seed)
+    best_count, best = -1, None
+    for _ in range(draws):
+        p0, p1, p2 = xyz[rng.choice(len(xyz), size=3, replace=False)]
+        normal = np.cross(p1 - p0, p2 - p0)
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            continue
+        normal = normal / norm
+        d = -float(normal @ p0)
+        count = int(np.count_nonzero(np.abs(xyz @ normal + d)
+                                     <= params.distance_threshold))
+        if count > best_count:
+            best_count, best = count, (normal, d)
+    normal, d = best
+    refined, centroid = _refine_plane(xyz[np.abs(xyz @ normal + d)
+                                          <= params.distance_threshold])
+    refined = _orient_up(refined)
+    return refined, -float(refined @ centroid)
+
+
+def test_ransac_stops_early_on_a_ground_dominated_cloud():
+    rng = np.random.default_rng(12)
+    cloud, n_ground = ground_plus_pile(rng, n_ground=6000, n_pile=2000)
+    assert n_ground / len(cloud) == 0.75
+    plane = ransac_plane(cloud, RansacParams(seed=4))
+    assert 1 < plane.iterations < 50
+    angle = np.degrees(np.arccos(np.clip(plane.unit_normal @ [0, 0, 1], -1, 1)))
+    assert angle < 0.5
+
+
+def test_ransac_runs_the_cap_when_the_bound_exceeds_it():
+    rng = np.random.default_rng(13)
+    cloud, _ = ground_plus_pile(rng, n_ground=3000, n_pile=1000)
+    # w <= 0.75 needs at least 13 draws at p = 0.999
+    assert ransac_plane(cloud, RansacParams(seed=2, max_iterations=5)).iterations == 5
+    assert ransac_plane(cloud, RansacParams(seed=2, max_iterations=12)).iterations == 12
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_ransac_equals_the_fixed_loop_truncated_at_the_stop(seed):
+    rng = np.random.default_rng(14)
+    cloud, _ = ground_plus_pile(rng, n_ground=3000, n_pile=1500)
+    params = RansacParams(seed=seed)
+    plane = ransac_plane(cloud, params)
+    normal, d = fixed_loop_plane(cloud, params, plane.iterations)
+    assert plane.unit_normal.tobytes() == normal.tobytes()
+    assert plane.d == d
+
+
+def test_ransac_ties_keep_the_earliest_candidate():
+    # two exact parallel planes of 500 points: every candidate drawn within
+    # one plane scores 500, so the count ties across both planes
+    rng = np.random.default_rng(15)
+    xy = rng.uniform(-1, 1, size=(1000, 2))
+    z = np.repeat([0.0, 1.0], 500)
+    cloud = PointCloud(np.column_stack([xy, z]))
+    seen = set()
+    for seed in range(6):
+        params = RansacParams(seed=seed)
+        plane = ransac_plane(cloud, params)
+        # w = 1/2 needs 52 draws, among them winners on both planes
+        assert plane.iterations == 52
+        normal, d = fixed_loop_plane(cloud, params, plane.iterations)
+        assert plane.unit_normal.tobytes() == normal.tobytes()
+        assert plane.d == d
+        seen.add(round(plane.d))
+    assert seen == {0, -1}
+
+
+def pile_dominated_crop(ground_fraction, n=4000, seed=16):
+    """An exact z = 0 ground holding ``ground_fraction`` of the points under
+    a pile filling the crop from 0.1 m to 0.5 m."""
+    rng = np.random.default_rng(seed)
+    n_ground = round(ground_fraction * n)
+    ground = np.column_stack([rng.uniform(-1, 1, (n_ground, 2)), np.zeros(n_ground)])
+    pile = rng.uniform([-1, -1, 0.1], [1, 1, 0.5], (n - n_ground, 3))
+    return PointCloud(np.vstack([ground, pile]))
+
+
+def test_pile_dominated_crop_just_above_min_inlier_fraction_fits():
+    params = RansacParams(seed=1)
+    plane = ransac_plane(pile_dominated_crop(0.155), params)
+    # w^3 ~ 0.0037 needs ~1900 draws: the loop runs to the cap
+    assert plane.iterations == params.max_iterations
+    np.testing.assert_allclose(plane.unit_normal, [0, 0, 1], atol=1e-9)
+    assert abs(plane.d) < 1e-9
+    assert plane.inlier_indices.size == 620
+
+
+def test_pile_dominated_crop_just_below_min_inlier_fraction_names_the_knob():
+    with pytest.raises(DegenerateCloud, match=r"\[ransac\] min_inlier_fraction 0\.15"):
+        ransac_plane(pile_dominated_crop(0.145), RansacParams(seed=1))
 
 
 # ---------------------------------------------------------------------------
