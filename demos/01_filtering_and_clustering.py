@@ -2,9 +2,10 @@
 dominant-cluster extraction on a cluttered synthetic scene.
 
 A pile sits on a ground slab with a wall strip, a pole, a small far heap,
-and sparse scatter around it.  The radius filter strips the scatter; the
-density clustering step groups what remains and keeps the dominant
-connected mass.
+and sparse scatter around it.  The radius filter strips the scatter; a
+clustering step groups what remains and keeps the dominant connected
+mass.  Two clustering steps are available: the connected components of
+the r0 radius graph (the default) and the paper's HDBSCAN.
 """
 
 import pilevol as pv
@@ -22,19 +23,32 @@ filtered = pv.radius_outlier_filter(scene.cloud, rparams)
 print(f"radius filter: {len(scene.cloud)} -> {len(filtered)} points "
       f"({len(scene.cloud) - len(filtered)} removed)")
 
-# Density clustering over mutual reachability distances: the ground, the
-# pile, and anything standing on the ground form one connected mass;
-# whatever ends up in smaller clusters or as noise is clutter.
+# Density clustering over mutual reachability distances (the paper's
+# step): the ground, the pile, and anything standing on the ground form
+# one connected mass; whatever ends up in smaller clusters or as noise is
+# clutter.
 hparams = pv.HdbscanParams(min_cluster_size=50, min_samples=10)
 labels = pv.hdbscan(filtered, hparams)
 sizes = labels.cluster_sizes()
-print(f"clusters: {labels.cluster_count}, sizes {sorted(sizes.tolist(), reverse=True)[:6]}, "
+print(f"HDBSCAN clusters: {labels.cluster_count}, "
+      f"sizes {sorted(sizes.tolist(), reverse=True)[:6]}, "
       f"noise points {int((labels.labels < 0).sum())}")
-
 kept = pv.largest_cluster(filtered, labels)
-print(f"dominant cluster kept: {len(kept)} points")
+print(f"dominant HDBSCAN cluster kept: {len(kept)} points")
 
-# The one-call composition used by the pipeline's pre-process stage:
-robust = pv.robust_filter(scene.cloud, rparams, hparams)
+# The one-call composition used by both filter stages of the pipeline.  In
+# HDBSCAN mode it is exactly the chain above:
+robust = pv.robust_filter(scene.cloud, rparams, hparams, pv.CLUSTER_HDBSCAN)
 assert robust == kept
-print("robust_filter(cloud) == largest_cluster(hdbscan(radius_filter(cloud)))")
+print("robust_filter(cloud, ..., CLUSTER_HDBSCAN) == "
+      "largest_cluster(hdbscan(radius_outlier_filter(cloud)))")
+
+# The default mode clusters on the radius graph itself: two surviving
+# points within r0 of each other share a cluster, and components smaller
+# than min_cluster_size are noise.  It reuses the neighbor pairs of the
+# radius count, so the whole pass makes one kd-tree query.
+components = pv.robust_filter(scene.cloud, rparams, hparams)
+print(f"robust_filter(cloud, ..., CLUSTER_COMPONENTS) keeps "
+      f"{len(components)} points")
+shared = {tuple(p) for p in components.xyz} & {tuple(p) for p in robust.xyz}
+print(f"points kept by both modes: {len(shared)}")

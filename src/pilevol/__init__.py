@@ -17,6 +17,8 @@ from .cloud import (
 )
 from .cloudio import load_cloud, save_cloud
 from .denoise import (
+    CLUSTER_COMPONENTS,
+    CLUSTER_HDBSCAN,
     ClusterLabels,
     HdbscanParams,
     RadiusFilterParams,

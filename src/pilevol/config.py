@@ -114,6 +114,8 @@ def _apply(cfg: PipelineConfig, section: str, key: str, value: str) -> PipelineC
             return replace(cfg, hdbscan_params=HdbscanParams(
                 min_cluster_size=cfg.hdbscan_params.min_cluster_size,
                 min_samples=_parse_int(value)))
+        if key == "cluster":
+            return replace(cfg, cluster_method=value.strip().upper())
     elif section == "ransac":
         if key == "distance_threshold":
             return replace(cfg, ransac=replace(

@@ -2,11 +2,20 @@
 extraction.
 
 The radius filter keeps points with at least n_min other points within
-r0.  The counts come from a kd-tree ball query and are contractually
-identical to the naive all-pairs loop, which the test suite checks
-against a brute-force oracle.  Cluster extraction runs the
-mutual-reachability clustering chain and keeps the most populated cluster,
-isolating the measured pile from residual clutter.
+r0.  The counts come from one kd-tree pair query (every pair within r0,
+each counted at both ends) and are contractually identical to the naive
+all-pairs loop, which the test suite checks against a brute-force oracle.
+Cluster extraction keeps the most populated cluster, isolating the
+measured pile from residual clutter.  Two cluster steps are selectable:
+
+- ``CLUSTER_COMPONENTS`` (the default): the connected components of the
+  r0 radius graph among the surviving points, reusing the pairs the count
+  was taken from.  This is DBSCAN-style clustering (Ester et al., KDD
+  1996), as in PCL's Euclidean cluster extraction.
+- ``CLUSTER_HDBSCAN``: the paper's mutual-reachability clustering chain
+  (``pilevol._hdbscan``), kept as the reference mode.
+
+Either way, clusters of fewer than ``min_cluster_size`` points are noise.
 """
 
 from __future__ import annotations
@@ -14,18 +23,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .errors import InvalidParameter, LabelMismatch
 from ._hdbscan import NOISE, ClusterLabels, HdbscanParams, run_hdbscan
 
+CLUSTER_COMPONENTS = "COMPONENTS"
+CLUSTER_HDBSCAN = "HDBSCAN"
+
 __all__ = [
+    "CLUSTER_COMPONENTS",
+    "CLUSTER_HDBSCAN",
     "RadiusFilterParams",
     "HdbscanParams",
     "ClusterLabels",
     "radius_outlier_filter",
     "hdbscan",
+    "radius_components",
     "largest_cluster",
     "robust_filter",
 ]
@@ -43,6 +60,29 @@ class RadiusFilterParams:
             raise InvalidParameter(f"n_min must be >= 0, got {self.n_min}")
 
 
+def _radius_graph(xyz: np.ndarray,
+                  params: RadiusFilterParams) -> tuple[np.ndarray, np.ndarray]:
+    """The r0 radius graph: every index pair (i < j) at most r0 apart, as
+    an (m, 2) array, and the mask of points with >= n_min such neighbors."""
+    pairs = cKDTree(xyz).query_pairs(params.r0, output_type="ndarray")
+    counts = np.bincount(pairs.ravel(), minlength=len(xyz))
+    return pairs, counts >= params.n_min
+
+
+def _survivor_edges(xyz: np.ndarray,
+                    params: RadiusFilterParams) -> tuple[np.ndarray, np.ndarray]:
+    """The radius survivor mask, and the r0 pairs whose two ends survive,
+    renumbered onto the surviving points.
+
+    The pair list is the largest array of a filter pass and is freed on
+    return.  Edges are int32, the index type scipy.sparse uses below 2**31
+    nodes, so the graph is built without converting them.
+    """
+    pairs, keep = _radius_graph(xyz, params)
+    index = np.cumsum(keep, dtype=np.int32) - 1
+    return keep, index[pairs[keep[pairs].all(axis=1)]]
+
+
 def radius_outlier_filter(cloud: PointCloud,
                           params: RadiusFilterParams) -> PointCloud:
     """Keep points whose count of other points within r0 is >= n_min.
@@ -51,15 +91,30 @@ def radius_outlier_filter(cloud: PointCloud,
     """
     if len(cloud) == 0:
         return cloud
-    # the ball around each point includes the point itself
-    counts = cKDTree(cloud.xyz).query_ball_point(
-        cloud.xyz, params.r0, return_length=True) - 1
-    return cloud.select(counts >= params.n_min)
+    return cloud.select(_radius_graph(cloud.xyz, params)[1])
 
 
 def hdbscan(cloud: PointCloud, params: HdbscanParams) -> ClusterLabels:
     """Cluster the cloud; unclustered points get the NOISE label (-1)."""
     return run_hdbscan(cloud.xyz, params)
+
+
+def radius_components(n: int, pairs: np.ndarray,
+                      min_cluster_size: int) -> ClusterLabels:
+    """Connected components of the graph on ``n`` points whose edges are
+    ``pairs``; components under ``min_cluster_size`` points are NOISE.
+
+    Cluster ids follow each component's lowest point index, so a tie in
+    ``largest_cluster`` goes to the component holding the earliest point.
+    """
+    # float64 weights: csgraph copies the whole graph to convert any other
+    graph = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    kept = np.bincount(component) >= min_cluster_size
+    cluster_id = np.where(kept, np.cumsum(kept) - 1, NOISE)
+    return ClusterLabels(labels=cluster_id[component],
+                         cluster_count=int(kept.sum()))
 
 
 def largest_cluster(cloud: PointCloud, labels: ClusterLabels) -> PointCloud:
@@ -79,10 +134,26 @@ def largest_cluster(cloud: PointCloud, labels: ClusterLabels) -> PointCloud:
 
 
 def robust_filter(cloud: PointCloud, rparams: RadiusFilterParams,
-                  hparams: HdbscanParams) -> PointCloud:
-    """Radius outlier rejection followed by largest-cluster extraction."""
-    filtered = radius_outlier_filter(cloud, rparams)
+                  hparams: HdbscanParams,
+                  method: str = CLUSTER_COMPONENTS) -> PointCloud:
+    """Radius outlier rejection followed by largest-cluster extraction.
+
+    ``CLUSTER_COMPONENTS`` clusters on the pairs of the radius count, so a
+    pass makes one kd-tree query, and reads ``hparams.min_cluster_size``
+    alone; ``CLUSTER_HDBSCAN`` runs the paper's chain on the survivors.
+    """
+    if method == CLUSTER_HDBSCAN:
+        filtered = radius_outlier_filter(cloud, rparams)
+        if len(filtered) == 0:
+            return filtered
+        return largest_cluster(filtered, hdbscan(filtered, hparams))
+    if method != CLUSTER_COMPONENTS:
+        raise InvalidParameter(f"unknown cluster method {method!r}")
+    if len(cloud) == 0:
+        return cloud
+    keep, edges = _survivor_edges(cloud.xyz, rparams)
+    filtered = cloud.select(keep)
     if len(filtered) == 0:
         return filtered
-    labels = hdbscan(filtered, hparams)
+    labels = radius_components(len(filtered), edges, hparams.min_cluster_size)
     return largest_cluster(filtered, labels)

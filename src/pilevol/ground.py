@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .denoise import HdbscanParams, RadiusFilterParams, robust_filter
+from .denoise import (
+    CLUSTER_COMPONENTS,
+    HdbscanParams,
+    RadiusFilterParams,
+    robust_filter,
+)
 from .errors import DegenerateHeights, EmptyBand, EmptyCloud, InvalidParameter
 
 MODE_FIRST_PEAK = "FIRST_PEAK"
@@ -214,10 +219,11 @@ def calibrate(cloud: PointCloud, ground: GroundEstimate,
 
 
 def fine_filter(cloud: PointCloud, rparams: RadiusFilterParams,
-                hparams: HdbscanParams) -> PointCloud:
+                hparams: HdbscanParams,
+                method: str = CLUSTER_COMPONENTS) -> PointCloud:
     """Remove residual ground and clutter left after calibration.
 
     Same mechanism as the pre-processing stage: radius outlier rejection
-    followed by largest-HDBSCAN-cluster extraction.
+    followed by largest-cluster extraction with the ``method`` cluster step.
     """
-    return robust_filter(cloud, rparams, hparams)
+    return robust_filter(cloud, rparams, hparams, method)

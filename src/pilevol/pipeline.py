@@ -20,7 +20,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cloud import AxisRange, PointCloud, passthrough_filter, voxel_downsample
-from .denoise import HdbscanParams, RadiusFilterParams, robust_filter
+from .denoise import (
+    CLUSTER_COMPONENTS,
+    CLUSTER_HDBSCAN,
+    HdbscanParams,
+    RadiusFilterParams,
+    robust_filter,
+)
 from .errors import ConfigError, EmptyCloud, PilevolError
 from .ground import (
     MODE_FIRST_PEAK,
@@ -71,6 +77,9 @@ class PipelineConfig:
     downsample_voxel: float | None = None
     radius_params: RadiusFilterParams = RadiusFilterParams(r0=0.025, n_min=4)
     hdbscan_params: HdbscanParams = HdbscanParams(min_cluster_size=50, min_samples=10)
+    # cluster step of both filter passes; HDBSCAN is the paper's mechanism
+    # and reads all of hdbscan_params, COMPONENTS only its min_cluster_size
+    cluster_method: str = CLUSTER_COMPONENTS
 
     # posture correction
     ransac: RansacParams = RansacParams()
@@ -120,6 +129,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.ground_mode not in (MODE_FIRST_PEAK, MODE_MID_PLATEAU, MODE_OVERRIDE):
             raise ConfigError(f"unknown ground mode {self.ground_mode!r}")
+        if self.cluster_method not in (CLUSTER_COMPONENTS, CLUSTER_HDBSCAN):
+            raise ConfigError(f"unknown cluster method {self.cluster_method!r}")
         if self.ground_mode == MODE_OVERRIDE and self.override_height is None:
             raise ConfigError("OVERRIDE ground mode needs override_height")
         if self.margin < 0:
@@ -182,7 +193,8 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
         elif stage == "downsample" and config.downsample_voxel is not None:
             cloud = voxel_downsample(cloud, config.downsample_voxel)
         elif stage == "prefilter" and config.enable_prefilter:
-            cloud = robust_filter(cloud, rparams, config.hdbscan_params)
+            cloud = robust_filter(cloud, rparams, config.hdbscan_params,
+                                  config.cluster_method)
         elif stage == "posture" and config.enable_posture:
             plane = ransac_plane(cloud, replace(config.ransac, seed=config.seed))
             cloud = correct_posture(cloud, plane)
@@ -198,7 +210,8 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
             if config.restore_margin_datum and config.margin > 0:
                 cloud = cloud.translated((0.0, 0.0, config.margin))
         elif stage == "fine_filter" and config.enable_fine_filter:
-            cloud = fine_filter(cloud, rparams, config.hdbscan_params)
+            cloud = fine_filter(cloud, rparams, config.hdbscan_params,
+                                config.cluster_method)
         report.stage_counts[stage] = len(cloud)
         report.timings_s[stage] = time.perf_counter() - t0
     return cloud

@@ -1,9 +1,11 @@
 """Radius filtering and clustering against brute-force oracles."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from pilevol import _hdbscan
@@ -15,15 +17,26 @@ from pilevol._hdbscan import (
     run_hdbscan,
 )
 from pilevol.cloud import PointCloud, voxel_downsample
+from pilevol.config import parse_config_text
 from pilevol.denoise import (
+    CLUSTER_COMPONENTS,
+    CLUSTER_HDBSCAN,
     HdbscanParams,
     RadiusFilterParams,
+    _radius_graph,
     hdbscan,
     largest_cluster,
+    radius_components,
     radius_outlier_filter,
     robust_filter,
 )
-from pilevol.errors import InvalidParameter, LabelMismatch, PilevolError
+from pilevol.errors import ConfigError, InvalidParameter, LabelMismatch, PilevolError
+from pilevol.pipeline import (
+    PipelineConfig,
+    _with_round_seed,
+    run_pipeline,
+    run_report_csv,
+)
 from pilevol.synth import generate_scene, reference_scenes
 
 
@@ -39,6 +52,39 @@ def brute_neighbor_counts(xyz: np.ndarray, r0: float) -> np.ndarray:
         d = np.linalg.norm(xyz - xyz[i], axis=1)
         counts[i] = int(np.count_nonzero(d <= r0)) - 1
     return counts
+
+
+def brute_components(xyz: np.ndarray, r0: float) -> np.ndarray:
+    """Union-find over every pair within r0; each point is labelled with
+    the lowest index of its component."""
+    parent = list(range(len(xyz)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(xyz)):
+        d = np.linalg.norm(xyz[i + 1:] - xyz[i], axis=1)
+        for j in np.flatnonzero(d <= r0) + i + 1:
+            a, b = root(i), root(int(j))
+            parent[max(a, b)] = min(a, b)
+    return np.array([root(i) for i in range(len(xyz))])
+
+
+def brute_largest_component(xyz: np.ndarray, r0: float, n_min: int,
+                            min_cluster_size: int) -> np.ndarray:
+    """Rows of the brute radius survivors' largest r0 component; empty when
+    no component reaches min_cluster_size."""
+    surv = xyz[brute_neighbor_counts(xyz, r0) >= n_min]
+    if len(surv) == 0:
+        return surv
+    comp = brute_components(surv, r0)
+    ids, sizes = np.unique(comp, return_counts=True)
+    if sizes.max() < min_cluster_size:
+        return surv[:0]
+    return surv[comp == ids[np.argmax(sizes)]]   # ties: earliest point
 
 
 def brute_mreach_matrix(xyz: np.ndarray, k: int) -> np.ndarray:
@@ -384,35 +430,150 @@ def test_robust_filter_composes_the_stages():
     rparams = RadiusFilterParams(r0=0.05, n_min=3)
     hparams = HdbscanParams(min_cluster_size=50, min_samples=8)
 
-    out = robust_filter(cloud, rparams, hparams)
-    # oracle composition: brute radius filter, then cluster, then largest
+    # HDBSCAN oracle composition: brute radius filter, cluster, largest
     counts = brute_neighbor_counts(cloud.xyz, rparams.r0)
     surv = PointCloud(cloud.xyz[counts >= rparams.n_min])
-    labels = hdbscan(surv, hparams)
-    expected = largest_cluster(surv, labels)
-    assert out == expected
-    # only the dominant blob remains
-    assert len(out) > 1800
-    assert np.linalg.norm(out.xyz.mean(axis=0)) < 0.05
+    oracles = {
+        CLUSTER_HDBSCAN: largest_cluster(surv, hdbscan(surv, hparams)),
+        # union-find over every survivor pair within r0
+        CLUSTER_COMPONENTS: PointCloud(brute_largest_component(
+            cloud.xyz, rparams.r0, rparams.n_min, hparams.min_cluster_size)),
+    }
+    for method, expected in oracles.items():
+        out = robust_filter(cloud, rparams, hparams, method)
+        assert out == expected, method
+        # only the dominant blob remains
+        assert len(out) > 1800
+        assert np.linalg.norm(out.xyz.mean(axis=0)) < 0.05
+
+
+def test_robust_filter_components_match_union_find_with_ties():
+    # a rounded lattice with repeated points: many pairs sit exactly at r0
+    # or at distance 0, and several components compete; a shifted copy in
+    # front of it ties every component, so the earliest point must win
+    xyz = _lattice_with_duplicates()
+    for cloud in (xyz, np.vstack([xyz + [5.0, 0.0, 0.0], xyz])):
+        for r0, n_min, min_size in [(0.1, 2, 5), (0.1, 0, 40), (0.15, 4, 2),
+                                    (0.1, 30, 2)]:
+            out = robust_filter(PointCloud(cloud), RadiusFilterParams(r0, n_min),
+                                HdbscanParams(min_cluster_size=min_size))
+            expected = brute_largest_component(cloud, r0, n_min, min_size)
+            np.testing.assert_array_equal(out.xyz, expected)
+
+
+def test_radius_components_labels():
+    # components {0, 2}, {1, 3, 4}, {5}; ids follow the lowest point index
+    pairs = np.array([[0, 2], [1, 3], [3, 4]])
+    labels = radius_components(6, pairs, min_cluster_size=2)
+    assert labels.cluster_count == 2
+    np.testing.assert_array_equal(labels.labels, [0, 1, 0, 1, 1, -1])
+    labels = radius_components(6, pairs, min_cluster_size=3)
+    np.testing.assert_array_equal(labels.labels, [-1, 0, -1, 0, 0, -1])
+    # equal sizes: the component holding the earliest point wins
+    cloud = PointCloud(np.arange(18, dtype=float).reshape(6, 3))
+    tie = radius_components(6, np.array([[5, 4], [1, 3]]), min_cluster_size=1)
+    np.testing.assert_array_equal(largest_cluster(cloud, tie).xyz,
+                                  cloud.xyz[[1, 3]])
+    none = radius_components(3, np.zeros((0, 2), dtype=np.intp), 2)
+    assert none.cluster_count == 0 and (none.labels == -1).all()
+
+
+def test_radius_pair_counts_equal_ball_counts_on_rounded_capture():
+    xyz = np.round(generate_scene(reference_scenes()[0]).cloud.xyz, 2)
+    tree = cKDTree(xyz)
+    for r0 in (0.025, 0.0748):
+        params = RadiusFilterParams(r0=r0, n_min=4)
+        ball = tree.query_ball_point(xyz, r0, return_length=True) - 1
+        pairs, keep = _radius_graph(xyz, params)
+        np.testing.assert_array_equal(
+            np.bincount(pairs.ravel(), minlength=len(xyz)), ball)
+        np.testing.assert_array_equal(keep, ball >= params.n_min)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), blobs=st.integers(1, 4),
+       duplicates=st.booleans())
+def test_robust_filter_components_permutation_invariant(seed, blobs, duplicates):
+    rng = np.random.default_rng(seed)
+    parts = [rng.normal(0, 0.06, size=(int(rng.integers(20, 120)), 3))
+             + rng.uniform(-1, 1, size=3) for _ in range(blobs)]
+    parts.append(rng.uniform(-1.5, 1.5, size=(30, 3)))
+    xyz = np.vstack(parts)
+    if duplicates:
+        xyz = np.vstack([xyz, xyz[::5]])
+    rparams = RadiusFilterParams(r0=0.05, n_min=2)
+    hparams = HdbscanParams(min_cluster_size=10)
+    surv = xyz[brute_neighbor_counts(xyz, rparams.r0) >= rparams.n_min]
+    sizes = np.unique(brute_components(surv, rparams.r0), return_counts=True)[1]
+    assume(len(sizes) > 0 and (sizes == sizes.max()).sum() == 1)
+    out = robust_filter(PointCloud(xyz), rparams, hparams)
+    perm = rng.permutation(len(xyz))
+    permuted = robust_filter(PointCloud(xyz[perm]), rparams, hparams)
+
+    def rows(cloud):
+        return sorted(map(tuple, cloud.xyz))
+
+    assert rows(out) == rows(permuted)
+
+
+def test_robust_filter_rejects_unknown_method():
+    with pytest.raises(InvalidParameter):
+        robust_filter(PointCloud(np.zeros((3, 3))), RadiusFilterParams(),
+                      HdbscanParams(), "DBSCAN")
+
+
+def test_cluster_method_config():
+    assert PipelineConfig().cluster_method == CLUSTER_COMPONENTS
+    for text, method in [("components", CLUSTER_COMPONENTS),
+                         ("hdbscan", CLUSTER_HDBSCAN),
+                         (" HDBSCAN ", CLUSTER_HDBSCAN)]:
+        cfg = parse_config_text(f"[filter]\ncluster = {text}\n")
+        assert cfg.cluster_method == method
+    with pytest.raises(ConfigError):
+        parse_config_text("[filter]\ncluster = dbscan\n")
+    with pytest.raises(ConfigError):
+        PipelineConfig(cluster_method="components").validate()
+
+
+def test_hdbscan_mode_report_golden():
+    # s09 at benchmark seed 3006 (perfbench derive_seed(3006, "catalogue",
+    # 8)): the capture where HDBSCAN merges the wall strip into the pile.
+    # The hash is the report this capture gave before the components step
+    # existed, so HDBSCAN mode must keep the paper's chain bit for bit.
+    seed = 1432710598
+    scene = generate_scene(replace(reference_scenes()[8], seed=seed))
+    config = _with_round_seed(PipelineConfig(cluster_method=CLUSTER_HDBSCAN), seed)
+    csv = run_report_csv(run_pipeline(config, scene=scene))
+    assert "relative_error,0.19446522" in csv
+    assert (hashlib.sha256(csv.encode()).hexdigest()
+            == "23f6840e67b47b33604c9201a10e183b637e89108985e12531c5e1466c3cbebb")
+
+
+BOTH_METHODS = (CLUSTER_COMPONENTS, CLUSTER_HDBSCAN)
 
 
 def test_robust_filter_clean_blob_unchanged():
     rng = np.random.default_rng(2)
     cloud = PointCloud(rng.normal(0, 0.05, size=(500, 3)))
-    out = robust_filter(cloud, RadiusFilterParams(r0=0.15, n_min=2),
-                        HdbscanParams(min_cluster_size=20, min_samples=5))
-    assert out == cloud
+    for method in BOTH_METHODS:
+        out = robust_filter(cloud, RadiusFilterParams(r0=0.15, n_min=2),
+                            HdbscanParams(min_cluster_size=20, min_samples=5),
+                            method)
+        assert out == cloud
 
 
 def test_robust_filter_empty_cloud():
-    out = robust_filter(PointCloud.empty(), RadiusFilterParams(),
-                        HdbscanParams())
-    assert len(out) == 0
+    for method in BOTH_METHODS:
+        out = robust_filter(PointCloud.empty(), RadiusFilterParams(),
+                            HdbscanParams(), method)
+        assert len(out) == 0
 
 
 def test_robust_filter_never_increases_count():
     rng = np.random.default_rng(6)
     cloud = PointCloud(rng.normal(size=(300, 3)))
-    out = robust_filter(cloud, RadiusFilterParams(r0=0.3, n_min=2),
-                        HdbscanParams(min_cluster_size=10, min_samples=4))
-    assert len(out) <= len(cloud)
+    for method in BOTH_METHODS:
+        out = robust_filter(cloud, RadiusFilterParams(r0=0.3, n_min=2),
+                            HdbscanParams(min_cluster_size=10, min_samples=4),
+                            method)
+        assert len(out) <= len(cloud)
