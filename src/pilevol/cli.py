@@ -7,6 +7,7 @@ failure during processing.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -171,6 +172,8 @@ def _resolve_input(args, config):
 
 
 def _cmd_run(args, config, out_dir) -> int:
+    if args.truth is not None and not (math.isfinite(args.truth) and args.truth > 0):
+        raise ConfigError(f"--truth must be a finite volume > 0, got {args.truth}")
     cloud, scene = _resolve_input(args, config)
     if args.scene_area is not None:
         config = replace(config, scene_area=args.scene_area)

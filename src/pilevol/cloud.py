@@ -74,19 +74,33 @@ class PointCloud:
 
     def select(self, mask_or_indices) -> "PointCloud":
         """New cloud keeping the given rows, in their original order."""
-        return PointCloud(self._xyz[mask_or_indices], validate=False)
+        rows = np.asarray(mask_or_indices)
+        if rows.dtype == bool and rows.shape == (len(self),):
+            # compress copies the kept rows several times faster than a
+            # boolean index on (N, 3) rows
+            return PointCloud(np.compress(rows, self._xyz, axis=0), validate=False)
+        return PointCloud(self._xyz[rows], validate=False)
 
     def translated(self, offset) -> "PointCloud":
-        return PointCloud(self._xyz + np.asarray(offset, dtype=np.float64), validate=False)
+        return PointCloud(_add_to_columns(self._xyz.copy(), offset), validate=False)
 
     def transformed(self, rotation: np.ndarray, offset=(0.0, 0.0, 0.0)) -> "PointCloud":
         """Apply p' = R @ p + offset to every point."""
         rotated = self._xyz @ np.asarray(rotation, dtype=np.float64).T
-        return PointCloud(rotated + np.asarray(offset, dtype=np.float64), validate=False)
+        return PointCloud(_add_to_columns(rotated, offset), validate=False)
 
     @staticmethod
     def empty() -> "PointCloud":
         return PointCloud(np.empty((0, 3)), validate=False)
+
+
+def _add_to_columns(xyz: np.ndarray, offset) -> np.ndarray:
+    """Add the 3-vector ``offset`` to the (N, 3) ``xyz`` in place, one column
+    at a time: the same sums as ``xyz + offset``, without the broadcast's
+    slow length-3 inner loop."""
+    for k, value in enumerate(np.asarray(offset, dtype=np.float64).reshape(3)):
+        xyz[:, k] += value
+    return xyz
 
 
 @dataclass(frozen=True)
@@ -153,7 +167,8 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     if len(cloud) == 0:
         return cloud
     xyz = cloud.xyz
-    anchor = xyz.min(axis=0)
+    # per-column minima: exact like min(axis=0), and faster on (N, 3) rows
+    anchor = np.array([xyz[:, k].min() for k in range(3)])
     cells = np.floor((xyz - anchor) / voxel_size).astype(np.int64)
     inverse, n_cells = _first_occurrence_cells(cells)
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
@@ -163,20 +178,42 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     return PointCloud(centroids, validate=False)
 
 
+def cell_keys(cells: np.ndarray) -> np.ndarray | None:
+    """One int64 key per row of the non-negative (N, k) integer ``cells``,
+    ordered as the rows sort lexicographically, so equal keys are equal rows
+    and sorted keys number the rows as ``np.unique(cells, axis=0)`` does.
+
+    Returns None when the key would overflow int64 (e.g. a far outlier);
+    the caller then falls back to the row-wise ``np.unique``.
+    """
+    extent = [int(cells[:, k].max()) + 1 for k in range(cells.shape[1])]
+    if math.prod(extent) > np.iinfo(np.int64).max:
+        return None
+    key = cells[:, 0]
+    for k in range(1, cells.shape[1]):
+        key = key * extent[k] + cells[:, k]
+    return key
+
+
 def _first_occurrence_cells(cells: np.ndarray) -> tuple[np.ndarray, int]:
     """Number the distinct rows of the non-negative (N, 3) ``cells`` in order
     of first occurrence; return each row's number and the count."""
-    extent = [int(v) + 1 for v in cells.max(axis=0)]
-    if math.prod(extent) <= np.iinfo(np.int64).max:
-        # one int64 key per cell; a stable sort keeps each run's first row first
-        key = (cells[:, 0] * extent[1] + cells[:, 1]) * extent[2] + cells[:, 2]
-        _, first_idx, run_of = np.unique(key, return_index=True, return_inverse=True)
-    else:
-        # the key would overflow (e.g. a far outlier): unique over the rows
+    key = cell_keys(cells)
+    if key is None:
         _, first_idx, run_of = np.unique(cells, axis=0, return_index=True,
                                          return_inverse=True)
+    else:
+        # an unstable sort groups equal keys; each run's first row is the
+        # lowest point index in it
+        order = np.argsort(key)
+        sorted_key = key[order]
+        new_run = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
+        starts = np.flatnonzero(new_run)
+        first_idx = np.minimum.reduceat(order, starts)
+        run_of = np.empty(len(key), dtype=np.intp)
+        run_of[order] = np.cumsum(new_run) - 1
     rank = np.empty(first_idx.shape[0], dtype=np.intp)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(first_idx.shape[0])
+    rank[np.argsort(first_idx)] = np.arange(first_idx.shape[0])
     return rank[run_of], first_idx.shape[0]
 
 

@@ -64,7 +64,10 @@ def _radius_graph(xyz: np.ndarray,
                   params: RadiusFilterParams) -> tuple[np.ndarray, np.ndarray]:
     """The r0 radius graph: every index pair (i < j) at most r0 apart, as
     an (m, 2) array, and the mask of points with >= n_min such neighbors."""
-    pairs = cKDTree(xyz).query_pairs(params.r0, output_type="ndarray")
+    # an unbalanced, uncompacted tree builds in about half the time and
+    # finds the same pair set
+    tree = cKDTree(xyz, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs(params.r0, output_type="ndarray")
     counts = np.bincount(pairs.ravel(), minlength=len(xyz))
     return pairs, counts >= params.n_min
 
@@ -80,7 +83,8 @@ def _survivor_edges(xyz: np.ndarray,
     """
     pairs, keep = _radius_graph(xyz, params)
     index = np.cumsum(keep, dtype=np.int32) - 1
-    return keep, index[pairs[keep[pairs].all(axis=1)]]
+    both_kept = keep[pairs[:, 0]] & keep[pairs[:, 1]]
+    return keep, index[np.compress(both_kept, pairs, axis=0)]
 
 
 def radius_outlier_filter(cloud: PointCloud,

@@ -59,9 +59,21 @@ class PlaneModel:
         return np.abs(xyz @ self.unit_normal + self.d)
 
 
+def _plane_distances(xyz: np.ndarray, normal: np.ndarray, d: float) -> np.ndarray:
+    """|xyz @ normal + d| for the (N, 3) ``xyz``, with the sum and the
+    absolute value taken in place."""
+    dist = xyz @ normal
+    dist += d
+    return np.abs(dist, out=dist)
+
+
 def _plane_from_points(p0, p1, p2):
     """Candidate (unit normal, d) from 3 points, or None if degenerate."""
-    normal = np.cross(p1 - p0, p2 - p0)
+    # the cross product of the two edges, term for term as np.cross forms it
+    # but without its per-call overhead
+    ux, uy, uz = (p1 - p0).tolist()
+    vx, vy, vz = (p2 - p0).tolist()
+    normal = np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
     norm = np.linalg.norm(normal)
     if norm < 1e-12:
         return None
@@ -133,7 +145,8 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
         if candidate is None:
             continue
         normal, d = candidate
-        count = int(np.count_nonzero(np.abs(xyz @ normal + d) <= params.distance_threshold))
+        count = int(np.count_nonzero(_plane_distances(xyz, normal, d)
+                                     <= params.distance_threshold))
         if count > best_count:
             best_count = count
             best_plane = (normal, d)
@@ -148,12 +161,12 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
         )
 
     normal, d = best_plane
-    vote_inliers = np.abs(xyz @ normal + d) <= params.distance_threshold
-    refined_normal, centroid = _refine_plane(xyz[vote_inliers])
+    vote_inliers = _plane_distances(xyz, normal, d) <= params.distance_threshold
+    refined_normal, centroid = _refine_plane(np.compress(vote_inliers, xyz, axis=0))
     refined_normal = _orient_up(refined_normal)
     refined_d = -float(refined_normal @ centroid)
 
-    dist = np.abs(xyz @ refined_normal + refined_d)
+    dist = _plane_distances(xyz, refined_normal, refined_d)
     inlier_idx = np.flatnonzero(dist <= params.distance_threshold)
     rms = float(np.sqrt(np.mean(dist[inlier_idx] ** 2))) if inlier_idx.size else 0.0
     a, b, c = (float(v) for v in refined_normal)

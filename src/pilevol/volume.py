@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .cloud import PointCloud
+from .cloud import PointCloud, cell_keys
 from .errors import DegenerateCloud, DegenerateInput, InvalidParameter
 
 METHOD_COLUMN_UNIFORM = "COLUMN_UNIFORM"
@@ -114,17 +114,24 @@ def column_volume_grid(cloud: PointCloud, grid: GridSpec = GridSpec(),
         )
     xyz = cloud.xyz
     origin = np.asarray(grid.origin if grid.origin is not None
-                        else xyz[:, :2].min(axis=0), dtype=np.float64)
+                        else [xyz[:, 0].min(), xyz[:, 1].min()], dtype=np.float64)
     cells = np.floor((xyz[:, :2] - origin) / grid.cell_size).astype(np.int64)
-    _, inverse = np.unique(cells, axis=0, return_inverse=True)
+    # an origin inside the cloud gives negative cells; shifting each column
+    # to start at 0 keeps the rows' lexicographic order
+    cells -= [cells[:, 0].min(), cells[:, 1].min()]
+    key = cell_keys(cells)
+    if key is None:
+        _, inverse = np.unique(cells, axis=0, return_inverse=True)
+    else:
+        _, inverse = np.unique(key, return_inverse=True)
     n_cells = int(inverse.max()) + 1
     z = xyz[:, 2]
     if grid.aggregator == AGG_MAX:
         heights = np.full(n_cells, -np.inf)
         np.maximum.at(heights, inverse, z)
     else:
-        sums = np.zeros(n_cells)
-        np.add.at(sums, inverse, z)
+        # bincount adds each cell's z values in point order
+        sums = np.bincount(inverse, weights=z, minlength=n_cells)
         counts = np.bincount(inverse, minlength=n_cells)
         heights = sums / counts
     heights = np.maximum(heights, 0.0)

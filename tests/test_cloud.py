@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pilevol.cloud import (
     Aabb,
     AxisRange,
     Point3,
     PointCloud,
+    _first_occurrence_cells,
     bounding_box,
     passthrough_filter,
     voxel_downsample,
@@ -177,6 +179,23 @@ def test_voxel_downsample_cell_key_does_not_wrap():
     np.testing.assert_array_equal(
         out.xyz, [[0.25, 0.25, 0.0], [274176.0, 67280421310720.0, 0.0]])
     assert out.xyz.tobytes() == unique_rows_voxel_reference(cloud, 1.0).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=40),
+       far=st.sampled_from([None, 2**20, 2**30, 2**31, 2**62]),
+       at=st.integers(0, 40))
+def test_first_occurrence_cells_match_dict_oracle(rows, far, at):
+    # a row (far, 1, far) takes the product of the extents to about 2**42
+    # or 2**61..2**62, inside int64 (far = 2**20, 2**30), or to 2**63 and
+    # beyond, which overflows it (far = 2**31, 2**62)
+    if far is not None:
+        rows.insert(at % (len(rows) + 1), (far, 1, far))
+    numbers, count = _first_occurrence_cells(np.array(rows, dtype=np.int64))
+    first_seen: dict = {}
+    expected = [first_seen.setdefault(row, len(first_seen)) for row in rows]
+    assert numbers.tolist() == expected
+    assert count == len(first_seen)
 
 
 def test_voxel_downsample_invalid_size():

@@ -460,6 +460,10 @@ def test_cli_exit_codes(tmp_path):
                      "--out", str(tmp_path)]) == 2
     assert cli_main(["run", "--scene-id", "no-such-scene",
                      "--out", str(tmp_path)]) == 1
+    # a truth the relative error cannot divide by is a configuration error
+    for truth in ("0", "-0.5", "nan", "inf"):
+        assert cli_main(["run", "--scene-id", scene_id, "--truth", truth,
+                         "--out", str(tmp_path)]) == 1
 
 
 def test_cli_bench_filtered(tmp_path):

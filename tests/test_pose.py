@@ -9,6 +9,7 @@ from pilevol.pose import (
     PlaneModel,
     RansacParams,
     _orient_up,
+    _plane_from_points,
     _refine_plane,
     correct_posture,
     ransac_plane,
@@ -145,6 +146,23 @@ def test_ransac_min_inlier_fraction():
     cloud = PointCloud(np.vstack([a, b]))
     with pytest.raises(DegenerateCloud):
         ransac_plane(cloud, RansacParams(seed=1, min_inlier_fraction=0.9))
+
+
+def test_plane_from_points_matches_np_cross():
+    # spreads from 1e-6 to 1e3 m, and exactly repeated points (degenerate)
+    rng = np.random.default_rng(17)
+    triples = rng.normal(size=(3000, 3, 3)) * 10.0 ** rng.integers(-6, 4, size=(3000, 1, 1))
+    triples[::100, 2] = triples[::100, 0]
+    for p0, p1, p2 in triples:
+        normal = np.cross(p1 - p0, p2 - p0)
+        norm = np.linalg.norm(normal)
+        candidate = _plane_from_points(p0, p1, p2)
+        if norm < 1e-12:
+            assert candidate is None
+            continue
+        unit = normal / norm
+        assert candidate[0].tobytes() == unit.tobytes()
+        assert candidate[1] == -float(unit @ p0)
 
 
 def fixed_loop_plane(cloud, params, draws):

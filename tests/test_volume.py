@@ -174,6 +174,50 @@ def test_grid_empty_and_negative_clamp():
     assert est.volume == pytest.approx(0.25 * 2.0)   # below-ground cell clamps to 0
 
 
+def unique_rows_grid_reference(cloud, grid):
+    """Grid volume and cell count through the row-wise ``np.unique(axis=0)``,
+    with MEAN sums by ``np.add.at`` and MAX by ``np.maximum.at``."""
+    xyz = cloud.xyz
+    origin = np.asarray(grid.origin if grid.origin is not None
+                        else xyz[:, :2].min(axis=0), dtype=np.float64)
+    cells = np.floor((xyz[:, :2] - origin) / grid.cell_size).astype(np.int64)
+    _, inverse = np.unique(cells, axis=0, return_inverse=True)
+    n_cells = int(inverse.max()) + 1
+    z = xyz[:, 2]
+    if grid.aggregator == AGG_MAX:
+        heights = np.full(n_cells, -np.inf)
+        np.maximum.at(heights, inverse, z)
+    else:
+        sums = np.zeros(n_cells)
+        np.add.at(sums, inverse, z)
+        heights = sums / np.bincount(inverse, minlength=n_cells)
+    return grid.cell_size ** 2 * float(np.maximum(heights, 0.0).sum()), n_cells
+
+
+@pytest.mark.parametrize("far, origin", [
+    (None, None), ((1e6, 1e6, 0.4), None), ((2e9, 2e9, 0.4), None),
+    ((4e9, 4e9, 0.4), None), (None, (0.0, 0.0)),
+], ids=["compact", "far-outlier", "key-fits", "key-overflows", "negative-cells"])
+def test_grid_matches_unique_rows_reference(far, origin):
+    # rounded coordinates put many points on shared cells and cell faces;
+    # at cell 1 an outlier at 2e9 keeps the cell key inside int64 and one at
+    # 4e9 or (at cell 0.01) 2e9 does not; an origin inside the cloud gives
+    # negative cells
+    rng = np.random.default_rng(11)
+    xyz = np.round(rng.uniform([-0.5, -0.5, -0.1], [0.5, 0.5, 0.6], size=(20_000, 3)), 2)
+    xyz = np.vstack([xyz, xyz[:500]])
+    if far is not None:
+        xyz = np.vstack([xyz[:7000], [far], xyz[7000:]])
+    cloud = PointCloud(xyz)
+    for size in (0.01, 0.025, 0.034, 1.0):
+        for aggregator in (AGG_MEAN, AGG_MAX):
+            grid = GridSpec(cell_size=size, aggregator=aggregator, origin=origin)
+            est = column_volume_grid(cloud, grid)
+            volume, n_cells = unique_rows_grid_reference(cloud, grid)
+            assert est.volume.hex() == volume.hex()
+            assert est.diagnostics["cell_count"] == n_cells
+
+
 def test_grid_spec_validation():
     with pytest.raises(InvalidParameter):
         GridSpec(cell_size=0.0)
