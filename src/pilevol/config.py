@@ -1,9 +1,11 @@
 """Line-oriented configuration files for the pipeline.
 
 Format: ``[section]`` headers with ``key = value`` lines; ``#`` starts a
-comment.  Unknown sections or keys are errors so typos fail fast.  Axis
-ranges live under ``[passthrough]`` as ``x|y|z = lo, hi`` with ``inf``
-accepted for open ends.
+comment.  Unknown sections or keys are errors so typos fail fast, and so
+is any value a parameter rejects: every error is a ``ConfigError`` that
+names its line.  Numbers must be finite; axis ranges live under
+``[passthrough]`` as ``x|y|z = lo, hi`` with ``inf``, ``-inf`` or an empty
+field for an open end.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 from .cloud import AxisRange
 from .denoise import HdbscanParams, RadiusFilterParams
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameter
 from .pipeline import PipelineConfig, _with_round_seed
 from .volume import GridSpec
 
@@ -30,9 +32,12 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -70,7 +75,7 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             config = _apply(config, section, key.lower(), value)
-        except ConfigError as exc:
+        except (ConfigError, InvalidParameter) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
     config.validate()
     return config
@@ -139,8 +144,6 @@ def _apply(cfg: PipelineConfig, section: str, key: str, value: str) -> PipelineC
             return replace(cfg, override_height=_parse_float(value))
         if key == "margin":
             return replace(cfg, margin=_parse_float(value))
-        if key == "restore_datum":
-            return replace(cfg, restore_margin_datum=_parse_bool(value))
     elif section == "volume":
         if key == "estimator":
             return replace(cfg, estimator=value.strip().upper())
@@ -154,10 +157,4 @@ def _apply(cfg: PipelineConfig, section: str, key: str, value: str) -> PipelineC
                 origin=cfg.grid.origin))
         if key == "scene_area":
             return replace(cfg, scene_area=_parse_float(value))
-        if key == "slice_interval":
-            return replace(cfg, slice_interval=_parse_float(value))
-        if key == "compensation":
-            return replace(cfg, compensation=_parse_float(value))
-        if key == "signed":
-            return replace(cfg, signed=_parse_bool(value))
     raise ConfigError(f"unknown key {key!r} in section [{section or '(none)'}]")

@@ -152,10 +152,10 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
     band = counts[:n_band]
     centers = hist.bin_centers
 
+    height = None   # the bin center unless FIRST_PEAK refines it
     if mode == MODE_FIRST_PEAK:
         floor = PEAK_NOISE_FLOOR * float(band.max())
         peak_bin = None
-        height = None
         for i in range(n_band):
             if counts[i] < floor:
                 continue
@@ -171,12 +171,6 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
                 break
         if peak_bin is None:
             peak_bin = int(np.argmax(band))
-        if height is None:
-            height = float(centers[peak_bin])
-        median = float(np.median(counts))
-        confidence = float(counts[peak_bin] / median) if median > 0 else float("inf")
-        return GroundEstimate(height=height, mode=mode,
-                              peak_bin=int(peak_bin), confidence=confidence)
     else:
         peak_count = float(band.max())
         qualify = band >= (1.0 - PLATEAU_TOLERANCE) * peak_count
@@ -193,9 +187,11 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
                 run_start = None
         peak_bin = (best_start + (best_start + best_len - 1)) // 2
 
+    if height is None:
+        height = float(centers[peak_bin])
     median = float(np.median(counts))
     confidence = float(counts[peak_bin] / median) if median > 0 else float("inf")
-    return GroundEstimate(height=float(centers[peak_bin]), mode=mode,
+    return GroundEstimate(height=height, mode=mode,
                           peak_bin=int(peak_bin), confidence=confidence)
 
 

@@ -2,13 +2,14 @@
 
 Stage order is fixed (``STAGE_ORDER``): pass-through trim, optional voxel
 downsampling, robust pre-filtering, posture correction, ground calibration,
-fine filtering, then the volume estimator.  One stage sequence,
-``_run_stages``, serves both ``run_pipeline`` and ``emit_histogram`` (which
-stops after posture), and the batch studies share one round loop.  Every
-stage can be toggled off for ablation runs, in which case the cloud passes
-through unchanged.  Reports are plain CSV and are byte-identical for
-identical config and seed; stage timings are kept out of the CSV for
-exactly that reason.
+fine filtering, then the volume estimator, one of the paper's two column
+integrators (``COLUMN_GRID`` or ``COLUMN_UNIFORM``).  One stage sequence,
+``_run_stages``, serves both ``run_pipeline`` (through the volume stage)
+and ``emit_histogram`` (which stops after posture), and the batch studies
+share one round loop.  Every stage can be toggled off for ablation runs,
+in which case the cloud passes through unchanged.  Reports are plain CSV
+and are byte-identical for identical config and seed; stage timings are
+kept out of the CSV for exactly that reason.
 """
 
 from __future__ import annotations
@@ -46,16 +47,11 @@ from .volume import (
     AGG_MEAN,
     METHOD_COLUMN_GRID,
     METHOD_COLUMN_UNIFORM,
-    METHOD_HULL3D,
-    METHOD_SLICE,
-    CompensationFactor,
     GridSpec,
     VolumeEstimate,
     column_volume_grid,
     column_volume_uniform,
     footprint_area,
-    hull3d_volume,
-    slice_volume,
 )
 
 STAGE_ORDER = ("passthrough", "downsample", "prefilter", "posture",
@@ -90,19 +86,15 @@ class PipelineConfig:
     search_band: float = 0.25
     ground_mode: str = MODE_FIRST_PEAK
     override_height: float | None = None
+    # the cut sits this far above the detected ground, but heights are
+    # measured from the ground itself: the margin only trims the
+    # near-ground noise band and does not shave the integrated columns
     margin: float = 0.012
-    # measure heights from the detected ground rather than from the raised
-    # margin cut: the margin then only trims the near-ground noise band and
-    # does not shave the integrated column heights
-    restore_margin_datum: bool = True
 
     # volume
     estimator: str = METHOD_COLUMN_GRID
     grid: GridSpec = GridSpec(cell_size=0.025, aggregator=AGG_MEAN)
     scene_area: float | None = None
-    slice_interval: float = 0.05
-    compensation: float = 1.0
-    signed: bool = True
 
     # seeds RANSAC: the pipeline overrides ``ransac.seed`` with it, so
     # ``validate`` rejects a ``ransac.seed`` that is neither 0 nor this seed
@@ -124,8 +116,7 @@ class PipelineConfig:
                         origin=self.grid.origin)
 
     def validate(self) -> None:
-        if self.estimator not in (METHOD_COLUMN_UNIFORM, METHOD_COLUMN_GRID,
-                                  METHOD_SLICE, METHOD_HULL3D):
+        if self.estimator not in (METHOD_COLUMN_UNIFORM, METHOD_COLUMN_GRID):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.ground_mode not in (MODE_FIRST_PEAK, MODE_MID_PLATEAU, MODE_OVERRIDE):
             raise ConfigError(f"unknown ground mode {self.ground_mode!r}")
@@ -133,14 +124,23 @@ class PipelineConfig:
             raise ConfigError(f"unknown cluster method {self.cluster_method!r}")
         if self.ground_mode == MODE_OVERRIDE and self.override_height is None:
             raise ConfigError("OVERRIDE ground mode needs override_height")
-        if self.margin < 0:
-            raise ConfigError("margin must be >= 0")
+        if not self.margin >= 0:
+            raise ConfigError(f"margin must be >= 0, got {self.margin}")
+        if self.n_interval < 2:
+            raise ConfigError("n_interval must be >= 2")
         if self.smooth_step < 1 or self.smooth_step % 2 == 0:
             raise ConfigError("smooth_step must be a positive odd integer")
+        if self.smooth_step > self.n_interval:
+            raise ConfigError(f"smooth_step {self.smooth_step} exceeds "
+                              f"n_interval {self.n_interval}")
         if not 0 < self.search_band <= 1:
             raise ConfigError("search_band must be in (0, 1]")
-        if self.downsample_voxel is not None and self.downsample_voxel <= 0:
-            raise ConfigError("downsample_voxel must be > 0")
+        for name in ("downsample_voxel", "scene_area"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.ransac.seed not in (0, self.seed):
             raise ConfigError(
                 f"ransac.seed {self.ransac.seed} would be ignored: RANSAC is "
@@ -174,8 +174,9 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
     """Run the stages of ``STAGE_ORDER`` from the pass-through through
     ``last`` and return the cloud they leave.
 
-    Each stage records its point count and time in ``report``; a disabled
-    stage passes the cloud through unchanged (the ablation semantics).
+    Each stage records its point count and time in ``report``, and the
+    volume stage its estimate; a disabled stage passes the cloud through
+    unchanged (the ablation semantics).
     RANSAC is seeded from ``config.seed``.
     """
     config.validate()
@@ -207,19 +208,41 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
                 report.ground = find_ground(hist, config.search_band,
                                             config.ground_mode)
             cloud = calibrate(cloud, report.ground, config.margin)
-            if config.restore_margin_datum and config.margin > 0:
+            if config.margin > 0:
                 cloud = cloud.translated((0.0, 0.0, config.margin))
         elif stage == "fine_filter" and config.enable_fine_filter:
             cloud = fine_filter(cloud, rparams, config.hdbscan_params,
                                 config.cluster_method)
+        elif stage == "volume":
+            report.estimates.append(_volume(config, cloud, scene, report))
         report.stage_counts[stage] = len(cloud)
         report.timings_s[stage] = time.perf_counter() - t0
     return cloud
 
 
+def _volume(config: PipelineConfig, cloud: PointCloud, scene: Scene | None,
+            report: RunReport) -> VolumeEstimate:
+    """Integrate column heights over the calibrated cloud with the
+    configured estimator."""
+    if config.estimator == METHOD_COLUMN_GRID:
+        return column_volume_grid(cloud, config.effective_grid())
+    scene_area = config.scene_area
+    if scene_area is None and scene is not None:
+        scene_area = scene.spec.footprint_area
+    if scene_area is None:
+        raise ConfigError("COLUMN_UNIFORM needs scene_area")
+    # the pre-processed cloud is the uniform sampling of the scene the
+    # element-area division refers to
+    n_preprocessed = report.stage_counts["prefilter"]
+    if n_preprocessed == 0:
+        raise EmptyCloud("no points left before volume integration")
+    return column_volume_uniform(cloud, footprint_area(scene_area, n_preprocessed))
+
+
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,
                  scene: Scene | None = None) -> RunReport:
-    """Execute the enabled stages in order on a cloud or synthetic scene.
+    """Execute the enabled stages in order on a cloud or synthetic scene,
+    through the volume stage.
 
     When a scene with ground truth is given, the report also carries the
     relative volume error.
@@ -232,41 +255,15 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,
             "calibration without posture correction: the height histogram "
             "is built on an unlevelled cloud and the ground peak degrades"
         )
-    cloud = _run_stages(config, cloud, scene, report)
+    cloud = _run_stages(config, cloud, scene, report, last="volume")
     if len(cloud) == 0:
         emptied = next(stage for stage, count in report.stage_counts.items()
                        if count == 0)
         report.warnings.append(
             f"the {emptied} stage left no points; the volume of an empty "
             "cloud is 0")
-
-    t0 = time.perf_counter()
-    scene_area = config.scene_area
-    if scene_area is None and scene is not None:
-        scene_area = scene.spec.footprint_area
-    comp = CompensationFactor(config.compensation)
-    if config.estimator == METHOD_COLUMN_UNIFORM:
-        if scene_area is None:
-            raise ConfigError("COLUMN_UNIFORM needs scene_area")
-        # the pre-processed cloud is the uniform sampling of the scene the
-        # element-area division refers to
-        n_preprocessed = report.stage_counts["prefilter"]
-        if n_preprocessed == 0:
-            raise EmptyCloud("no points left before volume integration")
-        element = footprint_area(scene_area, n_preprocessed)
-        estimate = column_volume_uniform(cloud, element, comp, signed=config.signed)
-    elif config.estimator == METHOD_COLUMN_GRID:
-        estimate = column_volume_grid(cloud, config.effective_grid(), comp)
-    elif config.estimator == METHOD_SLICE:
-        estimate = slice_volume(cloud, config.slice_interval)
-    else:
-        estimate = hull3d_volume(cloud)
-    report.estimates.append(estimate)
-    report.stage_counts["volume"] = len(cloud)
-    report.timings_s["volume"] = time.perf_counter() - t0
-
     if report.true_volume:
-        report.relative_error = (estimate.volume - report.true_volume) / report.true_volume
+        report.relative_error = (report.volume - report.true_volume) / report.true_volume
     return report
 
 
@@ -378,10 +375,12 @@ def compression_sweep(spec: SceneSpec, voxel_sizes: list[float],
     it divides the scene area by the pre-processed count that reaches the
     integrator.
     """
-    if any(s <= 0 for s in voxel_sizes):
-        raise ConfigError("voxel sizes must be positive")
+    if not all(math.isfinite(s) and s > 0 for s in voxel_sizes):
+        raise ConfigError("voxel sizes must be finite and positive")
     if sorted(voxel_sizes) != list(voxel_sizes):
         raise ConfigError("voxel sizes must be ascending")
+    if rounds < 1:
+        raise ConfigError("rounds must be >= 1")
     if config is None:
         config = PipelineConfig()
     rows: list[SweepRow] = []

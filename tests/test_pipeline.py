@@ -1,5 +1,6 @@
 """Pipeline orchestration, reports, config files, and the CLI surface."""
 
+import dataclasses
 import importlib
 import math
 import sys
@@ -242,6 +243,10 @@ def test_pipeline_config_validation():
         PipelineConfig(ground_mode="OVERRIDE").validate()
     with pytest.raises(ConfigError):
         PipelineConfig(smooth_step=4).validate()
+    for bad in (dict(seed=-1), dict(n_interval=1),
+                dict(downsample_voxel=math.nan), dict(scene_area=0.0)):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**bad).validate()
     with pytest.raises(ConfigError):
         run_pipeline(PipelineConfig(), )        # no cloud, no scene
 
@@ -315,6 +320,10 @@ def test_sweep_rejects_bad_sizes():
         compression_sweep(SMALL_SPEC, [0.05, 0.01])
     with pytest.raises(ConfigError):
         compression_sweep(SMALL_SPEC, [-0.1])
+    with pytest.raises(ConfigError):
+        compression_sweep(SMALL_SPEC, [math.nan])
+    with pytest.raises(ConfigError):
+        compression_sweep(SMALL_SPEC, [0.05], rounds=0)
 
 
 def test_downsampling_scales_filter_radius_and_grid_cell():
@@ -424,6 +433,118 @@ def test_config_value_validation():
         parse_config_text("[ground]\nstep = 4\n")
     with pytest.raises(ConfigError):
         parse_config_text("[pipeline]\nseed = many\n")
+
+
+# values a parameter rejects, numbers that are not finite, negative seeds,
+# and the keys and estimator values the pipeline no longer has
+BAD_CONFIGS = [
+    "[filter]\nr0 = -1\n",
+    "[filter]\nr0 = nan\n",
+    "[filter]\nmin_cluster_size = 1\n",
+    "[volume]\ncell_size = 0\n",
+    "[volume]\ncell_size = nan\n",
+    "[volume]\ncell_size = inf\n",
+    "[volume]\naggregator = median\n",
+    "[volume]\nscene_area = 0\n",
+    "[ransac]\nmax_iterations = 0\n",
+    "[ransac]\ndistance_threshold = nan\n",
+    "[passthrough]\nx = 2, 1\n",
+    "[pipeline]\ndownsample_voxel = nan\n",
+    "[pipeline]\nseed = -3\n",
+    "[ground]\nmargin = nan\n",
+    "[ground]\nn_interval = 1\n",
+    "[ground]\nstep = 301\n",
+    "[ground]\nrestore_datum = on\n",
+    "[volume]\nslice_interval = 0.05\n",
+    "[volume]\ncompensation = 1.0\n",
+    "[volume]\nsigned = true\n",
+    "[volume]\nestimator = SLICE\n",
+    "[volume]\nestimator = HULL3D\n",
+]
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS)
+def test_bad_config_is_a_config_error(text, tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        parse_config_text(text)
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    assert cli_main(["run", "--scene-id", reference_scenes()[0].scene_id,
+                     "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_config_keeps_open_range_ends():
+    cfg = parse_config_text("[passthrough]\nx = -inf, inf\nz = , \n")
+    assert [(r.lo, r.hi) for r in cfg.passthrough_ranges] == [
+        (-math.inf, math.inf), (-math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scene-id", "s01-a1.3-v0.014-cone", "--seed", "-1"],
+    ["synth", "--scene-id", "s01-a1.3-v0.014-cone", "--seed", "-1"],
+    ["sweep", "--scene-id", "s01-a1.3-v0.014-cone", "--sizes", "0.05",
+     "--rounds", "0"],
+    ["sweep", "--scene-id", "s01-a1.3-v0.014-cone", "--sizes", "nan"],
+])
+def test_cli_rejects_bad_seed_rounds_and_sizes(argv, tmp_path, capsys):
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def _leaf_values(obj, prefix=""):
+    """Every independently settable field of a config, nested dataclasses
+    flattened to dotted paths."""
+    leaves = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            leaves.update(_leaf_values(value, f"{prefix}{f.name}."))
+        else:
+            leaves[prefix + f.name] = value
+    return leaves
+
+
+# one config line per PipelineConfig leaf; grid.origin is library-only
+CONFIG_LINE_FOR_LEAF = {
+    "enable_prefilter": "[pipeline]\nprefilter = off",
+    "enable_posture": "[pipeline]\nposture = off",
+    "enable_calibration": "[pipeline]\ncalibration = off",
+    "enable_fine_filter": "[pipeline]\nfine_filter = off",
+    "seed": "[pipeline]\nseed = 5",
+    "ransac.seed": "[pipeline]\nseed = 5",
+    "downsample_voxel": "[pipeline]\ndownsample_voxel = 0.02",
+    "passthrough_ranges": "[passthrough]\nx = -1, 1",
+    "radius_params.r0": "[filter]\nr0 = 0.03",
+    "radius_params.n_min": "[filter]\nn_min = 5",
+    "hdbscan_params.min_cluster_size": "[filter]\nmin_cluster_size = 40",
+    "hdbscan_params.min_samples": "[filter]\nmin_samples = 5",
+    "cluster_method": "[filter]\ncluster = hdbscan",
+    "ransac.distance_threshold": "[ransac]\ndistance_threshold = 0.02",
+    "ransac.max_iterations": "[ransac]\nmax_iterations = 500",
+    "ransac.min_inlier_fraction": "[ransac]\nmin_inlier_fraction = 0.2",
+    "n_interval": "[ground]\nn_interval = 128",
+    "smooth_step": "[ground]\nstep = 3",
+    "search_band": "[ground]\nsearch_band = 0.3",
+    "ground_mode": "[ground]\nmode = MID_PLATEAU",
+    "override_height": "[ground]\noverride_height = 0.1",
+    "margin": "[ground]\nmargin = 0.02",
+    "estimator": "[volume]\nestimator = COLUMN_UNIFORM",
+    "grid.cell_size": "[volume]\ncell_size = 0.04",
+    "grid.aggregator": "[volume]\naggregator = MAX",
+    "scene_area": "[volume]\nscene_area = 1.3",
+}
+LIBRARY_ONLY_LEAVES = {"grid.origin"}
+
+
+def test_every_pipeline_knob_has_a_config_key():
+    default = _leaf_values(PipelineConfig())
+    assert set(default) == set(CONFIG_LINE_FOR_LEAF) | LIBRARY_ONLY_LEAVES
+    for leaf, text in CONFIG_LINE_FOR_LEAF.items():
+        changed = _leaf_values(parse_config_text(text))
+        assert changed[leaf] != default[leaf], text
 
 
 # ---------------------------------------------------------------------------
