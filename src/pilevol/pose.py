@@ -30,8 +30,9 @@ class RansacParams:
     min_inlier_fraction: float = 0.15
 
     def __post_init__(self):
-        if self.distance_threshold <= 0:
-            raise InvalidParameter("distance_threshold must be > 0")
+        if not (math.isfinite(self.distance_threshold)
+                and self.distance_threshold > 0):
+            raise InvalidParameter("distance_threshold must be finite and > 0")
         if self.max_iterations < 1:
             raise InvalidParameter("max_iterations must be >= 1")
         if not 0.0 < self.min_inlier_fraction <= 1.0:

@@ -11,6 +11,7 @@ baselines with their known pathologies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,8 +52,9 @@ class GridSpec:
     origin: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise InvalidParameter(f"cell_size must be > 0, got {self.cell_size}")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise InvalidParameter(
+                f"cell_size must be finite and > 0, got {self.cell_size}")
         if self.aggregator not in (AGG_MAX, AGG_MEAN):
             raise InvalidParameter(f"aggregator must be MAX or MEAN, got {self.aggregator!r}")
 

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from pilevol import _hdbscan
@@ -183,6 +185,13 @@ def test_radius_params_validation():
         RadiusFilterParams(r0=0.0)
     with pytest.raises(InvalidParameter):
         RadiusFilterParams(r0=1.0, n_min=-1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_radius_params_reject_nan_inf_and_zero(bad):
+    # r0 = inf would list every pair; only construction is tried
+    with pytest.raises(InvalidParameter):
+        RadiusFilterParams(r0=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +490,46 @@ def test_radius_components_labels():
                                   cloud.xyz[[1, 3]])
     none = radius_components(3, np.zeros((0, 2), dtype=np.intp), 2)
     assert none.cluster_count == 0 and (none.labels == -1).all()
+
+
+def scipy_components(n: int, pairs: np.ndarray,
+                     min_cluster_size: int) -> tuple[np.ndarray, int]:
+    """Reference labels from scipy's connected_components, with cluster
+    ids in the order of each component's lowest point index."""
+    graph = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    _, lowest, sizes = np.unique(comp, return_index=True, return_counts=True)
+    order = np.argsort(lowest)
+    kept = sizes[order] >= min_cluster_size
+    cluster_id = np.full(len(sizes), -1)
+    cluster_id[order[kept]] = np.arange(kept.sum())
+    return cluster_id[comp], int(kept.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 300),
+       dtype=st.sampled_from([np.int32, np.int64]),
+       min_cluster_size=st.integers(1, 8))
+def test_radius_components_match_scipy(data, n, dtype, min_cluster_size):
+    # unordered, duplicate and self-loop pairs, and isolated nodes
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    pairs = np.array(edges, dtype=dtype).reshape(-1, 2)
+    labels = radius_components(n, pairs, min_cluster_size)
+    expected, count = scipy_components(n, pairs, min_cluster_size)
+    np.testing.assert_array_equal(labels.labels, expected)
+    assert labels.cluster_count == count
+
+
+def test_radius_components_long_shuffled_path():
+    # a 200k-node path visited in random order takes the most hooking
+    # rounds of any input here; it must end as one cluster
+    order = np.random.default_rng(3).permutation(200_000).astype(np.int32)
+    pairs = np.column_stack([order[:-1], order[1:]])
+    labels = radius_components(len(order), pairs, min_cluster_size=2)
+    assert labels.cluster_count == 1
+    assert (labels.labels == 0).all()
 
 
 def test_radius_pair_counts_equal_ball_counts_on_rounded_capture():

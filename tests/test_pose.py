@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pilevol.cloud import PointCloud
-from pilevol.errors import DegenerateCloud, NotUnitVector
+from pilevol.errors import DegenerateCloud, InvalidParameter, NotUnitVector
 from pilevol.pose import (
     PlaneModel,
     RansacParams,
@@ -146,6 +146,12 @@ def test_ransac_min_inlier_fraction():
     cloud = PointCloud(np.vstack([a, b]))
     with pytest.raises(DegenerateCloud):
         ransac_plane(cloud, RansacParams(seed=1, min_inlier_fraction=0.9))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_ransac_params_reject_nan_inf_and_zero(bad):
+    with pytest.raises(InvalidParameter):
+        RansacParams(distance_threshold=bad)
 
 
 def test_plane_from_points_matches_np_cross():

@@ -225,6 +225,12 @@ def test_grid_spec_validation():
         GridSpec(cell_size=0.1, aggregator="MEDIAN")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_grid_spec_rejects_nan_inf_and_zero(bad):
+    with pytest.raises(InvalidParameter):
+        GridSpec(cell_size=bad)
+
+
 # ---------------------------------------------------------------------------
 # slice baseline
 # ---------------------------------------------------------------------------
