@@ -6,15 +6,7 @@ and column volume integration, plus slice and convex-hull baselines and a
 synthetic-scene harness with analytic ground truth.
 """
 
-from .cloud import (
-    Aabb,
-    AxisRange,
-    Point3,
-    PointCloud,
-    bounding_box,
-    passthrough_filter,
-    voxel_downsample,
-)
+from .cloud import AxisRange, PointCloud, passthrough_filter, voxel_downsample
 from .cloudio import load_cloud, save_cloud
 from .denoise import (
     CLUSTER_COMPONENTS,

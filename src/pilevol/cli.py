@@ -14,7 +14,13 @@ from pathlib import Path
 
 from .cloudio import FORMAT_PLY_BINARY, load_cloud, save_cloud
 from .config import load_config
-from .errors import ConfigError, PilevolError
+from .errors import (
+    ConfigError,
+    MalformedHeader,
+    NonFiniteCoordinate,
+    PilevolError,
+    UnsupportedProperty,
+)
 from .pipeline import (
     PipelineConfig,
     _with_round_seed,
@@ -155,7 +161,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, OSError) as exc:
+    except (OSError, MalformedHeader, UnsupportedProperty, NonFiniteCoordinate) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PilevolError as exc:

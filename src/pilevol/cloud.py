@@ -9,25 +9,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCloud, InvalidParameter, NonFiniteCoordinate
+from .errors import InvalidParameter, NonFiniteCoordinate
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2, "X": 0, "Y": 1, "Z": 2}
-
-
-class Point3(NamedTuple):
-    x: float
-    y: float
-    z: float
 
 
 class PointCloud:
     """Ordered, immutable collection of 3D points.
 
-    Iteration order is the storage order and is stable across runs, so
+    Row order is the storage order and is stable across runs, so
     downstream filters can preserve relative point order deterministically.
     """
 
@@ -51,16 +45,8 @@ class PointCloud:
         """(N, 3) read-only coordinate array."""
         return self._xyz
 
-    @property
-    def count(self) -> int:
-        return self._xyz.shape[0]
-
     def __len__(self) -> int:
         return self._xyz.shape[0]
-
-    def __iter__(self) -> Iterable[Point3]:
-        for row in self._xyz:
-            yield Point3(*row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointCloud):
@@ -70,7 +56,7 @@ class PointCloud:
         )
 
     def __repr__(self) -> str:
-        return f"PointCloud({self.count} points)"
+        return f"PointCloud({len(self)} points)"
 
     def select(self, mask_or_indices) -> "PointCloud":
         """New cloud keeping the given rows, in their original order."""
@@ -101,23 +87,6 @@ def _add_to_columns(xyz: np.ndarray, offset) -> np.ndarray:
     for k, value in enumerate(np.asarray(offset, dtype=np.float64).reshape(3)):
         xyz[:, k] += value
     return xyz
-
-
-@dataclass(frozen=True)
-class Aabb:
-    """Axis-aligned bounding box; min_corner <= max_corner componentwise."""
-
-    min_corner: Point3
-    max_corner: Point3
-
-    def __post_init__(self):
-        if any(lo > hi for lo, hi in zip(self.min_corner, self.max_corner)):
-            raise InvalidParameter("Aabb min corner exceeds max corner")
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.min_corner)
-        hi = np.asarray(self.max_corner)
-        return ((points >= lo) & (points <= hi)).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -215,12 +184,3 @@ def _first_occurrence_cells(cells: np.ndarray) -> tuple[np.ndarray, int]:
     rank = np.empty(first_idx.shape[0], dtype=np.intp)
     rank[np.argsort(first_idx)] = np.arange(first_idx.shape[0])
     return rank[run_of], first_idx.shape[0]
-
-
-def bounding_box(cloud: PointCloud) -> Aabb:
-    """Tight componentwise min/max box of a nonempty cloud."""
-    if len(cloud) == 0:
-        raise EmptyCloud("bounding_box requires at least one point")
-    lo = cloud.xyz.min(axis=0)
-    hi = cloud.xyz.max(axis=0)
-    return Aabb(Point3(*lo), Point3(*hi))

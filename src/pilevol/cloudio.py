@@ -1,136 +1,111 @@
 """Cloud file I/O: PLY (ascii and binary little-endian) and XYZ text.
 
-Only the x, y, z vertex properties are read; color, normal, and other
-scalar properties are skipped.  The volume method is geometry-only, so
-RGB attributes are deliberately never surfaced.
+The file suffix picks the reader (``.ply`` is PLY, anything else XYZ
+text), and a PLY file's ``format`` header line alone picks the decoder.
+Only the x, y, z vertex properties are read, as float or double; color,
+normal, and other scalar properties are skipped.  The volume method is
+geometry-only, so RGB attributes are deliberately never surfaced.  Files
+are written as float64.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import (
-    InvalidParameter,
-    MalformedHeader,
-    NonFiniteCoordinate,
-    UnsupportedProperty,
-)
+from .errors import InvalidParameter, MalformedHeader, UnsupportedProperty
 
 FORMAT_PLY_ASCII = "ply-ascii"
 FORMAT_PLY_BINARY = "ply-binary-le"
 FORMAT_XYZ = "xyz"
 
-# PLY scalar property type -> struct code and byte size
+_PLY_ENCODINGS = {"ascii": FORMAT_PLY_ASCII,
+                  "binary_little_endian": FORMAT_PLY_BINARY}
+# PLY scalar property type -> little-endian numpy type
 _PLY_SCALAR_TYPES = {
-    "char": ("b", 1), "int8": ("b", 1),
-    "uchar": ("B", 1), "uint8": ("B", 1),
-    "short": ("h", 2), "int16": ("h", 2),
-    "ushort": ("H", 2), "uint16": ("H", 2),
-    "int": ("i", 4), "int32": ("i", 4),
-    "uint": ("I", 4), "uint32": ("I", 4),
-    "float": ("f", 4), "float32": ("f", 4),
-    "double": ("d", 8), "float64": ("d", 8),
+    "char": "<i1", "int8": "<i1",
+    "uchar": "<u1", "uint8": "<u1",
+    "short": "<i2", "int16": "<i2",
+    "ushort": "<u2", "uint16": "<u2",
+    "int": "<i4", "int32": "<i4",
+    "uint": "<u4", "uint32": "<u4",
+    "float": "<f4", "float32": "<f4",
+    "double": "<f8", "float64": "<f8",
 }
 _FLOAT_TYPES = {"float", "float32", "double", "float64"}
 
 
-def _detect_format(path: Path) -> str:
-    if path.suffix.lower() == ".ply":
-        with open(path, "rb") as fh:
-            head = fh.read(512)
-        return FORMAT_PLY_BINARY if b"binary_little_endian" in head else FORMAT_PLY_ASCII
-    return FORMAT_XYZ
-
-
-def load_cloud(path, format: str | None = None) -> PointCloud:
+def load_cloud(path) -> PointCloud:
     """Load a point cloud, rejecting non-finite coordinates.
 
-    Args:
-        path: input file.
-        format: one of "ply-ascii", "ply-binary-le", "xyz"; inferred from
-            the file extension and header when omitted.
+    A ``.ply`` suffix (any case) reads PLY, whose header names its
+    encoding; any other suffix reads XYZ text.
 
     Raises:
         FileNotFoundError, MalformedHeader, UnsupportedProperty,
         NonFiniteCoordinate (with the offending point row).
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    if format is None:
-        format = _detect_format(path)
-    if format == FORMAT_XYZ:
-        return _load_xyz(path)
-    if format in (FORMAT_PLY_ASCII, FORMAT_PLY_BINARY):
-        return _load_ply(path, format)
-    raise InvalidParameter(f"unknown cloud format {format!r}")
+    if path.suffix.lower() == ".ply":
+        return _load_ply(path)
+    return _load_xyz(path)
 
 
-def save_cloud(cloud: PointCloud, path, format: str = FORMAT_PLY_BINARY,
-               dtype: str = "float64") -> None:
-    """Write a cloud; float64 formats round-trip coordinates exactly.
+def save_cloud(cloud: PointCloud, path, format: str = FORMAT_PLY_BINARY) -> None:
+    """Write a cloud as float64, so coordinates round-trip exactly.
 
-    ``dtype`` ("float64" or "float32") selects the stored precision for
-    the PLY formats; XYZ always writes full-precision text.
+    ``format`` is one of "ply-ascii", "ply-binary-le", "xyz".
     """
     path = Path(path)
-    if dtype not in ("float64", "float32"):
-        raise InvalidParameter(f"dtype must be float64 or float32, got {dtype!r}")
     if format == FORMAT_XYZ:
-        _save_xyz(cloud, path)
-    elif format == FORMAT_PLY_ASCII:
-        _save_ply_ascii(cloud, path, dtype)
-    elif format == FORMAT_PLY_BINARY:
-        _save_ply_binary(cloud, path, dtype)
+        path.write_text(_text_rows(cloud.xyz))
+    elif format in (FORMAT_PLY_ASCII, FORMAT_PLY_BINARY):
+        _save_ply(cloud, path, format)
     else:
         raise InvalidParameter(f"unknown cloud format {format!r}")
 
 
-# ---------------------------------------------------------------------------
-# XYZ text
-# ---------------------------------------------------------------------------
+def _text_rows(xyz: np.ndarray) -> str:
+    return "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in xyz.tolist())
+
 
 def _load_xyz(path: Path) -> PointCloud:
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"XYZ file is not text: {exc}") from exc
     rows = []
-    with open(path, "r") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise MalformedHeader(f"XYZ line with fewer than 3 fields: {line!r}")
-            try:
-                rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
-            except ValueError as exc:
-                raise MalformedHeader(f"unparseable XYZ line: {line!r}") from exc
-    return _cloud_from_rows(np.asarray(rows, dtype=np.float64).reshape(-1, 3))
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 3:
+            raise MalformedHeader(f"XYZ line with fewer than 3 fields: {line!r}")
+        try:
+            rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
+        except ValueError as exc:
+            raise MalformedHeader(f"unparseable XYZ line: {line!r}") from exc
+    return PointCloud(np.asarray(rows, dtype=np.float64).reshape(-1, 3))
 
 
-def _save_xyz(cloud: PointCloud, path: Path) -> None:
-    with open(path, "w") as fh:
-        for x, y, z in cloud.xyz:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-
-
-# ---------------------------------------------------------------------------
-# PLY
-# ---------------------------------------------------------------------------
-
-def _parse_ply_header(fh) -> tuple[str, int, list[tuple[str, str]]]:
-    """Return (format, vertex_count, vertex_properties) from an open binary file.
+def _parse_ply_header(fh) -> tuple[str, int, list[str], list[int]]:
+    """Return (format, vertex count, vertex property types, columns of x,
+    y, z) from an open binary file whose first element is ``vertex``.
 
     The file position is left at the first byte after "end_header".
     """
-    magic = fh.readline().strip()
-    if magic != b"ply":
+    if fh.readline().strip() != b"ply":
         raise MalformedHeader("file does not start with 'ply'")
     fmt = None
     vertex_count = None
-    properties: list[tuple[str, str]] = []
+    first_element = None
+    names: list[str] = []
+    types: list[str] = []
     in_vertex_element = False
     while True:
         raw = fh.readline()
@@ -143,125 +118,93 @@ def _parse_ply_header(fh) -> tuple[str, int, list[tuple[str, str]]]:
             break
         fields = line.split()
         if fields[0] == "format":
-            if len(fields) < 2:
-                raise MalformedHeader("format line missing encoding")
-            if fields[1] == "ascii":
-                fmt = FORMAT_PLY_ASCII
-            elif fields[1] == "binary_little_endian":
-                fmt = FORMAT_PLY_BINARY
-            else:
-                raise MalformedHeader(f"unsupported PLY encoding {fields[1]!r}")
+            encoding = fields[1] if len(fields) > 1 else ""
+            if encoding not in _PLY_ENCODINGS:
+                raise MalformedHeader(f"unsupported PLY encoding {encoding!r}")
+            fmt = _PLY_ENCODINGS[encoding]
         elif fields[0] == "element":
             if len(fields) != 3:
                 raise MalformedHeader(f"bad element line: {line!r}")
+            first_element = first_element or fields[1]
             in_vertex_element = fields[1] == "vertex"
             if in_vertex_element:
                 try:
                     vertex_count = int(fields[2])
                 except ValueError as exc:
                     raise MalformedHeader(f"bad vertex count: {fields[2]!r}") from exc
+                if vertex_count < 0:
+                    raise MalformedHeader(f"negative vertex count {vertex_count}")
         elif fields[0] == "property" and in_vertex_element:
-            if fields[1] == "list":
+            if fields[1:2] == ["list"]:
                 raise UnsupportedProperty("list property in vertex element")
             if len(fields) != 3:
                 raise MalformedHeader(f"bad property line: {line!r}")
-            ptype, pname = fields[1], fields[2]
-            if ptype not in _PLY_SCALAR_TYPES:
-                raise UnsupportedProperty(f"unknown property type {ptype!r}")
-            properties.append((pname, ptype))
+            if fields[1] not in _PLY_SCALAR_TYPES:
+                raise UnsupportedProperty(f"unknown property type {fields[1]!r}")
+            types.append(fields[1])
+            names.append(fields[2])
     if fmt is None:
         raise MalformedHeader("PLY header has no format line")
     if vertex_count is None:
         raise MalformedHeader("PLY header has no vertex element")
-    names = [name for name, _ in properties]
+    if first_element != "vertex":
+        raise UnsupportedProperty(f"element {first_element!r} precedes vertex; "
+                                  "only a leading vertex element can be read")
     for coord in ("x", "y", "z"):
         if coord not in names:
             raise MalformedHeader(f"vertex element lacks property {coord!r}")
-        if properties[names.index(coord)][1] not in _FLOAT_TYPES:
+        if types[names.index(coord)] not in _FLOAT_TYPES:
             raise UnsupportedProperty(f"property {coord!r} is not a float type")
-    return fmt, vertex_count, properties
+    return fmt, vertex_count, types, [names.index(c) for c in ("x", "y", "z")]
 
 
-def _load_ply(path: Path, expected_format: str) -> PointCloud:
+def _load_ply(path: Path) -> PointCloud:
     with open(path, "rb") as fh:
-        fmt, count, properties = _parse_ply_header(fh)
-        if fmt != expected_format:
-            raise MalformedHeader(
-                f"file is {fmt}, but {expected_format} was requested"
-            )
-        names = [name for name, _ in properties]
-        ix, iy, iz = names.index("x"), names.index("y"), names.index("z")
+        fmt, count, types, cols = _parse_ply_header(fh)
         if fmt == FORMAT_PLY_ASCII:
-            xyz = np.empty((count, 3))
-            for row in range(count):
-                line = fh.readline()
-                if not line:
-                    raise MalformedHeader(
-                        f"expected {count} vertices, file ended at {row}"
-                    )
-                parts = line.split()
-                if len(parts) < len(properties):
-                    raise MalformedHeader(f"short vertex row {row}")
-                try:
-                    xyz[row, 0] = float(parts[ix])
-                    xyz[row, 1] = float(parts[iy])
-                    xyz[row, 2] = float(parts[iz])
-                except ValueError as exc:
-                    raise MalformedHeader(f"unparseable vertex row {row}") from exc
+            xyz = _read_ascii_vertices(fh, count, len(types))[:, cols]
         else:
-            dtype = np.dtype(
-                [(f"p{i}", "<" + _PLY_SCALAR_TYPES[ptype][0])
-                 for i, (_, ptype) in enumerate(properties)]
-            )
-            buf = fh.read(dtype.itemsize * count)
-            if len(buf) < dtype.itemsize * count:
+            row = np.dtype([(f"p{i}", _PLY_SCALAR_TYPES[ptype])
+                            for i, ptype in enumerate(types)])
+            size = count * row.itemsize
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size > left:
                 raise MalformedHeader(
-                    f"binary payload too short: expected {dtype.itemsize * count} "
-                    f"bytes, got {len(buf)}"
-                )
-            table = np.frombuffer(buf, dtype=dtype, count=count)
-            xyz = np.column_stack([
-                table[f"p{ix}"].astype(np.float64),
-                table[f"p{iy}"].astype(np.float64),
-                table[f"p{iz}"].astype(np.float64),
-            ])
-    return _cloud_from_rows(xyz.reshape(-1, 3))
+                    f"binary payload too short: expected {size} bytes, got {left}")
+            table = np.frombuffer(fh.read(size), dtype=row, count=count)
+            xyz = np.column_stack([table[f"p{i}"].astype(np.float64) for i in cols])
+    return PointCloud(xyz)
 
 
-def _save_ply_ascii(cloud: PointCloud, path: Path, dtype: str) -> None:
-    ply_type = "double" if dtype == "float64" else "float"
-    data = cloud.xyz if dtype == "float64" else cloud.xyz.astype(np.float32)
-    with open(path, "wb") as fh:
-        fh.write(_ply_header(FORMAT_PLY_ASCII, len(cloud), ply_type))
-        for x, y, z in data:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n".encode("ascii"))
+def _read_ascii_vertices(fh, count: int, width: int) -> np.ndarray:
+    """The ``count`` vertex rows after the header as a (count, width) table.
+
+    Only lines that are present are read, so a false ``count`` allocates
+    nothing beyond the file's own size.
+    """
+    if count == 0:
+        return np.empty((0, width))
+    lines = list(itertools.islice(fh, count))
+    if len(lines) < count:
+        raise MalformedHeader(f"expected {count} vertices, file ended at {len(lines)}")
+    try:
+        table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise MalformedHeader(f"unparseable vertex rows: {exc}") from exc
+    if table.shape != (count, width):
+        raise MalformedHeader(
+            f"expected {count} vertex rows of {width} values, got shape {table.shape}")
+    return table
 
 
-def _save_ply_binary(cloud: PointCloud, path: Path, dtype: str) -> None:
-    ply_type = "double" if dtype == "float64" else "float"
-    code = "d" if dtype == "float64" else "f"
-    data = cloud.xyz if dtype == "float64" else cloud.xyz.astype(np.float32)
-    with open(path, "wb") as fh:
-        fh.write(_ply_header(FORMAT_PLY_BINARY, len(cloud), ply_type))
-        fh.write(data.astype("<" + ("f8" if code == "d" else "f4")).tobytes())
-
-
-def _ply_header(fmt: str, count: int, ply_type: str) -> bytes:
+def _save_ply(cloud: PointCloud, path: Path, fmt: str) -> None:
     encoding = "ascii" if fmt == FORMAT_PLY_ASCII else "binary_little_endian"
-    lines = [
-        "ply",
-        f"format {encoding} 1.0",
-        f"element vertex {count}",
-        f"property {ply_type} x",
-        f"property {ply_type} y",
-        f"property {ply_type} z",
-        "end_header",
-    ]
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def _cloud_from_rows(xyz: np.ndarray) -> PointCloud:
-    finite = np.isfinite(xyz).all(axis=1)
-    if not finite.all():
-        raise NonFiniteCoordinate(int(np.flatnonzero(~finite)[0]))
-    return PointCloud(xyz, validate=False)
+    header = (f"ply\nformat {encoding} 1.0\nelement vertex {len(cloud)}\n"
+              "property double x\nproperty double y\nproperty double z\n"
+              "end_header\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        if fmt == FORMAT_PLY_ASCII:
+            fh.write(_text_rows(cloud.xyz).encode("ascii"))
+        else:
+            fh.write(cloud.xyz.astype("<f8").tobytes())

@@ -48,8 +48,6 @@ class HeightHistogram:
 
     bin_edges: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
-    smoothed: bool = False
-    step: int = 1
 
     @property
     def n_bins(self) -> int:
@@ -72,22 +70,15 @@ class GroundEstimate:
     confidence: float
 
 
-def height_histogram(cloud: PointCloud, n_interval: int,
-                     z_range: tuple[float, float] | None = None) -> HeightHistogram:
-    """Uniform z binning over [z_min, z_max]; z = z_max goes to the last bin.
-
-    ``z_range`` overrides the cloud-derived bounds (used when comparing
-    histograms of related clouds on a common axis).
-    """
+def height_histogram(cloud: PointCloud, n_interval: int) -> HeightHistogram:
+    """Uniform z binning over the cloud's [z_min, z_max]; z = z_max goes to
+    the last bin."""
     if n_interval < 2:
         raise InvalidParameter(f"n_interval must be >= 2, got {n_interval}")
     if len(cloud) == 0:
         raise EmptyCloud("cannot histogram an empty cloud")
     z = cloud.xyz[:, 2]
-    if z_range is None:
-        z_min, z_max = float(z.min()), float(z.max())
-    else:
-        z_min, z_max = float(z_range[0]), float(z_range[1])
+    z_min, z_max = float(z.min()), float(z.max())
     if not z_max > z_min:
         raise DegenerateHeights(f"z_max {z_max} must exceed z_min {z_min}")
     edges = np.linspace(z_min, z_max, n_interval + 1)
@@ -113,7 +104,7 @@ def smooth_histogram(hist: HeightHistogram, step: int) -> HeightHistogram:
     kernel = np.full(step, 1.0 / step)
     smoothed = np.convolve(hist.counts, kernel, mode="valid")
     edges = hist.bin_edges[half:len(hist.bin_edges) - half]
-    return HeightHistogram(bin_edges=edges, counts=smoothed, smoothed=True, step=step)
+    return HeightHistogram(bin_edges=edges, counts=smoothed)
 
 
 def _band_bins(hist: HeightHistogram, search_band: float) -> int:

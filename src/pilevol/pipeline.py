@@ -430,12 +430,13 @@ def emit_histogram(config: PipelineConfig, cloud: PointCloud | None = None,
     return "\n".join(lines) + "\n", ground
 
 
-def svg_line_plot(xs, ys, path, title: str = "", marker_x: float | None = None,
-                  width: int = 640, height: int = 360) -> None:
-    """Tiny dependency-free polyline SVG for histogram and sweep plots."""
+def svg_line_plot(xs, ys, path, title: str = "",
+                  marker_x: float | None = None) -> None:
+    """Tiny dependency-free 640 x 360 polyline SVG for histogram and sweep
+    plots."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    pad = 40
+    width, height, pad = 640, 360, 40
     x_span = xs.max() - xs.min() or 1.0
     y_span = ys.max() - ys.min() or 1.0
     px = pad + (xs - xs.min()) / x_span * (width - 2 * pad)

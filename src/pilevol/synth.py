@@ -361,9 +361,7 @@ def _heightfield_for(volume: float, radius: float, shape_seed: int) -> Heightfie
                        target_volume=volume)
 
 
-def reference_scenes(tilt_deg: float = CATALOGUE_TILT_DEG,
-                     noise_sigma: float = CATALOGUE_NOISE_SIGMA,
-                     with_clutter: bool = True) -> list[SceneSpec]:
+def reference_scenes() -> list[SceneSpec]:
     """The fixed 18-scene catalogue: per scene area, each pile volume
     appears as a cone, a frustum, and a random heightfield."""
     specs: list[SceneSpec] = []
@@ -386,9 +384,9 @@ def reference_scenes(tilt_deg: float = CATALOGUE_TILT_DEG,
                     footprint_area=area,
                     ground_extent=extent,
                     point_density=density,
-                    noise_sigma=noise_sigma,
-                    tilt_deg=tilt_deg,
-                    clutter=default_clutter(extent) if with_clutter else (),
+                    noise_sigma=CATALOGUE_NOISE_SIGMA,
+                    tilt_deg=CATALOGUE_TILT_DEG,
+                    clutter=default_clutter(extent),
                     seed=1000 + serial,
                     scene_id=f"s{serial:02d}-a{area}-v{volume}-{label}",
                 ))

@@ -1,27 +1,24 @@
-"""Cloud container, pass-through filtering, voxel downsampling, bounds."""
+"""Cloud container, pass-through filtering, voxel downsampling."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pilevol.cloud import (
-    Aabb,
     AxisRange,
-    Point3,
     PointCloud,
     _first_occurrence_cells,
-    bounding_box,
     passthrough_filter,
     voxel_downsample,
 )
-from pilevol.errors import EmptyCloud, InvalidParameter, NonFiniteCoordinate
+from pilevol.errors import InvalidParameter, NonFiniteCoordinate
 
 
 def test_cloud_count_and_order():
     pts = [[0, 0, 0], [1, 2, 3], [4, 5, 6]]
     cloud = PointCloud(pts)
-    assert cloud.count == len(cloud) == 3
-    assert list(cloud) == [Point3(0, 0, 0), Point3(1, 2, 3), Point3(4, 5, 6)]
+    assert len(cloud) == 3
+    assert cloud.xyz.tolist() == pts
 
 
 def test_cloud_rejects_non_finite():
@@ -201,30 +198,3 @@ def test_first_occurrence_cells_match_dict_oracle(rows, far, at):
 def test_voxel_downsample_invalid_size():
     with pytest.raises(InvalidParameter):
         voxel_downsample(PointCloud([[0, 0, 0]]), 0.0)
-
-
-def test_bounding_box_examples():
-    box = bounding_box(PointCloud([[0, 0, 0]]))
-    assert box.min_corner == box.max_corner == Point3(0, 0, 0)
-    box = bounding_box(PointCloud([[-1, 2, 0], [3, -2, 5]]))
-    assert box.min_corner == Point3(-1, -2, 0)
-    assert box.max_corner == Point3(3, 2, 5)
-
-
-def test_bounding_box_contains_all_points():
-    rng = np.random.default_rng(9)
-    cloud = PointCloud(rng.uniform(size=(10_000, 3)))
-    box = bounding_box(cloud)
-    assert box.contains(cloud.xyz).all()
-    assert all(0.0 <= v <= 1.0 for corner in (box.min_corner, box.max_corner)
-               for v in corner)
-
-
-def test_bounding_box_empty_raises():
-    with pytest.raises(EmptyCloud):
-        bounding_box(PointCloud.empty())
-
-
-def test_aabb_invariant():
-    with pytest.raises(InvalidParameter):
-        Aabb(Point3(1, 0, 0), Point3(0, 0, 0))

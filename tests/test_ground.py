@@ -29,10 +29,10 @@ def cloud_with_z(z):
     return PointCloud(np.column_stack([np.zeros_like(z), np.zeros_like(z), z]))
 
 
-def hist_from_counts(counts, lo=0.0, hi=1.0, smoothed=True):
+def hist_from_counts(counts, lo=0.0, hi=1.0):
     counts = np.asarray(counts, dtype=float)
     edges = np.linspace(lo, hi, len(counts) + 1)
-    return HeightHistogram(bin_edges=edges, counts=counts, smoothed=smoothed)
+    return HeightHistogram(bin_edges=edges, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +49,11 @@ def test_histogram_uniform_binomial_bounds():
 
 
 def test_histogram_forced_range_single_bin():
-    cloud = cloud_with_z([0.3] * 5)
-    hist = height_histogram(cloud, 10, z_range=(0.0, 1.0))
+    # points at 0 and 1 pin the bins to [0, 1]
+    cloud = cloud_with_z([0.0] + [0.3] * 5 + [1.0])
+    hist = height_histogram(cloud, 10)
     expected = np.zeros(10)
-    expected[3] = 5
+    expected[[0, 3, 9]] = [1, 5, 1]
     np.testing.assert_array_equal(hist.counts, expected)
 
 
@@ -89,16 +90,15 @@ def test_histogram_errors():
 # ---------------------------------------------------------------------------
 
 def test_smoothing_step_one_identity():
-    hist = hist_from_counts([1, 5, 2, 8], smoothed=False)
+    hist = hist_from_counts([1, 5, 2, 8])
     assert smooth_histogram(hist, 1) is hist
 
 
 def test_smoothing_hand_example():
-    hist = hist_from_counts([0, 3, 6, 3, 0], smoothed=False)
+    hist = hist_from_counts([0, 3, 6, 3, 0])
     out = smooth_histogram(hist, 3)
     np.testing.assert_allclose(out.counts, [3, 4, 3])
     assert out.n_bins == 3
-    assert out.smoothed and out.step == 3
     # edges trimmed by one bin at each end
     np.testing.assert_allclose(out.bin_edges, hist.bin_edges[1:-1])
 
@@ -106,7 +106,7 @@ def test_smoothing_hand_example():
 def test_smoothing_matches_direct_convolution():
     rng = np.random.default_rng(5)
     counts = rng.integers(0, 50, 128).astype(float)
-    hist = hist_from_counts(counts, smoothed=False)
+    hist = hist_from_counts(counts)
     out = smooth_histogram(hist, 5)
     expected = np.array([counts[i - 2:i + 3].mean() for i in range(2, 126)])
     np.testing.assert_allclose(out.counts, expected, atol=1e-12)
@@ -116,7 +116,7 @@ def test_smoothing_matches_direct_convolution():
 
 
 def test_smoothing_validation():
-    hist = hist_from_counts([1, 2, 3, 4], smoothed=False)
+    hist = hist_from_counts([1, 2, 3, 4])
     with pytest.raises(InvalidParameter):
         smooth_histogram(hist, 2)
     with pytest.raises(InvalidParameter):

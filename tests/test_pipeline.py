@@ -220,6 +220,18 @@ def test_traced_run_reaches_every_wrapped_layer():
     assert {name for _, _, name, _ in layers.WRAPPED} <= {s.name for s in tracer.spans}
 
 
+def test_benchmark_voxel_band_capture_reads_its_file(tmp_path):
+    # one capture of the benchmark's file-reading workload, written and run
+    # by the benchmark's own code, must load and stay inside its bound
+    workloads = _perfbench_module("workloads")
+    workload = workloads.WORKLOADS["voxel-band"]
+    captures, _ = workloads.build(workload, 1, 1, tmp_path)
+    assert captures[0].path is not None
+    record = _perfbench_module("run").run_capture(captures[0], workload.capture_bound)
+    assert record["failure"] is None
+    assert abs(record["rel_error"]) <= workload.capture_bound
+
+
 @pytest.mark.parametrize("config", [
     PipelineConfig(seed=3),
     PipelineConfig(seed=3, ground_mode="MID_PLATEAU"),
@@ -585,6 +597,19 @@ def test_cli_exit_codes(tmp_path):
     for truth in ("0", "-0.5", "nan", "inf"):
         assert cli_main(["run", "--scene-id", scene_id, "--truth", truth,
                          "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("name, content", [
+    ("bad-row.ply", b"ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+                    b"property double y\nproperty double z\nend_header\na b c\n"),
+    ("undecodable.xyz", b"\xff\xfe 1 2 3\n"),
+], ids=["malformed-ply", "undecodable-xyz"])
+def test_cli_bad_cloud_file_is_an_input_error(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert cli_main(["run", "--input", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_cli_bench_filtered(tmp_path):
