@@ -54,7 +54,6 @@ from .synth import (
     reference_scenes,
 )
 from .volume import (
-    CompensationFactor,
     GridSpec,
     VolumeEstimate,
     column_volume_grid,

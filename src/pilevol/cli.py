@@ -48,10 +48,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="pipeline config file (key = value sections)")
+    # bench and sweep seed each round from the scene's own seed, and synth
+    # runs no pipeline, so each takes only the options it uses
+    def common(p, config=True, seed=True):
+        if config:
+            p.add_argument("--config", help="pipeline config file (key = value sections)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, help="override the pipeline seed")
+        if seed:
+            p.add_argument("--seed", type=int,
+                           help="override the pipeline seed (synth: the scene seed)")
 
     p_run = sub.add_parser("run", help="run the pipeline on a cloud or scene")
     common(p_run)
@@ -62,13 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scene-area", type=float, help="known scene area (uniform estimator)")
 
     p_bench = sub.add_parser("bench", help="run the 18-scene reference benchmark")
-    common(p_bench)
+    common(p_bench, seed=False)
     p_bench.add_argument("--rounds", type=int, default=1)
     p_bench.add_argument("--filter", dest="scene_filter", default="",
                          help="substring filter on scene ids")
 
     p_sweep = sub.add_parser("sweep", help="compression sweep over voxel sizes")
-    common(p_sweep)
+    common(p_sweep, seed=False)
     p_sweep.add_argument("--sizes", default="0.01,0.02,0.03,0.05,0.1,0.2,0.3",
                          help="comma-separated ascending voxel sizes in meters")
     p_sweep.add_argument("--scene-id", help="catalogue scene id (default: dense sweep scene)")
@@ -83,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--svg", action="store_true", help="also write an SVG plot")
 
     p_synth = sub.add_parser("synth", help="export a synthetic scene cloud")
-    common(p_synth)
+    common(p_synth, config=False)
     p_synth.add_argument("--scene-id", required=True,
                          help="catalogue scene id, or 'list' to list ids")
     p_synth.add_argument("--format", default=FORMAT_PLY_BINARY,
@@ -93,9 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_pipeline_config(args) -> PipelineConfig:
     config = PipelineConfig()
-    if args.config:
+    if getattr(args, "config", None):
         config = load_config(args.config, config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = _with_round_seed(config, args.seed)
     config.validate()
     return config
@@ -166,6 +171,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except PilevolError as exc:
         print(f"stage failure: {exc}", file=sys.stderr)
+        return EXIT_STAGE
+    except MemoryError:
+        print("stage failure: out of memory", file=sys.stderr)
         return EXIT_STAGE
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,19 +79,16 @@ def _load_xyz(path: Path) -> PointCloud:
         text = path.read_text()
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"XYZ file is not text: {exc}") from exc
-    rows = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) < 3:
-            raise MalformedHeader(f"XYZ line with fewer than 3 fields: {line!r}")
-        try:
-            rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
-        except ValueError as exc:
-            raise MalformedHeader(f"unparseable XYZ line: {line!r}") from exc
-    return PointCloud(np.asarray(rows, dtype=np.float64).reshape(-1, 3))
+    try:
+        # a file without data rows is an empty cloud, not a warning
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            xyz = np.loadtxt(text.split("\n"), dtype=np.float64, comments="#",
+                             usecols=(0, 1, 2), ndmin=2)
+    except ValueError as exc:
+        raise MalformedHeader(f"unparseable XYZ text: {exc}") from exc
+    return PointCloud(xyz)
 
 
 def _parse_ply_header(fh) -> tuple[str, int, list[str], list[int]]:

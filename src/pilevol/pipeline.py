@@ -106,14 +106,13 @@ class PipelineConfig:
         if self.downsample_voxel is None:
             return self.radius_params
         r0 = max(self.radius_params.r0, 2.2 * self.downsample_voxel)
-        return RadiusFilterParams(r0=r0, n_min=self.radius_params.n_min)
+        return replace(self.radius_params, r0=r0)
 
     def effective_grid(self) -> GridSpec:
         if self.downsample_voxel is None:
             return self.grid
         cell = max(self.grid.cell_size, 1.6 * self.downsample_voxel)
-        return GridSpec(cell_size=cell, aggregator=self.grid.aggregator,
-                        origin=self.grid.origin)
+        return replace(self.grid, cell_size=cell)
 
     def validate(self) -> None:
         if self.estimator not in (METHOD_COLUMN_UNIFORM, METHOD_COLUMN_GRID):
@@ -275,6 +274,21 @@ def _round_seed(base_seed: int, round_index: int) -> int:
     return int(np.random.SeedSequence((base_seed, round_index)).generate_state(1)[0])
 
 
+def _batch_config(config: PipelineConfig | None, rounds: int) -> PipelineConfig:
+    """The config a batch study runs, rejecting settings it would ignore:
+    every round is seeded from the scene's own seed, so a config seed
+    would have no effect."""
+    if rounds < 1:
+        raise ConfigError("rounds must be >= 1")
+    if config is None:
+        return PipelineConfig()
+    if config.seed != 0:
+        raise ConfigError(
+            f"seed {config.seed} would be ignored: bench and sweep seed each "
+            "round from the scene's own seed")
+    return config
+
+
 def _round_reports(spec: SceneSpec, base_seed: int, rounds: int,
                    config: PipelineConfig) -> list[RunReport]:
     """One pipeline run per round, each on a fresh capture of ``spec``; the
@@ -304,16 +318,15 @@ class BenchRow:
 def bench_reference(specs: list[SceneSpec] | None = None, rounds: int = 1,
                     config: PipelineConfig | None = None,
                     verbose: bool = False) -> list[BenchRow]:
-    """Run each catalogue scene ``rounds`` times with distinct seeds.
+    """Run each catalogue scene ``rounds`` times with distinct seeds,
+    each round's drawn from the scene's own seed (a nonzero ``config.seed``
+    is a ``ConfigError``).
 
     A failing scene is reported as a FAILED row and the run continues.
     """
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1")
+    config = _batch_config(config, rounds)
     if specs is None:
         specs = reference_scenes()
-    if config is None:
-        config = PipelineConfig()
     rows: list[BenchRow] = []
     for spec in specs:
         row = BenchRow(scene_id=spec.scene_id or "scene",
@@ -373,16 +386,13 @@ def compression_sweep(spec: SceneSpec, voxel_sizes: list[float],
     pass-through range trims it).  With the uniform-column estimator the
     element area recomputes from the downsampled count automatically, since
     it divides the scene area by the pre-processed count that reaches the
-    integrator.
+    integrator.  Rounds are seeded as in ``bench_reference``.
     """
     if not all(math.isfinite(s) and s > 0 for s in voxel_sizes):
         raise ConfigError("voxel sizes must be finite and positive")
     if sorted(voxel_sizes) != list(voxel_sizes):
         raise ConfigError("voxel sizes must be ascending")
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1")
-    if config is None:
-        config = PipelineConfig()
+    config = _batch_config(config, rounds)
     rows: list[SweepRow] = []
     for size in [None] + list(voxel_sizes):
         reports = _round_reports(spec, spec.seed + 31, rounds,

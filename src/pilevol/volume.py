@@ -31,25 +31,11 @@ AGG_MEAN = "MEAN"
 
 
 @dataclass(frozen=True)
-class CompensationFactor:
-    """Multiplicative correction for volume trimmed by the near-ground margin."""
-
-    factor: float = 1.0
-
-    def __post_init__(self):
-        if not 0.5 < self.factor < 2.0:
-            raise InvalidParameter(
-                f"compensation factor {self.factor} outside sanity bound (0.5, 2.0)"
-            )
-
-
-@dataclass(frozen=True)
 class GridSpec:
-    """Square XY cells; origin defaults to the cloud's min corner."""
+    """Square XY cells, aligned to the cloud's min corner."""
 
     cell_size: float = 0.025
     aggregator: str = AGG_MEAN
-    origin: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.cell_size) and self.cell_size > 0):
@@ -76,31 +62,27 @@ def footprint_area(scene_area: float, point_count: int) -> float:
     return scene_area / point_count
 
 
-def column_volume_uniform(cloud: PointCloud, element_area: float,
-                          comp: CompensationFactor = CompensationFactor(),
-                          signed: bool = True) -> VolumeEstimate:
+def column_volume_uniform(cloud: PointCloud, element_area: float) -> VolumeEstimate:
     """Sum of element_area x z over all points.
 
-    Signed mode keeps below-ground contributions negative, matching the
-    single-pass integration that skips a positivity test; unsigned mode
-    clamps each height at zero first.
+    Below-ground heights stay negative, matching the single-pass
+    integration that skips a positivity test.
     """
     if element_area <= 0:
         raise InvalidParameter(f"element_area must be > 0, got {element_area}")
     z = cloud.xyz[:, 2] if len(cloud) else np.zeros(0)
-    heights = z if signed else np.maximum(z, 0.0)
-    volume = comp.factor * element_area * float(heights.sum())
+    volume = element_area * float(z.sum())
+    # "signed" and "compensation" are fixed; the report keeps their columns
     return VolumeEstimate(
         volume=volume,
         method=METHOD_COLUMN_UNIFORM,
-        params_used={"element_area": element_area, "signed": signed,
-                     "compensation": comp.factor},
+        params_used={"element_area": element_area, "signed": True,
+                     "compensation": 1.0},
         diagnostics={"point_count": len(cloud)},
     )
 
 
-def column_volume_grid(cloud: PointCloud, grid: GridSpec = GridSpec(),
-                       comp: CompensationFactor = CompensationFactor()) -> VolumeEstimate:
+def column_volume_grid(cloud: PointCloud, grid: GridSpec = GridSpec()) -> VolumeEstimate:
     """Rasterized column integration over occupied ground cells.
 
     Each nonempty cell contributes cell_area x height, with the height the
@@ -111,16 +93,12 @@ def column_volume_grid(cloud: PointCloud, grid: GridSpec = GridSpec(),
         return VolumeEstimate(
             volume=0.0, method=METHOD_COLUMN_GRID,
             params_used={"cell_size": grid.cell_size, "aggregator": grid.aggregator,
-                         "compensation": comp.factor},
+                         "compensation": 1.0},
             diagnostics={"point_count": 0, "cell_count": 0},
         )
     xyz = cloud.xyz
-    origin = np.asarray(grid.origin if grid.origin is not None
-                        else [xyz[:, 0].min(), xyz[:, 1].min()], dtype=np.float64)
+    origin = np.asarray([xyz[:, 0].min(), xyz[:, 1].min()], dtype=np.float64)
     cells = np.floor((xyz[:, :2] - origin) / grid.cell_size).astype(np.int64)
-    # an origin inside the cloud gives negative cells; shifting each column
-    # to start at 0 keeps the rows' lexicographic order
-    cells -= [cells[:, 0].min(), cells[:, 1].min()]
     key = cell_keys(cells)
     if key is None:
         _, inverse = np.unique(cells, axis=0, return_inverse=True)
@@ -138,12 +116,12 @@ def column_volume_grid(cloud: PointCloud, grid: GridSpec = GridSpec(),
         heights = sums / counts
     heights = np.maximum(heights, 0.0)
     cell_area = grid.cell_size ** 2
-    volume = comp.factor * cell_area * float(heights.sum())
+    volume = cell_area * float(heights.sum())
     return VolumeEstimate(
         volume=volume,
         method=METHOD_COLUMN_GRID,
         params_used={"cell_size": grid.cell_size, "aggregator": grid.aggregator,
-                     "compensation": comp.factor},
+                     "compensation": 1.0},
         diagnostics={"point_count": len(cloud), "cell_count": n_cells},
     )
 

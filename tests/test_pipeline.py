@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pilevol import cli
 from pilevol.cli import main as cli_main
 from pilevol.cloud import AxisRange, PointCloud
-from pilevol.config import parse_config_text
+from pilevol.config import _KEYS, parse_config_text
 from pilevol.denoise import CLUSTER_COMPONENTS, CLUSTER_HDBSCAN, HdbscanParams
 from pilevol.errors import ConfigError, EmptyCloud
 from pilevol.pose import RansacParams, ransac_plane
@@ -302,6 +304,17 @@ def test_bench_failed_scene_row_marked():
     assert "FAILED" in csv
 
 
+def test_batch_studies_reject_a_config_seed():
+    # every round is seeded from the scene's own seed, so a config seed
+    # would be ignored; the error is raised before any scene runs, so it
+    # does not become a FAILED row
+    seeded = _with_round_seed(PipelineConfig(), 7)
+    with pytest.raises(ConfigError, match="seed 7 would be ignored"):
+        bench_reference([SMALL_SPEC], config=seeded)
+    with pytest.raises(ConfigError, match="seed 7 would be ignored"):
+        compression_sweep(SMALL_SPEC, [0.05], config=seeded)
+
+
 def test_bench_multi_round_variance():
     rows = bench_reference([SMALL_SPEC], rounds=3)
     assert rows[0].error_variance is not None
@@ -519,7 +532,7 @@ def _leaf_values(obj, prefix=""):
     return leaves
 
 
-# one config line per PipelineConfig leaf; grid.origin is library-only
+# one config line per PipelineConfig leaf
 CONFIG_LINE_FOR_LEAF = {
     "enable_prefilter": "[pipeline]\nprefilter = off",
     "enable_posture": "[pipeline]\nposture = off",
@@ -548,15 +561,47 @@ CONFIG_LINE_FOR_LEAF = {
     "grid.aggregator": "[volume]\naggregator = MAX",
     "scene_area": "[volume]\nscene_area = 1.3",
 }
-LIBRARY_ONLY_LEAVES = {"grid.origin"}
+
+
+def _changed_leaves(text):
+    default = _leaf_values(PipelineConfig())
+    parsed = _leaf_values(parse_config_text(text))
+    return {leaf for leaf in default if parsed[leaf] != default[leaf]}
 
 
 def test_every_pipeline_knob_has_a_config_key():
-    default = _leaf_values(PipelineConfig())
-    assert set(default) == set(CONFIG_LINE_FOR_LEAF) | LIBRARY_ONLY_LEAVES
+    # each key of the table sets exactly its leaf; [pipeline] seed sets both
+    # seeds
+    assert set(_leaf_values(PipelineConfig())) == set(CONFIG_LINE_FOR_LEAF)
+    for (section, key), (leaf, _) in _KEYS.items():
+        assert CONFIG_LINE_FOR_LEAF[leaf].startswith(f"[{section}]\n{key} = ")
     for leaf, text in CONFIG_LINE_FOR_LEAF.items():
-        changed = _leaf_values(parse_config_text(text))
-        assert changed[leaf] != default[leaf], text
+        expected = {"seed", "ransac.seed"} if leaf.endswith("seed") else {leaf}
+        assert _changed_leaves(text) == expected, text
+
+
+CONFIG_VALUES = ["nan", "inf", "-inf", "", "-1", "0", "1", "2", "3", "7",
+                 "0.02", "0.5", "1e400", "none", "on", "off", "1,2", ", 1",
+                 "max", "mean", "hdbscan", "mid_plateau", "override",
+                 "column_uniform", "column_grid"]
+CONFIG_LINES = sorted(_KEYS) + [
+    ("pipeline", "seed"), ("passthrough", "x"), ("passthrough", "z"),
+    ("passthrough", "w"), ("pipeline", "bogus"), ("volume", "origin"),
+    ("volume", "signed"), ("nowhere", "r0"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CONFIG_LINES),
+                          st.sampled_from(CONFIG_VALUES)), max_size=8))
+def test_config_document_is_valid_or_a_config_error(lines):
+    text = "".join(f"[{section}]\n{key} = {value}\n"
+                   for (section, key), value in lines)
+    try:
+        config = parse_config_text(text)
+    except ConfigError:
+        return
+    config.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +655,39 @@ def test_cli_bad_cloud_file_is_an_input_error(tmp_path, capsys, name, content):
     assert cli_main(["run", "--input", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--seed", "1"],
+    ["sweep", "--seed", "1"],
+    ["synth", "--scene-id", "list", "--config", "c.ini"],
+], ids=["bench-seed", "sweep-seed", "synth-config"])
+def test_cli_rejects_options_a_command_would_ignore(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_bench_rejects_a_config_seed(tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    path.write_text("[pipeline]\nseed = 7\n")
+    assert cli_main(["bench", "--filter", "a1.3-v0.014-cone", "--config",
+                     str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "bench.csv").exists()
+
+
+def test_cli_out_of_memory_is_a_stage_failure(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("std::bad_alloc")
+
+    monkeypatch.setattr(cli, "run_pipeline", exhausted)
+    assert cli_main(["run", "--scene-id", "s01-a1.3-v0.014-cone",
+                     "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "stage failure: out of memory\n"
 
 
 def test_cli_bench_filtered(tmp_path):

@@ -10,7 +10,6 @@ from pilevol.errors import DegenerateCloud, DegenerateInput, InvalidParameter
 from pilevol.volume import (
     AGG_MAX,
     AGG_MEAN,
-    CompensationFactor,
     GridSpec,
     column_volume_grid,
     column_volume_uniform,
@@ -101,23 +100,11 @@ def test_uniform_columns_linear_in_area_and_factor():
     cloud = sampled_cone(n=2000, seed=3)
     base = column_volume_uniform(cloud, 1e-4).volume
     assert column_volume_uniform(cloud, 3e-4).volume == pytest.approx(3 * base)
-    scaled = column_volume_uniform(cloud, 1e-4, CompensationFactor(1.25))
-    assert scaled.volume == pytest.approx(1.25 * base)
 
 
-def test_uniform_columns_signed_vs_clamped():
+def test_uniform_columns_are_signed():
     cloud = PointCloud([[0, 0, 1.0], [0, 1, -0.4]])
-    signed = column_volume_uniform(cloud, 1.0, signed=True)
-    clamped = column_volume_uniform(cloud, 1.0, signed=False)
-    assert signed.volume == pytest.approx(0.6)
-    assert clamped.volume == pytest.approx(1.0)
-
-
-def test_compensation_factor_sanity_bound():
-    with pytest.raises(InvalidParameter):
-        CompensationFactor(2.5)
-    with pytest.raises(InvalidParameter):
-        CompensationFactor(0.4)
+    assert column_volume_uniform(cloud, 1.0).volume == pytest.approx(0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +147,7 @@ def test_grid_cone_max_overestimates_cell_top():
 def test_grid_max_monotone_in_points():
     rng = np.random.default_rng(2)
     xyz = rng.uniform(0, 1, size=(500, 3))
-    spec = GridSpec(cell_size=0.1, aggregator=AGG_MAX, origin=(0.0, 0.0))
+    spec = GridSpec(cell_size=0.1, aggregator=AGG_MAX)
     vol = column_volume_grid(PointCloud(xyz), spec).volume
     for extra in ([0.5, 0.5, 2.0], [0.95, 0.95, 0.0], [2.0, 2.0, 1.0]):
         vol2 = column_volume_grid(PointCloud(np.vstack([xyz, extra])), spec).volume
@@ -178,8 +165,7 @@ def unique_rows_grid_reference(cloud, grid):
     """Grid volume and cell count through the row-wise ``np.unique(axis=0)``,
     with MEAN sums by ``np.add.at`` and MAX by ``np.maximum.at``."""
     xyz = cloud.xyz
-    origin = np.asarray(grid.origin if grid.origin is not None
-                        else xyz[:, :2].min(axis=0), dtype=np.float64)
+    origin = xyz[:, :2].min(axis=0)
     cells = np.floor((xyz[:, :2] - origin) / grid.cell_size).astype(np.int64)
     _, inverse = np.unique(cells, axis=0, return_inverse=True)
     n_cells = int(inverse.max()) + 1
@@ -194,15 +180,13 @@ def unique_rows_grid_reference(cloud, grid):
     return grid.cell_size ** 2 * float(np.maximum(heights, 0.0).sum()), n_cells
 
 
-@pytest.mark.parametrize("far, origin", [
-    (None, None), ((1e6, 1e6, 0.4), None), ((2e9, 2e9, 0.4), None),
-    ((4e9, 4e9, 0.4), None), (None, (0.0, 0.0)),
-], ids=["compact", "far-outlier", "key-fits", "key-overflows", "negative-cells"])
-def test_grid_matches_unique_rows_reference(far, origin):
+@pytest.mark.parametrize("far", [
+    None, (1e6, 1e6, 0.4), (2e9, 2e9, 0.4), (4e9, 4e9, 0.4),
+], ids=["compact", "far-outlier", "key-fits", "key-overflows"])
+def test_grid_matches_unique_rows_reference(far):
     # rounded coordinates put many points on shared cells and cell faces;
     # at cell 1 an outlier at 2e9 keeps the cell key inside int64 and one at
-    # 4e9 or (at cell 0.01) 2e9 does not; an origin inside the cloud gives
-    # negative cells
+    # 4e9 or (at cell 0.01) 2e9 does not
     rng = np.random.default_rng(11)
     xyz = np.round(rng.uniform([-0.5, -0.5, -0.1], [0.5, 0.5, 0.6], size=(20_000, 3)), 2)
     xyz = np.vstack([xyz, xyz[:500]])
@@ -211,7 +195,7 @@ def test_grid_matches_unique_rows_reference(far, origin):
     cloud = PointCloud(xyz)
     for size in (0.01, 0.025, 0.034, 1.0):
         for aggregator in (AGG_MEAN, AGG_MAX):
-            grid = GridSpec(cell_size=size, aggregator=aggregator, origin=origin)
+            grid = GridSpec(cell_size=size, aggregator=aggregator)
             est = column_volume_grid(cloud, grid)
             volume, n_cells = unique_rows_grid_reference(cloud, grid)
             assert est.volume.hex() == volume.hex()
