@@ -165,6 +165,24 @@ def test_far_outlier_leaves_volume_unchanged(small_scene):
     assert report.estimates[0].volume == base.estimates[0].volume
 
 
+@pytest.mark.parametrize("z", [-50.0, 50.0], ids=["below", "above"])
+@pytest.mark.parametrize("n_stray", [1, 10, 60])
+def test_far_strays_leave_volume_unchanged(small_scene, n_stray, z):
+    # a point or blob 50 m off the pile stretches the height histogram's
+    # [z_min, z_max] until ground and pile share one bin (65 m3 from a
+    # single point at -50 m with no prefilter), so the prefilter must drop it
+    config = PipelineConfig(seed=3)
+    base = run_pipeline(config, cloud=small_scene.cloud)
+    rng = np.random.default_rng(n_stray)
+    stray = rng.normal((0.0, 0.0, z), 0.01, size=(n_stray, 3))
+    if n_stray == 1:
+        stray = np.array([[0.0, 0.0, z]])
+    cloud = PointCloud(np.vstack([small_scene.cloud.xyz, stray]))
+    report = run_pipeline(config, cloud=cloud)
+    assert report.stage_counts["prefilter"] == base.stage_counts["prefilter"]
+    assert report.estimates[0].volume == base.estimates[0].volume
+
+
 def test_pipeline_seed_alone_seeds_ransac(small_scene, monkeypatch):
     fits = []
 
