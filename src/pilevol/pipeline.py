@@ -1,8 +1,8 @@
 """End-to-end measurement pipeline and batch studies.
 
 Stage order is fixed (``STAGE_ORDER``): pass-through trim, optional voxel
-downsampling, robust pre-filtering, posture correction, ground calibration,
-fine filtering, then the volume estimator, one of the paper's two column
+downsampling, pre-filtering, posture correction, ground calibration, fine
+filtering, then the volume estimator, one of the paper's two column
 integrators (``COLUMN_GRID`` or ``COLUMN_UNIFORM``).  One stage sequence,
 ``_run_stages``, serves both ``run_pipeline`` (through the volume stage)
 and ``emit_histogram`` (which stops after posture), and the batch studies
@@ -10,6 +10,12 @@ share one round loop.  Every stage can be toggled off for ablation runs,
 in which case the cloud passes through unchanged.  Reports are plain CSV
 and are byte-identical for identical config and seed; stage timings are
 kept out of the CSV for exactly that reason.
+
+The pre-filter guards posture and calibration against far stray points.
+In the default ``CLUSTER_COMPONENTS`` mode it is the per-axis r0 gap trim
+(``denoise.gap_trim``); ``CLUSTER_HDBSCAN`` mode keeps the paper's radius
+filter and HDBSCAN pass over the whole cloud.  Both modes fine-filter
+with ``robust_filter``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .denoise import (
     CLUSTER_HDBSCAN,
     HdbscanParams,
     RadiusFilterParams,
+    gap_trim,
     robust_filter,
 )
 from .errors import ConfigError, EmptyCloud, PilevolError
@@ -73,8 +80,9 @@ class PipelineConfig:
     downsample_voxel: float | None = None
     radius_params: RadiusFilterParams = RadiusFilterParams(r0=0.025, n_min=4)
     hdbscan_params: HdbscanParams = HdbscanParams(min_cluster_size=50, min_samples=10)
-    # cluster step of both filter passes; HDBSCAN is the paper's mechanism
-    # and reads all of hdbscan_params, COMPONENTS only its min_cluster_size
+    # COMPONENTS pre-filters with the per-axis r0 gap trim and fine-filters
+    # with the r0 components, reading only hdbscan_params.min_cluster_size;
+    # HDBSCAN is the paper's chain, radius filter + HDBSCAN in both passes
     cluster_method: str = CLUSTER_COMPONENTS
 
     # posture correction
@@ -193,8 +201,11 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
         elif stage == "downsample" and config.downsample_voxel is not None:
             cloud = voxel_downsample(cloud, config.downsample_voxel)
         elif stage == "prefilter" and config.enable_prefilter:
-            cloud = robust_filter(cloud, rparams, config.hdbscan_params,
-                                  config.cluster_method)
+            if config.cluster_method == CLUSTER_HDBSCAN:
+                cloud = robust_filter(cloud, rparams, config.hdbscan_params,
+                                      CLUSTER_HDBSCAN)
+            else:
+                cloud = gap_trim(cloud, rparams.r0)
         elif stage == "posture" and config.enable_posture:
             plane = ransac_plane(cloud, replace(config.ransac, seed=config.seed))
             cloud = correct_posture(cloud, plane)
