@@ -36,8 +36,8 @@ print(f"HDBSCAN clusters: {labels.cluster_count}, "
 kept = pv.largest_cluster(filtered, labels)
 print(f"dominant HDBSCAN cluster kept: {len(kept)} points")
 
-# The one-call composition used by both filter stages of the pipeline.  In
-# HDBSCAN mode it is exactly the chain above:
+# The one-call composition used by the fine filter, and in HDBSCAN mode by
+# the pre-filter too.  In HDBSCAN mode it is exactly the chain above:
 robust = pv.robust_filter(scene.cloud, rparams, hparams, pv.CLUSTER_HDBSCAN)
 assert robust == kept
 print("robust_filter(cloud, ..., CLUSTER_HDBSCAN) == "
@@ -52,3 +52,12 @@ print(f"robust_filter(cloud, ..., CLUSTER_COMPONENTS) keeps "
       f"{len(components)} points")
 shared = {tuple(p) for p in components.xyz} & {tuple(p) for p in robust.xyz}
 print(f"points kept by both modes: {len(shared)}")
+
+# The default pipeline pre-filters with neither: the per-axis gap trim
+# keeps, on each axis in turn, the most populated run of coordinates with
+# no gap wider than r0.  No r0 pair crosses such a gap, so it keeps every
+# point the components pass keeps and only drops far strays.
+trimmed = pv.gap_trim(scene.cloud, rparams.r0)
+assert {tuple(p) for p in components.xyz} <= {tuple(p) for p in trimmed.xyz}
+print(f"gap_trim(cloud, r0) keeps {len(trimmed)} points, a superset of the "
+      "components pass")

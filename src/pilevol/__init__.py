@@ -1,9 +1,10 @@
 """Pile volume estimation from 3D point clouds.
 
-The measurement chain: pass-through trimming and robust denoising, RANSAC
-posture correction, height-histogram ground calibration, fine filtering,
-and column volume integration, plus slice and convex-hull baselines and a
-synthetic-scene harness with analytic ground truth.
+The measurement chain: pass-through trimming and a stray-point
+pre-filter, RANSAC posture correction, height-histogram ground
+calibration, fine filtering, and column volume integration, plus slice and
+convex-hull baselines and a synthetic-scene harness with analytic ground
+truth.
 """
 
 from .cloud import AxisRange, PointCloud, passthrough_filter, voxel_downsample
@@ -14,6 +15,7 @@ from .denoise import (
     ClusterLabels,
     HdbscanParams,
     RadiusFilterParams,
+    gap_trim,
     hdbscan,
     largest_cluster,
     radius_outlier_filter,

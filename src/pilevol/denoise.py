@@ -57,9 +57,9 @@ __all__ = [
     "CLUSTER_COMPONENTS",
     "CLUSTER_HDBSCAN",
     "RadiusFilterParams",
-    "gap_trim",
     "HdbscanParams",
     "ClusterLabels",
+    "gap_trim",
     "radius_outlier_filter",
     "hdbscan",
     "radius_components",
@@ -85,7 +85,7 @@ def _densest_run(values: np.ndarray, r0: float) -> tuple[float, float]:
     where runs split the sorted values at every neighbour gap above r0;
     ties go to the lowest run."""
     v = np.sort(values)
-    last = np.flatnonzero(np.diff(v) > r0)      # last index of every run but one
+    last = np.flatnonzero(np.diff(v) > r0)      # last index of every run but the last
     starts = np.concatenate(([0], last + 1))
     ends = np.concatenate((last, [len(v) - 1]))
     best = int(np.argmax(ends - starts))        # argmax takes the lowest run on ties

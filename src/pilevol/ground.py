@@ -210,7 +210,8 @@ def fine_filter(cloud: PointCloud, rparams: RadiusFilterParams,
                 method: str = CLUSTER_COMPONENTS) -> PointCloud:
     """Remove residual ground and clutter left after calibration.
 
-    Same mechanism as the pre-processing stage: radius outlier rejection
-    followed by largest-cluster extraction with the ``method`` cluster step.
+    Radius outlier rejection followed by largest-cluster extraction with
+    the ``method`` cluster step; ``CLUSTER_HDBSCAN`` mode also pre-filters
+    with it, as the paper does.
     """
     return robust_filter(cloud, rparams, hparams, method)
