@@ -173,10 +173,10 @@ def test_far_strays_leave_volume_unchanged(small_scene, n_stray, z):
     # single point at -50 m with no prefilter), so the prefilter must drop it
     config = PipelineConfig(seed=3)
     base = run_pipeline(config, cloud=small_scene.cloud)
-    rng = np.random.default_rng(n_stray)
-    stray = rng.normal((0.0, 0.0, z), 0.01, size=(n_stray, 3))
-    if n_stray == 1:
-        stray = np.array([[0.0, 0.0, z]])
+    stray = np.array([[0.0, 0.0, z]])
+    if n_stray > 1:
+        rng = np.random.default_rng(n_stray)
+        stray = rng.normal((0.0, 0.0, z), 0.01, size=(n_stray, 3))
     cloud = PointCloud(np.vstack([small_scene.cloud.xyz, stray]))
     report = run_pipeline(config, cloud=cloud)
     assert report.stage_counts["prefilter"] == base.stage_counts["prefilter"]
