@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .cloudio import FORMAT_PLY_BINARY, load_cloud, save_cloud
@@ -33,7 +32,12 @@ from .pipeline import (
     svg_line_plot,
     sweep_csv,
 )
-from .synth import dense_compression_scene, generate_scene, reference_scenes
+from .synth import (
+    dense_compression_scene,
+    generate_scene,
+    reference_scenes,
+    with_seed,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -64,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="PLY or XYZ cloud file")
     src.add_argument("--scene-id", help="reference catalogue scene id")
     p_run.add_argument("--truth", type=float, help="ground-truth volume for error reporting")
-    p_run.add_argument("--scene-area", type=float, help="known scene area (uniform estimator)")
 
     p_bench = sub.add_parser("bench", help="run the 18-scene reference benchmark")
     common(p_bench, seed=False)
@@ -177,7 +180,7 @@ def main(argv=None) -> int:
         return EXIT_STAGE
 
 
-def _resolve_input(args, config):
+def _resolve_input(args):
     if getattr(args, "input", None):
         cloud = load_cloud(args.input)
         return cloud, None
@@ -188,9 +191,7 @@ def _resolve_input(args, config):
 def _cmd_run(args, config, out_dir) -> int:
     if args.truth is not None and not (math.isfinite(args.truth) and args.truth > 0):
         raise ConfigError(f"--truth must be a finite volume > 0, got {args.truth}")
-    cloud, scene = _resolve_input(args, config)
-    if args.scene_area is not None:
-        config = replace(config, scene_area=args.scene_area)
+    cloud, scene = _resolve_input(args)
     report = run_pipeline(config, cloud=cloud, scene=scene)
     if args.truth is not None:
         report.true_volume = args.truth
@@ -200,7 +201,7 @@ def _cmd_run(args, config, out_dir) -> int:
     for stage, count in report.stage_counts.items():
         dt = report.timings_s.get(stage, 0.0)
         print(f"{stage:12s} {count:8d} points  ({dt:.2f} s)")
-    print(f"volume: {report.volume:.6f} m^3 [{report.estimates[0].method}]")
+    print(f"volume: {report.volume:.6f} m^3 [{report.estimate.method}]")
     if report.relative_error is not None:
         print(f"relative error: {report.relative_error * 100:+.2f}%")
     for warning in report.warnings:
@@ -247,7 +248,7 @@ def _cmd_sweep(args, config, out_dir) -> int:
 
 
 def _cmd_histogram(args, config, out_dir) -> int:
-    cloud, scene = _resolve_input(args, config)
+    cloud, scene = _resolve_input(args)
     csv_text, ground = emit_histogram(config, cloud=cloud, scene=scene)
     csv_path = out_dir / "histogram.csv"
     csv_path.write_text(csv_text)
@@ -274,7 +275,6 @@ def _cmd_synth(args, out_dir) -> int:
         return EXIT_OK
     spec = _find_scene(args.scene_id)
     if args.seed is not None:
-        from .synth import with_seed
         spec = with_seed(spec, args.seed)
     scene = generate_scene(spec)
     ext = {"ply-ascii": ".ply", "ply-binary-le": ".ply", "xyz": ".xyz"}[args.format]

@@ -96,7 +96,8 @@ def _add_to_columns(xyz: np.ndarray, offset) -> np.ndarray:
 class AxisRange:
     """Closed interval constraint on one coordinate axis.
 
-    Either bound may be infinite; lo <= hi is required when both are finite.
+    Either bound may be infinite, for an open end; NaN is rejected, and
+    lo <= hi is required.
     """
 
     axis: str
@@ -106,6 +107,9 @@ class AxisRange:
     def __post_init__(self):
         if self.axis not in AXIS_INDEX:
             raise InvalidParameter(f"axis must be one of X/Y/Z, got {self.axis!r}")
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise InvalidParameter(f"AxisRange bounds must not be NaN, got "
+                                   f"{self.lo}, {self.hi}")
         if self.lo > self.hi:
             raise InvalidParameter(f"AxisRange lo {self.lo} > hi {self.hi}")
 
@@ -134,8 +138,8 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     given cloud.  Output points are ordered by first-occurring member point,
     which keeps repeated runs identical.
     """
-    if voxel_size <= 0:
-        raise InvalidParameter(f"voxel_size must be > 0, got {voxel_size}")
+    if not (math.isfinite(voxel_size) and voxel_size > 0):
+        raise InvalidParameter(f"voxel_size must be finite and > 0, got {voxel_size}")
     if len(cloud) == 0:
         return cloud
     xyz = cloud.xyz

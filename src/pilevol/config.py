@@ -81,10 +81,8 @@ _KEYS = {
     ("ground", "mode"): ("ground_mode", str.upper),
     ("ground", "override_height"): ("override_height", _parse_float),
     ("ground", "margin"): ("margin", _parse_float),
-    ("volume", "estimator"): ("estimator", str.upper),
     ("volume", "cell_size"): ("grid.cell_size", _parse_float),
     ("volume", "aggregator"): ("grid.aggregator", str.upper),
-    ("volume", "scene_area"): ("scene_area", _parse_float),
 }
 _SECTIONS = {section for section, _ in _KEYS} | {"passthrough"}
 

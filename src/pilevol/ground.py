@@ -10,6 +10,7 @@ accepts an externally measured height.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,8 +200,8 @@ def calibrate(cloud: PointCloud, ground: GroundEstimate,
     The margin raises the cut so near-ground noise is stripped along with
     the ground itself; the surviving cloud has min z >= 0.
     """
-    if margin < 0:
-        raise InvalidParameter(f"margin must be >= 0, got {margin}")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise InvalidParameter(f"margin must be finite and >= 0, got {margin}")
     shifted = cloud.translated((0.0, 0.0, -(ground.height + margin)))
     return shifted.select(shifted.xyz[:, 2] >= 0.0)
 

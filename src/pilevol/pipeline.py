@@ -2,8 +2,8 @@
 
 Stage order is fixed (``STAGE_ORDER``): pass-through trim, optional voxel
 downsampling, pre-filtering, posture correction, ground calibration, fine
-filtering, then the volume estimator, one of the paper's two column
-integrators (``COLUMN_GRID`` or ``COLUMN_UNIFORM``).  One stage sequence,
+filtering, then the volume stage, which integrates column heights over
+a ground grid (``volume.column_volume_grid``).  One stage sequence,
 ``_run_stages``, serves both ``run_pipeline`` (through the volume stage)
 and ``emit_histogram`` (which stops after posture), and the batch studies
 share one round loop.  Every stage can be toggled off for ablation runs,
@@ -50,16 +50,7 @@ from .ground import (
 )
 from .pose import RansacParams, correct_posture, ransac_plane
 from .synth import Scene, SceneSpec, generate_scene, reference_scenes, with_seed
-from .volume import (
-    AGG_MEAN,
-    METHOD_COLUMN_GRID,
-    METHOD_COLUMN_UNIFORM,
-    GridSpec,
-    VolumeEstimate,
-    column_volume_grid,
-    column_volume_uniform,
-    footprint_area,
-)
+from .volume import AGG_MEAN, GridSpec, VolumeEstimate, column_volume_grid
 
 STAGE_ORDER = ("passthrough", "downsample", "prefilter", "posture",
                "calibration", "fine_filter", "volume")
@@ -67,7 +58,11 @@ STAGE_ORDER = ("passthrough", "downsample", "prefilter", "posture",
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every knob of the five-stage flow; defaults give the reference setup."""
+    """Every knob of the stage flow; defaults give the reference setup.
+
+    The volume stage integrates over the column grid ``grid``; the paper's
+    per-point uniform integrator is the library baseline
+    ``volume.column_volume_uniform``."""
 
     # stage toggles (pass-through/downsample activate via their parameters)
     enable_prefilter: bool = True
@@ -100,9 +95,7 @@ class PipelineConfig:
     margin: float = 0.012
 
     # volume
-    estimator: str = METHOD_COLUMN_GRID
     grid: GridSpec = GridSpec(cell_size=0.025, aggregator=AGG_MEAN)
-    scene_area: float | None = None
 
     # seeds RANSAC: the pipeline overrides ``ransac.seed`` with it, so
     # ``validate`` rejects a ``ransac.seed`` that is neither 0 nor this seed
@@ -123,8 +116,6 @@ class PipelineConfig:
         return replace(self.grid, cell_size=cell)
 
     def validate(self) -> None:
-        if self.estimator not in (METHOD_COLUMN_UNIFORM, METHOD_COLUMN_GRID):
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.ground_mode not in (MODE_FIRST_PEAK, MODE_MID_PLATEAU, MODE_OVERRIDE):
             raise ConfigError(f"unknown ground mode {self.ground_mode!r}")
         if self.cluster_method not in (CLUSTER_COMPONENTS, CLUSTER_HDBSCAN):
@@ -142,10 +133,9 @@ class PipelineConfig:
                               f"n_interval {self.n_interval}")
         if not 0 < self.search_band <= 1:
             raise ConfigError("search_band must be in (0, 1]")
-        for name in ("downsample_voxel", "scene_area"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        voxel = self.downsample_voxel
+        if voxel is not None and not (math.isfinite(voxel) and voxel > 0):
+            raise ConfigError(f"downsample_voxel must be finite and > 0, got {voxel}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.ransac.seed not in (0, self.seed):
@@ -159,7 +149,7 @@ class PipelineConfig:
 class RunReport:
     stage_counts: dict[str, int] = field(default_factory=dict)
     ground: GroundEstimate | None = None
-    estimates: list[VolumeEstimate] = field(default_factory=list)
+    estimate: VolumeEstimate | None = None
     timings_s: dict[str, float] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     config: PipelineConfig | None = None
@@ -168,7 +158,7 @@ class RunReport:
 
     @property
     def volume(self) -> float:
-        return self.estimates[0].volume if self.estimates else math.nan
+        return self.estimate.volume if self.estimate is not None else math.nan
 
 
 def _with_round_seed(config: PipelineConfig, seed: int) -> PipelineConfig:
@@ -224,29 +214,10 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
             cloud = fine_filter(cloud, rparams, config.hdbscan_params,
                                 config.cluster_method)
         elif stage == "volume":
-            report.estimates.append(_volume(config, cloud, scene, report))
+            report.estimate = column_volume_grid(cloud, config.effective_grid())
         report.stage_counts[stage] = len(cloud)
         report.timings_s[stage] = time.perf_counter() - t0
     return cloud
-
-
-def _volume(config: PipelineConfig, cloud: PointCloud, scene: Scene | None,
-            report: RunReport) -> VolumeEstimate:
-    """Integrate column heights over the calibrated cloud with the
-    configured estimator."""
-    if config.estimator == METHOD_COLUMN_GRID:
-        return column_volume_grid(cloud, config.effective_grid())
-    scene_area = config.scene_area
-    if scene_area is None and scene is not None:
-        scene_area = scene.spec.footprint_area
-    if scene_area is None:
-        raise ConfigError("COLUMN_UNIFORM needs scene_area")
-    # the pre-processed cloud is the uniform sampling of the scene the
-    # element-area division refers to
-    n_preprocessed = report.stage_counts["prefilter"]
-    if n_preprocessed == 0:
-        raise EmptyCloud("no points left before volume integration")
-    return column_volume_uniform(cloud, footprint_area(scene_area, n_preprocessed))
 
 
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,
@@ -394,10 +365,9 @@ def compression_sweep(spec: SceneSpec, voxel_sizes: list[float],
     The first returned row is the uncompressed origin (voxel_size 0, ratio
     1).  The compressed ratio is the downsampled point count over the
     count entering the downsample stage (the original count unless a
-    pass-through range trims it).  With the uniform-column estimator the
-    element area recomputes from the downsampled count automatically, since
-    it divides the scene area by the pre-processed count that reaches the
-    integrator.  Rounds are seeded as in ``bench_reference``.
+    pass-through range trims it).  The grid cell grows with the voxel size
+    (``PipelineConfig.effective_grid``).  Rounds are seeded as in
+    ``bench_reference``.
     """
     if not all(math.isfinite(s) and s > 0 for s in voxel_sizes):
         raise ConfigError("voxel sizes must be finite and positive")
@@ -492,7 +462,8 @@ def run_report_csv(report: RunReport) -> str:
         lines.append(f"ground_mode,{report.ground.mode}")
         conf = report.ground.confidence
         lines.append(f"ground_confidence,{'inf' if math.isinf(conf) else f'{conf:.4f}'}")
-    for est in report.estimates:
+    est = report.estimate
+    if est is not None:
         lines.append(f"method,{est.method}")
         lines.append(f"volume_m3,{est.volume:.8f}")
         for key, value in sorted(est.params_used.items()):

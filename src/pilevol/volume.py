@@ -1,12 +1,13 @@
 """Volume estimators.
 
 The column integrators are the measurement core: volume as the sum of
-(ground element area x column height) over a calibrated cloud.  The
-uniform variant assigns every point an equal ground footprint derived
-from the known scene area; the grid variant rasterizes the footprint into
-square cells so memory follows the ground area rather than the 3D extent.
-Slice-stacking and convex-hull estimators are included as comparison
-baselines with their known pathologies.
+(ground element area x column height) over a calibrated cloud.  The grid
+variant, the one the pipeline runs, rasterizes the footprint into square
+cells so memory follows the ground area rather than the 3D extent.  The
+uniform variant is the paper's per-point integration: every point gets an
+equal ground footprint derived from the known scene area.  It, the
+slice-stacking and the convex-hull estimators are comparison baselines
+with their known pathologies.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class VolumeEstimate:
 
 def footprint_area(scene_area: float, point_count: int) -> float:
     """Ground element area per point under the uniform-sampling assumption."""
-    if scene_area <= 0:
-        raise InvalidParameter(f"scene_area must be > 0, got {scene_area}")
+    if not (math.isfinite(scene_area) and scene_area > 0):
+        raise InvalidParameter(f"scene_area must be finite and > 0, got {scene_area}")
     if point_count <= 0:
         raise InvalidParameter(f"point_count must be > 0, got {point_count}")
     return scene_area / point_count
@@ -68,8 +69,9 @@ def column_volume_uniform(cloud: PointCloud, element_area: float) -> VolumeEstim
     Below-ground heights stay negative, matching the single-pass
     integration that skips a positivity test.
     """
-    if element_area <= 0:
-        raise InvalidParameter(f"element_area must be > 0, got {element_area}")
+    if not (math.isfinite(element_area) and element_area > 0):
+        raise InvalidParameter(
+            f"element_area must be finite and > 0, got {element_area}")
     z = cloud.xyz[:, 2] if len(cloud) else np.zeros(0)
     volume = element_area * float(z.sum())
     # "signed" and "compensation" are fixed; the report keeps their columns
@@ -134,8 +136,8 @@ def slice_volume(cloud: PointCloud, interval: float) -> VolumeEstimate:
     the method, while large intervals overestimate by integrating each
     layer's full footprint over its whole thickness.
     """
-    if interval <= 0:
-        raise InvalidParameter(f"interval must be > 0, got {interval}")
+    if not (math.isfinite(interval) and interval > 0):
+        raise InvalidParameter(f"interval must be finite and > 0, got {interval}")
     xyz = cloud.xyz
     total = 0.0
     n_layers = 0

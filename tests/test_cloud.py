@@ -80,6 +80,20 @@ def test_axis_range_validation():
         AxisRange("X", 2.0, 1.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda cloud: voxel_downsample(cloud, float("nan")),
+    lambda cloud: voxel_downsample(cloud, float("inf")),
+    lambda cloud: AxisRange("X", float("nan"), 1.0),
+    lambda cloud: AxisRange("X", 0.0, float("nan")),
+], ids=["voxel-nan", "voxel-inf", "range-lo-nan", "range-hi-nan"])
+def test_non_finite_parameters_are_rejected(build):
+    # a NaN or infinite voxel would collapse the cloud to one point, and a
+    # NaN bound would filter every point out; +-inf stay open range ends
+    cloud = PointCloud(np.random.default_rng(0).uniform(0, 1, (100, 3)))
+    with pytest.raises(InvalidParameter):
+        build(cloud)
+
+
 def test_voxel_downsample_cube_centroid():
     corners = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     out = voxel_downsample(PointCloud(corners), 2.0)

@@ -241,6 +241,13 @@ def test_calibrate_rejects_negative_margin():
         calibrate(cloud_with_z([0.0]), override_ground(0.0), -0.01)
 
 
+@pytest.mark.parametrize("margin", [float("nan"), float("inf")])
+def test_calibrate_rejects_non_finite_margin(margin):
+    # either would cut every point and return an empty cloud
+    with pytest.raises(InvalidParameter):
+        calibrate(cloud_with_z([0.0, 0.5]), override_ground(0.0), margin)
+
+
 # ---------------------------------------------------------------------------
 # fine_filter
 # ---------------------------------------------------------------------------

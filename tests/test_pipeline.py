@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -68,7 +69,7 @@ def small_scene():
 
 def test_run_pipeline_reference_accuracy(small_scene):
     report = run_pipeline(PipelineConfig(seed=3), scene=small_scene)
-    assert report.estimates[0].method == "COLUMN_GRID"
+    assert report.estimate.method == "COLUMN_GRID"
     assert abs(report.relative_error) <= 0.05
     counts = [report.stage_counts[s] for s in
               ("passthrough", "downsample", "prefilter", "posture",
@@ -162,7 +163,7 @@ def test_far_outlier_leaves_volume_unchanged(small_scene):
     report = run_pipeline(config, cloud=far)
     assert report.stage_counts["passthrough"] == base.stage_counts["passthrough"] + 1
     assert report.stage_counts["prefilter"] == base.stage_counts["prefilter"]
-    assert report.estimates[0].volume == base.estimates[0].volume
+    assert report.volume == base.volume
 
 
 @pytest.mark.parametrize("z", [-50.0, 50.0], ids=["below", "above"])
@@ -180,7 +181,7 @@ def test_far_strays_leave_volume_unchanged(small_scene, n_stray, z):
     cloud = PointCloud(np.vstack([small_scene.cloud.xyz, stray]))
     report = run_pipeline(config, cloud=cloud)
     assert report.stage_counts["prefilter"] == base.stage_counts["prefilter"]
-    assert report.estimates[0].volume == base.estimates[0].volume
+    assert report.volume == base.volume
 
 
 def test_pipeline_seed_alone_seeds_ransac(small_scene, monkeypatch):
@@ -269,27 +270,18 @@ def test_pipeline_empty_input():
 
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
-        run_pipeline(PipelineConfig(estimator="NOT_A_METHOD"),
+        run_pipeline(PipelineConfig(cluster_method="NOT_A_METHOD"),
                      cloud=PointCloud([[0, 0, 0]]))
     with pytest.raises(ConfigError):
         PipelineConfig(ground_mode="OVERRIDE").validate()
     with pytest.raises(ConfigError):
         PipelineConfig(smooth_step=4).validate()
     for bad in (dict(seed=-1), dict(n_interval=1),
-                dict(downsample_voxel=math.nan), dict(scene_area=0.0)):
+                dict(downsample_voxel=math.nan)):
         with pytest.raises(ConfigError):
             PipelineConfig(**bad).validate()
     with pytest.raises(ConfigError):
         run_pipeline(PipelineConfig(), )        # no cloud, no scene
-
-
-def test_uniform_estimator_needs_scene_area(small_scene):
-    cfg = PipelineConfig(seed=3, estimator="COLUMN_UNIFORM")
-    report = run_pipeline(cfg, scene=small_scene)   # area from the scene spec
-    assert report.estimates[0].method == "COLUMN_UNIFORM"
-    cloud_only = small_scene.cloud
-    with pytest.raises(ConfigError):
-        run_pipeline(cfg, cloud=cloud_only)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +435,6 @@ mode = MID_PLATEAU
 margin = 0.02
 
 [volume]
-estimator = COLUMN_GRID
 cell_size = 0.04
 aggregator = MAX
 """
@@ -478,8 +469,21 @@ def test_config_value_validation():
         parse_config_text("[pipeline]\nseed = many\n")
 
 
+# keys the pipeline no longer has: an unknown key names its line
+REMOVED_KEYS = [
+    "[ground]\nrestore_datum = on\n",
+    "[volume]\nslice_interval = 0.05\n",
+    "[volume]\ncompensation = 1.0\n",
+    "[volume]\nsigned = true\n",
+    "[volume]\nestimator = SLICE\n",
+    "[volume]\nestimator = HULL3D\n",
+    "[volume]\nestimator = COLUMN_GRID\n",
+    "[volume]\nscene_area = 0\n",
+    "[volume]\nscene_area = 1.3\n",
+]
+
 # values a parameter rejects, numbers that are not finite, negative seeds,
-# and the keys and estimator values the pipeline no longer has
+# and the removed keys
 BAD_CONFIGS = [
     "[filter]\nr0 = -1\n",
     "[filter]\nr0 = nan\n",
@@ -488,7 +492,6 @@ BAD_CONFIGS = [
     "[volume]\ncell_size = nan\n",
     "[volume]\ncell_size = inf\n",
     "[volume]\naggregator = median\n",
-    "[volume]\nscene_area = 0\n",
     "[ransac]\nmax_iterations = 0\n",
     "[ransac]\ndistance_threshold = nan\n",
     "[passthrough]\nx = 2, 1\n",
@@ -497,19 +500,15 @@ BAD_CONFIGS = [
     "[ground]\nmargin = nan\n",
     "[ground]\nn_interval = 1\n",
     "[ground]\nstep = 301\n",
-    "[ground]\nrestore_datum = on\n",
-    "[volume]\nslice_interval = 0.05\n",
-    "[volume]\ncompensation = 1.0\n",
-    "[volume]\nsigned = true\n",
-    "[volume]\nestimator = SLICE\n",
-    "[volume]\nestimator = HULL3D\n",
-]
+] + REMOVED_KEYS
 
 
 @pytest.mark.parametrize("text", BAD_CONFIGS)
 def test_bad_config_is_a_config_error(text, tmp_path, capsys):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         parse_config_text(text)
+    if text in REMOVED_KEYS:
+        assert str(exc.value).startswith("line 2: unknown key")
     path = tmp_path / "c.ini"
     path.write_text(text)
     assert cli_main(["run", "--scene-id", reference_scenes()[0].scene_id,
@@ -574,10 +573,8 @@ CONFIG_LINE_FOR_LEAF = {
     "ground_mode": "[ground]\nmode = MID_PLATEAU",
     "override_height": "[ground]\noverride_height = 0.1",
     "margin": "[ground]\nmargin = 0.02",
-    "estimator": "[volume]\nestimator = COLUMN_UNIFORM",
     "grid.cell_size": "[volume]\ncell_size = 0.04",
     "grid.aggregator": "[volume]\naggregator = MAX",
-    "scene_area": "[volume]\nscene_area = 1.3",
 }
 
 
@@ -596,6 +593,19 @@ def test_every_pipeline_knob_has_a_config_key():
     for leaf, text in CONFIG_LINE_FOR_LEAF.items():
         expected = {"seed", "ransac.seed"} if leaf.endswith("seed") else {leaf}
         assert _changed_leaves(text) == expected, text
+
+
+def test_readme_config_table_lists_every_key():
+    # each section's row of README's config table names exactly the keys
+    # the parser takes; parenthesised notes hold values, not keys
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, re.MULTILINE)
+    listed = {section: set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys)))
+              for section, keys in rows}
+    expected = {"pipeline": {"seed"}, "passthrough": {"x", "y", "z"}}
+    for section, key in _KEYS:
+        expected.setdefault(section, set()).add(key)
+    assert listed == expected
 
 
 CONFIG_VALUES = ["nan", "inf", "-inf", "", "-1", "0", "1", "2", "3", "7",
@@ -679,7 +689,8 @@ def test_cli_bad_cloud_file_is_an_input_error(tmp_path, capsys, name, content):
     ["bench", "--seed", "1"],
     ["sweep", "--seed", "1"],
     ["synth", "--scene-id", "list", "--config", "c.ini"],
-], ids=["bench-seed", "sweep-seed", "synth-config"])
+    ["run", "--scene-id", "s01-a1.3-v0.014-cone", "--scene-area", "1.3"],
+], ids=["bench-seed", "sweep-seed", "synth-config", "run-scene-area"])
 def test_cli_rejects_options_a_command_would_ignore(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)

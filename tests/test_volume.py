@@ -68,6 +68,21 @@ def shoelace(poly: np.ndarray) -> float:
 # footprint_area and uniform columns
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("estimate", [
+    lambda cloud: column_volume_uniform(cloud, float("nan")),
+    lambda cloud: column_volume_uniform(cloud, float("inf")),
+    lambda cloud: footprint_area(float("nan"), 10),
+    lambda cloud: footprint_area(float("inf"), 10),
+    lambda cloud: slice_volume(cloud, float("nan")),
+    lambda cloud: slice_volume(cloud, float("inf")),
+], ids=["uniform-nan", "uniform-inf", "footprint-nan", "footprint-inf",
+        "slice-nan", "slice-inf"])
+def test_non_finite_parameters_are_rejected(estimate):
+    # each would otherwise return a nan or inf volume or area
+    with pytest.raises(InvalidParameter):
+        estimate(sampled_cone(n=1000))
+
+
 def test_footprint_area_examples():
     assert footprint_area(1.3, 1300) == pytest.approx(0.001)
     assert footprint_area(2.6, 1) == pytest.approx(2.6)
