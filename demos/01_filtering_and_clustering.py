@@ -4,8 +4,9 @@ dominant-cluster extraction on a cluttered synthetic scene.
 A pile sits on a ground slab with a wall strip, a pole, a small far heap,
 and sparse scatter around it.  The radius filter strips the scatter; a
 clustering step groups what remains and keeps the dominant connected
-mass.  Two clustering steps are available: the connected components of
-the r0 radius graph (the default) and the paper's HDBSCAN.
+mass.  The paper clusters with HDBSCAN; the pipeline's fine filter
+takes the connected components of the r0 radius graph instead, and the
+paper's chain stays available as the library composition shown first.
 """
 
 import pilevol as pv
@@ -18,7 +19,7 @@ print(f"scene {spec.scene_id}: {len(scene.cloud)} points, "
 
 # Radius outlier rejection: drop points with fewer than n_min neighbors
 # within r0.  Sparse scatter dies here; dense surfaces survive.
-rparams = pv.RadiusFilterParams(r0=0.025, n_min=4)
+rparams = pv.RadiusFilterParams(r0=0.025, n_min=4, min_cluster_size=50)
 filtered = pv.radius_outlier_filter(scene.cloud, rparams)
 print(f"radius filter: {len(scene.cloud)} -> {len(filtered)} points "
       f"({len(scene.cloud) - len(filtered)} removed)")
@@ -36,24 +37,16 @@ print(f"HDBSCAN clusters: {labels.cluster_count}, "
 kept = pv.largest_cluster(filtered, labels)
 print(f"dominant HDBSCAN cluster kept: {len(kept)} points")
 
-# The one-call composition used by the fine filter, and in HDBSCAN mode by
-# the pre-filter too.  In HDBSCAN mode it is exactly the chain above:
-robust = pv.robust_filter(scene.cloud, rparams, hparams, pv.CLUSTER_HDBSCAN)
-assert robust == kept
-print("robust_filter(cloud, ..., CLUSTER_HDBSCAN) == "
-      "largest_cluster(hdbscan(radius_outlier_filter(cloud)))")
+# The pipeline's fine filter clusters on the radius graph itself: two
+# surviving points within r0 of each other share a cluster, and components
+# smaller than min_cluster_size are noise.  It reuses the neighbor pairs of
+# the radius count, so the whole pass makes one kd-tree query.
+components = pv.robust_filter(scene.cloud, rparams)
+print(f"robust_filter(cloud, rparams) keeps {len(components)} points")
+shared = {tuple(p) for p in components.xyz} & {tuple(p) for p in kept.xyz}
+print(f"points kept by both the components and the HDBSCAN chain: {len(shared)}")
 
-# The default mode clusters on the radius graph itself: two surviving
-# points within r0 of each other share a cluster, and components smaller
-# than min_cluster_size are noise.  It reuses the neighbor pairs of the
-# radius count, so the whole pass makes one kd-tree query.
-components = pv.robust_filter(scene.cloud, rparams, hparams)
-print(f"robust_filter(cloud, ..., CLUSTER_COMPONENTS) keeps "
-      f"{len(components)} points")
-shared = {tuple(p) for p in components.xyz} & {tuple(p) for p in robust.xyz}
-print(f"points kept by both modes: {len(shared)}")
-
-# The default pipeline pre-filters with neither: the per-axis gap trim
+# The pipeline pre-filters with neither: the per-axis gap trim
 # keeps, on each axis in turn, the most populated run of coordinates with
 # no gap wider than r0.  No r0 pair crosses such a gap, so it keeps every
 # point the components pass keeps and only drops far strays.

@@ -13,8 +13,8 @@ from pilevol.synth import generate_scene, reference_scenes
 
 spec = reference_scenes()[3]
 scene = generate_scene(spec)
-cloud = pv.robust_filter(scene.cloud, pv.RadiusFilterParams(r0=0.025, n_min=4),
-                         pv.HdbscanParams())
+# the pipeline's pre-filter: drop far strays with the per-axis r0 gap trim
+cloud = pv.gap_trim(scene.cloud, 0.025)
 
 # 1. dominant plane via RANSAC, then rotate its normal onto +Z
 plane = pv.ransac_plane(cloud, pv.RansacParams(seed=spec.seed))
@@ -42,8 +42,7 @@ print(f"calibration: {len(level)} -> {len(calibrated)} points "
       f"(ground slab removed)")
 
 # 4. fine filtering clears clutter islands and near-ground stragglers
-pile = pv.fine_filter(calibrated, pv.RadiusFilterParams(r0=0.025, n_min=4),
-                      pv.HdbscanParams())
+pile = pv.fine_filter(calibrated, pv.RadiusFilterParams(r0=0.025, n_min=4))
 print(f"fine filter: {len(calibrated)} -> {len(pile)} points")
 
 est = pv.column_volume_grid(pile, pv.GridSpec(cell_size=0.025))

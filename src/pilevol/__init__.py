@@ -1,17 +1,18 @@
 """Pile volume estimation from 3D point clouds.
 
 The measurement chain: pass-through trimming and a stray-point
-pre-filter, RANSAC posture correction, height-histogram ground
-calibration, fine filtering, and column volume integration, plus slice and
-convex-hull baselines and a synthetic-scene harness with analytic ground
-truth.
+pre-filter (the per-axis gap trim), RANSAC posture correction,
+height-histogram ground calibration, fine filtering (the largest r0
+component), and column volume integration, plus slice and convex-hull
+baselines and a synthetic-scene harness with analytic ground truth.  The
+paper's radius filter and HDBSCAN chain stay as library functions
+(``radius_outlier_filter``, ``hdbscan``, ``largest_cluster``); the
+pipeline does not run them.
 """
 
 from .cloud import AxisRange, PointCloud, passthrough_filter, voxel_downsample
 from .cloudio import load_cloud, save_cloud
 from .denoise import (
-    CLUSTER_COMPONENTS,
-    CLUSTER_HDBSCAN,
     ClusterLabels,
     HdbscanParams,
     RadiusFilterParams,

@@ -69,9 +69,7 @@ _KEYS = {
     ("pipeline", "downsample_voxel"): ("downsample_voxel", _parse_optional_float),
     ("filter", "r0"): ("radius_params.r0", _parse_float),
     ("filter", "n_min"): ("radius_params.n_min", _parse_int),
-    ("filter", "min_cluster_size"): ("hdbscan_params.min_cluster_size", _parse_int),
-    ("filter", "min_samples"): ("hdbscan_params.min_samples", _parse_int),
-    ("filter", "cluster"): ("cluster_method", str.upper),
+    ("filter", "min_cluster_size"): ("radius_params.min_cluster_size", _parse_int),
     ("ransac", "distance_threshold"): ("ransac.distance_threshold", _parse_float),
     ("ransac", "max_iterations"): ("ransac.max_iterations", _parse_int),
     ("ransac", "min_inlier_fraction"): ("ransac.min_inlier_fraction", _parse_float),

@@ -1,40 +1,36 @@
 """Robust noise removal: a per-axis gap trim, radius outlier rejection
 and dominant-cluster extraction.
 
-``gap_trim`` is the pre-filter of the default ``CLUSTER_COMPONENTS``
-mode.  On each axis it sorts the coordinates, splits them wherever two
-neighbours lie more than r0 apart and keeps the points inside the run
-holding the most points.  No r0 pair crosses such a gap, so the trim
-never splits what the r0 radius graph connects.  It drops far stray
-points and blobs, which would otherwise stretch the height histogram's
-range, for the cost of three sorts instead of a full-cloud pair query.
+``gap_trim`` is the pipeline's pre-filter.  On each axis it sorts the
+coordinates, splits them wherever two neighbours lie more than r0 apart
+and keeps the points inside the run holding the most points.  No r0 pair
+crosses such a gap, so the trim never splits what the r0 radius graph
+connects.  It drops far stray points and blobs, which would otherwise
+stretch the height histogram's range, for the cost of three sorts instead
+of a full-cloud pair query.
 
-``robust_filter`` is radius outlier rejection followed by
-largest-cluster extraction: the fine filter in either mode, and the
-pre-filter in ``CLUSTER_HDBSCAN`` mode, as in the paper.
+``robust_filter`` is the pipeline's fine filter: radius outlier rejection
+followed by the largest connected component of the r0 radius graph among
+the surviving points.  The radius filter keeps points with at least n_min
+other points within r0.  The counts come from one kd-tree pair query
+(every pair within r0, each counted at both ends) and are contractually
+identical to the naive all-pairs loop, which the test suite checks
+against a brute-force oracle.  The components reuse the pairs the count
+was taken from; this is DBSCAN-style clustering (Ester et al., KDD 1996),
+as in PCL's Euclidean cluster extraction.  They come from min-label
+hooking on the pair list itself (Shiloach & Vishkin, J. Algorithms 1982),
+with no sparse matrix: each round hooks every edge's larger root onto its
+smaller one, resolves the roots by pointer jumping and drops the edges
+inside one root.  Every root that still has a cross edge is hooked onto a
+smaller root, so the number of roots strictly falls and the loop ends;
+each component is rooted at its lowest point index.  Components of fewer
+than ``min_cluster_size`` points are noise.
 
-The radius filter keeps points with at least n_min other points within
-r0.  The counts come from one kd-tree pair query (every pair within r0,
-each counted at both ends) and are contractually identical to the naive
-all-pairs loop, which the test suite checks against a brute-force oracle.
-Cluster extraction keeps the most populated cluster, isolating the
-measured pile from residual clutter.  Two cluster steps are selectable:
-
-- ``CLUSTER_COMPONENTS`` (the default): the connected components of the
-  r0 radius graph among the surviving points, reusing the pairs the count
-  was taken from.  This is DBSCAN-style clustering (Ester et al., KDD
-  1996), as in PCL's Euclidean cluster extraction.  The components come
-  from min-label hooking on the pair list itself (Shiloach & Vishkin,
-  J. Algorithms 1982), with no sparse matrix: each round hooks every
-  edge's larger root onto its smaller one, resolves the roots by pointer
-  jumping and drops the edges inside one root.  Every root that still
-  has a cross edge is hooked onto a smaller root, so the number of roots
-  strictly falls and the loop ends; each component is rooted at its
-  lowest point index.
-- ``CLUSTER_HDBSCAN``: the paper's mutual-reachability clustering chain
-  (``pilevol._hdbscan``), kept as the reference mode.
-
-Either way, clusters of fewer than ``min_cluster_size`` points are noise.
+The paper's filter is the library composition
+``largest_cluster(f, hdbscan(f, params))`` with
+``f = radius_outlier_filter(cloud, rparams)``: the mutual-reachability
+clustering chain of ``pilevol._hdbscan``, kept as a reference that the
+pipeline no longer runs.
 """
 
 from __future__ import annotations
@@ -50,12 +46,7 @@ from .errors import InvalidParameter, LabelMismatch
 from ._hdbscan import (NOISE, ClusterLabels, HdbscanParams, _components,
                        run_hdbscan)
 
-CLUSTER_COMPONENTS = "COMPONENTS"
-CLUSTER_HDBSCAN = "HDBSCAN"
-
 __all__ = [
-    "CLUSTER_COMPONENTS",
-    "CLUSTER_HDBSCAN",
     "RadiusFilterParams",
     "HdbscanParams",
     "ClusterLabels",
@@ -72,12 +63,16 @@ __all__ = [
 class RadiusFilterParams:
     r0: float = 0.015        # neighborhood radius, meters
     n_min: int = 4           # minimum neighbor count (excluding the point)
+    min_cluster_size: int = 50   # smaller r0 components are noise
 
     def __post_init__(self):
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise InvalidParameter(f"r0 must be finite and > 0, got {self.r0}")
         if self.n_min < 0:
             raise InvalidParameter(f"n_min must be >= 0, got {self.n_min}")
+        if self.min_cluster_size < 2:
+            raise InvalidParameter(f"min_cluster_size must be >= 2, got "
+                                   f"{self.min_cluster_size}")
 
 
 def _densest_run(values: np.ndarray, r0: float) -> tuple[float, float]:
@@ -205,27 +200,18 @@ def largest_cluster(cloud: PointCloud, labels: ClusterLabels) -> PointCloud:
     return cloud.select(labels.labels == winner)
 
 
-def robust_filter(cloud: PointCloud, rparams: RadiusFilterParams,
-                  hparams: HdbscanParams,
-                  method: str = CLUSTER_COMPONENTS) -> PointCloud:
-    """Radius outlier rejection followed by largest-cluster extraction.
+def robust_filter(cloud: PointCloud, rparams: RadiusFilterParams) -> PointCloud:
+    """Radius outlier rejection followed by the largest r0 component of
+    at least ``rparams.min_cluster_size`` survivors.
 
-    ``CLUSTER_COMPONENTS`` clusters on the pairs of the radius count, so a
-    pass makes one kd-tree query, and reads ``hparams.min_cluster_size``
-    alone; ``CLUSTER_HDBSCAN`` runs the paper's chain on the survivors.
+    The components are taken on the pairs of the radius count, so a pass
+    makes one kd-tree query.
     """
-    if method == CLUSTER_HDBSCAN:
-        filtered = radius_outlier_filter(cloud, rparams)
-        if len(filtered) == 0:
-            return filtered
-        return largest_cluster(filtered, hdbscan(filtered, hparams))
-    if method != CLUSTER_COMPONENTS:
-        raise InvalidParameter(f"unknown cluster method {method!r}")
     if len(cloud) == 0:
         return cloud
     keep, edges = _survivor_edges(cloud.xyz, rparams)
     filtered = cloud.select(keep)
     if len(filtered) == 0:
         return filtered
-    labels = radius_components(len(filtered), edges, hparams.min_cluster_size)
+    labels = radius_components(len(filtered), edges, rparams.min_cluster_size)
     return largest_cluster(filtered, labels)

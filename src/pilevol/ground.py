@@ -5,7 +5,9 @@ the z histogram.  The reference height is read from that peak, the cloud
 is translated so the reference sits at z = 0, and everything below it is
 removed.  A mid-plateau variant handles registration-smeared ground where
 the peak degrades into a run of near-equal bins, and an override mode
-accepts an externally measured height.
+accepts an externally measured height.  ``fine_filter`` then strips the
+residual ground and clutter by keeping the largest r0 component of the
+calibrated cloud.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .denoise import (
-    CLUSTER_COMPONENTS,
-    HdbscanParams,
-    RadiusFilterParams,
-    robust_filter,
-)
+from .denoise import RadiusFilterParams, robust_filter
 from .errors import DegenerateHeights, EmptyBand, EmptyCloud, InvalidParameter
 
 MODE_FIRST_PEAK = "FIRST_PEAK"
@@ -189,6 +186,8 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
 
 def override_ground(height: float) -> GroundEstimate:
     """Ground estimate pinned to an externally supplied height."""
+    if not math.isfinite(height):
+        raise InvalidParameter(f"override height must be finite, got {height}")
     return GroundEstimate(height=float(height), mode=MODE_OVERRIDE,
                           peak_bin=-1, confidence=float("inf"))
 
@@ -206,13 +205,10 @@ def calibrate(cloud: PointCloud, ground: GroundEstimate,
     return shifted.select(shifted.xyz[:, 2] >= 0.0)
 
 
-def fine_filter(cloud: PointCloud, rparams: RadiusFilterParams,
-                hparams: HdbscanParams,
-                method: str = CLUSTER_COMPONENTS) -> PointCloud:
+def fine_filter(cloud: PointCloud, rparams: RadiusFilterParams) -> PointCloud:
     """Remove residual ground and clutter left after calibration.
 
-    Radius outlier rejection followed by largest-cluster extraction with
-    the ``method`` cluster step; ``CLUSTER_HDBSCAN`` mode also pre-filters
-    with it, as the paper does.
+    Radius outlier rejection followed by largest-component extraction
+    (``denoise.robust_filter``).
     """
-    return robust_filter(cloud, rparams, hparams, method)
+    return robust_filter(cloud, rparams)

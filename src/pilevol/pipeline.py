@@ -11,11 +11,11 @@ in which case the cloud passes through unchanged.  Reports are plain CSV
 and are byte-identical for identical config and seed; stage timings are
 kept out of the CSV for exactly that reason.
 
-The pre-filter guards posture and calibration against far stray points.
-In the default ``CLUSTER_COMPONENTS`` mode it is the per-axis r0 gap trim
-(``denoise.gap_trim``); ``CLUSTER_HDBSCAN`` mode keeps the paper's radius
-filter and HDBSCAN pass over the whole cloud.  Both modes fine-filter
-with ``robust_filter``.
+The pre-filter guards posture and calibration against far stray points
+with the per-axis r0 gap trim (``denoise.gap_trim``); the fine filter
+keeps the largest r0 component of the radius survivors
+(``ground.fine_filter``).  The paper's radius filter and HDBSCAN chain is
+a library composition the pipeline does not run (see ``pilevol.denoise``).
 """
 
 from __future__ import annotations
@@ -27,14 +27,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cloud import AxisRange, PointCloud, passthrough_filter, voxel_downsample
-from .denoise import (
-    CLUSTER_COMPONENTS,
-    CLUSTER_HDBSCAN,
-    HdbscanParams,
-    RadiusFilterParams,
-    gap_trim,
-    robust_filter,
-)
+# no stage calls robust_filter here (the fine filter reaches it through
+# ground.fine_filter), but the benchmark's tracer wraps this module's name
+from .denoise import RadiusFilterParams, gap_trim, robust_filter
 from .errors import ConfigError, EmptyCloud, PilevolError
 from .ground import (
     MODE_FIRST_PEAK,
@@ -73,12 +68,9 @@ class PipelineConfig:
     # pre-process
     passthrough_ranges: tuple[AxisRange, ...] = ()
     downsample_voxel: float | None = None
-    radius_params: RadiusFilterParams = RadiusFilterParams(r0=0.025, n_min=4)
-    hdbscan_params: HdbscanParams = HdbscanParams(min_cluster_size=50, min_samples=10)
-    # COMPONENTS pre-filters with the per-axis r0 gap trim and fine-filters
-    # with the r0 components, reading only hdbscan_params.min_cluster_size;
-    # HDBSCAN is the paper's chain, radius filter + HDBSCAN in both passes
-    cluster_method: str = CLUSTER_COMPONENTS
+    # the pre-filter reads only r0; the fine filter reads all three
+    radius_params: RadiusFilterParams = RadiusFilterParams(
+        r0=0.025, n_min=4, min_cluster_size=50)
 
     # posture correction
     ransac: RansacParams = RansacParams()
@@ -118,12 +110,13 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.ground_mode not in (MODE_FIRST_PEAK, MODE_MID_PLATEAU, MODE_OVERRIDE):
             raise ConfigError(f"unknown ground mode {self.ground_mode!r}")
-        if self.cluster_method not in (CLUSTER_COMPONENTS, CLUSTER_HDBSCAN):
-            raise ConfigError(f"unknown cluster method {self.cluster_method!r}")
-        if self.ground_mode == MODE_OVERRIDE and self.override_height is None:
+        height = self.override_height
+        if self.ground_mode == MODE_OVERRIDE and height is None:
             raise ConfigError("OVERRIDE ground mode needs override_height")
-        if not self.margin >= 0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
+        if height is not None and not math.isfinite(height):
+            raise ConfigError(f"override_height must be finite, got {height}")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
         if self.n_interval < 2:
             raise ConfigError("n_interval must be >= 2")
         if self.smooth_step < 1 or self.smooth_step % 2 == 0:
@@ -191,11 +184,7 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
         elif stage == "downsample" and config.downsample_voxel is not None:
             cloud = voxel_downsample(cloud, config.downsample_voxel)
         elif stage == "prefilter" and config.enable_prefilter:
-            if config.cluster_method == CLUSTER_HDBSCAN:
-                cloud = robust_filter(cloud, rparams, config.hdbscan_params,
-                                      CLUSTER_HDBSCAN)
-            else:
-                cloud = gap_trim(cloud, rparams.r0)
+            cloud = gap_trim(cloud, rparams.r0)
         elif stage == "posture" and config.enable_posture:
             plane = ransac_plane(cloud, replace(config.ransac, seed=config.seed))
             cloud = correct_posture(cloud, plane)
@@ -211,8 +200,7 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
             if config.margin > 0:
                 cloud = cloud.translated((0.0, 0.0, config.margin))
         elif stage == "fine_filter" and config.enable_fine_filter:
-            cloud = fine_filter(cloud, rparams, config.hdbscan_params,
-                                config.cluster_method)
+            cloud = fine_filter(cloud, rparams)
         elif stage == "volume":
             report.estimate = column_volume_grid(cloud, config.effective_grid())
         report.stage_counts[stage] = len(cloud)

@@ -21,10 +21,7 @@ from pilevol._hdbscan import (
     run_hdbscan,
 )
 from pilevol.cloud import PointCloud, voxel_downsample
-from pilevol.config import parse_config_text
 from pilevol.denoise import (
-    CLUSTER_COMPONENTS,
-    CLUSTER_HDBSCAN,
     HdbscanParams,
     RadiusFilterParams,
     _radius_graph,
@@ -35,7 +32,7 @@ from pilevol.denoise import (
     radius_outlier_filter,
     robust_filter,
 )
-from pilevol.errors import ConfigError, InvalidParameter, LabelMismatch, PilevolError
+from pilevol.errors import InvalidParameter, LabelMismatch, PilevolError
 from pilevol import pipeline
 from pilevol.pipeline import (
     PipelineConfig,
@@ -189,6 +186,8 @@ def test_radius_params_validation():
         RadiusFilterParams(r0=0.0)
     with pytest.raises(InvalidParameter):
         RadiusFilterParams(r0=1.0, n_min=-1)
+    with pytest.raises(InvalidParameter):
+        RadiusFilterParams(r0=1.0, min_cluster_size=1)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
@@ -445,21 +444,24 @@ def test_robust_filter_composes_the_stages():
     clutter = rng.normal(0, 0.05, size=(400, 3)) + [3, 0, 0]
     sparse = rng.uniform(-10, 10, size=(60, 3))
     cloud = PointCloud(np.vstack([pile, clutter, sparse]))
-    rparams = RadiusFilterParams(r0=0.05, n_min=3)
+    rparams = RadiusFilterParams(r0=0.05, n_min=3, min_cluster_size=50)
     hparams = HdbscanParams(min_cluster_size=50, min_samples=8)
 
     # HDBSCAN oracle composition: brute radius filter, cluster, largest
     counts = brute_neighbor_counts(cloud.xyz, rparams.r0)
     surv = PointCloud(cloud.xyz[counts >= rparams.n_min])
-    oracles = {
-        CLUSTER_HDBSCAN: largest_cluster(surv, hdbscan(surv, hparams)),
+    outputs = {
+        # the paper's chain, composed from the library
+        "hdbscan": (hdbscan_chain(cloud, rparams, hparams),
+                    largest_cluster(surv, hdbscan(surv, hparams))),
         # union-find over every survivor pair within r0
-        CLUSTER_COMPONENTS: PointCloud(brute_largest_component(
-            cloud.xyz, rparams.r0, rparams.n_min, hparams.min_cluster_size)),
+        "components": (robust_filter(cloud, rparams),
+                       PointCloud(brute_largest_component(
+                           cloud.xyz, rparams.r0, rparams.n_min,
+                           rparams.min_cluster_size))),
     }
-    for method, expected in oracles.items():
-        out = robust_filter(cloud, rparams, hparams, method)
-        assert out == expected, method
+    for name, (out, expected) in outputs.items():
+        assert out == expected, name
         # only the dominant blob remains
         assert len(out) > 1800
         assert np.linalg.norm(out.xyz.mean(axis=0)) < 0.05
@@ -473,8 +475,8 @@ def test_robust_filter_components_match_union_find_with_ties():
     for cloud in (xyz, np.vstack([xyz + [5.0, 0.0, 0.0], xyz])):
         for r0, n_min, min_size in [(0.1, 2, 5), (0.1, 0, 40), (0.15, 4, 2),
                                     (0.1, 30, 2)]:
-            out = robust_filter(PointCloud(cloud), RadiusFilterParams(r0, n_min),
-                                HdbscanParams(min_cluster_size=min_size))
+            out = robust_filter(PointCloud(cloud),
+                                RadiusFilterParams(r0, n_min, min_size))
             expected = brute_largest_component(cloud, r0, n_min, min_size)
             np.testing.assert_array_equal(out.xyz, expected)
 
@@ -559,14 +561,13 @@ def test_robust_filter_components_permutation_invariant(seed, blobs, duplicates)
     xyz = np.vstack(parts)
     if duplicates:
         xyz = np.vstack([xyz, xyz[::5]])
-    rparams = RadiusFilterParams(r0=0.05, n_min=2)
-    hparams = HdbscanParams(min_cluster_size=10)
+    rparams = RadiusFilterParams(r0=0.05, n_min=2, min_cluster_size=10)
     surv = xyz[brute_neighbor_counts(xyz, rparams.r0) >= rparams.n_min]
     sizes = np.unique(brute_components(surv, rparams.r0), return_counts=True)[1]
     assume(len(sizes) > 0 and (sizes == sizes.max()).sum() == 1)
-    out = robust_filter(PointCloud(xyz), rparams, hparams)
+    out = robust_filter(PointCloud(xyz), rparams)
     perm = rng.permutation(len(xyz))
-    permuted = robust_filter(PointCloud(xyz[perm]), rparams, hparams)
+    permuted = robust_filter(PointCloud(xyz[perm]), rparams)
 
     def rows(cloud):
         return sorted(map(tuple, cloud.xyz))
@@ -574,37 +575,23 @@ def test_robust_filter_components_permutation_invariant(seed, blobs, duplicates)
     assert rows(out) == rows(permuted)
 
 
-def test_robust_filter_rejects_unknown_method():
-    with pytest.raises(InvalidParameter):
-        robust_filter(PointCloud(np.zeros((3, 3))), RadiusFilterParams(),
-                      HdbscanParams(), "DBSCAN")
-
-
-def test_cluster_method_config():
-    assert PipelineConfig().cluster_method == CLUSTER_COMPONENTS
-    for text, method in [("components", CLUSTER_COMPONENTS),
-                         ("hdbscan", CLUSTER_HDBSCAN),
-                         (" HDBSCAN ", CLUSTER_HDBSCAN)]:
-        cfg = parse_config_text(f"[filter]\ncluster = {text}\n")
-        assert cfg.cluster_method == method
-    with pytest.raises(ConfigError):
-        parse_config_text("[filter]\ncluster = dbscan\n")
-    with pytest.raises(ConfigError):
-        PipelineConfig(cluster_method="components").validate()
-
-
-def test_hdbscan_mode_report_golden():
+def test_hdbscan_chain_golden():
     # s09 at benchmark seed 3006 (perfbench derive_seed(3006, "catalogue",
-    # 8)): the capture where HDBSCAN merges the wall strip into the pile.
-    # The hash is the report this capture gave before the components step
-    # existed, so HDBSCAN mode must keep the paper's chain bit for bit.
+    # 8)): the capture on which the pipeline, when it ran this chain as
+    # both filter passes, merged the wall strip into the pile (+19.45 %).
+    # The chain on the raw capture is what that pre-filter kept; the hash
+    # was taken from the last version with the pipeline mode, so the
+    # library chain must stay the paper's bit for bit
     seed = 1432710598
-    scene = generate_scene(replace(reference_scenes()[8], seed=seed))
-    config = _with_round_seed(PipelineConfig(cluster_method=CLUSTER_HDBSCAN), seed)
-    csv = run_report_csv(run_pipeline(config, scene=scene))
-    assert "relative_error,0.19446522" in csv
-    assert (hashlib.sha256(csv.encode()).hexdigest()
-            == "23f6840e67b47b33604c9201a10e183b637e89108985e12531c5e1466c3cbebb")
+    cloud = generate_scene(replace(reference_scenes()[8], seed=seed)).cloud
+    rparams = RadiusFilterParams(r0=0.025, n_min=4)
+    filtered = radius_outlier_filter(cloud, rparams)
+    labels = hdbscan(filtered, HdbscanParams(min_cluster_size=50, min_samples=10))
+    kept = largest_cluster(filtered, labels)
+    assert (len(cloud), len(filtered), labels.cluster_count, len(kept)) == (
+        28140, 28023, 1, 28023)
+    assert (hashlib.sha256(kept.xyz.tobytes()).hexdigest()
+            == "877b0e94baa4607d3027f0b18b344294beb424f4d0d165fbf1d7cb32ef6bf447")
 
 
 def _s09_default_capture(seed):
@@ -645,33 +632,39 @@ def test_default_mode_report_golden(capture, seed, digest):
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
-BOTH_METHODS = (CLUSTER_COMPONENTS, CLUSTER_HDBSCAN)
+def hdbscan_chain(cloud: PointCloud, rparams: RadiusFilterParams,
+                  hparams: HdbscanParams) -> PointCloud:
+    """The paper's filter: radius outlier rejection, then the largest
+    HDBSCAN cluster of the survivors."""
+    filtered = radius_outlier_filter(cloud, rparams)
+    if len(filtered) == 0:
+        return filtered
+    return largest_cluster(filtered, hdbscan(filtered, hparams))
+
+
+def _both_filters(cloud, rparams, hparams):
+    return robust_filter(cloud, rparams), hdbscan_chain(cloud, rparams, hparams)
 
 
 def test_robust_filter_clean_blob_unchanged():
     rng = np.random.default_rng(2)
     cloud = PointCloud(rng.normal(0, 0.05, size=(500, 3)))
-    for method in BOTH_METHODS:
-        out = robust_filter(cloud, RadiusFilterParams(r0=0.15, n_min=2),
-                            HdbscanParams(min_cluster_size=20, min_samples=5),
-                            method)
+    for out in _both_filters(cloud, RadiusFilterParams(0.15, 2, 20),
+                             HdbscanParams(min_cluster_size=20, min_samples=5)):
         assert out == cloud
 
 
 def test_robust_filter_empty_cloud():
-    for method in BOTH_METHODS:
-        out = robust_filter(PointCloud.empty(), RadiusFilterParams(),
-                            HdbscanParams(), method)
+    for out in _both_filters(PointCloud.empty(), RadiusFilterParams(),
+                             HdbscanParams()):
         assert len(out) == 0
 
 
 def test_robust_filter_never_increases_count():
     rng = np.random.default_rng(6)
     cloud = PointCloud(rng.normal(size=(300, 3)))
-    for method in BOTH_METHODS:
-        out = robust_filter(cloud, RadiusFilterParams(r0=0.3, n_min=2),
-                            HdbscanParams(min_cluster_size=10, min_samples=4),
-                            method)
+    for out in _both_filters(cloud, RadiusFilterParams(0.3, 2, 10),
+                             HdbscanParams(min_cluster_size=10, min_samples=4)):
         assert len(out) <= len(cloud)
 
 
@@ -749,29 +742,25 @@ def test_gap_trim_keeps_what_the_components_prefilter_keeps(bench_seed):
     # derive_seed): the radius + components pass the trim replaced as the
     # default pre-filter keeps no point the trim drops
     rparams = PipelineConfig().effective_radius_params()
-    hparams = PipelineConfig().hdbscan_params
     for i, spec in enumerate(reference_scenes()):
         key = [bench_seed, zlib.crc32(b"catalogue"), i]
         seed = int(np.random.SeedSequence(key).generate_state(1)[0])
         cloud = generate_scene(replace(spec, seed=seed)).cloud
         kept = {row.tobytes() for row in gap_trim(cloud, rparams.r0).xyz}
-        components = robust_filter(cloud, rparams, hparams, CLUSTER_COMPONENTS)
+        components = robust_filter(cloud, rparams)
         assert all(row.tobytes() in kept for row in components.xyz), spec.scene_id
 
 
-@pytest.mark.parametrize("method, calls", [(CLUSTER_COMPONENTS, 0),
-                                           (CLUSTER_HDBSCAN, 1)])
-def test_only_hdbscan_mode_prefilters_with_robust_filter(monkeypatch, method,
-                                                         calls):
-    # the benchmark's trace wraps pilevol.pipeline.robust_filter, so the
-    # paper's pre-filter must still be called through that name
+def test_prefilter_does_not_call_robust_filter(monkeypatch):
+    # the pre-filter is the gap trim; the benchmark's trace still wraps
+    # pilevol.pipeline.robust_filter, so the name must stay importable
     seen = []
     monkeypatch.setattr(pipeline, "robust_filter",
                         lambda cloud, *args: seen.append(args) or cloud)
     rng = np.random.default_rng(0)
     cloud = PointCloud(rng.normal(0, 0.1, size=(200, 3)))
-    config = PipelineConfig(cluster_method=method, enable_posture=False,
-                            enable_calibration=False, enable_fine_filter=False)
+    config = PipelineConfig(enable_posture=False, enable_calibration=False,
+                            enable_fine_filter=False)
     pipeline._run_stages(config, cloud, None, pipeline.RunReport(),
                          last="prefilter")
-    assert len(seen) == calls
+    assert seen == []

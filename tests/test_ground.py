@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pilevol.cloud import PointCloud
-from pilevol.denoise import HdbscanParams, RadiusFilterParams
+from pilevol.denoise import RadiusFilterParams
 from pilevol.errors import (
     DegenerateHeights,
     EmptyBand,
@@ -248,6 +248,13 @@ def test_calibrate_rejects_non_finite_margin(margin):
         calibrate(cloud_with_z([0.0, 0.5]), override_ground(0.0), margin)
 
 
+@pytest.mark.parametrize("height", [float("nan"), float("inf"), float("-inf")])
+def test_override_ground_rejects_non_finite_height(height):
+    # calibrating at such a height would cut every point and read 0 m3
+    with pytest.raises(InvalidParameter):
+        override_ground(height)
+
+
 # ---------------------------------------------------------------------------
 # fine_filter
 # ---------------------------------------------------------------------------
@@ -259,8 +266,8 @@ def test_fine_filter_removes_stragglers():
         rng.uniform(-1, 1, 30), rng.uniform(-1, 1, 30), rng.uniform(0, 0.01, 30)
     ])
     cloud = PointCloud(np.vstack([pile, stragglers]))
-    out = fine_filter(cloud, RadiusFilterParams(r0=0.05, n_min=4),
-                      HdbscanParams(min_cluster_size=50, min_samples=8))
+    out = fine_filter(cloud, RadiusFilterParams(r0=0.05, n_min=4,
+                                                min_cluster_size=50))
     assert len(out) >= 1400
     assert out.xyz[:, 2].min() > 0.05
 
@@ -268,11 +275,11 @@ def test_fine_filter_removes_stragglers():
 def test_fine_filter_clean_pile_unchanged():
     rng = np.random.default_rng(14)
     pile = PointCloud(rng.normal(0, 0.04, size=(800, 3)) + [0, 0, 0.3])
-    out = fine_filter(pile, RadiusFilterParams(r0=0.15, n_min=2),
-                      HdbscanParams(min_cluster_size=50, min_samples=8))
+    out = fine_filter(pile, RadiusFilterParams(r0=0.15, n_min=2,
+                                               min_cluster_size=50))
     assert out == pile
 
 
 def test_fine_filter_empty():
-    out = fine_filter(PointCloud.empty(), RadiusFilterParams(), HdbscanParams())
+    out = fine_filter(PointCloud.empty(), RadiusFilterParams())
     assert len(out) == 0

@@ -16,7 +16,8 @@ from pilevol import cli
 from pilevol.cli import main as cli_main
 from pilevol.cloud import AxisRange, PointCloud
 from pilevol.config import _KEYS, parse_config_text
-from pilevol.denoise import CLUSTER_COMPONENTS, CLUSTER_HDBSCAN, HdbscanParams
+from pilevol import denoise
+from pilevol.denoise import HdbscanParams, RadiusFilterParams
 from pilevol.errors import ConfigError, EmptyCloud
 from pilevol.pose import RansacParams, ransac_plane
 from pilevol import pipeline
@@ -99,7 +100,8 @@ def test_emptied_cloud_warns_with_the_stage():
     # a minimum cluster size above the cloud size labels every point noise,
     # so the fine filter keeps nothing and the volume comes out as 0
     cfg = PipelineConfig(enable_prefilter=False,
-                         hdbscan_params=HdbscanParams(min_cluster_size=10 ** 6))
+                         radius_params=RadiusFilterParams(
+                             r0=0.025, n_min=4, min_cluster_size=10 ** 6))
     report = run_pipeline(cfg, scene=generate_scene(reference_scenes()[0]))
     assert report.stage_counts["calibration"] > 0
     assert report.stage_counts["fine_filter"] == 0
@@ -116,19 +118,17 @@ def test_all_ground_crop_reads_zero_with_one_warning():
     n = 20_000
     xyz = np.column_stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
                            rng.normal(0, 0.002, n)])
-    for method in (CLUSTER_COMPONENTS, CLUSTER_HDBSCAN):
-        report = run_pipeline(PipelineConfig(seed=1, cluster_method=method),
-                              cloud=PointCloud(xyz))
-        assert report.stage_counts["posture"] > 19_000
-        assert report.stage_counts["fine_filter"] == 0
-        assert report.volume == 0.0
-        assert report.warnings == [
-            "the fine_filter stage left no points; the volume of an empty "
-            "cloud is 0"]
+    report = run_pipeline(PipelineConfig(seed=1), cloud=PointCloud(xyz))
+    assert report.stage_counts["posture"] > 19_000
+    assert report.stage_counts["fine_filter"] == 0
+    assert report.volume == 0.0
+    assert report.warnings == [
+        "the fine_filter stage left no points; the volume of an empty "
+        "cloud is 0"]
 
 
 def test_s09_wall_strip_stays_out_of_the_pile():
-    # benchmark seed 3006 gives s09 a capture in which HDBSCAN merges a
+    # benchmark seed 3006 gives s09 a capture in which HDBSCAN merged a
     # ~1,090-point blob, most likely the wall strip about 4 cm from the
     # pile rim, into the pile (+19.45 %); the r0 components keep it apart
     seed = _perfbench_module("workloads").derive_seed(3006, "catalogue", 8)
@@ -184,6 +184,33 @@ def test_far_strays_leave_volume_unchanged(small_scene, n_stray, z):
     assert report.volume == base.volume
 
 
+def _scaled_config(config: PipelineConfig, s: float) -> PipelineConfig:
+    """``config`` with every length multiplied by ``s``."""
+    voxel = config.downsample_voxel
+    return replace(
+        config,
+        radius_params=replace(config.radius_params, r0=config.radius_params.r0 * s),
+        ransac=replace(config.ransac,
+                       distance_threshold=config.ransac.distance_threshold * s),
+        margin=config.margin * s,
+        grid=replace(config.grid, cell_size=config.grid.cell_size * s),
+        downsample_voxel=None if voxel is None else voxel * s)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.sampled_from([0.5, 2.0, 3.0, 4.0]),
+       voxel=st.sampled_from([None, 0.01]))
+def test_volume_scales_with_the_cube_of_length(seed, s, voxel):
+    # a cloud and every length parameter scaled by s scale the volume by s^3
+    cloud = generate_scene(replace(SMALL_SPEC, seed=seed)).cloud
+    config = _with_round_seed(PipelineConfig(downsample_voxel=voxel), seed)
+    base = run_pipeline(config, cloud=cloud).volume
+    scaled = run_pipeline(_scaled_config(config, s),
+                          cloud=PointCloud(cloud.xyz * s)).volume
+    assert base > 0
+    assert scaled / s ** 3 == pytest.approx(base, rel=1e-9)
+
+
 def test_pipeline_seed_alone_seeds_ransac(small_scene, monkeypatch):
     fits = []
 
@@ -222,22 +249,24 @@ def test_ignored_ransac_seed_is_rejected(small_scene):
 
 def test_traced_run_reaches_every_wrapped_layer():
     # the benchmark's tracer rebinds module attributes, so every stage must
-    # look its functions up through the module at call time; the hdbscan
-    # chain and the standalone radius filter run only in HDBSCAN mode, so
-    # one capture per cluster method must cover every wrapped span
+    # look its functions up through the module at call time; the pipeline
+    # does not run the paper's radius filter and hdbscan chain, so the
+    # library composition is called explicitly to cover their spans
     layers = _perfbench_module("layers")
     Tracer = _perfbench_module("spans").Tracer
     scene = generate_scene(reference_scenes()[0])
     tracer = Tracer()
     layers.install(tracer)
     try:
-        reports = [run_pipeline(PipelineConfig(seed=1, downsample_voxel=0.01,
-                                               cluster_method=method),
-                                scene=scene)
-                   for method in (CLUSTER_COMPONENTS, CLUSTER_HDBSCAN)]
+        report = run_pipeline(PipelineConfig(seed=1, downsample_voxel=0.01),
+                              scene=scene)
+        filtered = denoise.radius_outlier_filter(scene.cloud,
+                                                 RadiusFilterParams(0.025, 4))
+        denoise.largest_cluster(filtered,
+                                denoise.hdbscan(filtered, HdbscanParams()))
     finally:
         tracer.uninstall()
-    assert all(report.volume > 0 for report in reports)
+    assert report.volume > 0
     assert {name for _, _, name, _ in layers.WRAPPED} <= {s.name for s in tracer.spans}
 
 
@@ -270,14 +299,19 @@ def test_pipeline_empty_input():
 
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
-        run_pipeline(PipelineConfig(cluster_method="NOT_A_METHOD"),
+        run_pipeline(PipelineConfig(ground_mode="NOT_A_MODE"),
                      cloud=PointCloud([[0, 0, 0]]))
     with pytest.raises(ConfigError):
         PipelineConfig(ground_mode="OVERRIDE").validate()
     with pytest.raises(ConfigError):
         PipelineConfig(smooth_step=4).validate()
+    # a non-finite override height would cut every point (a silent 0 m3),
+    # and an infinite margin would fail later as a stage error
     for bad in (dict(seed=-1), dict(n_interval=1),
-                dict(downsample_voxel=math.nan)):
+                dict(downsample_voxel=math.nan), dict(margin=math.inf),
+                dict(ground_mode="OVERRIDE", override_height=math.nan),
+                dict(ground_mode="OVERRIDE", override_height=math.inf),
+                dict(ground_mode="OVERRIDE", override_height=-math.inf)):
         with pytest.raises(ConfigError):
             PipelineConfig(**bad).validate()
     with pytest.raises(ConfigError):
@@ -445,7 +479,7 @@ aggregator = MAX
     assert len(cfg.passthrough_ranges) == 2
     assert cfg.passthrough_ranges[1].hi == 2.0
     assert cfg.radius_params.r0 == 0.03
-    assert cfg.hdbscan_params.min_cluster_size == 40
+    assert cfg.radius_params.min_cluster_size == 40
     assert cfg.ransac.distance_threshold == 0.02
     assert cfg.ground_mode == "MID_PLATEAU"
     assert cfg.margin == 0.02
@@ -480,6 +514,8 @@ REMOVED_KEYS = [
     "[volume]\nestimator = COLUMN_GRID\n",
     "[volume]\nscene_area = 0\n",
     "[volume]\nscene_area = 1.3\n",
+    "[filter]\ncluster = hdbscan\n",
+    "[filter]\nmin_samples = 5\n",
 ]
 
 # values a parameter rejects, numbers that are not finite, negative seeds,
@@ -561,9 +597,7 @@ CONFIG_LINE_FOR_LEAF = {
     "passthrough_ranges": "[passthrough]\nx = -1, 1",
     "radius_params.r0": "[filter]\nr0 = 0.03",
     "radius_params.n_min": "[filter]\nn_min = 5",
-    "hdbscan_params.min_cluster_size": "[filter]\nmin_cluster_size = 40",
-    "hdbscan_params.min_samples": "[filter]\nmin_samples = 5",
-    "cluster_method": "[filter]\ncluster = hdbscan",
+    "radius_params.min_cluster_size": "[filter]\nmin_cluster_size = 40",
     "ransac.distance_threshold": "[ransac]\ndistance_threshold = 0.02",
     "ransac.max_iterations": "[ransac]\nmax_iterations = 500",
     "ransac.min_inlier_fraction": "[ransac]\nmin_inlier_fraction = 0.2",
