@@ -137,20 +137,31 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     anchored at the cloud's min corner so the result is deterministic for a
     given cloud.  Output points are ordered by first-occurring member point,
     which keeps repeated runs identical.
+
+    When the occupied cells' bounding box spans at most 4 cells per point,
+    the cells are numbered through a direct-addressed table of at most 4*N
+    intp entries (32 bytes per point) and no sort; a sparser grid, such as
+    one stretched by a far stray point, sorts the cell keys instead.
     """
     if not (math.isfinite(voxel_size) and voxel_size > 0):
         raise InvalidParameter(f"voxel_size must be finite and > 0, got {voxel_size}")
     if len(cloud) == 0:
         return cloud
     xyz = cloud.xyz
-    # per-column minima: exact like min(axis=0), and faster on (N, 3) rows
-    anchor = np.array([xyz[:, k].min() for k in range(3)])
-    cells = np.floor((xyz - anchor) / voxel_size).astype(np.int64)
+    # one column at a time: the same values as floor((xyz - min) / size),
+    # without the (N, 3) broadcast's slow length-3 inner loop; the cells are
+    # stored column-major, so each column the keys read is contiguous
+    cells = np.empty((3, len(xyz)), dtype=np.int64).T
+    for k in range(3):
+        col = xyz[:, k]
+        cells[:, k] = np.floor((col - col.min()) / voxel_size)
     inverse, n_cells = _first_occurrence_cells(cells)
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
-    centroids = np.column_stack([
-        np.bincount(inverse, weights=xyz[:, k], minlength=n_cells) for k in range(3)
-    ]) / counts[:, None]
+    centroids = np.empty((n_cells, 3))
+    for k in range(3):
+        # bincount adds each cell's members in point order
+        np.divide(np.bincount(inverse, weights=xyz[:, k], minlength=n_cells), counts,
+                  out=centroids[:, k])
     return PointCloud(centroids, validate=False)
 
 
@@ -162,19 +173,36 @@ def cell_keys(cells: np.ndarray) -> np.ndarray | None:
     Returns None when the key would overflow int64 (e.g. a far outlier);
     the caller then falls back to the row-wise ``np.unique``.
     """
+    return _keys_and_span(cells)[0]
+
+
+def _keys_and_span(cells: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """``cell_keys(cells)`` and the number of keys the cells' bounding box
+    spans, the product of the per-axis extents."""
     extent = [int(cells[:, k].max()) + 1 for k in range(cells.shape[1])]
-    if math.prod(extent) > np.iinfo(np.int64).max:
-        return None
+    span = math.prod(extent)
+    if span > np.iinfo(np.int64).max:
+        return None, span
     key = cells[:, 0]
     for k in range(1, cells.shape[1]):
         key = key * extent[k] + cells[:, k]
-    return key
+    return key, span
 
 
 def _first_occurrence_cells(cells: np.ndarray) -> tuple[np.ndarray, int]:
     """Number the distinct rows of the non-negative (N, 3) ``cells`` in order
     of first occurrence; return each row's number and the count."""
-    key = cell_keys(cells)
+    n = cells.shape[0]
+    key, span = _keys_and_span(cells)
+    if key is not None and span <= 4 * n:
+        # a table over every key holds each cell's lowest point index; the
+        # points that are their cell's first are numbered in point order
+        point = np.arange(n)
+        first = np.full(span, n)
+        np.minimum.at(first, key, point)
+        first_of = first[key]
+        number = np.cumsum(first_of == point) - 1
+        return number[first_of], int(number[-1]) + 1
     if key is None:
         _, first_idx, run_of = np.unique(cells, axis=0, return_index=True,
                                          return_inverse=True)

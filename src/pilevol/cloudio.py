@@ -126,6 +126,10 @@ def _parse_ply_header(fh) -> tuple[str, int, list[str], list[int]]:
             first_element = first_element or fields[1]
             in_vertex_element = fields[1] == "vertex"
             if in_vertex_element:
+                if vertex_count is not None:
+                    # its properties would be read as more columns of the
+                    # first element's rows
+                    raise MalformedHeader("PLY header has a second vertex element")
                 try:
                     vertex_count = int(fields[2])
                 except ValueError as exc:
@@ -169,8 +173,10 @@ def _load_ply(path: Path) -> PointCloud:
             if size > left:
                 raise MalformedHeader(
                     f"binary payload too short: expected {size} bytes, got {left}")
-            table = np.frombuffer(fh.read(size), dtype=row, count=count)
-            xyz = np.column_stack([table[f"p{i}"].astype(np.float64) for i in cols])
+            table = np.fromfile(fh, dtype=row, count=count)
+            xyz = np.empty((count, 3))
+            for k, i in enumerate(cols):
+                xyz[:, k] = table[f"p{i}"]
     return PointCloud(xyz)
 
 

@@ -22,6 +22,7 @@ from .cloud import PointCloud
 from .errors import InvalidParameter
 
 HEIGHTFIELD_QUADRATURE_N = 2048
+_QUADRATURE_BLOCK_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +151,12 @@ def heightfield_quadrature(pile: Heightfield, n: int = HEIGHTFIELD_QUADRATURE_N,
     a = pile.radius
     step = 2.0 * a / n
     axis = -a + (np.arange(n) + 0.5) * step
-    xs, ys = np.meshgrid(axis, axis)
-    h = pile._raw_height(xs, ys)
+    # filled in blocks of rows, so the height formula's temporaries stay
+    # small; one sum over the whole grid keeps numpy's pairwise order
+    h = np.empty((n, n))
+    for start in range(0, n, _QUADRATURE_BLOCK_ROWS):
+        rows = slice(start, start + _QUADRATURE_BLOCK_ROWS)
+        h[rows] = pile._raw_height(axis[None, :], axis[rows, None])
     raw = float(h.sum()) * step * step
     return raw * _heightfield_scale(pile) if scaled else raw
 

@@ -1,8 +1,11 @@
 """Cloud container, pass-through filtering, voxel downsampling."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from pilevol.cloud import (
     AxisRange,
@@ -12,6 +15,7 @@ from pilevol.cloud import (
     voxel_downsample,
 )
 from pilevol.errors import InvalidParameter, NonFiniteCoordinate
+from pilevol.synth import dense_compression_scene, generate_scene
 
 
 def test_cloud_count_and_order():
@@ -163,22 +167,57 @@ def unique_rows_voxel_reference(cloud, voxel_size):
     return (sums / counts[:, None])[np.argsort(first_idx, kind="stable")]
 
 
-@pytest.mark.parametrize("far", [None, (1e6, 1e6, 1e6), (2e6, 2e6, 2e6),
-                                 (3e6, 3e6, 3e6)],
-                         ids=["compact", "far-outlier", "key-fits", "key-overflows"])
-def test_voxel_downsample_matches_unique_rows_reference(far):
+def numbering_path(cells):
+    """The path ``_first_occurrence_cells`` takes for the (N, 3) ``cells``,
+    worked out from the bound it documents: "table" when the product M of
+    the per-axis extents (max + 1) is at most 4 N, "sort" for a larger M
+    that fits int64, and "unique" when M overflows it."""
+    span = 1
+    for k in range(3):
+        span *= int(cells[:, k].max()) + 1
+    if span > np.iinfo(np.int64).max:
+        return "unique"
+    return "table" if span <= 4 * len(cells) else "sort"
+
+
+@pytest.mark.parametrize("far, paths", [
+    (None, ["sort", "sort", "table", "table"]),
+    ((1e6, 1e6, 1e6), ["unique", "unique", "unique", "sort"]),
+    ((2e6, 2e6, 2e6), ["unique", "unique", "unique", "sort"]),
+    ((3e6, 3e6, 3e6), ["unique"] * 4),
+], ids=["compact", "far-outlier", "key-fits", "key-overflows"])
+def test_voxel_downsample_matches_unique_rows_reference(far, paths):
     # rounded coordinates put many points on shared cells and cell faces;
     # at voxel 1 an outlier at 2e6 keeps the cell key inside int64 and one
-    # at 3e6 or (at voxel 0.01) 1e6 does not
+    # at 3e6 or (at voxel 0.01) 1e6 does not.  ``paths`` names the numbering
+    # path of each voxel size: in the compact cloud (N = 20,500, 4 N =
+    # 82,000) 0.01 and 0.02 span 1,030,301 and 132,651 cells and sort, and
+    # 0.034 and 1 span 27,000 and 8 cells and take the table
     rng = np.random.default_rng(8)
     xyz = np.round(rng.uniform(-0.5, 0.5, size=(20_000, 3)), 2)
     xyz = np.vstack([xyz, xyz[:500]])
     if far is not None:
         xyz = np.vstack([xyz[:7000], [far], xyz[7000:]])
     cloud = PointCloud(xyz)
-    for size in (0.01, 0.02, 0.034, 1.0):
+    for size, path in zip((0.01, 0.02, 0.034, 1.0), paths):
+        cells = np.floor((xyz - xyz.min(axis=0)) / size).astype(np.int64)
+        assert numbering_path(cells) == path
         out = voxel_downsample(cloud, size).xyz
         assert out.tobytes() == unique_rows_voxel_reference(cloud, size).tobytes()
+
+
+def test_voxel_downsample_golden():
+    # the first voxel-band benchmark capture at seed 1 (perfbench
+    # derive_seed(1, "voxel-band", 0)), at the benchmark's voxel; 104,000
+    # points span 107,065 cells, so the table numbers them.  The hash was
+    # taken from the version that numbered cells by sorting their keys
+    cloud = generate_scene(replace(dense_compression_scene(), seed=2816247519)).cloud
+    cells = np.floor((cloud.xyz - cloud.xyz.min(axis=0)) / 0.034).astype(np.int64)
+    assert numbering_path(cells) == "table"
+    out = voxel_downsample(cloud, 0.034)
+    assert (len(cloud), len(out)) == (104_000, 8143)
+    assert (hashlib.sha256(out.xyz.tobytes()).hexdigest()
+            == "31b7d993752136e868a1645bef77ef6612859f9e6a976234299d014528bb0463")
 
 
 def test_voxel_downsample_cell_key_does_not_wrap():
@@ -192,21 +231,56 @@ def test_voxel_downsample_cell_key_does_not_wrap():
     assert out.xyz.tobytes() == unique_rows_voxel_reference(cloud, 1.0).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=40),
-       far=st.sampled_from([None, 2**20, 2**30, 2**31, 2**62]),
-       at=st.integers(0, 40))
-def test_first_occurrence_cells_match_dict_oracle(rows, far, at):
-    # a row (far, 1, far) takes the product of the extents to about 2**42
-    # or 2**61..2**62, inside int64 (far = 2**20, 2**30), or to 2**63 and
-    # beyond, which overflows it (far = 2**31, 2**62)
-    if far is not None:
-        rows.insert(at % (len(rows) + 1), (far, 1, far))
+def assert_first_occurrence_numbers(rows):
     numbers, count = _first_occurrence_cells(np.array(rows, dtype=np.int64))
     first_seen: dict = {}
     expected = [first_seen.setdefault(row, len(first_seen)) for row in rows]
     assert numbers.tolist() == expected
     assert count == len(first_seen)
+
+
+@st.composite
+def cell_rows(draw):
+    top = draw(st.sampled_from([1, 3]))
+    return draw(st.lists(st.tuples(*[st.integers(0, top)] * 3), min_size=1,
+                         max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=cell_rows(),
+       far=st.one_of(st.none(), st.sampled_from([2**20, 2**30, 2**31, 2**62])),
+       at=st.integers(0, 40))
+def test_first_occurrence_cells_match_dict_oracle(rows, far, at):
+    # without a far row, M (at most 8 or 64) against 4 N (4 to 160) falls
+    # on either side of the table bound; a row (far, 1, far) takes M to
+    # about 2**42 or 2**61..2**62, which sorts (far = 2**20, 2**30), or to
+    # 2**63 and beyond, which overflows int64 (far = 2**31, 2**62)
+    if far is not None:
+        rows.insert(at % (len(rows) + 1), (far, 1, far))
+    event(numbering_path(np.array(rows)))
+    assert_first_occurrence_numbers(rows)
+
+
+@pytest.mark.parametrize("rows, path", [
+    # one cell, M = 1
+    ([(0, 0, 0)] * 3, "table"),
+    # M = 2 * 2 * 3 = 12 <= 4 N = 24, with each cell seen again later
+    ([(1, 0, 2), (0, 0, 0), (1, 1, 1), (0, 0, 0), (1, 1, 1), (1, 0, 2)], "table"),
+    # M = 12 = 4 N: the table at its bound
+    ([(1, 1, 2), (0, 0, 0), (1, 1, 2)], "table"),
+    # M = 13 > 4 N = 12: one cell past the bound sorts
+    ([(0, 0, 12), (0, 0, 0), (0, 0, 12)], "sort"),
+    # a far row takes M to about 2**41, inside int64
+    ([(1, 0, 2), (2**20, 1, 2**20), (0, 0, 0), (1, 0, 2)], "sort"),
+    # M beyond int64: the row-wise np.unique
+    ([(1, 0, 2), (2**31, 1, 2**31), (0, 0, 0), (1, 0, 2)], "unique"),
+], ids=["one-cell", "table", "table-at-bound", "sort-past-bound", "sort-far-row",
+        "unique-overflow"])
+def test_first_occurrence_cells_on_each_path(rows, path):
+    # wherever there are two cells, the first is seen again after a later
+    # one, so numbering by last occurrence would fail the case
+    assert numbering_path(np.array(rows)) == path
+    assert_first_occurrence_numbers(rows)
 
 
 def test_voxel_downsample_invalid_size():
