@@ -175,8 +175,11 @@ def _load_ply(path: Path) -> PointCloud:
                     f"binary payload too short: expected {size} bytes, got {left}")
             table = np.fromfile(fh, dtype=row, count=count)
             xyz = np.empty((count, 3))
-            for k, i in enumerate(cols):
-                xyz[:, k] = table[f"p{i}"]
+            # a float32 signalling NaN warns as it widens; it arrives as a
+            # quiet NaN, which PointCloud rejects as NonFiniteCoordinate
+            with np.errstate(invalid="ignore"):
+                for k, i in enumerate(cols):
+                    xyz[:, k] = table[f"p{i}"]
     return PointCloud(xyz)
 
 

@@ -188,6 +188,20 @@ def test_non_finite_coordinate_reports_row(tmp_path):
     assert err.value.row == 2
 
 
+def test_binary_float32_signalling_nan_is_non_finite(tmp_path):
+    # 0x7F810000 is a float32 signalling NaN: widening it to float64 raises
+    # the invalid flag, which must not escape as a RuntimeWarning
+    path = tmp_path / "snan.ply"
+    body = struct.pack("<fff", 0.0, 1.0, 2.0) + struct.pack("<Iff", 0x7F810000, 1.0, 2.0)
+    path.write_bytes(ply_bytes("binary_little_endian", "element vertex 2",
+                               body=body, ptype="float"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteCoordinate) as err:
+            load_cloud(path)
+    assert err.value.row == 1
+
+
 def test_format_detection(tmp_path):
     cloud = PointCloud([[1.5, 2.5, 3.5]])
     binary = tmp_path / "auto.ply"

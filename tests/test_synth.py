@@ -1,10 +1,15 @@
 """Synthetic scene generation and ground-truth bookkeeping."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pilevol import synth
 from pilevol.cloud import PointCloud
 from pilevol.errors import InvalidParameter
 from pilevol.synth import (
@@ -71,6 +76,73 @@ def test_heightfield_quadrature_convergence():
     assert declared == 0.05
     fine = heightfield_quadrature(pile, n=4096)
     assert abs(fine - declared) / declared < 5e-4
+
+
+def direct_quadrature(pile, n):
+    """The midpoint rule point by point: ``_raw_height`` on the whole grid."""
+    a = pile.radius
+    step = 2 * a / n
+    axis = -a + (np.arange(n) + 0.5) * step
+    xs, ys = np.meshgrid(axis, axis)
+    return float(pile._raw_height(xs, ys).sum()) * step * step
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 255, 256])
+def test_heightfield_quadrature_matches_direct_rule(n):
+    # odd n has a centre row and column with no mirror partner
+    pile = Heightfield(shape_seed=7, radius=0.4, target_volume=0.05)
+    separable = heightfield_quadrature(pile, n=n, scaled=False)
+    assert separable == pytest.approx(direct_quadrature(pile, n), rel=1e-13, abs=0)
+
+
+def test_heightfield_quadrature_matches_direct_rule_where_clamped(monkeypatch):
+    # no drawn wave set dips below the clamp (the lowest field over seeds
+    # 0..400000 is 0.067), so these waves are made to dip below it on about
+    # 1 % of the footprint
+    waves = (((9.0, 2.0), (-3.0, 8.0), (5.0, -6.0), (7.0, 7.0)),
+             (0.3, 1.1, 2.0, 4.0), (0.6, 0.5, 0.55, 0.45))
+    monkeypatch.setattr(synth, "_heightfield_waves", lambda shape_seed, radius: waves)
+    pile = Heightfield(shape_seed=0, radius=0.4, target_volume=0.05)
+    n = 255
+    axis = -0.4 + (np.arange(n) + 0.5) * (0.8 / n)
+    xs, ys = np.meshgrid(axis, axis)
+    field = 1 + sum(amp * np.cos(kx * xs + ky * ys + phi)
+                    for (kx, ky), phi, amp in zip(*waves))
+    assert (field[np.hypot(xs, ys) < 0.4] < 0.05).mean() > 0.005
+    separable = heightfield_quadrature(pile, n=n, scaled=False)
+    assert separable == pytest.approx(direct_quadrature(pile, n), rel=1e-13, abs=0)
+
+
+def test_catalogue_heightfield_quadratures_match_direct_rule():
+    piles = [s.pile for s in reference_scenes() if isinstance(s.pile, Heightfield)]
+    assert len(piles) == 6
+    for pile in piles:
+        separable = heightfield_quadrature(pile, n=512, scaled=False)
+        assert separable == pytest.approx(direct_quadrature(pile, 512), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5])
+def test_heightfield_quadrature_rejects_bad_size(n):
+    pile = Heightfield(shape_seed=7, radius=0.4, target_volume=0.05)
+    with pytest.raises(InvalidParameter):
+        heightfield_quadrature(pile, n=n)
+
+
+def test_catalogue_heightfield_scales_independent_of_blas_threads():
+    # the wave field is a BLAS product; its truths must not depend on how
+    # many threads the product runs on
+    code = ("from pilevol.synth import Heightfield, _heightfield_scale, reference_scenes\n"
+            "print(*[_heightfield_scale(s.pile).hex() for s in reference_scenes()"
+            " if isinstance(s.pile, Heightfield)])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    scales = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        scales.append(result.stdout.split())
+    assert len(scales[0]) == 6
+    assert scales[0] == scales[1]
 
 
 # ---------------------------------------------------------------------------
