@@ -130,13 +130,35 @@ def passthrough_filter(cloud: PointCloud, ranges: Sequence[AxisRange]) -> PointC
     return cloud.select(mask)
 
 
+def grid_cells(coords: np.ndarray, size: float) -> np.ndarray:
+    """``floor((coords - min) / size)`` of the (N, k) ``coords`` as (N, k)
+    int64, the cells of the voxels and of the volume grid; a column that
+    spans 2**63 cells or more is an ``InvalidParameter``.
+
+    One column at a time, without the (N, k) broadcast's slow length-k inner
+    loop; stored column-major, so each column the keys read is contiguous.
+    """
+    cells = np.empty((coords.shape[1], len(coords)), dtype=np.int64).T
+    for k in range(coords.shape[1]):
+        col = coords[:, k]
+        # the largest quotient, in Python floats: an overflow is inf, not a
+        # warning
+        lo = float(col.min())
+        extent = float(col.max()) - lo
+        if not extent / size < 2.0 ** 63:
+            raise InvalidParameter(f"cell size {size} splits a {extent} m extent "
+                                   "into more cells than an int64 index holds")
+        cells[:, k] = np.floor((col - lo) / size)
+    return cells
+
+
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """Replace the points of every occupied voxel by their centroid.
 
-    The voxel grid is a lattice of axis-aligned cubes of side ``voxel_size``,
-    anchored at the cloud's min corner so the result is deterministic for a
-    given cloud.  Output points are ordered by first-occurring member point,
-    which keeps repeated runs identical.
+    The voxels are the cubes of ``grid_cells``, anchored at the cloud's min
+    corner so the result is deterministic for a given cloud.  Output points
+    are ordered by first-occurring member point, which keeps repeated runs
+    identical.
 
     When the occupied cells' bounding box spans at most 4 cells per point,
     the cells are numbered through a direct-addressed table of at most 4*N
@@ -148,14 +170,7 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     if len(cloud) == 0:
         return cloud
     xyz = cloud.xyz
-    # one column at a time: the same values as floor((xyz - min) / size),
-    # without the (N, 3) broadcast's slow length-3 inner loop; the cells are
-    # stored column-major, so each column the keys read is contiguous
-    cells = np.empty((3, len(xyz)), dtype=np.int64).T
-    for k in range(3):
-        col = xyz[:, k]
-        cells[:, k] = np.floor((col - col.min()) / voxel_size)
-    inverse, n_cells = _first_occurrence_cells(cells)
+    inverse, n_cells = _first_occurrence_cells(grid_cells(xyz, voxel_size))
     counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
     centroids = np.empty((n_cells, 3))
     for k in range(3):
@@ -165,20 +180,13 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     return PointCloud(centroids, validate=False)
 
 
-def cell_keys(cells: np.ndarray) -> np.ndarray | None:
-    """One int64 key per row of the non-negative (N, k) integer ``cells``,
-    ordered as the rows sort lexicographically, so equal keys are equal rows
-    and sorted keys number the rows as ``np.unique(cells, axis=0)`` does.
-
-    Returns None when the key would overflow int64 (e.g. a far outlier);
-    the caller then falls back to the row-wise ``np.unique``.
-    """
-    return _keys_and_span(cells)[0]
-
-
 def _keys_and_span(cells: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """``cell_keys(cells)`` and the number of keys the cells' bounding box
-    spans, the product of the per-axis extents."""
+    """One int64 key per row of the non-negative (N, k) integer ``cells``,
+    ordered as the rows sort lexicographically (so sorted keys number the
+    rows as ``np.unique(cells, axis=0)`` does), and the number of keys the
+    cells' bounding box spans.  The key is None when the span overflows
+    int64, e.g. past a far outlier; callers then use the row-wise unique.
+    """
     extent = [int(cells[:, k].max()) + 1 for k in range(cells.shape[1])]
     span = math.prod(extent)
     if span > np.iinfo(np.int64).max:

@@ -80,7 +80,6 @@ _KEYS = {
     ("ground", "override_height"): ("override_height", _parse_float),
     ("ground", "margin"): ("margin", _parse_float),
     ("volume", "cell_size"): ("grid.cell_size", _parse_float),
-    ("volume", "aggregator"): ("grid.aggregator", str.upper),
 }
 _SECTIONS = {section for section, _ in _KEYS} | {"passthrough"}
 

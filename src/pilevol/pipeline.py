@@ -2,10 +2,11 @@
 
 Stage order is fixed (``STAGE_ORDER``): pass-through trim, optional voxel
 downsampling, pre-filtering, posture correction, ground calibration, fine
-filtering, then the volume stage, which integrates column heights over
-a ground grid (``volume.column_volume_grid``).  One stage sequence,
-``_run_stages``, serves both ``run_pipeline`` (through the volume stage)
-and ``emit_histogram`` (which stops after posture), and the batch studies
+filtering, then the volume stage, which integrates each ground cell's
+mean height over the voxel pass's lattice on x and y
+(``volume.column_volume_grid``).  One stage sequence, ``_run_stages``,
+serves both ``run_pipeline`` (through the volume stage) and
+``emit_histogram`` (which stops after posture), and the batch studies
 share one round loop.  Every stage can be toggled off for ablation runs,
 in which case the cloud passes through unchanged.  Reports are plain CSV
 and are byte-identical for identical config and seed; stage timings are
@@ -45,7 +46,7 @@ from .ground import (
 )
 from .pose import RansacParams, correct_posture, ransac_plane
 from .synth import Scene, SceneSpec, generate_scene, reference_scenes, with_seed
-from .volume import AGG_MEAN, GridSpec, VolumeEstimate, column_volume_grid
+from .volume import GridSpec, VolumeEstimate, column_volume_grid
 
 STAGE_ORDER = ("passthrough", "downsample", "prefilter", "posture",
                "calibration", "fine_filter", "volume")
@@ -87,7 +88,7 @@ class PipelineConfig:
     margin: float = 0.012
 
     # volume
-    grid: GridSpec = GridSpec(cell_size=0.025, aggregator=AGG_MEAN)
+    grid: GridSpec = GridSpec(cell_size=0.025)
 
     # seeds RANSAC: the pipeline overrides ``ransac.seed`` with it, so
     # ``validate`` rejects a ``ransac.seed`` that is neither 0 nor this seed

@@ -2,12 +2,13 @@
 
 The column integrators are the measurement core: volume as the sum of
 (ground element area x column height) over a calibrated cloud.  The grid
-variant, the one the pipeline runs, rasterizes the footprint into square
-cells so memory follows the ground area rather than the 3D extent.  The
-uniform variant is the paper's per-point integration: every point gets an
-equal ground footprint derived from the known scene area.  It, the
-slice-stacking and the convex-hull estimators are comparison baselines
-with their known pathologies.
+variant, the one the pipeline runs, reads each xy cell of the voxel
+pass's lattice (``cloud.grid_cells``) at its points' mean height, so memory
+follows the ground area rather than the 3D extent.  The uniform variant is
+the paper's per-point integration: every point gets an equal ground
+footprint derived from the known scene area.  It, the slice-stacking and
+the Qhull convex-hull estimators are comparison baselines with their known
+pathologies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .cloud import PointCloud, cell_keys
+from .cloud import PointCloud, _keys_and_span, grid_cells
 from .errors import DegenerateCloud, DegenerateInput, InvalidParameter
 
 METHOD_COLUMN_UNIFORM = "COLUMN_UNIFORM"
@@ -27,23 +28,18 @@ METHOD_COLUMN_GRID = "COLUMN_GRID"
 METHOD_SLICE = "SLICE"
 METHOD_HULL3D = "HULL3D"
 
-AGG_MAX = "MAX"
-AGG_MEAN = "MEAN"
-
 
 @dataclass(frozen=True)
 class GridSpec:
     """Square XY cells, aligned to the cloud's min corner."""
 
     cell_size: float = 0.025
-    aggregator: str = AGG_MEAN
 
     def __post_init__(self):
-        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+        # a finite area also rules out a cell so large its area overflows
+        if not (math.isfinite(self.cell_size * self.cell_size) and self.cell_size > 0):
             raise InvalidParameter(
-                f"cell_size must be finite and > 0, got {self.cell_size}")
-        if self.aggregator not in (AGG_MAX, AGG_MEAN):
-            raise InvalidParameter(f"aggregator must be MAX or MEAN, got {self.aggregator!r}")
+                f"cell_size must be > 0 with a finite area, got {self.cell_size}")
 
 
 @dataclass(frozen=True)
@@ -72,14 +68,11 @@ def column_volume_uniform(cloud: PointCloud, element_area: float) -> VolumeEstim
     if not (math.isfinite(element_area) and element_area > 0):
         raise InvalidParameter(
             f"element_area must be finite and > 0, got {element_area}")
-    z = cloud.xyz[:, 2] if len(cloud) else np.zeros(0)
-    volume = element_area * float(z.sum())
-    # "signed" and "compensation" are fixed; the report keeps their columns
+    volume = element_area * float(cloud.xyz[:, 2].sum())
     return VolumeEstimate(
         volume=volume,
         method=METHOD_COLUMN_UNIFORM,
-        params_used={"element_area": element_area, "signed": True,
-                     "compensation": 1.0},
+        params_used={"element_area": element_area},
         diagnostics={"point_count": len(cloud)},
     )
 
@@ -87,43 +80,29 @@ def column_volume_uniform(cloud: PointCloud, element_area: float) -> VolumeEstim
 def column_volume_grid(cloud: PointCloud, grid: GridSpec = GridSpec()) -> VolumeEstimate:
     """Rasterized column integration over occupied ground cells.
 
-    Each nonempty cell contributes cell_area x height, with the height the
-    MAX or MEAN of its member z values, clamped at zero so the estimate is
-    never negative.  Memory scales with the number of occupied cells.
+    Each nonempty cell of ``grid_cells`` on x and y, numbered in sorted
+    key order, contributes cell_area x the mean of its member z values,
+    clamped at zero so the estimate is never negative.  Memory scales with
+    the number of occupied cells.
     """
-    if len(cloud) == 0:
-        return VolumeEstimate(
-            volume=0.0, method=METHOD_COLUMN_GRID,
-            params_used={"cell_size": grid.cell_size, "aggregator": grid.aggregator,
-                         "compensation": 1.0},
-            diagnostics={"point_count": 0, "cell_count": 0},
-        )
     xyz = cloud.xyz
-    origin = np.asarray([xyz[:, 0].min(), xyz[:, 1].min()], dtype=np.float64)
-    cells = np.floor((xyz[:, :2] - origin) / grid.cell_size).astype(np.int64)
-    key = cell_keys(cells)
-    if key is None:
-        _, inverse = np.unique(cells, axis=0, return_inverse=True)
-    else:
-        _, inverse = np.unique(key, return_inverse=True)
-    n_cells = int(inverse.max()) + 1
-    z = xyz[:, 2]
-    if grid.aggregator == AGG_MAX:
-        heights = np.full(n_cells, -np.inf)
-        np.maximum.at(heights, inverse, z)
-    else:
+    volume, n_cells = 0.0, 0
+    if len(cloud):
+        cells = grid_cells(xyz[:, :2], grid.cell_size)
+        key = _keys_and_span(cells)[0]
+        if key is None:
+            _, inverse = np.unique(cells, axis=0, return_inverse=True)
+        else:
+            _, inverse = np.unique(key, return_inverse=True)
+        n_cells = int(inverse.max()) + 1
         # bincount adds each cell's z values in point order
-        sums = np.bincount(inverse, weights=z, minlength=n_cells)
-        counts = np.bincount(inverse, minlength=n_cells)
-        heights = sums / counts
-    heights = np.maximum(heights, 0.0)
-    cell_area = grid.cell_size ** 2
-    volume = cell_area * float(heights.sum())
+        sums = np.bincount(inverse, weights=xyz[:, 2], minlength=n_cells)
+        heights = np.maximum(sums / np.bincount(inverse, minlength=n_cells), 0.0)
+        volume = grid.cell_size ** 2 * float(heights.sum())
     return VolumeEstimate(
         volume=volume,
         method=METHOD_COLUMN_GRID,
-        params_used={"cell_size": grid.cell_size, "aggregator": grid.aggregator,
-                     "compensation": 1.0},
+        params_used={"cell_size": grid.cell_size},
         diagnostics={"point_count": len(cloud), "cell_count": n_cells},
     )
 
@@ -141,23 +120,17 @@ def slice_volume(cloud: PointCloud, interval: float) -> VolumeEstimate:
     xyz = cloud.xyz
     total = 0.0
     n_layers = 0
-    if len(cloud):
-        above = xyz[xyz[:, 2] >= 0.0]
-        if len(above):
-            layer_idx = np.floor(above[:, 2] / interval).astype(np.int64)
-            order = np.argsort(layer_idx, kind="stable")
-            sorted_idx = layer_idx[order]
-            boundaries = np.flatnonzero(np.diff(sorted_idx)) + 1
-            for block in np.split(order, boundaries):
-                pts = above[block][:, :2]
-                if len(pts) < 3:
-                    continue
-                try:
-                    _, area = convex_hull_2d(pts)
-                except DegenerateInput:
-                    continue
-                total += area * interval
-                n_layers += 1
+    above = xyz[xyz[:, 2] >= 0.0]
+    layer_idx = np.floor(above[:, 2] / interval).astype(np.int64)
+    order = np.argsort(layer_idx, kind="stable")
+    boundaries = np.flatnonzero(np.diff(layer_idx[order])) + 1
+    for block in np.split(order, boundaries):
+        try:
+            _, area = convex_hull_2d(above[block][:, :2])
+        except DegenerateInput:     # under 3 points, or collinear
+            continue
+        total += area * interval
+        n_layers += 1
     return VolumeEstimate(
         volume=total,
         method=METHOD_SLICE,
@@ -193,34 +166,18 @@ def hull3d_volume(cloud: PointCloud) -> VolumeEstimate:
 
 
 def convex_hull_2d(points: Sequence | np.ndarray) -> tuple[np.ndarray, float]:
-    """Counter-clockwise 2D convex hull (monotone chain) and shoelace area.
+    """2D convex hull from Qhull: its vertices, counter-clockwise, and the
+    area they enclose.
 
     Raises:
-        DegenerateInput: fewer than 3 distinct points, or all collinear.
+        DegenerateInput: fewer than 3 points, or all coincident or collinear.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if len(pts) < 3:
         raise DegenerateInput(f"2D hull needs >= 3 points, got {len(pts)}")
-    uniq = np.unique(pts, axis=0)            # sorts lexicographically by (x, y)
-    if len(uniq) < 3:
-        raise DegenerateInput("fewer than 3 distinct points")
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
-    for p in uniq:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in uniq[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = np.asarray(lower[:-1] + upper[:-1])
-    if len(hull) < 3:
-        raise DegenerateInput("points are collinear")
-    x, y = hull[:, 0], hull[:, 1]
-    area = 0.5 * float(np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-    return hull, area
+    try:
+        hull = ConvexHull(pts)
+    except QhullError as exc:
+        raise DegenerateInput(f"degenerate points for 2D hull: {exc}") from exc
+    # in 2D Qhull lists the vertices counter-clockwise, and "volume" is area
+    return pts[hull.vertices], float(hull.volume)

@@ -35,7 +35,6 @@ from pilevol.synth import (
     with_seed,
 )
 from pilevol.volume import (
-    AGG_MEAN,
     GridSpec,
     column_volume_grid,
     convex_hull_2d,
@@ -218,8 +217,7 @@ def test_baseline_pathologies():
     crescent = crescent_scene()
     pile = PointCloud(crescent.cloud.xyz[crescent.cloud.xyz[:, 2] > 0])
     hull = hull3d_volume(pile).volume
-    grid = column_volume_grid(pile, GridSpec(cell_size=0.02,
-                                             aggregator=AGG_MEAN)).volume
+    grid = column_volume_grid(pile, GridSpec(cell_size=0.02)).volume
     hull_rel = hull / crescent.true_volume - 1.0
     grid_rel = abs(grid / crescent.true_volume - 1.0)
     assert hull_rel >= 0.10, f"hull overestimate {hull_rel:.1%} < 10%"

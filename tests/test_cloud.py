@@ -11,6 +11,7 @@ from pilevol.cloud import (
     AxisRange,
     PointCloud,
     _first_occurrence_cells,
+    grid_cells,
     passthrough_filter,
     voxel_downsample,
 )
@@ -229,6 +230,24 @@ def test_voxel_downsample_cell_key_does_not_wrap():
     np.testing.assert_array_equal(
         out.xyz, [[0.25, 0.25, 0.0], [274176.0, 67280421310720.0, 0.0]])
     assert out.xyz.tobytes() == unique_rows_voxel_reference(cloud, 1.0).tobytes()
+
+
+def test_voxel_downsample_rejects_a_voxel_index_past_int64():
+    # a 1 m extent is 1e300 voxels of 1e-300 m; an unchecked cast to int64
+    # once ended the pipeline in an IndexError
+    cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]])
+    with pytest.raises(InvalidParameter):
+        voxel_downsample(cloud, 1e-300)
+
+
+def test_grid_cells_index_stays_below_2_63():
+    below = np.nextafter(2.0 ** 63, 0.0)    # the largest float under 2**63
+    cells = grid_cells(np.array([[0.0, 0.0], [below, 1.0]]), 1.0)
+    np.testing.assert_array_equal(cells, [[0, 0], [int(below), 1]])
+    with pytest.raises(InvalidParameter):
+        grid_cells(np.array([[0.0, 0.0], [2.0 ** 63, 1.0]]), 1.0)
+    with pytest.raises(InvalidParameter):
+        grid_cells(np.array([[-1e308, 0.0], [1e308, 1.0]]), 1.0)
 
 
 def assert_first_occurrence_numbers(rows):

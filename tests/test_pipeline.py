@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pilevol import cli
 from pilevol.cli import main as cli_main
 from pilevol.cloud import AxisRange, PointCloud
+from pilevol.cloudio import save_cloud
 from pilevol.config import _KEYS, parse_config_text
 from pilevol import denoise
 from pilevol.denoise import HdbscanParams, RadiusFilterParams
@@ -470,7 +471,6 @@ margin = 0.02
 
 [volume]
 cell_size = 0.04
-aggregator = MAX
 """
     cfg = parse_config_text(text)
     assert cfg.seed == 9 and cfg.ransac.seed == 9
@@ -484,7 +484,6 @@ aggregator = MAX
     assert cfg.ground_mode == "MID_PLATEAU"
     assert cfg.margin == 0.02
     assert cfg.grid.cell_size == 0.04
-    assert cfg.grid.aggregator == "MAX"
 
 
 def test_config_unknown_key_fails_fast():
@@ -508,6 +507,8 @@ REMOVED_KEYS = [
     "[ground]\nrestore_datum = on\n",
     "[volume]\nslice_interval = 0.05\n",
     "[volume]\ncompensation = 1.0\n",
+    "[volume]\naggregator = MEAN\n",
+    "[volume]\naggregator = median\n",
     "[volume]\nsigned = true\n",
     "[volume]\nestimator = SLICE\n",
     "[volume]\nestimator = HULL3D\n",
@@ -527,7 +528,7 @@ BAD_CONFIGS = [
     "[volume]\ncell_size = 0\n",
     "[volume]\ncell_size = nan\n",
     "[volume]\ncell_size = inf\n",
-    "[volume]\naggregator = median\n",
+    "[volume]\ncell_size = 1e300\n",
     "[ransac]\nmax_iterations = 0\n",
     "[ransac]\ndistance_threshold = nan\n",
     "[passthrough]\nx = 2, 1\n",
@@ -608,7 +609,6 @@ CONFIG_LINE_FOR_LEAF = {
     "override_height": "[ground]\noverride_height = 0.1",
     "margin": "[ground]\nmargin = 0.02",
     "grid.cell_size": "[volume]\ncell_size = 0.04",
-    "grid.aggregator": "[volume]\naggregator = MAX",
 }
 
 
@@ -751,6 +751,55 @@ def test_cli_out_of_memory_is_a_stage_failure(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err == "stage failure: out of memory\n"
+
+
+@pytest.mark.parametrize("line", ["[volume]\ncell_size = 1e-300",
+                                  "[pipeline]\ndownsample_voxel = 1e-300"],
+                         ids=["cell", "voxel"])
+def test_cli_cell_index_past_int64_is_a_stage_failure(line, tmp_path, capsys):
+    # a 1e-300 m cell puts 1e300 cells across the scene; the unchecked int64
+    # cast once read 0 m^3 (grid) or raised an IndexError (voxels)
+    path = tmp_path / "c.ini"
+    path.write_text(line + "\n")
+    assert cli_main(["run", "--scene-id", "s01-a1.3-v0.014-cone", "--config",
+                     str(path), "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("stage failure:") and "int64" in err
+    assert "volume" not in out and not (tmp_path / "report.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def small_ply(tmp_path_factory):
+    """A 540-point tilted cone capture, as PLY, that keeps 123 points
+    through every default stage."""
+    spec = SceneSpec(pile=Cone(0.1, 0.08), footprint_area=0.09,
+                     ground_extent=(0.3, 0.3), point_density=6000.0,
+                     noise_sigma=0.002, tilt_deg=8.0, seed=5)
+    path = tmp_path_factory.mktemp("fuzz") / "small.ply"
+    save_cloud(generate_scene(spec).cloud, path)
+    return path
+
+
+FUZZ_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "none", "", "on",
+               "off", "first_peak", "mid_plateau", "override", "junk", "1,2"]
+
+
+@settings(max_examples=250, deadline=None)
+@given(command=st.sampled_from(["run", "histogram"]),
+       lines=st.lists(st.tuples(st.sampled_from(sorted(_KEYS)),
+                                st.sampled_from(FUZZ_VALUES)), max_size=4))
+@example(command="run", lines=[(("volume", "cell_size"), "1e-300")])
+@example(command="run", lines=[(("pipeline", "downsample_voxel"), "1e-300")])
+@example(command="run", lines=[(("volume", "cell_size"), "1e300")])
+def test_cli_fuzzed_config_exits_with_a_code(small_ply, tmp_path_factory,
+                                              command, lines):
+    # any config document ends in a documented exit code, not an exception
+    out = tmp_path_factory.mktemp("out")
+    config = out / "c.ini"
+    config.write_text("".join(f"[{section}]\n{key} = {value}\n"
+                              for (section, key), value in lines))
+    assert cli_main([command, "--input", str(small_ply), "--config", str(config),
+                     "--out", str(out)]) in (0, 1, 2, 3)
 
 
 def test_cli_bench_filtered(tmp_path):

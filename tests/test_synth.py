@@ -29,7 +29,7 @@ from pilevol.synth import (
     walker_clutter,
     with_seed,
 )
-from pilevol.volume import AGG_MEAN, GridSpec, column_volume_grid
+from pilevol.volume import GridSpec, column_volume_grid
 
 
 def plain_spec(pile, extent=(1.6, 0.8), density=5000.0, **kw):
@@ -180,7 +180,7 @@ def test_scene_grid_volume_converges_with_density():
         xyz = scene.cloud.xyz
         z = xyz[:, 2] - xyz[:, 2].min()
         est = column_volume_grid(PointCloud(np.column_stack([xyz[:, :2], z])),
-                                 GridSpec(cell_size=0.02, aggregator=AGG_MEAN))
+                                 GridSpec(cell_size=0.02))
         errors.append(abs(est.volume - pile.true_volume) / pile.true_volume)
     assert errors[-1] < 0.01
     assert errors[-1] <= errors[0] + 0.01

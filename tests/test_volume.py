@@ -8,8 +8,6 @@ import pytest
 from pilevol.cloud import PointCloud
 from pilevol.errors import DegenerateCloud, DegenerateInput, InvalidParameter
 from pilevol.volume import (
-    AGG_MAX,
-    AGG_MEAN,
     GridSpec,
     column_volume_grid,
     column_volume_uniform,
@@ -138,35 +136,14 @@ def test_grid_flat_slab_boundary_bound():
     xy = rng.uniform(0, 1, size=(n, 2))
     cloud = PointCloud(np.column_stack([xy, np.full(n, 0.3)]))
     cell = 0.05
-    est = column_volume_grid(cloud, GridSpec(cell_size=cell, aggregator=AGG_MAX))
+    est = column_volume_grid(cloud, GridSpec(cell_size=cell))
     boundary_bound = 4 * cell * 0.3        # one ring of boundary cells
     assert abs(est.volume - 0.3) <= boundary_bound
-    # MEAN agrees exactly on a flat slab
-    mean_est = column_volume_grid(cloud, GridSpec(cell_size=cell, aggregator=AGG_MEAN))
-    assert mean_est.volume == pytest.approx(est.volume)
 
 
 def test_grid_cone_mean_within_three_percent():
-    est = column_volume_grid(sampled_cone(), GridSpec(cell_size=0.02, aggregator=AGG_MEAN))
+    est = column_volume_grid(sampled_cone(), GridSpec(cell_size=0.02))
     assert abs(est.volume - CONE_VOLUME) / CONE_VOLUME < 0.03
-
-
-def test_grid_cone_max_overestimates_cell_top():
-    # MAX reads each cell at its upper envelope, inflating sloped surfaces by
-    # about half the per-cell height range; MEAN is the accurate default
-    est = column_volume_grid(sampled_cone(), GridSpec(cell_size=0.02, aggregator=AGG_MAX))
-    rel = (est.volume - CONE_VOLUME) / CONE_VOLUME
-    assert 0.03 < rel < 0.12
-
-
-def test_grid_max_monotone_in_points():
-    rng = np.random.default_rng(2)
-    xyz = rng.uniform(0, 1, size=(500, 3))
-    spec = GridSpec(cell_size=0.1, aggregator=AGG_MAX)
-    vol = column_volume_grid(PointCloud(xyz), spec).volume
-    for extra in ([0.5, 0.5, 2.0], [0.95, 0.95, 0.0], [2.0, 2.0, 1.0]):
-        vol2 = column_volume_grid(PointCloud(np.vstack([xyz, extra])), spec).volume
-        assert vol2 >= vol - 1e-12
 
 
 def test_grid_empty_and_negative_clamp():
@@ -178,20 +155,15 @@ def test_grid_empty_and_negative_clamp():
 
 def unique_rows_grid_reference(cloud, grid):
     """Grid volume and cell count through the row-wise ``np.unique(axis=0)``,
-    with MEAN sums by ``np.add.at`` and MAX by ``np.maximum.at``."""
+    with the cells' z sums by ``np.add.at``."""
     xyz = cloud.xyz
     origin = xyz[:, :2].min(axis=0)
     cells = np.floor((xyz[:, :2] - origin) / grid.cell_size).astype(np.int64)
     _, inverse = np.unique(cells, axis=0, return_inverse=True)
     n_cells = int(inverse.max()) + 1
-    z = xyz[:, 2]
-    if grid.aggregator == AGG_MAX:
-        heights = np.full(n_cells, -np.inf)
-        np.maximum.at(heights, inverse, z)
-    else:
-        sums = np.zeros(n_cells)
-        np.add.at(sums, inverse, z)
-        heights = sums / np.bincount(inverse, minlength=n_cells)
+    sums = np.zeros(n_cells)
+    np.add.at(sums, inverse, xyz[:, 2])
+    heights = sums / np.bincount(inverse, minlength=n_cells)
     return grid.cell_size ** 2 * float(np.maximum(heights, 0.0).sum()), n_cells
 
 
@@ -209,19 +181,28 @@ def test_grid_matches_unique_rows_reference(far):
         xyz = np.vstack([xyz[:7000], [far], xyz[7000:]])
     cloud = PointCloud(xyz)
     for size in (0.01, 0.025, 0.034, 1.0):
-        for aggregator in (AGG_MEAN, AGG_MAX):
-            grid = GridSpec(cell_size=size, aggregator=aggregator)
-            est = column_volume_grid(cloud, grid)
-            volume, n_cells = unique_rows_grid_reference(cloud, grid)
-            assert est.volume.hex() == volume.hex()
-            assert est.diagnostics["cell_count"] == n_cells
+        grid = GridSpec(cell_size=size)
+        est = column_volume_grid(cloud, grid)
+        volume, n_cells = unique_rows_grid_reference(cloud, grid)
+        assert est.volume.hex() == volume.hex()
+        assert est.diagnostics["cell_count"] == n_cells
 
 
 def test_grid_spec_validation():
     with pytest.raises(InvalidParameter):
         GridSpec(cell_size=0.0)
     with pytest.raises(InvalidParameter):
-        GridSpec(cell_size=0.1, aggregator="MEDIAN")
+        GridSpec(cell_size=-0.1)
+    with pytest.raises(InvalidParameter):
+        GridSpec(cell_size=1e300)    # the cell area overflows to inf
+
+
+def test_grid_rejects_a_cell_index_past_int64():
+    # a 1 m footprint is 1e300 cells of 1e-300 m; an unchecked cast to int64
+    # once made the grid read 0 m^3
+    cloud = PointCloud([[0.0, 0.0, 0.5], [1.0, 1.0, 0.5]])
+    with pytest.raises(InvalidParameter):
+        column_volume_grid(cloud, GridSpec(1e-300))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
@@ -311,10 +292,10 @@ def test_hull3d_sphere_sample_and_containment():
     assert abs(est.volume - mc) / mc < 0.08
 
 
-def test_hull3d_vs_grid_max_on_convex_surface():
+def test_hull3d_vs_grid_on_convex_surface():
     cloud = sampled_cone()
     hull = hull3d_volume(cloud).volume
-    grid = column_volume_grid(cloud, GridSpec(cell_size=0.02, aggregator=AGG_MAX)).volume
+    grid = column_volume_grid(cloud, GridSpec(cell_size=0.02)).volume
     # the hull is the convex envelope: no lower than the rasterized columns,
     # within the boundary-ring slack of the grid
     ring = 2 * math.pi * CONE_R * 0.02 * CONE_H
