@@ -34,10 +34,10 @@ print(f"ground peak: bin {ground.peak_bin}, height {ground.height * 1000:+.1f} m
       f"confidence {ground.confidence:.0f}x median bin count")
 
 # 3. calibrate: shift the reference to zero and cut the ground band away.
-#    The margin lifts the cut above the sensor noise; measuring heights
-#    from the detected ground keeps the columns unbiased.
+#    The margin lifts the cut above the sensor noise; heights stay measured
+#    from the detected ground, which keeps the columns unbiased.
 margin = 0.012
-calibrated = pv.calibrate(level, ground, margin).translated((0, 0, margin))
+calibrated = pv.calibrate(level, ground, margin)
 print(f"calibration: {len(level)} -> {len(calibrated)} points "
       f"(ground slab removed)")
 

@@ -2,8 +2,8 @@
 
 After posture correction the ground forms a sharp peak at the low end of
 the z histogram.  The reference height is read from that peak, the cloud
-is translated so the reference sits at z = 0, and everything below it is
-removed.  A mid-plateau variant handles registration-smeared ground where
+is translated so the reference sits at z = 0, and everything below a
+small margin over it is removed.  A mid-plateau variant handles registration-smeared ground where
 the peak degrades into a run of near-equal bins, and an override mode
 accepts an externally measured height.  ``fine_filter`` then strips the
 residual ground and clutter by keeping the largest r0 component of the
@@ -194,15 +194,16 @@ def override_ground(height: float) -> GroundEstimate:
 
 def calibrate(cloud: PointCloud, ground: GroundEstimate,
               margin: float = 0.0) -> PointCloud:
-    """Translate z by -(ground.height + margin) and drop points below 0.
+    """Keep the points at least ``margin`` above the ground and translate z
+    by -ground.height, so heights are measured from the ground itself.
 
     The margin raises the cut so near-ground noise is stripped along with
-    the ground itself; the surviving cloud has min z >= 0.
+    the ground, without shaving the columns the volume integrates.
     """
     if not (math.isfinite(margin) and margin >= 0):
         raise InvalidParameter(f"margin must be finite and >= 0, got {margin}")
-    shifted = cloud.translated((0.0, 0.0, -(ground.height + margin)))
-    return shifted.select(shifted.xyz[:, 2] >= 0.0)
+    keep = cloud.xyz[:, 2] - (ground.height + margin) >= 0.0
+    return cloud.select(keep).translated((0.0, 0.0, -ground.height))
 
 
 def fine_filter(cloud: PointCloud, rparams: RadiusFilterParams) -> PointCloud:

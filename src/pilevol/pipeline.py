@@ -198,8 +198,6 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
                 report.ground = find_ground(hist, config.search_band,
                                             config.ground_mode)
             cloud = calibrate(cloud, report.ground, config.margin)
-            if config.margin > 0:
-                cloud = cloud.translated((0.0, 0.0, config.margin))
         elif stage == "fine_filter" and config.enable_fine_filter:
             cloud = fine_filter(cloud, rparams)
         elif stage == "volume":
