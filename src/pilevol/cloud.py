@@ -141,14 +141,12 @@ def grid_cells(coords: np.ndarray, size: float) -> np.ndarray:
     cells = np.empty((coords.shape[1], len(coords)), dtype=np.int64).T
     for k in range(coords.shape[1]):
         col = coords[:, k]
-        # the largest quotient, in Python floats: an overflow is inf, not a
-        # warning
-        lo = float(col.min())
-        extent = float(col.max()) - lo
-        if not extent / size < 2.0 ** 63:
-            raise InvalidParameter(f"cell size {size} splits a {extent} m extent "
-                                   "into more cells than an int64 index holds")
-        cells[:, k] = np.floor((col - lo) / size)
+        with np.errstate(over="ignore"):    # an overflow is inf, rejected below
+            quotient = (col - col.min()) / size
+        if not quotient.max() < 2.0 ** 63:
+            raise InvalidParameter(f"cell size {size} puts 2**63 or more cells "
+                                   "along one axis, past an int64 index")
+        cells[:, k] = np.floor(quotient, out=quotient)
     return cells
 
 

@@ -3,11 +3,11 @@
 After posture correction the ground forms a sharp peak at the low end of
 the z histogram.  The reference height is read from that peak, the cloud
 is translated so the reference sits at z = 0, and everything below a
-small margin over it is removed.  A mid-plateau variant handles registration-smeared ground where
-the peak degrades into a run of near-equal bins, and an override mode
-accepts an externally measured height.  ``fine_filter`` then strips the
-residual ground and clutter by keeping the largest r0 component of the
-calibrated cloud.
+small margin over it is removed.  A mid-plateau variant handles
+registration-smeared ground where the peak degrades into a run of
+near-equal bins, and an override mode accepts an externally measured
+height.  ``fine_filter`` then strips the residual ground and clutter by
+keeping the largest r0 component of the calibrated cloud.
 """
 
 from __future__ import annotations
