@@ -10,16 +10,14 @@ Points under no selected cluster are noise.
 The MST comes from a Boruvka variant that works from cached k-nearest
 neighbor lists with per-point exactness bounds, expanding the search only
 for points whose bound says a better foreign edge could exist outside the
-cache.  One kd-tree and one kNN query per clustering call serve both the
-core distances and that cache.  A dense Prim sweep stays available as the
-reference the Boruvka path must agree with in total weight.  Equal-weight
-ties are broken toward lower point indices so results are reproducible.
+cache.  A dense Prim sweep stays available as the reference the Boruvka
+path must agree with in total weight.  Equal-weight ties are broken toward
+lower point indices so results are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -56,48 +54,17 @@ class ClusterLabels:
                            minlength=self.cluster_count)
 
 
-class KnnCache:
-    """One kd-tree over a cloud and its self-stripped kNN query, built on
-    first use and shared by the core distances and the Boruvka MST.
-
-    The query is the k = KNN_CACHE_SIZE + 1 one itself, never a slice of a
-    wider query: among equal distances the kd-tree's index order depends
-    on k, and the Boruvka tie-breaking reads that order.
-    """
-
-    def __init__(self, xyz: np.ndarray):
-        self.xyz = xyz
-
-    @cached_property
-    def tree(self) -> cKDTree:
-        return cKDTree(self.xyz)
-
-    @cached_property
-    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, k-1) distances and indices of each point's nearest others."""
-        k = min(KNN_CACHE_SIZE + 1, len(self.xyz))
-        return _strip_self(*self.tree.query(self.xyz, k=k))
-
-
-def core_distances(xyz: np.ndarray, min_samples: int,
-                   knn: KnnCache | None = None) -> np.ndarray:
+def core_distances(xyz: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance to the min_samples-th nearest *other* point.
 
     Clouds with fewer than min_samples other points use the farthest
-    available neighbor; a single point has core distance 0.  With a shared
-    cache and min_samples <= KNN_CACHE_SIZE the distance is read from the
-    cached query: the sorted distance columns of a kd-tree query do not
-    depend on k, so the value is the one a (min_samples + 1) query gives.
+    available neighbor; a single point has core distance 0.
     """
     n = len(xyz)
     if n == 1:
         return np.zeros(1)
     k_other = min(min_samples, n - 1)
-    if knn is not None and k_other <= KNN_CACHE_SIZE:
-        dist = knn.neighbors[0]
-    else:
-        tree = cKDTree(xyz) if knn is None else knn.tree
-        dist, _ = _strip_self(*tree.query(xyz, k=k_other + 1))
+    dist, _ = _strip_self(*cKDTree(xyz).query(xyz, k=k_other + 1))
     return np.ascontiguousarray(dist[:, k_other - 1])
 
 
@@ -124,13 +91,11 @@ def _strip_self(dist: np.ndarray, idx: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def mutual_reachability_mst(xyz: np.ndarray, core: np.ndarray,
-                            method: str = "auto",
-                            knn: KnnCache | None = None) -> np.ndarray:
+                            method: str = "auto") -> np.ndarray:
     """Exact MST as an (n-1, 3) array of (i, j, weight) rows.
 
-    method: "auto" and "accelerated" run the Boruvka path at every size,
-    reusing the kd-tree and kNN query of ``knn`` when given; "dense" runs
-    the O(n^2) Prim reference.  Both return spanning trees of identical
+    method: "auto" runs the Boruvka path at every size; "dense" runs the
+    O(n^2) Prim reference.  Both return spanning trees of identical
     total weight; on equal weights they may pick different edges.
     """
     n = len(xyz)
@@ -138,8 +103,8 @@ def mutual_reachability_mst(xyz: np.ndarray, core: np.ndarray,
         return np.zeros((0, 3))
     if method == "dense":
         return _mst_dense_prim(xyz, core)
-    if method in ("auto", "accelerated"):
-        return _mst_knn_boruvka(xyz, core, KnnCache(xyz) if knn is None else knn)
+    if method == "auto":
+        return _mst_knn_boruvka(xyz, core)
     raise InvalidParameter(f"unknown MST method {method!r}")
 
 
@@ -188,8 +153,7 @@ def _find(parent: list[int], x: int) -> int:
 DOUBLING_LEVELS = (2 * KNN_CACHE_SIZE, 4 * KNN_CACHE_SIZE, 8 * KNN_CACHE_SIZE)
 
 
-def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray,
-                     knn: KnnCache) -> np.ndarray:
+def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
     """Exact Boruvka MST driven by cached kNN candidate lists.
 
     Per round, every point proposes its cheapest foreign (other-component)
@@ -201,8 +165,8 @@ def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray,
     islands, where the cache is blind -- get an exact complement-tree pass.
     """
     n = len(xyz)
-    tree = knn.tree
-    dist, idx = knn.neighbors
+    tree = cKDTree(xyz)
+    dist, idx = _strip_self(*tree.query(xyz, k=min(KNN_CACHE_SIZE + 1, n)))
     mr = np.maximum(np.maximum(dist, core[:, None]), core[idx])
 
     # order each candidate row by (mutual reachability, neighbor index):
@@ -216,10 +180,6 @@ def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray,
     del by_idx, by_mr, mr
 
     cache_ring = dist[:, -1]
-    # per doubling level, the ring of each point whose re-query there found
-    # no foreign point (NaN until then); components only merge, so such a
-    # query stays foreign-free in every later round and is not repeated
-    foreign_free = [np.full(n, np.nan) for _ in DOUBLING_LEVELS]
 
     parent = list(range(n))
     edges: list[tuple[int, int, float]] = []
@@ -247,8 +207,7 @@ def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray,
         if open_mask.any():
             leftover = _resolve_doubling(xyz, core, tree, comp_ids,
                                          np.flatnonzero(open_mask),
-                                         cand_w, cand_j, comp_min,
-                                         foreign_free)
+                                         cand_w, cand_j, comp_min)
             for c in np.unique(comp_ids[leftover]):
                 _resolve_complement(xyz, core, tree, comp_ids, int(c),
                                     cand_w, cand_j, comp_min)
@@ -349,7 +308,7 @@ def _refine_point(xyz, core, tree, comp_ids, a, cand_w, cand_j, comp_min) -> Non
 
 
 def _resolve_doubling(xyz, core, tree, comp_ids, open_pts,
-                      cand_w, cand_j, comp_min, foreign_free) -> np.ndarray:
+                      cand_w, cand_j, comp_min) -> np.ndarray:
     """Batched k-doubling re-queries for points with uncertain candidates.
 
     A point settles once its examined ring reaches its component minimum,
@@ -357,38 +316,29 @@ def _resolve_doubling(xyz, core, tree, comp_ids, open_pts,
     components).  Points that would need huge neighborhoods (separated
     islands) are returned after the last level for the complement-tree
     resolver.  All open points step through the levels together, so each
-    level sees the component minima the earlier levels left; a point whose
-    query at a level is known foreign-free (``foreign_free``) only
-    contributes its stored ring there.
+    level sees the component minima the earlier levels left.
     """
     n = len(xyz)
-    for k2, known in zip(DOUBLING_LEVELS, foreign_free):
+    for k2 in DOUBLING_LEVELS:
         if not open_pts.size:
             break
         k_eff = min(k2 + 1, n)
-        ring = known[open_pts]
-        ask = np.isnan(ring)
-        pts = open_pts[ask]
-        if pts.size:
-            d_o, i_o = tree.query(xyz[pts], k=k_eff)
-            d_o, i_o = _strip_self(d_o, i_o, pts)
-            mr_o = np.maximum(np.maximum(d_o, core[pts, None]), core[i_o])
-            for_o = comp_ids[i_o] != comp_ids[pts, None]
-            mr_masked = np.where(for_o, mr_o, np.inf)
-            wmin = mr_masked.min(axis=1)
-            tie = mr_masked == wmin[:, None]
-            jbest = np.where(tie, i_o, n + 1).min(axis=1)
-            found = np.isfinite(wmin)
-            better = found & (wmin < cand_w[pts])
-            upd = pts[better]
-            cand_w[upd] = wmin[better]
-            cand_j[upd] = jbest[better]
-            np.minimum.at(comp_min, comp_ids[upd], wmin[better])
-            ring[ask] = d_o[:, -1]
-            known[pts[~found]] = d_o[~found, -1]
+        d_o, i_o = tree.query(xyz[open_pts], k=k_eff)
+        d_o, i_o = _strip_self(d_o, i_o, open_pts)
+        mr_o = np.maximum(np.maximum(d_o, core[open_pts, None]), core[i_o])
+        for_o = comp_ids[i_o] != comp_ids[open_pts, None]
+        mr_masked = np.where(for_o, mr_o, np.inf)
+        wmin = mr_masked.min(axis=1)
+        tie = mr_masked == wmin[:, None]
+        jbest = np.where(tie, i_o, n + 1).min(axis=1)
+        better = wmin < cand_w[open_pts]
+        upd = open_pts[better]
+        cand_w[upd] = wmin[better]
+        cand_j[upd] = jbest[better]
+        np.minimum.at(comp_min, comp_ids[upd], wmin[better])
         if k_eff >= n:
             return open_pts[:0]     # every point examined; candidates exact
-        still = np.maximum(core[open_pts], ring) < comp_min[comp_ids[open_pts]]
+        still = np.maximum(core[open_pts], d_o[:, -1]) < comp_min[comp_ids[open_pts]]
         open_pts = open_pts[still]
     return open_pts
 
@@ -579,11 +529,8 @@ def run_hdbscan(xyz: np.ndarray, params: HdbscanParams,
     if n < params.min_cluster_size:
         return ClusterLabels(labels=np.full(n, NOISE, dtype=np.int64),
                              cluster_count=0)
-    # the kd-tree and its kNN query are built inside core_distances, on
-    # first use, and reused by the MST
-    knn = KnnCache(xyz)
-    core = core_distances(xyz, params.min_samples, knn)
-    mst = mutual_reachability_mst(xyz, core, method=mst_method, knn=knn)
+    core = core_distances(xyz, params.min_samples)
+    mst = mutual_reachability_mst(xyz, core, method=mst_method)
     left, right, height, node_size = single_linkage(mst, n)
     parents, children, lambdas, sizes = condense_tree(
         left, right, height, node_size, n, params.min_cluster_size

@@ -150,6 +150,66 @@ def grid_cells(coords: np.ndarray, size: float) -> np.ndarray:
     return cells
 
 
+def cell_means(coords: np.ndarray, size: float,
+               values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the points of the non-empty (N, k) ``coords`` into the cells of
+    ``grid_cells`` and average the (N, j) ``values`` over each occupied cell.
+
+    Returns the (M, j) means, one row per cell in sorted cell order, and each
+    cell's lowest point index.  ``np.bincount`` adds each cell's members in
+    point order, so a mean does not depend on how the cells are numbered.
+    """
+    number, first = _number_cells(grid_cells(coords, size))
+    m = len(first)
+    counts = np.bincount(number, minlength=m).astype(np.float64)
+    means = np.empty((m, values.shape[1]))
+    for k in range(values.shape[1]):
+        np.divide(np.bincount(number, weights=values[:, k], minlength=m), counts,
+                  out=means[:, k])
+    return means, first
+
+
+def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of the non-negative (N, k) integer ``cells``
+    in sorted (lexicographic) order; return each row's number and each
+    number's lowest row index.
+
+    The rows are keyed as int64 in that order.  When the cells' bounding box
+    spans at most 4 keys per row, a direct-addressed table of at most 4*N
+    intp entries (32 bytes per row) numbers them with no sort; a sparser
+    grid, such as one stretched by a far stray point, sorts the keys; and a
+    box of more keys than int64 holds, past a far outlier, falls back to the
+    row-wise ``np.unique``.
+    """
+    n, width = cells.shape
+    extent = [int(cells[:, k].max()) + 1 for k in range(width)]
+    span = math.prod(extent)
+    if span > np.iinfo(np.int64).max:
+        _, first, number = np.unique(cells, axis=0, return_index=True,
+                                     return_inverse=True)
+        return number.reshape(n), first
+    key = cells[:, 0].copy()
+    for k in range(1, width):
+        key *= extent[k]
+        key += cells[:, k]
+    if span <= 4 * n:
+        # the table holds each key's lowest row index, or n where unoccupied
+        first = np.full(span, n)
+        np.minimum.at(first, key, np.arange(n))
+        occupied = first < n
+        rank = np.cumsum(occupied)
+        rank -= 1
+        return rank[key], first[occupied]
+    # an unstable sort groups equal keys, so each run's lowest row index is
+    # its minimum, not necessarily its first entry
+    order = np.argsort(key)
+    sorted_key = key[order]
+    new_run = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
+    number = np.empty(n, dtype=np.intp)
+    number[order] = np.cumsum(new_run) - 1
+    return number, np.minimum.reduceat(order, np.flatnonzero(new_run))
+
+
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """Replace the points of every occupied voxel by their centroid.
 
@@ -157,71 +217,15 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     corner so the result is deterministic for a given cloud.  Output points
     are ordered by first-occurring member point, which keeps repeated runs
     identical.
-
-    When the occupied cells' bounding box spans at most 4 cells per point,
-    the cells are numbered through a direct-addressed table of at most 4*N
-    intp entries (32 bytes per point) and no sort; a sparser grid, such as
-    one stretched by a far stray point, sorts the cell keys instead.
     """
     if not (math.isfinite(voxel_size) and voxel_size > 0):
         raise InvalidParameter(f"voxel_size must be finite and > 0, got {voxel_size}")
     if len(cloud) == 0:
         return cloud
     xyz = cloud.xyz
-    inverse, n_cells = _first_occurrence_cells(grid_cells(xyz, voxel_size))
-    counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
-    centroids = np.empty((n_cells, 3))
-    for k in range(3):
-        # bincount adds each cell's members in point order
-        np.divide(np.bincount(inverse, weights=xyz[:, k], minlength=n_cells), counts,
-                  out=centroids[:, k])
-    return PointCloud(centroids, validate=False)
-
-
-def _keys_and_span(cells: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """One int64 key per row of the non-negative (N, k) integer ``cells``,
-    ordered as the rows sort lexicographically (so sorted keys number the
-    rows as ``np.unique(cells, axis=0)`` does), and the number of keys the
-    cells' bounding box spans.  The key is None when the span overflows
-    int64, e.g. past a far outlier; callers then use the row-wise unique.
-    """
-    extent = [int(cells[:, k].max()) + 1 for k in range(cells.shape[1])]
-    span = math.prod(extent)
-    if span > np.iinfo(np.int64).max:
-        return None, span
-    key = cells[:, 0]
-    for k in range(1, cells.shape[1]):
-        key = key * extent[k] + cells[:, k]
-    return key, span
-
-
-def _first_occurrence_cells(cells: np.ndarray) -> tuple[np.ndarray, int]:
-    """Number the distinct rows of the non-negative (N, 3) ``cells`` in order
-    of first occurrence; return each row's number and the count."""
-    n = cells.shape[0]
-    key, span = _keys_and_span(cells)
-    if key is not None and span <= 4 * n:
-        # a table over every key holds each cell's lowest point index; the
-        # points that are their cell's first are numbered in point order
-        point = np.arange(n)
-        first = np.full(span, n)
-        np.minimum.at(first, key, point)
-        first_of = first[key]
-        number = np.cumsum(first_of == point) - 1
-        return number[first_of], int(number[-1]) + 1
-    if key is None:
-        _, first_idx, run_of = np.unique(cells, axis=0, return_index=True,
-                                         return_inverse=True)
-    else:
-        # an unstable sort groups equal keys; each run's first row is the
-        # lowest point index in it
-        order = np.argsort(key)
-        sorted_key = key[order]
-        new_run = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
-        starts = np.flatnonzero(new_run)
-        first_idx = np.minimum.reduceat(order, starts)
-        run_of = np.empty(len(key), dtype=np.intp)
-        run_of[order] = np.cumsum(new_run) - 1
-    rank = np.empty(first_idx.shape[0], dtype=np.intp)
-    rank[np.argsort(first_idx)] = np.arange(first_idx.shape[0])
-    return rank[run_of], first_idx.shape[0]
+    centroids, first = cell_means(xyz, voxel_size, xyz)
+    # list the voxels by first point with one O(N) scatter, not a sort;
+    # take copies the rows several times faster than a fancy index
+    slot = np.full(len(xyz), -1)
+    slot[first] = np.arange(len(first))
+    return PointCloud(centroids.take(slot[slot >= 0], axis=0), validate=False)

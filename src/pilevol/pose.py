@@ -55,10 +55,6 @@ class PlaneModel:
     def unit_normal(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
 
-    def distances(self, xyz: np.ndarray) -> np.ndarray:
-        """Unsigned point-to-plane distances."""
-        return np.abs(xyz @ self.unit_normal + self.d)
-
 
 def _plane_distances(xyz: np.ndarray, normal: np.ndarray, d: float) -> np.ndarray:
     """|xyz @ normal + d| for the (N, 3) ``xyz``, with the sum and the

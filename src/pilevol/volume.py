@@ -3,7 +3,7 @@
 The column integrators are the measurement core: volume as the sum of
 (ground element area x column height) over a calibrated cloud.  The grid
 variant, the one the pipeline runs, reads each xy cell of the voxel
-pass's lattice (``cloud.grid_cells``) at its points' mean height, so memory
+pass's lattice (``cloud.cell_means``) at its points' mean height, so memory
 follows the ground area rather than the 3D extent.  The uniform variant is
 the paper's per-point integration: every point gets an equal ground
 footprint derived from the known scene area.  It, the slice-stacking and
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .cloud import PointCloud, _keys_and_span, grid_cells
+from .cloud import PointCloud, cell_means
 from .errors import DegenerateCloud, DegenerateInput, InvalidParameter
 
 METHOD_COLUMN_UNIFORM = "COLUMN_UNIFORM"
@@ -80,25 +80,17 @@ def column_volume_uniform(cloud: PointCloud, element_area: float) -> VolumeEstim
 def column_volume_grid(cloud: PointCloud, grid: GridSpec = GridSpec()) -> VolumeEstimate:
     """Rasterized column integration over occupied ground cells.
 
-    Each nonempty cell of ``grid_cells`` on x and y, numbered in sorted
-    key order, contributes cell_area x the mean of its member z values,
-    clamped at zero so the estimate is never negative.  Memory scales with
-    the number of occupied cells.
+    Each nonempty cell of ``cell_means`` on x and y contributes cell_area x
+    the mean of its member z values, clamped at zero so the estimate is never
+    negative.  Memory scales with the number of occupied cells.
     """
     xyz = cloud.xyz
     volume, n_cells = 0.0, 0
     if len(cloud):
-        cells = grid_cells(xyz[:, :2], grid.cell_size)
-        key = _keys_and_span(cells)[0]
-        if key is None:
-            _, inverse = np.unique(cells, axis=0, return_inverse=True)
-        else:
-            _, inverse = np.unique(key, return_inverse=True)
-        n_cells = int(inverse.max()) + 1
-        # bincount adds each cell's z values in point order
-        sums = np.bincount(inverse, weights=xyz[:, 2], minlength=n_cells)
-        heights = np.maximum(sums / np.bincount(inverse, minlength=n_cells), 0.0)
-        volume = grid.cell_size ** 2 * float(heights.sum())
+        means = cell_means(xyz[:, :2], grid.cell_size, xyz[:, 2:])[0]
+        n_cells = len(means)
+        # the clamped heights are summed in sorted cell order
+        volume = grid.cell_size ** 2 * float(np.maximum(means[:, 0], 0.0).sum())
     return VolumeEstimate(
         volume=volume,
         method=METHOD_COLUMN_GRID,

@@ -269,7 +269,7 @@ def test_oracle_equivalence():
         in_tree[nxt] = True
         best = np.minimum(best, mreach[nxt])
     core = core_distances(pts, k)
-    for method in ("dense", "accelerated"):
+    for method in ("dense", "auto"):
         weight = mutual_reachability_mst(pts, core, method)[:, 2].sum()
         assert abs(weight - oracle_weight) < 1e-9, method
 

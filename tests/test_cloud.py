@@ -10,7 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 from pilevol.cloud import (
     AxisRange,
     PointCloud,
-    _first_occurrence_cells,
+    _number_cells,
     grid_cells,
     passthrough_filter,
     voxel_downsample,
@@ -169,12 +169,12 @@ def unique_rows_voxel_reference(cloud, voxel_size):
 
 
 def numbering_path(cells):
-    """The path ``_first_occurrence_cells`` takes for the (N, 3) ``cells``,
-    worked out from the bound it documents: "table" when the product M of
-    the per-axis extents (max + 1) is at most 4 N, "sort" for a larger M
-    that fits int64, and "unique" when M overflows it."""
+    """The path ``_number_cells`` takes for the (N, k) ``cells``, worked out
+    from the bound it documents: "table" when the product M of the per-axis
+    extents (max + 1) is at most 4 N, "sort" for a larger M that fits int64,
+    and "unique" when M overflows it."""
     span = 1
-    for k in range(3):
+    for k in range(cells.shape[1]):
         span *= int(cells[:, k].max()) + 1
     if span > np.iinfo(np.int64).max:
         return "unique"
@@ -250,12 +250,17 @@ def test_grid_cells_index_stays_below_2_63():
         grid_cells(np.array([[-1e308, 0.0], [1e308, 1.0]]), 1.0)
 
 
-def assert_first_occurrence_numbers(rows):
-    numbers, count = _first_occurrence_cells(np.array(rows, dtype=np.int64))
-    first_seen: dict = {}
-    expected = [first_seen.setdefault(row, len(first_seen)) for row in rows]
-    assert numbers.tolist() == expected
-    assert count == len(first_seen)
+def assert_cell_numbers(rows):
+    """``_number_cells`` against a dict oracle: each row's number is its
+    cell's rank in sorted order, and each cell's first index is its lowest
+    row."""
+    numbers, first = _number_cells(np.array(rows, dtype=np.int64))
+    lowest: dict = {}
+    for i, row in enumerate(rows):
+        lowest.setdefault(row, i)
+    rank = {row: r for r, row in enumerate(sorted(lowest))}
+    assert numbers.tolist() == [rank[row] for row in rows]
+    assert first.tolist() == [lowest[row] for row in sorted(lowest)]
 
 
 @st.composite
@@ -277,7 +282,7 @@ def test_first_occurrence_cells_match_dict_oracle(rows, far, at):
     if far is not None:
         rows.insert(at % (len(rows) + 1), (far, 1, far))
     event(numbering_path(np.array(rows)))
-    assert_first_occurrence_numbers(rows)
+    assert_cell_numbers(rows)
 
 
 @pytest.mark.parametrize("rows, path", [
@@ -296,10 +301,11 @@ def test_first_occurrence_cells_match_dict_oracle(rows, far, at):
 ], ids=["one-cell", "table", "table-at-bound", "sort-past-bound", "sort-far-row",
         "unique-overflow"])
 def test_first_occurrence_cells_on_each_path(rows, path):
-    # wherever there are two cells, the first is seen again after a later
-    # one, so numbering by last occurrence would fail the case
+    # wherever there are two cells, the rows are out of sorted order and the
+    # first cell is seen again after a later one, so numbering cells as they
+    # occur, or giving a cell its last row, would fail the case
     assert numbering_path(np.array(rows)) == path
-    assert_first_occurrence_numbers(rows)
+    assert_cell_numbers(rows)
 
 
 def test_voxel_downsample_invalid_size():

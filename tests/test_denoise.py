@@ -12,10 +12,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from pilevol import _hdbscan
 from pilevol._hdbscan import (
-    KnnCache,
-    _strip_self,
     core_distances,
     mutual_reachability_mst,
     run_hdbscan,
@@ -282,7 +279,7 @@ def test_mst_weight_matches_dense_prim_oracle():
     mr = brute_mreach_matrix(xyz, k)
     oracle = prim_total_weight(mr)
     core = core_distances(xyz, k)
-    for method in ("dense", "accelerated"):
+    for method in ("dense", "auto"):
         mst = mutual_reachability_mst(xyz, core, method=method)
         assert mst.shape == (len(xyz) - 1, 3)
         assert abs(mst[:, 2].sum() - oracle) < 1e-9
@@ -298,8 +295,8 @@ def test_mst_paths_agree_at_switch_boundary():
     assert len(xyz) == 5000
     core = core_distances(xyz, 10)
     dense = mutual_reachability_mst(xyz, core, method="dense")
-    accel = mutual_reachability_mst(xyz, core, method="accelerated")
-    assert abs(dense[:, 2].sum() - accel[:, 2].sum()) < 1e-9
+    boruvka = mutual_reachability_mst(xyz, core, method="auto")
+    assert abs(dense[:, 2].sum() - boruvka[:, 2].sum()) < 1e-9
 
 
 def test_boruvka_labels_golden_with_duplicate_ties():
@@ -319,7 +316,7 @@ def test_boruvka_labels_golden_with_duplicate_ties():
             == "a7ab8d29934d3ea84055799c708ea26fd89d025a7f274c6af8afd0199c8ac38d")
     # labels absorb most MST tie changes, so the Boruvka edges, their
     # orientation and their merge order are pinned as well
-    mst = mutual_reachability_mst(xyz, core_distances(xyz, 10), "accelerated")
+    mst = mutual_reachability_mst(xyz, core_distances(xyz, 10), "auto")
     assert (hashlib.sha256(mst.tobytes()).hexdigest()
             == "a8a018d7acfdff0a0efdf082772132c7bfbc90766eb43a17f72313f29335087d")
 
@@ -328,7 +325,7 @@ def test_boruvka_without_progress_raises_typed_error():
     xyz = np.random.default_rng(0).uniform(size=(6000, 3))
     core = np.full(len(xyz), np.nan)
     with pytest.raises(PilevolError), np.errstate(invalid="ignore"):
-        mutual_reachability_mst(xyz, core, "accelerated")
+        mutual_reachability_mst(xyz, core, "auto")
 
 
 def _lattice_with_duplicates() -> np.ndarray:
@@ -336,63 +333,6 @@ def _lattice_with_duplicates() -> np.ndarray:
     self entry can fall out of a kNN query and many distances tie."""
     base = np.round(np.random.default_rng(77).uniform(0, 1, size=(400, 3)), 1)
     return np.vstack([base, base[::2], base[::5]])
-
-
-@pytest.mark.parametrize("min_samples", [1, 10, 16])
-def test_shared_knn_core_distances_are_exact(min_samples):
-    dups = _lattice_with_duplicates()
-    clouds = [dups] + [np.repeat(dups[:(n + 1) // 2], 2, axis=0)[:n]
-                       for n in (2, 17, 18)]
-    for xyz in clouds:
-        # alone, core_distances queries exactly min_samples + 1 neighbors
-        shared = core_distances(xyz, min_samples, KnnCache(xyz))
-        assert shared.tobytes() == core_distances(xyz, min_samples).tobytes()
-
-
-def test_core_distances_above_cache_width_use_own_query():
-    xyz = _lattice_with_duplicates()
-    knn = KnnCache(xyz)
-    shared = core_distances(xyz, 20, knn)
-    assert shared.tobytes() == core_distances(xyz, 20).tobytes()
-    assert "neighbors" not in vars(knn)     # the 17-neighbor query never ran
-
-
-def test_knn_cache_is_the_17_neighbor_query():
-    # among equal distances the kd-tree's index order, and at the last
-    # column the neighbor set, depend on k: the cache must be this query,
-    # not a slice of a wider one
-    xyz = _lattice_with_duplicates()
-    dist, idx = KnnCache(xyz).neighbors
-    want_dist, want_idx = _strip_self(*cKDTree(xyz).query(xyz, k=17))
-    assert dist.tobytes() == want_dist.tobytes()
-    assert idx.tobytes() == want_idx.tobytes()
-
-
-def test_doubling_reuse_matches_fresh_requeries(monkeypatch):
-    # a doubling re-query that found no foreign point is reused in later
-    # Boruvka rounds; forgetting every stored ring must give the same edges
-    # in the same order
-    xyz = generate_scene(reference_scenes()[5]).cloud.xyz
-    core = core_distances(xyz, 10)
-    original = _hdbscan._resolve_doubling
-    reused = [0]
-
-    def counting(*args):
-        open_pts, foreign_free = args[4], args[-1]
-        reused[0] += sum(int(np.isfinite(known[open_pts]).sum())
-                         for known in foreign_free)
-        return original(*args)
-
-    def forgetful(*args):
-        return original(*args[:-1], [np.full_like(known, np.nan)
-                                     for known in args[-1]])
-
-    monkeypatch.setattr(_hdbscan, "_resolve_doubling", counting)
-    kept = mutual_reachability_mst(xyz, core, "accelerated")
-    monkeypatch.setattr(_hdbscan, "_resolve_doubling", forgetful)
-    fresh = mutual_reachability_mst(xyz, core, "accelerated")
-    assert reused[0] > 0
-    assert kept.tobytes() == fresh.tobytes()
 
 
 def test_auto_labels_match_dense_on_voxel_thinned_cloud_with_ties():

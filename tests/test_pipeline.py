@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from pilevol import cli
 from pilevol.cli import main as cli_main
 from pilevol.cloud import AxisRange, PointCloud
-from pilevol.cloudio import save_cloud
+from pilevol.cloudio import load_cloud, save_cloud
 from pilevol.config import _KEYS, parse_config_text
 from pilevol import denoise
 from pilevol.denoise import HdbscanParams, RadiusFilterParams
@@ -210,6 +210,20 @@ def test_volume_scales_with_the_cube_of_length(seed, s, voxel):
                           cloud=PointCloud(cloud.xyz * s)).volume
     assert base > 0
     assert scaled / s ** 3 == pytest.approx(base, rel=1e-9)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       offset=st.tuples(*[st.floats(-100.0, 100.0)] * 3))
+def test_volume_is_invariant_under_translation(seed, offset):
+    # the grid, the histogram and every filter are anchored to the cloud
+    # itself, so a capture moved anywhere within 100 m reads the same volume
+    cloud = generate_scene(replace(SMALL_SPEC, seed=seed)).cloud
+    config = _with_round_seed(PipelineConfig(), seed)
+    base = run_pipeline(config, cloud=cloud).volume
+    moved = run_pipeline(config, cloud=cloud.translated(offset)).volume
+    assert base >= 0 and moved >= 0
+    assert moved == pytest.approx(base, rel=1e-9)
 
 
 def test_pipeline_seed_alone_seeds_ransac(small_scene, monkeypatch):
@@ -800,6 +814,37 @@ def test_cli_fuzzed_config_exits_with_a_code(small_ply, tmp_path_factory,
                               for (section, key), value in lines))
     assert cli_main([command, "--input", str(small_ply), "--config", str(config),
                      "--out", str(out)]) in (0, 1, 2, 3)
+
+
+XYZ_TOKENS = ["0", "1", "-1", "0.5", "1e-300", "1e300", "1e308", "-1e308", "nan",
+              "inf", "-inf", "#", "junk", "1,2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["run", "histogram"]), base=st.booleans(),
+       rows=st.lists(st.lists(st.one_of(st.sampled_from(XYZ_TOKENS),
+                                        st.floats().map(repr)), max_size=4),
+                     max_size=30))
+@example(command="run", base=False, rows=[])
+@example(command="run", base=False, rows=[["0.1", "0.2", "0.3"]])
+@example(command="run", base=False, rows=[["0.1", "0.2"]] * 5)
+@example(command="run", base=True, rows=[["nan", "0", "0"]])
+@example(command="run", base=False, rows=[["0.5", "0.5", "0.5"]] * 50)
+@example(command="run", base=True, rows=[["1e308", "-1e308", "0"],
+                                         ["-1e308", "1e308", "1e308"]])
+@example(command="run", base=True, rows=[["0.1", "0.1", "1e300"]])
+@example(command="histogram", base=True, rows=[["0.1", "0.1", "1e300"]])
+def test_cli_fuzzed_xyz_exits_with_a_code(small_ply, tmp_path_factory, command,
+                                          base, rows):
+    # any XYZ text, alone or after a real capture's rows, ends in a
+    # documented exit code, not an exception
+    out = tmp_path_factory.mktemp("out")
+    path = out / "cloud.xyz"
+    if base:
+        save_cloud(load_cloud(small_ply), path, "xyz")
+    with path.open("a") as fh:
+        fh.write("".join(" ".join(row) + "\n" for row in rows))
+    assert cli_main([command, "--input", str(path), "--out", str(out)]) in (0, 1, 2, 3)
 
 
 def test_cli_bench_filtered(tmp_path):

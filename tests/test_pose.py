@@ -115,7 +115,7 @@ def test_ransac_inlier_invariant():
     cloud, _ = ground_plus_pile(rng, n_ground=2000, n_pile=500)
     params = RansacParams(seed=9)
     plane = ransac_plane(cloud, params)
-    distances = plane.distances(cloud.xyz[plane.inlier_indices])
+    distances = np.abs(cloud.xyz[plane.inlier_indices] @ plane.unit_normal + plane.d)
     assert (distances <= params.distance_threshold).all()
     assert abs(np.linalg.norm(plane.unit_normal) - 1.0) < 1e-12
 

@@ -16,6 +16,7 @@ from pilevol.volume import (
     hull3d_volume,
     slice_volume,
 )
+from test_cloud import numbering_path
 
 CONE_R, CONE_H = 0.5, 0.6
 CONE_VOLUME = math.pi * CONE_R ** 2 * CONE_H / 3.0   # 0.15707963...
@@ -167,20 +168,28 @@ def unique_rows_grid_reference(cloud, grid):
     return grid.cell_size ** 2 * float(np.maximum(heights, 0.0).sum()), n_cells
 
 
-@pytest.mark.parametrize("far", [
-    None, (1e6, 1e6, 0.4), (2e9, 2e9, 0.4), (4e9, 4e9, 0.4),
+@pytest.mark.parametrize("far, paths", [
+    (None, ["table"] * 4),
+    ((1e6, 1e6, 0.4), ["sort"] * 4),
+    ((2e9, 2e9, 0.4), ["unique", "unique", "unique", "sort"]),
+    ((4e9, 4e9, 0.4), ["unique"] * 4),
 ], ids=["compact", "far-outlier", "key-fits", "key-overflows"])
-def test_grid_matches_unique_rows_reference(far):
+def test_grid_matches_unique_rows_reference(far, paths):
     # rounded coordinates put many points on shared cells and cell faces;
     # at cell 1 an outlier at 2e9 keeps the cell key inside int64 and one at
-    # 4e9 or (at cell 0.01) 2e9 does not
+    # 4e9 or (at cell 0.01) 2e9 does not.  ``paths`` names the numbering
+    # path of each cell size: the compact footprint (N = 20,500, 4 N =
+    # 82,000) spans at most 10,201 cells and takes the table, and an outlier
+    # at 1e6 stretches every box past 4 N but inside int64
     rng = np.random.default_rng(11)
     xyz = np.round(rng.uniform([-0.5, -0.5, -0.1], [0.5, 0.5, 0.6], size=(20_000, 3)), 2)
     xyz = np.vstack([xyz, xyz[:500]])
     if far is not None:
         xyz = np.vstack([xyz[:7000], [far], xyz[7000:]])
     cloud = PointCloud(xyz)
-    for size in (0.01, 0.025, 0.034, 1.0):
+    for size, path in zip((0.01, 0.025, 0.034, 1.0), paths):
+        cells = np.floor((xyz[:, :2] - xyz[:, :2].min(axis=0)) / size).astype(np.int64)
+        assert numbering_path(cells) == path
         grid = GridSpec(cell_size=size)
         est = column_volume_grid(cloud, grid)
         volume, n_cells = unique_rows_grid_reference(cloud, grid)
