@@ -337,8 +337,8 @@ ascii_tokens = st.sampled_from(["0", "1.5", "-2", "255", "7e-3"] * 4
                                + ["1e400", "nan", "x", "", "\xff"])
 
 
-def fuzzed_ply(data) -> bytes:
-    fmt = data.draw(formats)
+def fuzzed_ply(data, format_names=formats) -> bytes:
+    fmt = data.draw(format_names)
     count = data.draw(counts)
     props = data.draw(vertex_properties)
     vertex = [f"element vertex {count}".rstrip()] + [f"property {p}" for p in props]

@@ -15,6 +15,7 @@ from pilevol.pose import (
     ransac_plane,
     rotation_to_up,
 )
+from pilevol.synth import generate_scene, reference_scenes
 
 
 def quaternion_rotation_to_up(v: np.ndarray) -> np.ndarray:
@@ -190,8 +191,8 @@ def fixed_loop_plane(cloud, params, draws):
         if count > best_count:
             best_count, best = count, (normal, d)
     normal, d = best
-    refined, centroid = _refine_plane(xyz[np.abs(xyz @ normal + d)
-                                          <= params.distance_threshold])
+    inliers = np.abs(xyz @ normal + d) <= params.distance_threshold
+    refined, centroid = _refine_plane(xyz[inliers].T.copy())
     refined = _orient_up(refined)
     return refined, -float(refined @ centroid)
 
@@ -243,6 +244,20 @@ def test_ransac_ties_keep_the_earliest_candidate():
         assert plane.d == d
         seen.add(round(plane.d))
     assert seen == {0, -1}
+
+
+@pytest.mark.parametrize("scene", [0, 8, 17])
+def test_ransac_fit_survives_a_translation_to_utm_size_coordinates(scene):
+    # a capture moved about a million metres, as in UTM coordinates, votes
+    # the same inliers and refits the same normal; a refit from raw,
+    # uncentred moments loses the plane's smallest eigenvalue to
+    # cancellation there and tilts the normal far past this bound
+    cloud = generate_scene(reference_scenes()[scene]).cloud
+    params = RansacParams(seed=scene)
+    here = ransac_plane(cloud, params)
+    moved = ransac_plane(cloud.translated((1e6, -1e6, 1e3)), params)
+    np.testing.assert_array_equal(moved.inlier_indices, here.inlier_indices)
+    assert np.linalg.norm(np.cross(here.unit_normal, moved.unit_normal)) <= 1e-11
 
 
 def pile_dominated_crop(ground_fraction, n=4000, seed=16):
