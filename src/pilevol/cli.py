@@ -27,6 +27,7 @@ from .pipeline import (
     bench_reference,
     compression_sweep,
     emit_histogram,
+    histogram_csv,
     run_pipeline,
     run_report_csv,
     svg_line_plot,
@@ -134,7 +135,6 @@ def _scene_sidecar(spec, scene) -> str:
         f"seed = {spec.seed}",
         f"clutter_blobs = {len(spec.clutter)}",
         f"true_volume_m3 = {scene.true_volume!r}",
-        f"true_ground_height_m = {scene.true_ground_height!r}",
         f"point_count = {len(scene.cloud)}",
     ]
     return "\n".join(lines) + "\n"
@@ -195,7 +195,6 @@ def _cmd_run(args, config, out_dir) -> int:
     report = run_pipeline(config, cloud=cloud, scene=scene)
     if args.truth is not None:
         report.true_volume = args.truth
-        report.relative_error = (report.volume - args.truth) / args.truth
     csv_path = out_dir / "report.csv"
     csv_path.write_text(run_report_csv(report))
     for stage, count in report.stage_counts.items():
@@ -249,18 +248,14 @@ def _cmd_sweep(args, config, out_dir) -> int:
 
 def _cmd_histogram(args, config, out_dir) -> int:
     cloud, scene = _resolve_input(args)
-    csv_text, ground = emit_histogram(config, cloud=cloud, scene=scene)
+    hist, ground = emit_histogram(config, cloud=cloud, scene=scene)
     csv_path = out_dir / "histogram.csv"
-    csv_path.write_text(csv_text)
+    csv_path.write_text(histogram_csv(hist, ground))
     print(f"ground: {ground.height:.4f} m ({ground.mode}, bin {ground.peak_bin})")
     if args.svg:
-        import numpy as np
-        rows = [line.split(",") for line in csv_text.splitlines()[1:]]
-        centers = np.array([float(r[0]) for r in rows])
-        counts = np.array([float(r[1]) for r in rows])
         svg_path = out_dir / "histogram.svg"
-        svg_line_plot(centers, counts, svg_path, title="height density",
-                      marker_x=ground.height)
+        svg_line_plot(hist.bin_centers, hist.counts, svg_path,
+                      title="height density", marker_x=ground.height)
         print(f"wrote {svg_path}")
     print(f"wrote {csv_path}")
     return EXIT_OK

@@ -64,7 +64,6 @@ def _parse_range(axis: str, text: str) -> AxisRange:
 _KEYS = {
     ("pipeline", "prefilter"): ("enable_prefilter", _parse_bool),
     ("pipeline", "posture"): ("enable_posture", _parse_bool),
-    ("pipeline", "calibration"): ("enable_calibration", _parse_bool),
     ("pipeline", "fine_filter"): ("enable_fine_filter", _parse_bool),
     ("pipeline", "downsample_voxel"): ("downsample_voxel", _parse_optional_float),
     ("filter", "r0"): ("radius_params.r0", _parse_float),

@@ -6,14 +6,16 @@ is translated so the reference sits at z = 0, and everything below a
 small margin over it is removed.  A mid-plateau variant handles
 registration-smeared ground where the peak degrades into a run of
 near-equal bins, and an override mode accepts an externally measured
-height.  ``fine_filter`` then strips the residual ground and clutter by
-keeping the largest r0 component of the calibrated cloud.
+height.  ``find_ground`` dispatches on the mode; the pipeline's
+calibration stage, which always runs, calls it.  ``fine_filter`` then
+strips the residual ground and clutter by keeping the largest r0
+component of the calibrated cloud.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,9 +118,10 @@ def _band_bins(hist: HeightHistogram, search_band: float) -> int:
 
 
 def find_ground(hist: HeightHistogram, search_band: float = 0.25,
-                mode: str = MODE_FIRST_PEAK) -> GroundEstimate:
+                mode: str = MODE_FIRST_PEAK,
+                override_height: float | None = None) -> GroundEstimate:
     """Locate the ground height inside the lowest ``search_band`` fraction
-    of the histogram span.
+    of the histogram span, or take it from ``override_height``.
 
     FIRST_PEAK scans upward for the first bin strictly greater than both
     neighbors and tall enough to matter (at least 10% of the band maximum,
@@ -128,10 +131,21 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
     returns the run's middle bin, which recovers a usable reference when
     registration error smears the ground peak into a plateau.
 
-    Confidence is the peak count divided by the histogram's median count.
+    OVERRIDE pins the height to ``override_height`` and marks the bin whose
+    center lies nearest it, so ``peak_bin`` is the histogram's ground bin
+    in every mode.
+
+    Confidence is the peak count divided by the histogram's median count
+    (infinite for an override).
     """
     if not 0.0 < search_band <= 1.0:
         raise InvalidParameter(f"search_band must be in (0, 1], got {search_band}")
+    if mode == MODE_OVERRIDE:
+        if override_height is None:
+            raise InvalidParameter("OVERRIDE ground mode needs override_height")
+        ground = override_ground(override_height)
+        nearest = np.argmin(np.abs(hist.bin_centers - ground.height))
+        return replace(ground, peak_bin=int(nearest))
     if mode not in (MODE_FIRST_PEAK, MODE_MID_PLATEAU):
         raise InvalidParameter(f"unknown ground mode {mode!r}")
     n_band = _band_bins(hist, search_band)
@@ -185,7 +199,8 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
 
 
 def override_ground(height: float) -> GroundEstimate:
-    """Ground estimate pinned to an externally supplied height."""
+    """Ground estimate pinned to an externally supplied height, with no
+    histogram read (``peak_bin`` -1)."""
     if not math.isfinite(height):
         raise InvalidParameter(f"override height must be finite, got {height}")
     return GroundEstimate(height=float(height), mode=MODE_OVERRIDE,

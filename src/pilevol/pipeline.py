@@ -6,11 +6,14 @@ filtering, then the volume stage, which integrates each ground cell's
 mean height over the voxel pass's lattice on x and y
 (``volume.column_volume_grid``).  One stage sequence, ``_run_stages``,
 serves both ``run_pipeline`` (through the volume stage) and
-``emit_histogram`` (which stops after posture), and the batch studies
-share one round loop.  Every stage can be toggled off for ablation runs,
-in which case the cloud passes through unchanged.  Reports are plain CSV
-and are byte-identical for identical config and seed; stage timings are
-kept out of the CSV for exactly that reason.
+``emit_histogram`` (which stops after calibration and returns the
+histogram that stage binned), and the batch studies share one round
+loop.  The pre-filter, posture and fine-filter stages can be toggled off
+for ablation runs, in which case the cloud passes through unchanged;
+calibration always runs, since it sets the basis every height is
+measured from.  Reports are plain CSV and are byte-identical for
+identical config and seed; stage timings are kept out of the CSV for
+exactly that reason.
 
 The pre-filter guards posture and calibration against far stray points
 with the per-axis r0 gap trim (``denoise.gap_trim``); the fine filter
@@ -37,11 +40,11 @@ from .ground import (
     MODE_MID_PLATEAU,
     MODE_OVERRIDE,
     GroundEstimate,
+    HeightHistogram,
     calibrate,
     find_ground,
     fine_filter,
     height_histogram,
-    override_ground,
     smooth_histogram,
 )
 from .pose import RansacParams, correct_posture, ransac_plane
@@ -63,7 +66,6 @@ class PipelineConfig:
     # stage toggles (pass-through/downsample activate via their parameters)
     enable_prefilter: bool = True
     enable_posture: bool = True
-    enable_calibration: bool = True
     enable_fine_filter: bool = True
 
     # pre-process
@@ -142,17 +144,23 @@ class PipelineConfig:
 @dataclass
 class RunReport:
     stage_counts: dict[str, int] = field(default_factory=dict)
+    # the smoothed histogram the calibration stage read the ground from
+    histogram: HeightHistogram | None = None
     ground: GroundEstimate | None = None
     estimate: VolumeEstimate | None = None
     timings_s: dict[str, float] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-    config: PipelineConfig | None = None
     true_volume: float | None = None
-    relative_error: float | None = None
 
     @property
     def volume(self) -> float:
         return self.estimate.volume if self.estimate is not None else math.nan
+
+    @property
+    def relative_error(self) -> float | None:
+        if not self.true_volume:
+            return None
+        return (self.volume - self.true_volume) / self.true_volume
 
 
 def _with_round_seed(config: PipelineConfig, seed: int) -> PipelineConfig:
@@ -165,9 +173,10 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
     """Run the stages of ``STAGE_ORDER`` from the pass-through through
     ``last`` and return the cloud they leave.
 
-    Each stage records its point count and time in ``report``, and the
-    volume stage its estimate; a disabled stage passes the cloud through
-    unchanged (the ablation semantics).
+    Each stage records its point count and time in ``report``, the
+    calibration stage its histogram and ground, and the volume stage its
+    estimate; a disabled stage passes the cloud through unchanged (the
+    ablation semantics).
     RANSAC is seeded from ``config.seed``.
     """
     config.validate()
@@ -189,14 +198,11 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
         elif stage == "posture" and config.enable_posture:
             plane = ransac_plane(cloud, replace(config.ransac, seed=config.seed))
             cloud = correct_posture(cloud, plane)
-        elif stage == "calibration" and config.enable_calibration:
-            if config.ground_mode == MODE_OVERRIDE:
-                report.ground = override_ground(config.override_height)
-            else:
-                hist = smooth_histogram(height_histogram(cloud, config.n_interval),
-                                        config.smooth_step)
-                report.ground = find_ground(hist, config.search_band,
-                                            config.ground_mode)
+        elif stage == "calibration":
+            report.histogram = smooth_histogram(
+                height_histogram(cloud, config.n_interval), config.smooth_step)
+            report.ground = find_ground(report.histogram, config.search_band,
+                                        config.ground_mode, config.override_height)
             cloud = calibrate(cloud, report.ground, config.margin)
         elif stage == "fine_filter" and config.enable_fine_filter:
             cloud = fine_filter(cloud, rparams)
@@ -215,10 +221,10 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,
     When a scene with ground truth is given, the report also carries the
     relative volume error.
     """
-    report = RunReport(config=config)
+    report = RunReport()
     if scene is not None:
         report.true_volume = scene.true_volume
-    if config.enable_calibration and not config.enable_posture:
+    if not config.enable_posture:
         report.warnings.append(
             "calibration without posture correction: the height histogram "
             "is built on an unlevelled cloud and the ground peak degrades"
@@ -230,8 +236,6 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,
         report.warnings.append(
             f"the {emptied} stage left no points; the volume of an empty "
             "cloud is 0")
-    if report.true_volume:
-        report.relative_error = (report.volume - report.true_volume) / report.true_volume
     return report
 
 
@@ -387,25 +391,23 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def emit_histogram(config: PipelineConfig, cloud: PointCloud | None = None,
-                   scene: Scene | None = None) -> tuple[str, GroundEstimate]:
-    """Smoothed height histogram CSV with the detected ground bin marked.
+                   scene: Scene | None = None
+                   ) -> tuple[HeightHistogram, GroundEstimate]:
+    """The smoothed height histogram the calibration stage bins, and the
+    ground it finds there: the stages run through calibration, so the
+    artifact is exactly what a run measures from."""
+    report = RunReport()
+    _run_stages(config, cloud, scene, report, last="calibration")
+    return report.histogram, report.ground
 
-    The cloud is taken through the stages up to posture first, so the
-    histogram matches what calibration actually sees.
-    """
-    cloud = _run_stages(config, cloud, scene, RunReport(), last="posture")
-    hist = smooth_histogram(height_histogram(cloud, config.n_interval),
-                            config.smooth_step)
-    if config.ground_mode == MODE_OVERRIDE:
-        ground = override_ground(config.override_height)
-        marked = int(np.argmin(np.abs(hist.bin_centers - ground.height)))
-    else:
-        ground = find_ground(hist, config.search_band, config.ground_mode)
-        marked = ground.peak_bin
+
+def histogram_csv(hist: HeightHistogram, ground: GroundEstimate) -> str:
+    """The histogram artifact: one row per bin, the ground's
+    ``peak_bin`` marked."""
     lines = ["bin_center_m,count,is_ground"]
     for i, (center, count) in enumerate(zip(hist.bin_centers, hist.counts)):
-        lines.append(f"{center:.6f},{count:.4f},{1 if i == marked else 0}")
-    return "\n".join(lines) + "\n", ground
+        lines.append(f"{center:.6f},{count:.4f},{1 if i == ground.peak_bin else 0}")
+    return "\n".join(lines) + "\n"
 
 
 def svg_line_plot(xs, ys, path, title: str = "",

@@ -250,8 +250,6 @@ class SceneSpec:
 class Scene:
     cloud: PointCloud
     true_volume: float
-    true_ground_height: float
-    spec: SceneSpec
 
 
 def _sample_clutter(blob: ClutterSpec, rng: np.random.Generator) -> np.ndarray:
@@ -293,9 +291,7 @@ def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
                        rng.uniform(-0.3, 0.3)])
     xyz = xyz + offset
     return Scene(cloud=PointCloud(xyz, validate=False),
-                 true_volume=spec.pile.true_volume,
-                 true_ground_height=0.0,
-                 spec=spec)
+                 true_volume=spec.pile.true_volume)
 
 
 def generate_scene(spec: SceneSpec) -> Scene:
@@ -494,6 +490,8 @@ def crescent_scene(r_inner: float = 0.25, r_outer: float = 0.55,
         raise InvalidParameter("need 0 < r_inner < r_outer")
     if not 0 < sweep_deg <= 360:
         raise InvalidParameter("sweep_deg must be in (0, 360]")
+    if not point_density > 0:
+        raise InvalidParameter("point_density must be > 0")
     rng = np.random.default_rng(seed)
     half = r_outer + 0.15
     n = int(round(point_density * (2 * half) ** 2))
@@ -507,10 +505,5 @@ def crescent_scene(r_inner: float = 0.25, r_outer: float = 0.55,
     z = np.zeros(n)
     z[inside] = height * np.sin(math.pi * (r[inside] - r_inner) / w)
     true_volume = sweep * height * w * (w + 2.0 * r_inner) / math.pi
-    pile = Cone(radius=r_outer, height=height)   # placeholder shape record
-    spec = SceneSpec(pile=pile, footprint_area=(2 * half) ** 2,
-                     ground_extent=(2 * half, 2 * half),
-                     point_density=point_density, noise_sigma=0.0,
-                     tilt_deg=0.0, seed=seed, scene_id="crescent")
     return Scene(cloud=PointCloud(np.column_stack([x, y, z]), validate=False),
-                 true_volume=true_volume, true_ground_height=0.0, spec=spec)
+                 true_volume=true_volume)

@@ -132,24 +132,15 @@ def slice_volume(cloud: PointCloud, interval: float) -> VolumeEstimate:
 
 
 def hull3d_volume(cloud: PointCloud) -> VolumeEstimate:
-    """Exact convex hull volume, summed as tetrahedra against an interior point.
-
-    The hull facets come from Qhull; the volume is accumulated per facet as
-    the tetrahedron spanned with the hull vertex centroid, which is interior
-    by convexity.
-    """
+    """Exact convex hull volume, as Qhull computes it."""
     if len(cloud) < 4:
         raise DegenerateCloud(f"3D hull needs >= 4 points, got {len(cloud)}")
     try:
         hull = ConvexHull(cloud.xyz)
     except QhullError as exc:
         raise DegenerateCloud(f"degenerate cloud for 3D hull: {exc}") from exc
-    pts = cloud.xyz
-    interior = pts[hull.vertices].mean(axis=0)
-    simplices = pts[hull.simplices] - interior
-    volume = float(np.abs(np.linalg.det(simplices)).sum() / 6.0)
     return VolumeEstimate(
-        volume=volume,
+        volume=float(hull.volume),
         method=METHOD_HULL3D,
         params_used={},
         diagnostics={"point_count": len(cloud),

@@ -285,7 +285,7 @@ def test_mst_weight_matches_dense_prim_oracle():
         assert abs(mst[:, 2].sum() - oracle) < 1e-9
 
 
-def test_mst_paths_agree_at_switch_boundary():
+def test_dense_and_auto_mst_weights_agree_at_5000_points():
     rng = np.random.default_rng(31)
     xyz = np.vstack([
         rng.normal(0, 0.5, size=(2500, 3)),
@@ -702,8 +702,7 @@ def test_prefilter_does_not_call_robust_filter(monkeypatch):
                         lambda cloud, *args: seen.append(args) or cloud)
     rng = np.random.default_rng(0)
     cloud = PointCloud(rng.normal(0, 0.1, size=(200, 3)))
-    config = PipelineConfig(enable_posture=False, enable_calibration=False,
-                            enable_fine_filter=False)
+    config = PipelineConfig(enable_posture=False, enable_fine_filter=False)
     pipeline._run_stages(config, cloud, None, pipeline.RunReport(),
                          last="prefilter")
     assert seen == []

@@ -14,6 +14,7 @@ from pilevol.errors import (
 from pilevol.ground import (
     MODE_FIRST_PEAK,
     MODE_MID_PLATEAU,
+    MODE_OVERRIDE,
     HeightHistogram,
     calibrate,
     find_ground,
@@ -197,6 +198,16 @@ def test_empty_band():
         find_ground(hist, 0.0)
     with pytest.raises(InvalidParameter):
         find_ground(hist, 0.5, "NOT_A_MODE")
+
+
+def test_override_marks_the_bin_nearest_its_height():
+    # bin centers 0.0625, 0.1875, 0.3125, ...; the search band plays no part
+    hist = hist_from_counts(np.ones(8), lo=0.0, hi=1.0)
+    est = find_ground(hist, 0.1, MODE_OVERRIDE, override_height=0.3)
+    assert (est.height, est.mode, est.peak_bin) == (0.3, MODE_OVERRIDE, 2)
+    assert est.confidence == float("inf")
+    with pytest.raises(InvalidParameter):
+        find_ground(hist, 0.1, MODE_OVERRIDE)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,6 @@ def test_scene_noiseless_untilted_ground_exactly_zero():
     z = scene.cloud.xyz[:, 2]
     on_ground = z == np.min(z)
     assert on_ground.sum() > 0.5 * len(z)
-    assert scene.true_ground_height == 0.0
 
 
 def test_scene_grid_volume_converges_with_density():
