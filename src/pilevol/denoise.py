@@ -12,19 +12,33 @@ of a full-cloud pair query.
 ``robust_filter`` is the pipeline's fine filter: radius outlier rejection
 followed by the largest connected component of the r0 radius graph among
 the surviving points.  The radius filter keeps points with at least n_min
-other points within r0.  The counts come from one kd-tree pair query
-(every pair within r0, each counted at both ends) and are contractually
-identical to the naive all-pairs loop, which the test suite checks
-against a brute-force oracle.  The components reuse the pairs the count
-was taken from; this is DBSCAN-style clustering (Ester et al., KDD 1996),
-as in PCL's Euclidean cluster extraction.  They come from min-label
-hooking on the pair list itself (Shiloach & Vishkin, J. Algorithms 1982),
-with no sparse matrix: each round hooks every edge's larger root onto its
-smaller one, resolves the roots by pointer jumping and drops the edges
-inside one root.  Every root that still has a cross edge is hooked onto a
-smaller root, so the number of roots strictly falls and the loop ends;
-each component is rooted at its lowest point index.  Components of fewer
-than ``min_cluster_size`` points are noise.
+other points within r0.  The graph is built on two x-slabs at once, one
+on a worker thread and one on the calling thread, as in the spatial
+partition with halo regions of HPDBSCAN (Götz et al., MLHPC 2015).  The
+cut is the median x.  Slab 0 holds the points below the cut followed by
+its halo band, the points at most r0 past the cut, and keeps the pairs
+with at least one end below the cut; slab 1 holds the points at or past
+the cut and keeps all of its pairs.  So every pair within r0 lies in
+exactly one slab.  Each slab's kd-tree pair query computes a pair's
+distance from the same coordinates as a whole-cloud query would, so the
+pair set and the counts, summed over the slabs, are identical to the
+naive all-pairs loop; the test suite checks them against a brute-force
+oracle and a whole-cloud query.
+
+The components reuse the pairs the count was taken from; this is
+DBSCAN-style clustering (Ester et al., KDD 1996), as in PCL's Euclidean
+cluster extraction.  They come from min-label hooking on the pair list
+itself (Shiloach & Vishkin, J. Algorithms 1982), with no sparse matrix:
+each round hooks every edge's larger root onto its smaller one, resolves
+the roots by pointer jumping and drops the edges inside one root.  Every
+root that still has a cross edge is hooked onto a smaller root, so the
+number of roots strictly falls and the loop ends; each component is
+rooted at its lowest point index, whatever the edge order.  Each slab
+hooks its own surviving pairs into a forest, and the two forests, which
+share only the halo points, are merged as disjoint sets (as in PDSDBSCAN,
+Patwary et al., SC 2012): each halo point's slab-0 tree is hooked onto
+its slab-1 tree.  The labels therefore equal those of one whole-cloud
+pass.  Components of fewer than ``min_cluster_size`` points are noise.
 
 The paper's filter is the library composition
 ``largest_cluster(f, hdbscan(f, params))`` with
@@ -36,6 +50,8 @@ pipeline no longer runs.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +59,7 @@ from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .errors import InvalidParameter, LabelMismatch
-from ._hdbscan import (NOISE, ClusterLabels, HdbscanParams, _components,
-                       run_hdbscan)
+from ._hdbscan import NOISE, ClusterLabels, HdbscanParams, run_hdbscan
 
 __all__ = [
     "RadiusFilterParams",
@@ -110,30 +125,142 @@ def gap_trim(cloud: PointCloud, r0: float) -> PointCloud:
     return cloud.select(keep)
 
 
-def _radius_graph(xyz: np.ndarray,
-                  params: RadiusFilterParams) -> tuple[np.ndarray, np.ndarray]:
-    """The r0 radius graph: every index pair (i < j) at most r0 apart, as
-    an (m, 2) array, and the mask of points with >= n_min such neighbors."""
+# The halo band reaches past the cut by r0 padded by a relative 1e-6: the
+# band test rounds x - cut, while cKDTree decides a pair on its own rounded
+# squared distance.  A wider band costs only a few points.
+HALO_PAD = 1.0 + 1e-6
+
+_pool: ThreadPoolExecutor | None = None
+_pool_pid = -1
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The one worker thread that builds a slab beside the caller.
+
+    It starts on first use in each process: a forked child inherits the
+    parent's pool object but not its thread.  Two callers that race here
+    at most start a spare pool, whose thread exits once it is dropped.
+    """
+    global _pool, _pool_pid
+    if _pool_pid != os.getpid():
+        _pool = ThreadPoolExecutor(max_workers=1,
+                                   thread_name_prefix="pilevol-slab")
+        _pool_pid = os.getpid()
+    return _pool
+
+
+def _both(fn, args0: tuple, args1: tuple) -> tuple:
+    """``fn(*args0)`` on the calling thread while the worker runs
+    ``fn(*args1)``; both results, in that order."""
+    future = _worker().submit(fn, *args1)
+    mine = fn(*args0)
+    return mine, future.result()
+
+
+def _slabs(x: np.ndarray, r0: float) -> tuple[tuple[np.ndarray, int], ...]:
+    """Split the points at the median x into two slabs, each as (global
+    index of its points, core size).
+
+    Slab 0's core holds the points with x below the cut, followed by its
+    halo: the points at most r0 past the cut, which slab 1 owns.  Slab 1
+    holds every point at or past the cut and has no halo.
+    """
+    cut = np.partition(x, len(x) // 2)[len(x) // 2]
+    below = x < cut
+    core = np.flatnonzero(below)
+    halo = np.flatnonzero(~below & (x - cut <= HALO_PAD * r0))
+    upper = np.flatnonzero(~below)
+    return (np.concatenate((core, halo)), len(core)), (upper, len(upper))
+
+
+def _slab_pairs(xyz: np.ndarray, index: np.ndarray, n_core: int,
+                r0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The r0 pairs (i < j) among the slab's points ``xyz[index]`` with at
+    least one end in its core (the first ``n_core`` points), as int32 slab
+    indices, and each slab point's count of them.
+
+    It runs on the worker thread, so it calls numpy and scipy only, never
+    a pilevol function that a tracer may have rebound.
+    """
     # an unbalanced, uncompacted tree builds in about half the time and
     # finds the same pair set
-    tree = cKDTree(xyz, balanced_tree=False, compact_nodes=False)
-    pairs = tree.query_pairs(params.r0, output_type="ndarray")
-    counts = np.bincount(pairs.ravel(), minlength=len(xyz))
-    return pairs, counts >= params.n_min
+    tree = cKDTree(xyz.take(index, axis=0), balanced_tree=False,
+                   compact_nodes=False)
+    pairs = tree.query_pairs(r0, output_type="ndarray")
+    if n_core < len(index):
+        # pairs of two halo points are slab 1's
+        pairs = np.compress(pairs[:, 0] < n_core, pairs, axis=0)
+    counts = np.bincount(pairs.ravel(), minlength=len(index))
+    # int32 halves what the two pair lists hold until they are hooked
+    return pairs.astype(np.int32), counts
 
 
-def _survivor_edges(xyz: np.ndarray,
-                    params: RadiusFilterParams) -> tuple[np.ndarray, np.ndarray]:
-    """The radius survivor mask, and the r0 pairs whose two ends survive,
-    renumbered onto the surviving points.
+def _radius_graph(xyz: np.ndarray, params: RadiusFilterParams
+                  ) -> tuple[list[tuple[np.ndarray, int, np.ndarray]], np.ndarray]:
+    """The r0 radius graph, built in two x-slabs at once, and the mask of
+    points with >= n_min neighbours.
 
-    The pair list is the largest array of a filter pass and is freed on
-    return.  Edges are int32, 8 bytes per edge instead of 16.
+    Each slab is (global index of its points, core size, its pairs in
+    slab indices); every pair of points at most r0 apart lies in exactly
+    one slab.  A slab computes a pair's distance from the same coordinates
+    as a whole-cloud query, so the pair set and the counts are the same.
     """
-    pairs, keep = _radius_graph(xyz, params)
-    index = np.cumsum(keep, dtype=np.int32) - 1
-    both_kept = keep[pairs[:, 0]] & keep[pairs[:, 1]]
-    return keep, index[np.compress(both_kept, pairs, axis=0)]
+    slabs = _slabs(xyz[:, 0], params.r0)
+    (pairs0, counts0), (pairs1, counts1) = _both(
+        _slab_pairs, (xyz, *slabs[0], params.r0), (xyz, *slabs[1], params.r0))
+    counts = np.zeros(len(xyz), dtype=counts0.dtype)
+    counts[slabs[0][0]] = counts0
+    counts[slabs[1][0]] += counts1
+    return ([(*slabs[0], pairs0), (*slabs[1], pairs1)],
+            counts >= params.n_min)
+
+
+def _forest(root: np.ndarray, a: np.ndarray, b: np.ndarray,
+            loc: np.ndarray | None = None) -> np.ndarray:
+    """Hook the edges (a[k], b[k]) onto the forest ``root``, in place, and
+    return every point's root.  With ``loc``, the ends are first renumbered
+    through it, and edges with an end renumbered to -1 are dropped.  Every
+    (renumbered) end must be a root of ``root``.
+
+    Min-label hooking on the edge list: each round hooks every edge's
+    larger root onto the smallest root it meets, resolves the roots by
+    pointer jumping and keeps only the edges whose ends still have two
+    roots.  Each such edge's larger root gets a smaller parent, so the
+    number of roots strictly falls every round and the loop ends.  A root
+    only ever gets a smaller parent, so when every root of ``root`` is the
+    lowest index of its tree, each component ends rooted at its lowest
+    index, whatever the edge order.  ``root`` in the edges' dtype keeps
+    ``minimum.at`` on its fast path.  It runs on the worker thread, so it
+    calls numpy only.
+    """
+    if loc is not None:
+        a, b = loc.take(a), loc.take(b)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if loc is not None:
+        kept = lo >= 0
+        lo, hi = lo.compress(kept), hi.compress(kept)
+    while len(lo):
+        np.minimum.at(root, hi, lo)
+        while True:
+            jumped = root.take(root)
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+        a, b = root.take(lo), root.take(hi)
+        cross = a != b
+        a, b = a.compress(cross), b.compress(cross)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return root
+
+
+def _labels(root: np.ndarray, min_cluster_size: int) -> ClusterLabels:
+    """Cluster labels of a resolved forest: the trees of at least
+    ``min_cluster_size`` points, numbered in the order of their roots."""
+    # a non-root has size 0, so it is never a cluster
+    kept = np.bincount(root, minlength=len(root)) >= max(min_cluster_size, 1)
+    cluster_id = np.where(kept, np.cumsum(kept) - 1, NOISE)
+    return ClusterLabels(labels=cluster_id.take(root),
+                         cluster_count=int(kept.sum()))
 
 
 def radius_outlier_filter(cloud: PointCloud,
@@ -157,31 +284,13 @@ def radius_components(n: int, pairs: np.ndarray,
     """Connected components of the graph on ``n`` points whose edges are
     ``pairs``; components under ``min_cluster_size`` points are NOISE.
 
-    Min-label hooking on the edge list: each round hooks every edge's
-    larger root onto the smallest root it meets, resolves the roots by
-    pointer jumping and keeps only the edges whose ends still have two
-    roots.  Each such edge's larger root gets a smaller parent, so the
-    number of roots strictly falls every round and the loop ends.  A
-    root only ever gets a smaller parent, so each component ends rooted
-    at its lowest point index.  Cluster ids follow that index, so a tie
-    in ``largest_cluster`` goes to the component holding the earliest
+    The components come from min-label hooking (``_forest``), so each is
+    rooted at its lowest point index.  Cluster ids follow that index, so a
+    tie in ``largest_cluster`` goes to the component holding the earliest
     point.
     """
-    # root in the edges' dtype keeps minimum.at on its fast path
-    root = np.arange(n, dtype=pairs.dtype)
-    a, b = pairs[:, 0], pairs[:, 1]
-    while len(a):
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        np.minimum.at(root, hi, lo)
-        root = _components(root)
-        a, b = root[lo], root[hi]
-        cross = a != b
-        a, b = a[cross], b[cross]
-    # a non-root has size 0, so it is never a cluster
-    kept = np.bincount(root, minlength=n) >= max(min_cluster_size, 1)
-    cluster_id = np.where(kept, np.cumsum(kept) - 1, NOISE)
-    return ClusterLabels(labels=cluster_id[root],
-                         cluster_count=int(kept.sum()))
+    root = _forest(np.arange(n, dtype=pairs.dtype), pairs[:, 0], pairs[:, 1])
+    return _labels(root, min_cluster_size)
 
 
 def largest_cluster(cloud: PointCloud, labels: ClusterLabels) -> PointCloud:
@@ -205,13 +314,31 @@ def robust_filter(cloud: PointCloud, rparams: RadiusFilterParams) -> PointCloud:
     at least ``rparams.min_cluster_size`` survivors.
 
     The components are taken on the pairs of the radius count, so a pass
-    makes one kd-tree query.
+    makes one pair query per slab.  Each slab hooks the pairs whose two
+    ends survive into its own forest over the survivors, and the two
+    forests are merged through the halo points they share.
     """
     if len(cloud) == 0:
         return cloud
-    keep, edges = _survivor_edges(cloud.xyz, rparams)
+    slabs, keep = _radius_graph(cloud.xyz, rparams)
     filtered = cloud.select(keep)
     if len(filtered) == 0:
         return filtered
-    labels = radius_components(len(filtered), edges, rparams.min_cluster_size)
-    return largest_cluster(filtered, labels)
+    index = np.where(keep, np.cumsum(keep, dtype=np.int32) - 1, np.int32(-1))
+    n = len(filtered)
+    (index0, n_core, pairs0), (index1, _, pairs1) = slabs
+    root0, root1 = _both(
+        _forest,
+        (np.arange(n, dtype=np.int32), pairs0[:, 0], pairs0[:, 1],
+         index.take(index0)),
+        (np.arange(n, dtype=np.int32), pairs1[:, 0], pairs1[:, 1],
+         index.take(index1)))
+    # the two graphs share only slab 0's halo points, and a slab-1 point
+    # has no slab-0 edge unless it is one: hook each surviving halo point's
+    # slab-0 root onto the slab-0 root of its slab-1 root, then read every
+    # point's root through its slab-1 root (a core point's is itself)
+    halo = index.take(index0[n_core:])
+    halo = halo.compress(halo >= 0)
+    merged = _forest(root0, root0.take(halo), root0.take(root1.take(halo)))
+    return largest_cluster(filtered, _labels(merged.take(root1),
+                                             rparams.min_cluster_size))

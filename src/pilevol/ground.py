@@ -135,8 +135,9 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
     center lies nearest it, so ``peak_bin`` is the histogram's ground bin
     in every mode.
 
-    Confidence is the peak count divided by the histogram's median count
-    (infinite for an override).
+    Confidence is the ground bin's count divided by the histogram's median
+    count (infinite when the median bin is empty), so an override far from
+    any peak reads low.
     """
     if not 0.0 < search_band <= 1.0:
         raise InvalidParameter(f"search_band must be in (0, 1], got {search_band}")
@@ -144,8 +145,9 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
         if override_height is None:
             raise InvalidParameter("OVERRIDE ground mode needs override_height")
         ground = override_ground(override_height)
-        nearest = np.argmin(np.abs(hist.bin_centers - ground.height))
-        return replace(ground, peak_bin=int(nearest))
+        nearest = int(np.argmin(np.abs(hist.bin_centers - ground.height)))
+        return replace(ground, peak_bin=nearest,
+                       confidence=_confidence(hist, nearest))
     if mode not in (MODE_FIRST_PEAK, MODE_MID_PLATEAU):
         raise InvalidParameter(f"unknown ground mode {mode!r}")
     n_band = _band_bins(hist, search_band)
@@ -192,15 +194,20 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
 
     if height is None:
         height = float(centers[peak_bin])
-    median = float(np.median(counts))
-    confidence = float(counts[peak_bin] / median) if median > 0 else float("inf")
-    return GroundEstimate(height=height, mode=mode,
-                          peak_bin=int(peak_bin), confidence=confidence)
+    return GroundEstimate(height=height, mode=mode, peak_bin=int(peak_bin),
+                          confidence=_confidence(hist, peak_bin))
+
+
+def _confidence(hist: HeightHistogram, ground_bin: int) -> float:
+    """The ground bin's count over the median bin count (infinite when the
+    median bin is empty)."""
+    median = float(np.median(hist.counts))
+    return float(hist.counts[ground_bin] / median) if median > 0 else float("inf")
 
 
 def override_ground(height: float) -> GroundEstimate:
     """Ground estimate pinned to an externally supplied height, with no
-    histogram read (``peak_bin`` -1)."""
+    histogram read (``peak_bin`` -1, infinite confidence)."""
     if not math.isfinite(height):
         raise InvalidParameter(f"override height must be finite, got {height}")
     return GroundEstimate(height=float(height), mode=MODE_OVERRIDE,

@@ -2,6 +2,10 @@
 oracles."""
 
 import hashlib
+import multiprocessing
+import os
+import sys
+import threading
 import zlib
 from dataclasses import replace
 
@@ -484,10 +488,220 @@ def test_radius_pair_counts_equal_ball_counts_on_rounded_capture():
     for r0 in (0.025, 0.0748):
         params = RadiusFilterParams(r0=r0, n_min=4)
         ball = tree.query_ball_point(xyz, r0, return_length=True) - 1
-        pairs, keep = _radius_graph(xyz, params)
+        pairs, keep = slab_graph(xyz, params)
         np.testing.assert_array_equal(
             np.bincount(pairs.ravel(), minlength=len(xyz)), ball)
         np.testing.assert_array_equal(keep, ball >= params.n_min)
+
+
+# ---------------------------------------------------------------------------
+# the two x-slabs against one whole-cloud pair query
+# ---------------------------------------------------------------------------
+
+def _lexsorted(pairs: np.ndarray) -> np.ndarray:
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def whole_cloud_pairs(xyz: np.ndarray, r0: float) -> np.ndarray:
+    """The oracle of the slabs: one kd-tree pair query over the whole
+    cloud, as the filter made before it was split; pairs (i < j) in
+    lexicographic order."""
+    tree = cKDTree(xyz, balanced_tree=False, compact_nodes=False)
+    return _lexsorted(tree.query_pairs(r0, output_type="ndarray"))
+
+
+def slab_graph(xyz: np.ndarray,
+               params: RadiusFilterParams) -> tuple[np.ndarray, np.ndarray]:
+    """The slabbed graph's pairs in cloud indices, and its survivor mask."""
+    slabs, keep = _radius_graph(xyz, params)
+    return np.vstack([index[p] for index, _, p in slabs]), keep
+
+
+def whole_cloud_filter(xyz: np.ndarray, params: RadiusFilterParams) -> np.ndarray:
+    """Rows of ``robust_filter`` computed from the whole-cloud query: the
+    radius survivors' largest component by scipy, ties to the earliest
+    point."""
+    pairs = whole_cloud_pairs(xyz, params.r0)
+    keep = np.bincount(pairs.ravel(), minlength=len(xyz)) >= params.n_min
+    surv = xyz[keep]
+    edges = (np.cumsum(keep) - 1)[pairs[keep[pairs[:, 0]] & keep[pairs[:, 1]]]]
+    labels, count = scipy_components(len(surv), edges.reshape(-1, 2),
+                                     params.min_cluster_size)
+    if count == 0:
+        return surv[:0]
+    return surv[labels == np.argmax(np.bincount(labels[labels >= 0]))]
+
+
+def assert_slabs_match_one_query(xyz: np.ndarray, params: RadiusFilterParams):
+    pairs, keep = slab_graph(xyz, params)
+    pairs = _lexsorted(np.sort(pairs, axis=1))
+    expected = whole_cloud_pairs(xyz, params.r0)
+    # equal arrays: no pair missing, none extra, none in both slabs
+    np.testing.assert_array_equal(pairs, expected)
+    np.testing.assert_array_equal(
+        keep, np.bincount(expected.ravel(), minlength=len(xyz)) >= params.n_min)
+    np.testing.assert_array_equal(
+        radius_outlier_filter(PointCloud(xyz), params).xyz, xyz[keep])
+    np.testing.assert_array_equal(robust_filter(PointCloud(xyz), params).xyz,
+                                  whole_cloud_filter(xyz, params))
+
+
+@pytest.mark.parametrize("step", [0.1, 0.125])
+def test_slabs_match_one_query_on_a_lattice_with_points_at_the_cut(step):
+    # the median x is a lattice value, so many points sit exactly at the
+    # cut, repeats give pairs at distance 0, and many pairs lie exactly one
+    # step apart across the cut (in exact binary for 0.125)
+    base = np.round(np.random.default_rng(11).uniform(0, 1, size=(400, 3)) / step)
+    xyz = np.vstack([base, base[::2], base[::5]]) * step
+    x = xyz[:, 0]
+    cut = np.partition(x, len(x) // 2)[len(x) // 2]
+    assert np.count_nonzero(x == cut) > 40
+    pairs = whole_cloud_pairs(xyz, step)
+    across = (x[pairs[:, 0]] < cut) != (x[pairs[:, 1]] < cut)
+    d2 = ((xyz[pairs[:, 0]] - xyz[pairs[:, 1]]) ** 2).sum(axis=1)
+    on_r0 = np.isclose(d2, step * step, rtol=1e-12, atol=0.0)
+    assert np.count_nonzero(across & on_r0) > 10
+    if step == 0.125:
+        assert (d2[on_r0] == step * step).all()
+    for r0 in (step, 1.5 * step, 2 * step):
+        for n_min, min_size in [(0, 2), (2, 5), (6, 20)]:
+            assert_slabs_match_one_query(xyz, RadiusFilterParams(r0, n_min, min_size))
+
+
+def test_slabs_match_one_query_when_every_x_is_equal():
+    # every point sits at the cut: slab 0 has no core and slab 1 has all
+    yz = np.round(np.random.default_rng(12).uniform(0, 1, size=(300, 2)), 1)
+    xyz = np.column_stack([np.full(len(yz), 0.7), yz])
+    slabs, _ = _radius_graph(xyz, RadiusFilterParams(0.1))
+    assert (slabs[0][1], len(slabs[1][0])) == (0, len(xyz))
+    for n_min, min_size in [(0, 2), (3, 5)]:
+        assert_slabs_match_one_query(xyz, RadiusFilterParams(0.1, n_min, min_size))
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0.0, 0.0, 0.0)],
+    [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)],
+    [(0.0, 0.0, 0.0), (0.75, 0.0, 0.0)],
+    [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (1.0, 0.0, 0.0)],
+    [(1.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.5, 0.0)],
+    [(0.25, 0.0, 0.0), (0.25, 0.0, 0.0), (0.25, 0.0, 0.0)],
+], ids=["empty", "one", "two-coincident", "two-at-r0", "two-apart",
+        "three-in-a-row", "three-at-the-cut", "three-coincident"])
+def test_slabs_match_one_query_on_clouds_of_up_to_three_points(rows):
+    xyz = np.array(rows, dtype=float).reshape(-1, 3)
+    for n_min in (0, 1, 2):
+        params = RadiusFilterParams(0.5, n_min, min_cluster_size=2)
+        if len(xyz) == 0:
+            # the filters return an empty cloud before building a graph
+            assert len(radius_outlier_filter(PointCloud(xyz), params)) == 0
+            assert len(robust_filter(PointCloud(xyz), params)) == 0
+        else:
+            assert_slabs_match_one_query(xyz, params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(st.tuples(*[st.integers(-5, 5)] * 3), max_size=80),
+       repeats=st.integers(0, 20),
+       step=st.sampled_from([0.1, 0.125, 0.3]),
+       reach=st.sampled_from([1.0, 1.5, 2.0]),
+       jitter=st.sampled_from([0.0, 1e-3]),
+       seed=st.integers(0, 2**32 - 1),
+       n_min=st.integers(0, 5),
+       min_cluster_size=st.integers(2, 6))
+def test_slabs_match_one_query_on_drawn_clouds(cells, repeats, step, reach,
+                                               jitter, seed, n_min,
+                                               min_cluster_size):
+    # lattice clouds tie many distances at exactly r0 and many x values at
+    # the cut; jitter breaks the ties
+    xyz = np.array(cells, dtype=float).reshape(-1, 3) * step
+    xyz = np.vstack([xyz, xyz[:repeats]])
+    assume(len(xyz) > 0)
+    xyz += np.random.default_rng(seed).uniform(-jitter, jitter, size=xyz.shape)
+    assert_slabs_match_one_query(
+        xyz, RadiusFilterParams(reach * step, n_min, min_cluster_size))
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_slabs_match_one_query_on_a_catalogue_capture(decimals):
+    xyz = generate_scene(reference_scenes()[0]).cloud.xyz
+    if decimals is not None:
+        xyz = np.round(xyz, decimals)
+    assert_slabs_match_one_query(xyz, RadiusFilterParams(0.025, 4, 50))
+
+
+def test_worker_kernels_reference_only_numpy_and_scipy():
+    # the kernels run on the worker thread, so they must reach no pilevol
+    # function through a module global: the benchmark's tracer rebinds
+    # those and keeps one stack for one thread
+    from pilevol import denoise
+    for kernel in (denoise._slab_pairs, denoise._forest):
+        names = set(kernel.__code__.co_names) & set(vars(denoise))
+        assert names <= {"np", "cKDTree"}, (kernel.__name__, names)
+
+
+def _filter_digest_into(conn, xyz, params):
+    out = robust_filter(PointCloud(xyz), params)
+    conn.send(hashlib.sha256(out.xyz.tobytes()).hexdigest())
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_robust_filter_runs_in_a_forked_child():
+    # the parent's filter starts the worker thread; a forked child inherits
+    # the pool object without its thread and must start its own, not wait
+    # on a thread that does not exist
+    xyz = generate_scene(reference_scenes()[0]).cloud.xyz[::4]
+    params = RadiusFilterParams(0.05, 4, 50)
+    expected = hashlib.sha256(robust_filter(PointCloud(xyz), params)
+                              .xyz.tobytes()).hexdigest()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_filter_digest_into, args=(send, xyz, params))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child's filter did not return"
+        assert recv.recv() == expected
+        child.join(60)
+        assert child.exitcode == 0, "the forked child did not exit cleanly"
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join()
+
+
+def test_filters_called_from_several_threads_match_one_at_a_time(monkeypatch):
+    # callers on four threads share the one worker; with a short switch
+    # interval they interleave finely, and with the pool dropped first they
+    # also race to start it
+    from pilevol import denoise
+    rng = np.random.default_rng(21)
+    clouds = [PointCloud(np.round(rng.uniform(0, 1, size=(600, 3)), 1))
+              for _ in range(4)]
+    params = RadiusFilterParams(0.1, 3, 5)
+    expected = [robust_filter(c, params) for c in clouds]
+    results = [[] for _ in clouds]
+
+    def run(k):
+        for _ in range(10):
+            results[k].append(robust_filter(clouds[k], params))
+
+    monkeypatch.setattr(denoise, "_pool_pid", -1)
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(len(clouds)):
+        assert len(results[k]) == 10
+        assert all(out == expected[k] for out in results[k])
 
 
 @settings(max_examples=25, deadline=None)

@@ -205,7 +205,10 @@ def test_override_marks_the_bin_nearest_its_height():
     hist = hist_from_counts(np.ones(8), lo=0.0, hi=1.0)
     est = find_ground(hist, 0.1, MODE_OVERRIDE, override_height=0.3)
     assert (est.height, est.mode, est.peak_bin) == (0.3, MODE_OVERRIDE, 2)
-    assert est.confidence == float("inf")
+    # the marked bin's count over the median count, as in the other modes
+    assert est.confidence == 1.0
+    # with no histogram read there is no count to compare
+    assert override_ground(0.3).confidence == float("inf")
     with pytest.raises(InvalidParameter):
         find_ground(hist, 0.1, MODE_OVERRIDE)
 

@@ -543,6 +543,22 @@ def test_histogram_csv_golden(smeared, overrides, digest, marked, height):
     assert ground.height.hex() == height
 
 
+def test_override_confidence_reads_below_the_detected_peak():
+    # s01 at seed 3: FIRST_PEAK finds the ground in bin 13, an override at
+    # 5 cm marks bin 30, on the pile's flank; its confidence is that bin's
+    # count over the median count, so the report shows the override
+    # missing the peak instead of reading inf
+    scene = _s01_capture(False)
+    _, peak = emit_histogram(PipelineConfig(seed=3), scene=scene)
+    cfg = PipelineConfig(seed=3, ground_mode="OVERRIDE", override_height=0.05)
+    _, override = emit_histogram(cfg, scene=scene)
+    assert (peak.peak_bin, override.peak_bin) == (13, 30)
+    assert math.isfinite(override.confidence)
+    assert override.confidence < peak.confidence
+    report = run_report_csv(run_pipeline(cfg, scene=scene))
+    assert f"ground_confidence,{override.confidence:.4f}" in report.splitlines()
+
+
 def test_emit_histogram_empty_cloud():
     with pytest.raises(EmptyCloud):
         emit_histogram(PipelineConfig(), cloud=PointCloud.empty())
