@@ -50,8 +50,6 @@ pipeline no longer runs.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +58,7 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud
 from .errors import InvalidParameter, LabelMismatch
 from ._hdbscan import NOISE, ClusterLabels, HdbscanParams, run_hdbscan
+from ._worker import both
 
 __all__ = [
     "RadiusFilterParams",
@@ -130,32 +129,6 @@ def gap_trim(cloud: PointCloud, r0: float) -> PointCloud:
 # squared distance.  A wider band costs only a few points.
 HALO_PAD = 1.0 + 1e-6
 
-_pool: ThreadPoolExecutor | None = None
-_pool_pid = -1
-
-
-def _worker() -> ThreadPoolExecutor:
-    """The one worker thread that builds a slab beside the caller.
-
-    It starts on first use in each process: a forked child inherits the
-    parent's pool object but not its thread.  Two callers that race here
-    at most start a spare pool, whose thread exits once it is dropped.
-    """
-    global _pool, _pool_pid
-    if _pool_pid != os.getpid():
-        _pool = ThreadPoolExecutor(max_workers=1,
-                                   thread_name_prefix="pilevol-slab")
-        _pool_pid = os.getpid()
-    return _pool
-
-
-def _both(fn, args0: tuple, args1: tuple) -> tuple:
-    """``fn(*args0)`` on the calling thread while the worker runs
-    ``fn(*args1)``; both results, in that order."""
-    future = _worker().submit(fn, *args1)
-    mine = fn(*args0)
-    return mine, future.result()
-
 
 def _slabs(x: np.ndarray, r0: float) -> tuple[tuple[np.ndarray, int], ...]:
     """Split the points at the median x into two slabs, each as (global
@@ -206,7 +179,7 @@ def _radius_graph(xyz: np.ndarray, params: RadiusFilterParams
     as a whole-cloud query, so the pair set and the counts are the same.
     """
     slabs = _slabs(xyz[:, 0], params.r0)
-    (pairs0, counts0), (pairs1, counts1) = _both(
+    (pairs0, counts0), (pairs1, counts1) = both(
         _slab_pairs, (xyz, *slabs[0], params.r0), (xyz, *slabs[1], params.r0))
     counts = np.zeros(len(xyz), dtype=counts0.dtype)
     counts[slabs[0][0]] = counts0
@@ -327,7 +300,7 @@ def robust_filter(cloud: PointCloud, rparams: RadiusFilterParams) -> PointCloud:
     index = np.where(keep, np.cumsum(keep, dtype=np.int32) - 1, np.int32(-1))
     n = len(filtered)
     (index0, n_core, pairs0), (index1, _, pairs1) = slabs
-    root0, root1 = _both(
+    root0, root1 = both(
         _forest,
         (np.arange(n, dtype=np.int32), pairs0[:, 0], pairs0[:, 1],
          index.take(index0)),

@@ -636,9 +636,10 @@ def test_worker_kernels_reference_only_numpy_and_scipy():
     # function through a module global: the benchmark's tracer rebinds
     # those and keeps one stack for one thread
     from pilevol import denoise
-    for kernel in (denoise._slab_pairs, denoise._forest):
-        names = set(kernel.__code__.co_names) & set(vars(denoise))
-        assert names <= {"np", "cKDTree"}, (kernel.__name__, names)
+    for module, kernel in [(denoise, denoise._slab_pairs),
+                           (denoise, denoise._forest)]:
+        names = set(kernel.__code__.co_names) & set(vars(module))
+        assert names <= {"np", "cKDTree", "os"}, (kernel.__name__, names)
 
 
 def _filter_digest_into(conn, xyz, params):
@@ -675,7 +676,7 @@ def test_filters_called_from_several_threads_match_one_at_a_time(monkeypatch):
     # callers on four threads share the one worker; with a short switch
     # interval they interleave finely, and with the pool dropped first they
     # also race to start it
-    from pilevol import denoise
+    from pilevol import _worker
     rng = np.random.default_rng(21)
     clouds = [PointCloud(np.round(rng.uniform(0, 1, size=(600, 3)), 1))
               for _ in range(4)]
@@ -687,7 +688,7 @@ def test_filters_called_from_several_threads_match_one_at_a_time(monkeypatch):
         for _ in range(10):
             results[k].append(robust_filter(clouds[k], params))
 
-    monkeypatch.setattr(denoise, "_pool_pid", -1)
+    monkeypatch.setattr(_worker, "_pool_pid", -1)
     threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
