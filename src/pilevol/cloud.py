@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._worker import both
 from .errors import InvalidParameter, NonFiniteCoordinate
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2, "X": 0, "Y": 1, "Z": 2}
@@ -29,7 +30,7 @@ class PointCloud:
 
     def __init__(self, xyz, *, validate: bool = True):
         arr = np.asarray(xyz, dtype=np.float64)
-        if arr.size == 0:
+        if arr.size == 0 and arr.shape != (0, 3):
             arr = arr.reshape(0, 3)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise InvalidParameter(f"expected (N, 3) coordinates, got shape {arr.shape}")
@@ -138,16 +139,71 @@ def grid_cells(coords: np.ndarray, size: float) -> np.ndarray:
     One column at a time, without the (N, k) broadcast's slow length-k inner
     loop; stored column-major, so each column the keys read is contiguous.
     """
-    cells = np.empty((coords.shape[1], len(coords)), dtype=np.int64).T
-    for k in range(coords.shape[1]):
+    return _grid_cells(coords, size)[0]
+
+
+def _grid_cells(coords: np.ndarray, size: float) -> tuple[np.ndarray, list[int]]:
+    """``grid_cells`` and each column's extent, its largest cell + 1."""
+    cells = _empty_cells(coords)
+    tops = _cell_columns(coords, size, cells, range(coords.shape[1]))
+    return cells, _extents(tops, size)
+
+
+def _empty_cells(coords: np.ndarray) -> np.ndarray:
+    """An uninitialised column-major int64 array shaped like ``coords``."""
+    return np.empty((coords.shape[1], len(coords)), dtype=np.int64).T
+
+
+def _cell_columns(coords: np.ndarray, size: float, cells: np.ndarray,
+                  columns) -> list[float]:
+    """Write ``floor((col - min) / size)`` of each of the ``columns`` of
+    ``coords`` into the same column of ``cells``; return each column's
+    largest quotient.  A column whose quotient reaches 2**63 (or is NaN)
+    is left unwritten, for ``_extents`` to reject.
+
+    It runs on the worker thread, so it calls numpy only.
+    """
+    tops = []
+    for k in columns:
         col = coords[:, k]
-        with np.errstate(over="ignore"):    # an overflow is inf, rejected below
-            quotient = (col - col.min()) / size
-        if not quotient.max() < 2.0 ** 63:
+        with np.errstate(over="ignore"):    # an overflow is inf, rejected later
+            quotient = col - col.min()
+            quotient /= size
+        top = float(quotient.max())
+        if top < 2.0 ** 63:
+            # the quotient is non-negative, so the truncating cast is the floor
+            cells[:, k] = quotient
+        tops.append(top)
+    return tops
+
+
+def _extents(tops: list[float], size: float) -> list[int]:
+    """Each column's extent, its largest cell + 1, from its largest
+    quotient; a quotient of 2**63 or more is an ``InvalidParameter``."""
+    for top in tops:
+        if not top < 2.0 ** 63:
             raise InvalidParameter(f"cell size {size} puts 2**63 or more cells "
                                    "along one axis, past an int64 index")
-        cells[:, k] = np.floor(quotient, out=quotient)
-    return cells
+    return [int(top) + 1 for top in tops]
+
+
+def _bincounts(number: np.ndarray, m: int, columns) -> list[np.ndarray]:
+    """Per-cell float64 sums of each of the ``columns`` over the ``m``
+    cells ``number`` gives the points, each added in point order; a None
+    column counts the cell's points.
+
+    It runs on the worker thread, so it calls numpy only.
+    """
+    return [np.bincount(number, weights=w, minlength=m).astype(np.float64, copy=False)
+            for w in columns]
+
+
+def _divide(sums: list[np.ndarray], counts: np.ndarray) -> np.ndarray:
+    """The (M, len(sums)) per-cell means of the per-cell ``sums``."""
+    means = np.empty((len(counts), len(sums)))
+    for k, column in enumerate(sums):
+        np.divide(column, counts, out=means[:, k])
+    return means
 
 
 def cell_means(coords: np.ndarray, size: float,
@@ -159,20 +215,16 @@ def cell_means(coords: np.ndarray, size: float,
     cell's lowest point index.  ``np.bincount`` adds each cell's members in
     point order, so a mean does not depend on how the cells are numbered.
     """
-    number, first = _number_cells(grid_cells(coords, size))
-    m = len(first)
-    counts = np.bincount(number, minlength=m).astype(np.float64)
-    means = np.empty((m, values.shape[1]))
-    for k in range(values.shape[1]):
-        np.divide(np.bincount(number, weights=values[:, k], minlength=m), counts,
-                  out=means[:, k])
-    return means, first
+    number, first = _number_cells(*_grid_cells(coords, size))
+    counts, *sums = _bincounts(number, len(first), (None, *values.T))
+    return _divide(sums, counts), first
 
 
-def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of the non-negative (N, k) integer ``cells``
-    in sorted (lexicographic) order; return each row's number and each
-    number's lowest row index.
+def _number_cells(cells: np.ndarray,
+                  extent: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of the non-negative (N, k) integer ``cells``,
+    whose column k lies below ``extent[k]``, in sorted (lexicographic)
+    order; return each row's number and each number's lowest row index.
 
     The rows are keyed as int64 in that order.  When the cells' bounding box
     spans at most 4 keys per row, a direct-addressed table of at most 4*N
@@ -182,7 +234,6 @@ def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row-wise ``np.unique``.
     """
     n, width = cells.shape
-    extent = [int(cells[:, k].max()) + 1 for k in range(width)]
     span = math.prod(extent)
     if span > np.iinfo(np.int64).max:
         _, first, number = np.unique(cells, axis=0, return_index=True,
@@ -193,13 +244,14 @@ def _number_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key *= extent[k]
         key += cells[:, k]
     if span <= 4 * n:
-        # the table holds each key's lowest row index, or n where unoccupied
-        first = np.full(span, n)
-        np.minimum.at(first, key, np.arange(n))
-        occupied = first < n
-        rank = np.cumsum(occupied)
-        rank -= 1
-        return rank[key], first[occupied]
+        # the table holds each key's lowest row index, or n where unoccupied;
+        # the occupied keys, in sorted order, then get their ranks in place
+        table = np.full(span, n)
+        np.minimum.at(table, key, np.arange(n))
+        occupied = np.flatnonzero(table < n)
+        first = table.take(occupied)
+        table[occupied] = np.arange(len(occupied))
+        return table.take(key), first
     # an unstable sort groups equal keys, so each run's lowest row index is
     # its minimum, not necessarily its first entry
     order = np.argsort(key)
@@ -223,9 +275,17 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     if len(cloud) == 0:
         return cloud
     xyz = cloud.xyz
-    centroids, first = cell_means(xyz, voxel_size, xyz)
-    # list the voxels by first point with one O(N) scatter, not a sort;
-    # take copies the rows several times faster than a fancy index
-    slot = np.full(len(xyz), -1)
-    slot[first] = np.arange(len(first))
-    return PointCloud(centroids.take(slot[slot >= 0], axis=0), validate=False)
+    # the N-element passes, which release the GIL, run half on the worker:
+    # the x and y cells here and the z cells there, then the counts and x
+    # sums here and the y and z sums there
+    cells = _empty_cells(xyz)
+    tops_xy, tops_z = both(_cell_columns, (xyz, voxel_size, cells, (0, 1)),
+                           (xyz, voxel_size, cells, (2,)))
+    number, first = _number_cells(cells, _extents(tops_xy + tops_z, voxel_size))
+    m = len(first)
+    (counts, *sums_x), sums_yz = both(_bincounts, (number, m, (None, xyz[:, 0])),
+                                      (number, m, (xyz[:, 1], xyz[:, 2])))
+    centroids = _divide(sums_x + sums_yz, counts)
+    # list the voxels by first point; take copies the rows several times
+    # faster than a fancy index
+    return PointCloud(centroids.take(np.argsort(first), axis=0), validate=False)

@@ -6,6 +6,12 @@ Only the x, y, z vertex properties are read, as float or double; color,
 normal, and other scalar properties are skipped.  The volume method is
 geometry-only, so RGB attributes are deliberately never surfaced.  Files
 are written as float64.
+
+A binary payload is size-checked against the header, then read in two
+halves, the lower one on the calling thread and the upper one on the
+worker thread (``pilevol._worker``).  A vertex row of three doubles x, y,
+z is read straight into the cloud's (N, 3) array; any other row is read
+into a row table whose x, y, z columns are then widened to float64.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._worker import both
 from .cloud import PointCloud
 from .errors import InvalidParameter, MalformedHeader, UnsupportedProperty
 
@@ -164,23 +171,60 @@ def _load_ply(path: Path) -> PointCloud:
     with open(path, "rb") as fh:
         fmt, count, types, cols = _parse_ply_header(fh)
         if fmt == FORMAT_PLY_ASCII:
-            xyz = _read_ascii_vertices(fh, count, len(types))[:, cols]
-        else:
-            row = np.dtype([(f"p{i}", _PLY_SCALAR_TYPES[ptype])
-                            for i, ptype in enumerate(types)])
-            size = count * row.itemsize
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
-            if size > left:
-                raise MalformedHeader(
-                    f"binary payload too short: expected {size} bytes, got {left}")
-            table = np.fromfile(fh, dtype=row, count=count)
+            return PointCloud(_read_ascii_vertices(fh, count, len(types))[:, cols])
+        row = np.dtype([(f"p{i}", _PLY_SCALAR_TYPES[ptype])
+                        for i, ptype in enumerate(types)])
+        start = fh.tell()
+        size = count * row.itemsize
+        left = os.fstat(fh.fileno()).st_size - start
+        if size > left:
+            raise MalformedHeader(
+                f"binary payload too short: expected {size} bytes, got {left}")
+        if cols == [0, 1, 2] and row == _XYZ_DOUBLES:
+            # the rows are the (N, 3) array itself
             xyz = np.empty((count, 3))
-            # a float32 signalling NaN warns as it widens; it arrives as a
-            # quiet NaN, which PointCloud rejects as NonFiniteCoordinate
-            with np.errstate(invalid="ignore"):
-                for k, i in enumerate(cols):
-                    xyz[:, k] = table[f"p{i}"]
+            _read_payload(fh, path, start, xyz)
+            return PointCloud(xyz)
+        table = np.empty(count, dtype=row)
+        _read_payload(fh, path, start, table)
+    xyz = np.empty((count, 3))
+    # a float32 signalling NaN warns as it widens; it arrives as a quiet
+    # NaN, which PointCloud rejects as NonFiniteCoordinate
+    with np.errstate(invalid="ignore"):
+        for k, i in enumerate(cols):
+            xyz[:, k] = table[f"p{i}"]
     return PointCloud(xyz)
+
+
+# a vertex row of three native doubles, x, y and z in that order
+_XYZ_DOUBLES = np.dtype([("p0", np.float64), ("p1", np.float64),
+                         ("p2", np.float64)])
+
+
+def _read_payload(fh, path: Path, start: int, out: np.ndarray) -> None:
+    """Fill the C-contiguous ``out`` with the size-checked payload at
+    ``start`` of the open ``fh``: its first half of the rows on the calling
+    thread, the rest on the worker, which reads through its own handle on
+    ``path``.  A file that ends early after all raises ``MalformedHeader``."""
+    payload = out.reshape(-1).view(np.uint8)
+    half = len(out) // 2 * out.strides[0]
+    with open(path, "rb") as other:
+        got = both(_read_into, (fh, start, payload[:half]),
+                   (other, start + half, payload[half:]))
+    if sum(got) != len(payload):
+        raise MalformedHeader(f"binary payload ended early: expected "
+                              f"{len(payload)} bytes, read {sum(got)}")
+
+
+def _read_into(fh, offset: int, view: np.ndarray) -> int:
+    """Read the bytes at ``offset`` of the open binary file ``fh`` into the
+    byte array ``view``; the count read, below its length only where the
+    file ends.  The read releases the GIL.
+
+    It runs on the worker thread, so it calls no pilevol function.
+    """
+    fh.seek(offset)
+    return fh.readinto(view)
 
 
 def _read_ascii_vertices(fh, count: int, width: int) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Cloud container, pass-through filtering, voxel downsampling."""
 
 import hashlib
+import multiprocessing
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -207,6 +211,113 @@ def test_voxel_downsample_matches_unique_rows_reference(far, paths):
         assert out.tobytes() == unique_rows_voxel_reference(cloud, size).tobytes()
 
 
+def voxel_case(shape, path):
+    """A cloud of negative, rounded coordinates, each at least 2 m below
+    the origin, whose 0.05 m voxels take the numbering ``path``: the table
+    for the compact cloud, a sort past a stray point 10 m off on every
+    axis that varies, and the row-wise ``np.unique`` past one 1e9 m off.
+    ``shape`` "flat" gives the y axis a single value; "one-point" is a
+    single point, which only the table numbers."""
+    if shape == "one-point":
+        return np.array([[-3.21, -2.5, -7.0]])
+    rng = np.random.default_rng(13)
+    xyz = np.round(rng.uniform(-3.5, -2.5, size=(5_000, 3)), 2)
+    if shape == "flat":
+        xyz[:, 1] = -2.25
+    offset = {"table": None, "sort": 10.0, "unique": 1e9}[path]
+    if offset is not None:
+        stray = xyz[0] + offset
+        if shape == "flat":
+            stray[1] = -2.25
+        xyz = np.vstack([xyz[:2000], [stray], xyz[2000:]])
+    return xyz
+
+
+@pytest.mark.parametrize("shape, path", [
+    ("negative", "table"), ("negative", "sort"), ("negative", "unique"),
+    ("flat", "table"), ("flat", "sort"), ("flat", "unique"),
+    ("one-point", "table"),
+])
+def test_voxel_downsample_edge_clouds_match_unique_rows_reference(shape, path):
+    xyz = voxel_case(shape, path)
+    cells = np.floor((xyz - xyz.min(axis=0)) / 0.05).astype(np.int64)
+    assert numbering_path(cells) == path
+    cloud = PointCloud(xyz)
+    out = voxel_downsample(cloud, 0.05).xyz
+    assert out.tobytes() == unique_rows_voxel_reference(cloud, 0.05).tobytes()
+    assert out.flags.c_contiguous and not out.flags.writeable
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_voxel_downsample_rejects_a_quotient_of_2_63_on_any_axis(axis):
+    # the x and y cells are formed on the calling thread and the z cells on
+    # the worker; an overflow on either must be an InvalidParameter
+    for top, fits in [(2.0 ** 63, False), (np.nextafter(2.0 ** 63, 0.0), True)]:
+        xyz = np.zeros((2, 3))
+        xyz[1, axis] = top
+        if fits:
+            assert len(voxel_downsample(PointCloud(xyz), 1.0)) == 2
+        else:
+            with pytest.raises(InvalidParameter):
+                voxel_downsample(PointCloud(xyz), 1.0)
+
+
+def _voxel_digest_into(conn, xyz, size):
+    conn.send(hashlib.sha256(voxel_downsample(PointCloud(xyz), size)
+                             .xyz.tobytes()).hexdigest())
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_voxel_downsample_runs_in_a_forked_child():
+    # the parent's voxel pass starts the worker thread; a forked child
+    # inherits the pool object without its thread and must start its own
+    cloud = PointCloud(voxel_case("negative", "table"))
+    expected = unique_rows_voxel_reference(cloud, 0.05).tobytes()
+    assert voxel_downsample(cloud, 0.05).xyz.tobytes() == expected
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_voxel_digest_into, args=(send, cloud.xyz, 0.05))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child's voxel pass did not return"
+        assert recv.recv() == hashlib.sha256(expected).hexdigest()
+        child.join(60)
+        assert child.exitcode == 0, "the forked child did not exit cleanly"
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join()
+
+
+def test_voxel_downsample_from_two_threads_matches_the_reference(monkeypatch):
+    # two callers share the one worker; with a short switch interval they
+    # interleave finely, and with the pool dropped first they also race to
+    # start it
+    from pilevol import _worker
+    clouds = [PointCloud(voxel_case("negative", path)) for path in ("table", "sort")]
+    expected = [unique_rows_voxel_reference(c, 0.05).tobytes() for c in clouds]
+    results = [[], []]
+
+    def run(k):
+        for _ in range(20):
+            results[k].append(voxel_downsample(clouds[k], 0.05).xyz.tobytes())
+
+    monkeypatch.setattr(_worker, "_pool_pid", -1)
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[expected[0]] * 20, [expected[1]] * 20]
+
+
 def test_voxel_downsample_golden():
     # the first voxel-band benchmark capture at seed 1 (perfbench
     # derive_seed(1, "voxel-band", 0)), at the benchmark's voxel; 104,000
@@ -254,7 +365,8 @@ def assert_cell_numbers(rows):
     """``_number_cells`` against a dict oracle: each row's number is its
     cell's rank in sorted order, and each cell's first index is its lowest
     row."""
-    numbers, first = _number_cells(np.array(rows, dtype=np.int64))
+    cells = np.array(rows, dtype=np.int64)
+    numbers, first = _number_cells(cells, (cells.max(axis=0) + 1).tolist())
     lowest: dict = {}
     for i, row in enumerate(rows):
         lowest.setdefault(row, i)

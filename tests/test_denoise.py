@@ -635,9 +635,12 @@ def test_worker_kernels_reference_only_numpy_and_scipy():
     # the kernels run on the worker thread, so they must reach no pilevol
     # function through a module global: the benchmark's tracer rebinds
     # those and keeps one stack for one thread
-    from pilevol import denoise
+    from pilevol import cloud, cloudio, denoise
     for module, kernel in [(denoise, denoise._slab_pairs),
-                           (denoise, denoise._forest)]:
+                           (denoise, denoise._forest),
+                           (cloud, cloud._cell_columns),
+                           (cloud, cloud._bincounts),
+                           (cloudio, cloudio._read_into)]:
         names = set(kernel.__code__.co_names) & set(vars(module))
         assert names <= {"np", "cKDTree", "os"}, (kernel.__name__, names)
 

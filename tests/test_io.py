@@ -1,6 +1,8 @@
 """PLY/XYZ reading and writing."""
 
 import hashlib
+import multiprocessing
+import os
 import struct
 import warnings
 from dataclasses import replace
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from pilevol import cloudio
 from pilevol.cloud import PointCloud
 from pilevol.cloudio import (
     FORMAT_PLY_ASCII,
@@ -122,6 +125,110 @@ def test_ply_binary_skips_extra_properties(tmp_path):
     path.write_bytes(header + body)
     cloud = load_cloud(path)
     np.testing.assert_array_equal(cloud.xyz, [[1, 2, 3], [4, 5, 6]])
+
+
+PLY_TYPE_NAMES = {"<f8": "double", "<f4": "float", "|u1": "uchar"}
+LAYOUTS = {
+    "xyz-doubles": [("x", "<f8"), ("y", "<f8"), ("z", "<f8")],
+    "zyx-doubles": [("z", "<f8"), ("y", "<f8"), ("x", "<f8")],
+    "xyz-floats": [("x", "<f4"), ("y", "<f4"), ("z", "<f4")],
+    "extra-uchar-float": [("x", "<f8"), ("red", "u1"), ("y", "<f8"),
+                          ("z", "<f8"), ("w", "<f4")],
+}
+
+
+def binary_ply(path, layout, count, seed=0):
+    """Write a binary PLY of ``count`` random rows of the ``layout`` and
+    return the (count, 3) float64 x, y, z the rows hold: each column
+    widened on its own, as a reader that decodes a row table does."""
+    row = np.dtype(LAYOUTS[layout])
+    table = np.zeros(count, dtype=row)
+    rng = np.random.default_rng(seed)
+    for name in row.names:
+        table[name] = rng.normal(scale=50.0, size=count) if name in "xyzw" \
+            else rng.integers(0, 256, size=count)
+    properties = "".join(f"property {PLY_TYPE_NAMES[row[name].str]} {name}\n"
+                         for name in row.names)
+    path.write_bytes(
+        (f"ply\nformat binary_little_endian 1.0\nelement vertex {count}\n"
+         f"{properties}end_header\n").encode("ascii") + table.tobytes())
+    expected = np.empty((count, 3))
+    for k, name in enumerate("xyz"):
+        expected[:, k] = table[name]
+    return expected
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 10_001])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_binary_read_matches_a_row_table_decode(tmp_path, layout, count):
+    # the payload is read in two halves, the upper one on the worker thread;
+    # an odd count splits into halves of unequal rows
+    path = tmp_path / "cloud.ply"
+    expected = binary_ply(path, layout, count)
+    xyz = load_cloud(path).xyz
+    assert xyz.shape == (count, 3)
+    assert xyz.tobytes() == expected.tobytes()
+    assert xyz.flags.owndata and xyz.flags.c_contiguous
+    assert not xyz.flags.writeable
+
+
+class _TruncatingOs:
+    """``os`` for the reader, whose ``fstat`` cuts ``cut`` bytes off the
+    file's end after it is measured, as if another process truncated the
+    file between the size check and the read."""
+
+    def __init__(self, path, cut):
+        self.path, self.cut = path, cut
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def fstat(self, fd):
+        stat = os.fstat(fd)
+        os.truncate(self.path, stat.st_size - self.cut)
+        return stat
+
+
+@pytest.mark.parametrize("layout", ["xyz-doubles", "extra-uchar-float"])
+@pytest.mark.parametrize("cut", [1, 400], ids=["upper-half", "both-halves"])
+def test_payload_shortened_after_the_size_check_malformed(tmp_path, monkeypatch,
+                                                          layout, cut):
+    # 10 rows of 24 or 29 bytes: one byte short ends the worker's half
+    # early; 400 bytes short also ends the caller's half early
+    path = tmp_path / "cloud.ply"
+    binary_ply(path, layout, 20)
+    monkeypatch.setattr(cloudio, "os", _TruncatingOs(path, cut))
+    with pytest.raises(MalformedHeader, match="ended early"):
+        load_cloud(path)
+
+
+def _load_digest_into(conn, path):
+    conn.send(hashlib.sha256(load_cloud(path).xyz.tobytes()).hexdigest())
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("layout", ["xyz-doubles", "xyz-floats"])
+def test_binary_read_in_a_forked_child(tmp_path, layout):
+    # the parent's read starts the worker thread; a forked child inherits
+    # the pool object without its thread and must start its own, not wait
+    # on a thread that does not exist
+    path = tmp_path / "cloud.ply"
+    expected = binary_ply(path, layout, 5_001)
+    assert load_cloud(path).xyz.tobytes() == expected.tobytes()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_load_digest_into, args=(send, path))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child's read did not return"
+        assert recv.recv() == hashlib.sha256(expected.tobytes()).hexdigest()
+        child.join(60)
+        assert child.exitcode == 0, "the forked child did not exit cleanly"
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join()
 
 
 def test_missing_file():
