@@ -93,11 +93,13 @@ def _refine_plane(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares plane through the C-contiguous (3, M) points ``xt``:
     centroid + smallest covariance eigenvector."""
     centroid = xt.mean(axis=1)
-    # six dot products of the contiguous centred rows; on 30k points they
-    # take about a fifth of the time of ``centered @ centered.T``
+    # six dot products of the contiguous centred rows.  einsum sums on the
+    # calling thread, where a BLAS dot splits the sum by its thread count
+    # and so rounds differently under OPENBLAS_NUM_THREADS=1
     x, y, z = xt - centroid[:, None]
-    xy, xz, yz = x @ y, x @ z, y @ z
-    cov = np.array([[x @ x, xy, xz], [xy, y @ y, yz], [xz, yz, z @ z]])
+    xx, yy, zz, xy, xz, yz = (np.einsum("i,i", u, v) for u, v in
+                              ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)))
+    cov = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
     eigvals, eigvecs = np.linalg.eigh(cov)
     normal = eigvecs[:, 0]
     return normal, centroid

@@ -5,7 +5,9 @@ import functools
 import hashlib
 import importlib
 import math
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -541,6 +543,27 @@ def test_histogram_csv_golden(smeared, overrides, digest, marked, height):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert ground.peak_bin == marked
     assert ground.height.hex() == height
+
+
+S01_SEED_3 = """
+from pilevol.pipeline import PipelineConfig, run_pipeline
+from pilevol.synth import generate_scene, reference_scenes
+report = run_pipeline(PipelineConfig(seed=3), scene=generate_scene(reference_scenes()[0]))
+print(report.ground.height.hex(), report.volume.hex())
+"""
+
+
+def test_single_blas_thread_gives_the_same_bits():
+    # the posture stage's plane refit sums its moments without BLAS, whose
+    # dot product splits a sum by its thread count: a run pinned to one
+    # BLAS thread must read the same ground height and volume, bit for bit
+    report = run_pipeline(PipelineConfig(seed=3), scene=_s01_capture(False))
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", S01_SEED_3], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == [report.ground.height.hex(), report.volume.hex()]
 
 
 def test_override_confidence_reads_below_the_detected_peak():
