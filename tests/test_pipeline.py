@@ -521,19 +521,19 @@ def _s01_capture(smeared: bool):
 @pytest.mark.parametrize("smeared, overrides, digest, marked, height", [
     (False, {},
      "f1119afa6fceca6c92a6defc4f5113fa425c98ce1173699d90b8473f13992ac0",
-     13, "-0x1.29a26f7e34bbdp-11"),
+     13, "-0x1.29a26f7e34bfcp-11"),
     (False, {"ground_mode": "MID_PLATEAU"},
      "f1119afa6fceca6c92a6defc4f5113fa425c98ce1173699d90b8473f13992ac0",
-     13, "-0x1.afc23d2bcf540p-12"),
+     13, "-0x1.afc23d2bcf5c0p-12"),
     (False, {"ground_mode": "OVERRIDE", "override_height": 0.05},
      "8025cd35796de9379b67189107675760e48a95f6c6ac1e06ec0131d221a43ce1",
      30, "0x1.999999999999ap-5"),
     (True, {},
      "f76374d889723f52375ccedd3e68eea1483ef100425c58aa1e8aab6867176bd2",
-     12, "0x1.a1b330034fa43p-9"),
+     12, "0x1.a1b330034fa91p-9"),
     (True, {"ground_mode": "MID_PLATEAU"},
      "4cffd0a525c41dbec2d4307e7ecd3f72dcc0023d25fd070920cc6872f1102f4f",
-     11, "0x1.b4a40c9a43560p-11"),
+     11, "0x1.b4a40c9a43680p-11"),
 ], ids=["first-peak", "mid-plateau", "override", "smeared-first-peak",
         "smeared-mid-plateau"])
 def test_histogram_csv_golden(smeared, overrides, digest, marked, height):
