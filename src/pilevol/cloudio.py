@@ -45,6 +45,9 @@ _PLY_SCALAR_TYPES = {
     "double": "<f8", "float64": "<f8",
 }
 _FLOAT_TYPES = {"float", "float32", "double", "float64"}
+# a vertex row of three native doubles, x, y and z in that order
+_XYZ_DOUBLES = np.dtype([("p0", np.float64), ("p1", np.float64),
+                         ("p2", np.float64)])
 
 
 def load_cloud(path) -> PointCloud:
@@ -194,11 +197,6 @@ def _load_ply(path: Path) -> PointCloud:
         for k, i in enumerate(cols):
             xyz[:, k] = table[f"p{i}"]
     return PointCloud(xyz)
-
-
-# a vertex row of three native doubles, x, y and z in that order
-_XYZ_DOUBLES = np.dtype([("p0", np.float64), ("p1", np.float64),
-                         ("p2", np.float64)])
 
 
 def _read_payload(fh, path: Path, start: int, out: np.ndarray) -> None:
