@@ -212,10 +212,10 @@ def test_voxel_downsample_matches_unique_rows_reference(far, paths):
 
 
 def voxel_case(shape, path):
-    """A cloud of negative, rounded coordinates, each at least 2 m below
-    the origin, whose 0.05 m voxels take the numbering ``path``: the table
-    for the compact cloud, a sort past a stray point 10 m off on every
-    axis that varies, and the row-wise ``np.unique`` past one 1e9 m off.
+    """A cloud of negative coordinates, rounded to 1 cm in [-3.5, -2.5] m,
+    whose 0.05 m voxels take the numbering ``path``: the table for the
+    compact cloud, a sort past a stray point 10 m off on every axis that
+    varies, and the row-wise ``np.unique`` past one 1e9 m off.
     ``shape`` "flat" gives the y axis a single value; "one-point" is a
     single point, which only the table numbers."""
     if shape == "one-point":
