@@ -1,12 +1,14 @@
 """The one worker thread that runs half of a split call beside the caller.
 
-The fine filter's two x-slabs, the two halves of a binary PLY read and
-the voxel pass's per-axis cells and per-cell sums each run one half on
-the calling thread and the other on this worker.  A call is worth
-splitting only when each half releases the GIL for most of its time:
-file I/O, or numpy and scipy calls on arrays of about 100k elements.
+Three calls are split: the fine filter's two x-slabs each query their r0
+pairs (``denoise._slab_pairs``) and hook their forest (``denoise._forest``)
+one on the calling thread and one on this worker, and the voxel pass forms
+its x and y cells on the caller and its z cells here
+(``cloud._cell_columns``).  A call is worth splitting only when each half
+releases the GIL for most of its time, as numpy and scipy calls on arrays
+of about 100k elements do, and only where a benchmark shows the gain.
 
-A kernel that runs on the worker calls only numpy, scipy and ``os``,
+A kernel that runs on the worker calls only numpy and scipy,
 never a pilevol function through a module global: a tracer may rebind
 those, and it keeps one span stack for one thread.
 """

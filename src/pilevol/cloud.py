@@ -28,18 +28,18 @@ class PointCloud:
 
     __slots__ = ("_xyz",)
 
-    def __init__(self, xyz, *, validate: bool = True):
-        arr = np.asarray(xyz, dtype=np.float64)
-        if arr.size == 0 and arr.shape != (0, 3):
-            arr = arr.reshape(0, 3)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise InvalidParameter(f"expected (N, 3) coordinates, got shape {arr.shape}")
-        if validate and arr.size and not np.isfinite(arr).all():
-            row = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
-            raise NonFiniteCoordinate(row)
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        self._xyz = arr
+    def __init__(self, xyz):
+        # the cloud's own copy: the caller's array stays writable, and a
+        # later write to it does not reach the cloud
+        self._xyz = _frozen(np.array(xyz, dtype=np.float64, order="C"), validate=True)
+
+    @classmethod
+    def _own(cls, xyz: np.ndarray, *, validate: bool = False) -> "PointCloud":
+        """A cloud over the C-contiguous float64 (N, 3) ``xyz`` that the
+        library has just allocated and hands on, without a copy."""
+        cloud = cls.__new__(cls)
+        cloud._xyz = _frozen(xyz, validate)
+        return cloud
 
     @property
     def xyz(self) -> np.ndarray:
@@ -65,11 +65,11 @@ class PointCloud:
         if rows.dtype == bool and rows.shape == (len(self),):
             # compress copies the kept rows several times faster than a
             # boolean index on (N, 3) rows
-            return PointCloud(np.compress(rows, self._xyz, axis=0), validate=False)
-        return PointCloud(self._xyz[rows], validate=False)
+            return PointCloud._own(np.compress(rows, self._xyz, axis=0))
+        return PointCloud._own(self._xyz[rows])
 
     def translated(self, offset) -> "PointCloud":
-        return PointCloud(_add_to_columns(self._xyz.copy(), offset), validate=False)
+        return PointCloud._own(_add_to_columns(self._xyz.copy(), offset))
 
     def transformed(self, rotation: np.ndarray, offset=(0.0, 0.0, 0.0)) -> "PointCloud":
         """Apply p' = R @ p + offset to every point."""
@@ -77,11 +77,25 @@ class PointCloud:
         # view is about 3x slower on large clouds
         rt = np.ascontiguousarray(np.asarray(rotation, dtype=np.float64).T)
         rotated = self._xyz @ rt
-        return PointCloud(_add_to_columns(rotated, offset), validate=False)
+        return PointCloud._own(_add_to_columns(rotated, offset))
 
     @staticmethod
     def empty() -> "PointCloud":
-        return PointCloud(np.empty((0, 3)), validate=False)
+        return PointCloud._own(np.empty((0, 3)))
+
+
+def _frozen(arr: np.ndarray, validate: bool) -> np.ndarray:
+    """The float64 ``arr`` as read-only (N, 3) coordinates; with
+    ``validate``, a non-finite row is a ``NonFiniteCoordinate``."""
+    if arr.size == 0 and arr.shape != (0, 3):
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise InvalidParameter(f"expected (N, 3) coordinates, got shape {arr.shape}")
+    if validate and arr.size and not np.isfinite(arr).all():
+        row = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
+        raise NonFiniteCoordinate(row)
+    arr.flags.writeable = False
+    return arr
 
 
 def _add_to_columns(xyz: np.ndarray, offset) -> np.ndarray:
@@ -131,19 +145,15 @@ def passthrough_filter(cloud: PointCloud, ranges: Sequence[AxisRange]) -> PointC
     return cloud.select(mask)
 
 
-def grid_cells(coords: np.ndarray, size: float) -> np.ndarray:
+def _grid_cells(coords: np.ndarray, size: float) -> tuple[np.ndarray, list[int]]:
     """``floor((coords - min) / size)`` of the (N, k) ``coords`` as (N, k)
-    int64, the cells of the voxels and of the volume grid; a column that
-    spans 2**63 cells or more is an ``InvalidParameter``.
+    int64, the cells of the voxels and of the volume grid, and each column's
+    extent, its largest cell + 1; a column that spans 2**63 cells or more is
+    an ``InvalidParameter``.
 
     One column at a time, without the (N, k) broadcast's slow length-k inner
     loop; stored column-major, so each column the keys read is contiguous.
     """
-    return _grid_cells(coords, size)[0]
-
-
-def _grid_cells(coords: np.ndarray, size: float) -> tuple[np.ndarray, list[int]]:
-    """``grid_cells`` and each column's extent, its largest cell + 1."""
     cells = _empty_cells(coords)
     tops = _cell_columns(coords, size, cells, range(coords.shape[1]))
     return cells, _extents(tops, size)
@@ -187,37 +197,30 @@ def _extents(tops: list[float], size: float) -> list[int]:
     return [int(top) + 1 for top in tops]
 
 
-def _bincounts(number: np.ndarray, m: int, columns) -> list[np.ndarray]:
-    """Per-cell float64 sums of each of the ``columns`` over the ``m``
-    cells ``number`` gives the points, each added in point order; a None
-    column counts the cell's points.
-
-    It runs on the worker thread, so it calls numpy only.
-    """
-    return [np.bincount(number, weights=w, minlength=m).astype(np.float64, copy=False)
-            for w in columns]
-
-
-def _divide(sums: list[np.ndarray], counts: np.ndarray) -> np.ndarray:
-    """The (M, len(sums)) per-cell means of the per-cell ``sums``."""
-    means = np.empty((len(counts), len(sums)))
-    for k, column in enumerate(sums):
-        np.divide(column, counts, out=means[:, k])
-    return means
-
-
 def cell_means(coords: np.ndarray, size: float,
                values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the points of the non-empty (N, k) ``coords`` into the cells of
-    ``grid_cells`` and average the (N, j) ``values`` over each occupied cell.
+    ``_grid_cells`` and average the (N, j) ``values`` over each occupied cell.
 
     Returns the (M, j) means, one row per cell in sorted cell order, and each
-    cell's lowest point index.  ``np.bincount`` adds each cell's members in
-    point order, so a mean does not depend on how the cells are numbered.
+    cell's lowest point index.
     """
-    number, first = _number_cells(*_grid_cells(coords, size))
-    counts, *sums = _bincounts(number, len(first), (None, *values.T))
-    return _divide(sums, counts), first
+    return _cell_means(*_grid_cells(coords, size), values)
+
+
+def _cell_means(cells: np.ndarray, extent: list[int],
+                values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cell_means`` over the (N, k) ``cells``, whose column k lies below
+    ``extent[k]``.  ``np.bincount`` adds each cell's members in point order,
+    so a mean does not depend on how the cells are numbered."""
+    number, first = _number_cells(cells, extent)
+    m = len(first)
+    counts = np.bincount(number, minlength=m)
+    means = np.empty((m, values.shape[1]))
+    for k in range(values.shape[1]):
+        np.divide(np.bincount(number, weights=values[:, k], minlength=m), counts,
+                  out=means[:, k])
+    return means, first
 
 
 def _number_cells(cells: np.ndarray,
@@ -265,7 +268,7 @@ def _number_cells(cells: np.ndarray,
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """Replace the points of every occupied voxel by their centroid.
 
-    The voxels are the cubes of ``grid_cells``, anchored at the cloud's min
+    The voxels are the cubes of ``_grid_cells``, anchored at the cloud's min
     corner so the result is deterministic for a given cloud.  Output points
     are ordered by first-occurring member point, which keeps repeated runs
     identical.
@@ -275,17 +278,12 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     if len(cloud) == 0:
         return cloud
     xyz = cloud.xyz
-    # the N-element passes, which release the GIL, run half on the worker:
-    # the x and y cells here and the z cells there, then the counts and x
-    # sums here and the y and z sums there
+    # the cells form on two threads, as N-element passes that release the
+    # GIL: the x and y cells here and the z cells on the worker
     cells = _empty_cells(xyz)
     tops_xy, tops_z = both(_cell_columns, (xyz, voxel_size, cells, (0, 1)),
                            (xyz, voxel_size, cells, (2,)))
-    number, first = _number_cells(cells, _extents(tops_xy + tops_z, voxel_size))
-    m = len(first)
-    (counts, *sums_x), sums_yz = both(_bincounts, (number, m, (None, xyz[:, 0])),
-                                      (number, m, (xyz[:, 1], xyz[:, 2])))
-    centroids = _divide(sums_x + sums_yz, counts)
+    centroids, first = _cell_means(cells, _extents(tops_xy + tops_z, voxel_size), xyz)
     # list the voxels by first point; take copies the rows several times
     # faster than a fancy index
-    return PointCloud(centroids.take(np.argsort(first), axis=0), validate=False)
+    return PointCloud._own(centroids.take(np.argsort(first), axis=0))

@@ -7,11 +7,10 @@ normal, and other scalar properties are skipped.  The volume method is
 geometry-only, so RGB attributes are deliberately never surfaced.  Files
 are written as float64.
 
-A binary payload is size-checked against the header, then read in two
-halves, the lower one on the calling thread and the upper one on the
-worker thread (``pilevol._worker``).  A vertex row of three doubles x, y,
-z is read straight into the cloud's (N, 3) array; any other row is read
-into a row table whose x, y, z columns are then widened to float64.
+A binary payload is size-checked against the header, then read with one
+``readinto``.  A vertex row of three doubles x, y, z is read straight into
+the cloud's (N, 3) array; any other row is read into a row table whose x,
+y, z columns are then widened to float64.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._worker import both
 from .cloud import PointCloud
 from .errors import InvalidParameter, MalformedHeader, UnsupportedProperty
 
@@ -89,16 +87,21 @@ def _load_xyz(path: Path) -> PointCloud:
         text = path.read_text()
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"XYZ file is not text: {exc}") from exc
+    return PointCloud(_parse_rows(text.split("\n"), "XYZ text", comments="#",
+                                  usecols=(0, 1, 2)))
+
+
+def _parse_rows(lines, what: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of the text ``lines`` as a float64 table of at least two
+    dimensions.  No data rows give an empty table, not a warning; a row
+    that does not parse is a ``MalformedHeader`` naming ``what``."""
     try:
-        # a file without data rows is an empty cloud, not a warning
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
-            xyz = np.loadtxt(text.split("\n"), dtype=np.float64, comments="#",
-                             usecols=(0, 1, 2), ndmin=2)
+            return np.loadtxt(lines, dtype=np.float64, ndmin=2, **kwargs)
     except ValueError as exc:
-        raise MalformedHeader(f"unparseable XYZ text: {exc}") from exc
-    return PointCloud(xyz)
+        raise MalformedHeader(f"unparseable {what}: {exc}") from exc
 
 
 def _parse_ply_header(fh) -> tuple[str, int, list[str], list[int]]:
@@ -177,52 +180,36 @@ def _load_ply(path: Path) -> PointCloud:
             return PointCloud(_read_ascii_vertices(fh, count, len(types))[:, cols])
         row = np.dtype([(f"p{i}", _PLY_SCALAR_TYPES[ptype])
                         for i, ptype in enumerate(types)])
-        start = fh.tell()
         size = count * row.itemsize
-        left = os.fstat(fh.fileno()).st_size - start
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         if size > left:
             raise MalformedHeader(
                 f"binary payload too short: expected {size} bytes, got {left}")
         if cols == [0, 1, 2] and row == _XYZ_DOUBLES:
             # the rows are the (N, 3) array itself
             xyz = np.empty((count, 3))
-            _read_payload(fh, path, start, xyz)
-            return PointCloud(xyz)
+            _read_payload(fh, xyz)
+            return PointCloud._own(xyz, validate=True)
         table = np.empty(count, dtype=row)
-        _read_payload(fh, path, start, table)
+        _read_payload(fh, table)
     xyz = np.empty((count, 3))
     # a float32 signalling NaN warns as it widens; it arrives as a quiet
     # NaN, which PointCloud rejects as NonFiniteCoordinate
     with np.errstate(invalid="ignore"):
         for k, i in enumerate(cols):
             xyz[:, k] = table[f"p{i}"]
-    return PointCloud(xyz)
+    return PointCloud._own(xyz, validate=True)
 
 
-def _read_payload(fh, path: Path, start: int, out: np.ndarray) -> None:
-    """Fill the C-contiguous ``out`` with the size-checked payload at
-    ``start`` of the open ``fh``: its first half of the rows on the calling
-    thread, the rest on the worker, which reads through its own handle on
-    ``path``.  A file that ends early after all raises ``MalformedHeader``."""
+def _read_payload(fh, out: np.ndarray) -> None:
+    """Fill the C-contiguous ``out`` with the size-checked payload that
+    follows the header in the open ``fh``; a file that ends early after all
+    raises ``MalformedHeader``."""
     payload = out.reshape(-1).view(np.uint8)
-    half = len(out) // 2 * out.strides[0]
-    with open(path, "rb") as other:
-        got = both(_read_into, (fh, start, payload[:half]),
-                   (other, start + half, payload[half:]))
-    if sum(got) != len(payload):
+    got = fh.readinto(payload)
+    if got != len(payload):
         raise MalformedHeader(f"binary payload ended early: expected "
-                              f"{len(payload)} bytes, read {sum(got)}")
-
-
-def _read_into(fh, offset: int, view: np.ndarray) -> int:
-    """Read the bytes at ``offset`` of the open binary file ``fh`` into the
-    byte array ``view``; the count read, below its length only where the
-    file ends.  The read releases the GIL.
-
-    It runs on the worker thread, so it calls no pilevol function.
-    """
-    fh.seek(offset)
-    return fh.readinto(view)
+                              f"{len(payload)} bytes, read {got}")
 
 
 def _read_ascii_vertices(fh, count: int, width: int) -> np.ndarray:
@@ -236,10 +223,7 @@ def _read_ascii_vertices(fh, count: int, width: int) -> np.ndarray:
     lines = list(itertools.islice(fh, count))
     if len(lines) < count:
         raise MalformedHeader(f"expected {count} vertices, file ended at {len(lines)}")
-    try:
-        table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError as exc:
-        raise MalformedHeader(f"unparseable vertex rows: {exc}") from exc
+    table = _parse_rows(lines, "vertex rows", comments=None)
     if table.shape != (count, width):
         raise MalformedHeader(
             f"expected {count} vertex rows of {width} values, got shape {table.shape}")

@@ -290,7 +290,7 @@ def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
     offset = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                        rng.uniform(-0.3, 0.3)])
     xyz = xyz + offset
-    return Scene(cloud=PointCloud(xyz, validate=False),
+    return Scene(cloud=PointCloud._own(xyz),
                  true_volume=spec.pile.true_volume)
 
 
@@ -505,5 +505,5 @@ def crescent_scene(r_inner: float = 0.25, r_outer: float = 0.55,
     z = np.zeros(n)
     z[inside] = height * np.sin(math.pi * (r[inside] - r_inner) / w)
     true_volume = sweep * height * w * (w + 2.0 * r_inner) / math.pi
-    return Scene(cloud=PointCloud(np.column_stack([x, y, z]), validate=False),
+    return Scene(cloud=PointCloud._own(np.column_stack([x, y, z])),
                  true_volume=true_volume)

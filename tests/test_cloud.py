@@ -14,8 +14,8 @@ from hypothesis import event, given, settings, strategies as st
 from pilevol.cloud import (
     AxisRange,
     PointCloud,
+    _grid_cells,
     _number_cells,
-    grid_cells,
     passthrough_filter,
     voxel_downsample,
 )
@@ -42,6 +42,15 @@ def test_cloud_immutable():
     cloud = PointCloud([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         cloud.xyz[0, 0] = 9.0
+
+
+def test_cloud_leaves_the_callers_array_writable_and_apart():
+    xyz = np.arange(12.0).reshape(4, 3)
+    cloud = PointCloud(xyz)
+    assert xyz.flags.writeable
+    assert not np.shares_memory(xyz, cloud.xyz)
+    xyz[1, 2] = -1.0
+    assert cloud.xyz[1, 2] == 5.0
 
 
 def test_passthrough_z_range():
@@ -353,12 +362,12 @@ def test_voxel_downsample_rejects_a_voxel_index_past_int64():
 
 def test_grid_cells_index_stays_below_2_63():
     below = np.nextafter(2.0 ** 63, 0.0)    # the largest float under 2**63
-    cells = grid_cells(np.array([[0.0, 0.0], [below, 1.0]]), 1.0)
+    cells, _ = _grid_cells(np.array([[0.0, 0.0], [below, 1.0]]), 1.0)
     np.testing.assert_array_equal(cells, [[0, 0], [int(below), 1]])
     with pytest.raises(InvalidParameter):
-        grid_cells(np.array([[0.0, 0.0], [2.0 ** 63, 1.0]]), 1.0)
+        _grid_cells(np.array([[0.0, 0.0], [2.0 ** 63, 1.0]]), 1.0)
     with pytest.raises(InvalidParameter):
-        grid_cells(np.array([[-1e308, 0.0], [1e308, 1.0]]), 1.0)
+        _grid_cells(np.array([[-1e308, 0.0], [1e308, 1.0]]), 1.0)
 
 
 def assert_cell_numbers(rows):

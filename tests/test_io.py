@@ -1,6 +1,7 @@
 """PLY/XYZ reading and writing."""
 
 import hashlib
+import io
 import multiprocessing
 import os
 import struct
@@ -161,8 +162,8 @@ def binary_ply(path, layout, count, seed=0):
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 10_001])
 @pytest.mark.parametrize("layout", list(LAYOUTS))
 def test_binary_read_matches_a_row_table_decode(tmp_path, layout, count):
-    # the payload is read in two halves, the upper one on the worker thread;
-    # an odd count splits into halves of unequal rows
+    # the payload is read into its final buffer with one read; an odd count
+    # and an empty payload read like any other
     path = tmp_path / "cloud.ply"
     expected = binary_ply(path, layout, count)
     xyz = load_cloud(path).xyz
@@ -190,13 +191,15 @@ class _TruncatingOs:
 
 
 @pytest.mark.parametrize("layout", ["xyz-doubles", "extra-uchar-float"])
-@pytest.mark.parametrize("cut", [1, 400], ids=["upper-half", "both-halves"])
+@pytest.mark.parametrize("cut", [1, 400], ids=["last-byte", "last-rows"])
 def test_payload_shortened_after_the_size_check_malformed(tmp_path, monkeypatch,
                                                           layout, cut):
-    # 10 rows of 24 or 29 bytes: one byte short ends the worker's half
-    # early; 400 bytes short also ends the caller's half early
+    # 2,000 rows of 24 or 29 bytes, more than the read-ahead buffer the
+    # header parse leaves, so the read reaches the cut end of the file: one
+    # byte short cuts the last row, 400 bytes short the last 14 to 17 rows
+    assert 2_000 * 24 > io.DEFAULT_BUFFER_SIZE
     path = tmp_path / "cloud.ply"
-    binary_ply(path, layout, 20)
+    binary_ply(path, layout, 2_000)
     monkeypatch.setattr(cloudio, "os", _TruncatingOs(path, cut))
     with pytest.raises(MalformedHeader, match="ended early"):
         load_cloud(path)
@@ -210,9 +213,8 @@ def _load_digest_into(conn, path):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("layout", ["xyz-doubles", "xyz-floats"])
 def test_binary_read_in_a_forked_child(tmp_path, layout):
-    # the parent's read starts the worker thread; a forked child inherits
-    # the pool object without its thread and must start its own, not wait
-    # on a thread that does not exist
+    # the read keeps no thread or file state between calls, so a forked
+    # child reads the parent's bytes
     path = tmp_path / "cloud.ply"
     expected = binary_ply(path, layout, 5_001)
     assert load_cloud(path).xyz.tobytes() == expected.tobytes()
@@ -477,6 +479,18 @@ def fuzzed_ply(data, format_names=formats) -> bytes:
         return header + data.draw(st.binary(max_size=64))
     size = max(size + data.draw(st.sampled_from([0, 0, -1, 1])), 0)
     return header + data.draw(st.binary(min_size=size, max_size=size))
+
+
+def test_blank_ascii_vertex_row_malformed_without_a_warning(tmp_path):
+    # a draw of the fuzz test below: one vertex, whose row is only spaces;
+    # loadtxt warns that it found no data before the reader rejects the row
+    path = tmp_path / "blank.ply"
+    path.write_bytes(ply_bytes("ascii", "element vertex 1", body=b"  \n",
+                               ptype="float"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedHeader):
+            load_cloud(path)
 
 
 @settings(max_examples=150, deadline=None,
