@@ -25,6 +25,7 @@ a library composition the pipeline does not run (see ``pilevol.denoise``).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -120,6 +121,10 @@ class PipelineConfig:
             raise ConfigError(f"override_height must be finite, got {height}")
         if not (math.isfinite(self.margin) and self.margin >= 0):
             raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
+        for name in ("n_interval", "smooth_step"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_interval < 2:
             raise ConfigError("n_interval must be >= 2")
         if self.smooth_step < 1 or self.smooth_step % 2 == 0:

@@ -34,7 +34,7 @@ from pilevol.denoise import (
     robust_filter,
 )
 from pilevol.errors import InvalidParameter, LabelMismatch, PilevolError
-from pilevol import pipeline
+from pilevol import denoise, pipeline
 from pilevol.pipeline import (
     PipelineConfig,
     _with_round_seed,
@@ -893,6 +893,73 @@ def test_gap_trim_keeps_or_drops_each_r0_component_whole(seed, n, r0):
     pairs = cKDTree(xyz).query_pairs(r0, output_type="ndarray")
     assert np.array_equal(is_kept[pairs[:, 0]], is_kept[pairs[:, 1]])
     assert is_kept.any()
+
+
+def _sort_only_gap_trim(cloud, r0):
+    """The trim with every axis sorted: the reference the linear gap test
+    must match."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(denoise, "_gap_free", lambda values, r0: False)
+        return gap_trim(cloud, r0)
+
+
+# neighbour gaps in units of r0: duplicates, gaps around one bin (r0/2)
+# and two bins (r0 / HALO_PAD), and gaps of r0 to within 1e-7 either way
+GAP_FACTORS = (0.0, 0.0, 0.2, 0.5 * (1 - 1e-7), 0.5, 0.5 * (1 + 1e-7), 0.7,
+               0.99, 1 / denoise.HALO_PAD, 1 - 1e-7, 1.0, 1 + 1e-7, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40),
+       r0=st.sampled_from([0.125, 0.1, 0.3]),
+       offset=st.sampled_from([0.0, -0.37, 1e3 + 0.1]))
+def test_gap_trim_linear_test_matches_the_sort_path(data, n, r0, offset):
+    # each axis walks by drawn gaps, then is shuffled; r0 = 0.125 makes the
+    # gaps exact multiples of it, and every draw also has a rounded twin
+    columns = []
+    for _ in range(3):
+        gaps = data.draw(st.lists(st.sampled_from(GAP_FACTORS),
+                                  min_size=n - 1, max_size=n - 1))
+        axis = offset + np.concatenate(([0.0], np.cumsum(np.multiply(gaps, r0))))
+        columns.append(axis[data.draw(st.permutations(range(n)))])
+    xyz = np.column_stack(columns)
+    for cloud in (PointCloud(xyz), PointCloud(np.round(xyz, 1))):
+        assert gap_trim(cloud, r0) == _sort_only_gap_trim(cloud, r0)
+
+
+def test_gap_trim_returns_a_cloud_it_does_not_trim_as_is():
+    rng = np.random.default_rng(5)
+    cloud = PointCloud(rng.uniform(0, 1, size=(500, 3)))
+    assert gap_trim(cloud, 0.05) is cloud
+    # a gap between r0/2 and r0 empties a bin, so that axis is sorted, and
+    # still drops nothing
+    xyz = np.zeros((4, 3))
+    xyz[:, 1] = [0.0, 0.4, 1.3, 1.3]
+    cloud = PointCloud(xyz)
+    assert not denoise._gap_free(cloud.xyz[:, 1].copy(), 1.0)
+    assert gap_trim(cloud, 1.0) is cloud
+
+
+@pytest.mark.parametrize("r0, width", [(5e-324, 1e300), (5e-324, 0.0),
+                                       (1e-300, 1e-298), (1e-300, 1e-296),
+                                       (1e300, 1e300), (1.7e308, 1e308)])
+def test_gap_trim_at_extreme_scales(monkeypatch, r0, width):
+    # a subnormal r0 overflows the bin scale, and a huge one makes it tiny;
+    # either way no bin array outgrows the cloud and nothing warns (pytest
+    # turns a RuntimeWarning into an error)
+    rng = np.random.default_rng(8)
+    xyz = rng.uniform(-0.5, 0.5, size=(300, 3)) * width
+    xyz[::7] = xyz[0]
+    cloud = PointCloud(xyz)
+    sizes = []
+    zeros = np.zeros
+    monkeypatch.setattr(denoise.np, "zeros",
+                        lambda shape, *args, **kwargs:
+                        sizes.append(shape) or zeros(shape, *args, **kwargs))
+    out = gap_trim(cloud, r0)
+    monkeypatch.undo()
+    assert all(np.prod(shape) <= len(cloud) for shape in sizes)
+    assert out == _sort_only_gap_trim(cloud, r0)
 
 
 @pytest.mark.parametrize("bench_seed", [1, 2718])

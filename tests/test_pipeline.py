@@ -386,6 +386,18 @@ def test_pipeline_config_validation():
         run_pipeline(PipelineConfig(), )        # no cloud, no scene
 
 
+@pytest.mark.parametrize("bad", [dict(n_interval=10.5), dict(n_interval=256.0),
+                                 dict(smooth_step=3.0)])
+def test_pipeline_config_rejects_non_integer_histogram_sizes(bad, small_scene):
+    # a float bin count or window ended the run in numpy's raw TypeError;
+    # config files cannot set one, since their integer parser rejects it
+    with pytest.raises(ConfigError, match="must be an integer"):
+        PipelineConfig(**bad).validate()
+    with pytest.raises(ConfigError):
+        run_pipeline(PipelineConfig(**bad), cloud=small_scene.cloud)
+    PipelineConfig(n_interval=np.int64(256), smooth_step=np.int32(5)).validate()
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
