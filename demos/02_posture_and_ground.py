@@ -37,7 +37,7 @@ print(f"ground peak: bin {ground.peak_bin}, height {ground.height * 1000:+.1f} m
 #    The margin lifts the cut above the sensor noise; heights stay measured
 #    from the detected ground, which keeps the columns unbiased.
 margin = 0.012
-calibrated = pv.calibrate(level, ground, margin)
+calibrated = pv.calibrate(level, ground.height, margin)
 print(f"calibration: {len(level)} -> {len(calibrated)} points "
       f"(ground slab removed)")
 

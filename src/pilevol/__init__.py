@@ -29,7 +29,6 @@ from .ground import (
     find_ground,
     fine_filter,
     height_histogram,
-    override_ground,
     smooth_histogram,
 )
 from .pipeline import (

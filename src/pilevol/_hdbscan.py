@@ -356,24 +356,15 @@ def single_linkage(mst_edges: np.ndarray, n: int):
     order = np.lexsort((mst_edges[:, 1], mst_edges[:, 0], mst_edges[:, 2]))
     edges = mst_edges[order]
     total = 2 * n - 1
-    uf_parent = [-1] * total
+    # a node is its own root until a merge hangs it under the new node
+    uf_parent = list(range(total))
     node_size = [1] * total
     left: list[int] = []
     right: list[int] = []
     nxt = n
-
-    def find(x: int) -> int:
-        root = x
-        while uf_parent[root] != -1:
-            root = uf_parent[root]
-        while uf_parent[x] != -1:
-            uf_parent[x], x = root, uf_parent[x]
-        return root
-
     for a, b in edges[:, :2].astype(np.int64).tolist():
-        ra, rb = find(a), find(b)
-        uf_parent[ra] = nxt
-        uf_parent[rb] = nxt
+        ra, rb = _find(uf_parent, a), _find(uf_parent, b)
+        uf_parent[ra] = uf_parent[rb] = nxt
         left.append(ra)
         right.append(rb)
         node_size[nxt] = node_size[ra] + node_size[rb]

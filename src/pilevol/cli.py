@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .cloudio import FORMAT_PLY_BINARY, load_cloud, save_cloud
@@ -33,12 +34,7 @@ from .pipeline import (
     svg_line_plot,
     sweep_csv,
 )
-from .synth import (
-    dense_compression_scene,
-    generate_scene,
-    reference_scenes,
-    with_seed,
-)
+from .synth import dense_compression_scene, generate_scene, reference_scenes
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -270,7 +266,7 @@ def _cmd_synth(args, out_dir) -> int:
         return EXIT_OK
     spec = _find_scene(args.scene_id)
     if args.seed is not None:
-        spec = with_seed(spec, args.seed)
+        spec = replace(spec, seed=args.seed)
     scene = generate_scene(spec)
     ext = {"ply-ascii": ".ply", "ply-binary-le": ".ply", "xyz": ".xyz"}[args.format]
     cloud_path = out_dir / f"{spec.scene_id}{ext}"

@@ -72,7 +72,6 @@ __all__ = [
     "gap_trim",
     "radius_outlier_filter",
     "hdbscan",
-    "radius_components",
     "largest_cluster",
     "robust_filter",
 ]
@@ -265,7 +264,9 @@ def _forest(root: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 def _labels(root: np.ndarray, min_cluster_size: int) -> ClusterLabels:
     """Cluster labels of a resolved forest: the trees of at least
-    ``min_cluster_size`` points, numbered in the order of their roots."""
+    ``min_cluster_size`` points, numbered in the order of their roots.
+    With each tree rooted at its lowest point index, a tie in
+    ``largest_cluster`` goes to the tree holding the earliest point."""
     # a non-root has size 0, so it is never a cluster
     kept = np.bincount(root, minlength=len(root)) >= max(min_cluster_size, 1)
     cluster_id = np.where(kept, np.cumsum(kept) - 1, NOISE)
@@ -287,20 +288,6 @@ def radius_outlier_filter(cloud: PointCloud,
 def hdbscan(cloud: PointCloud, params: HdbscanParams) -> ClusterLabels:
     """Cluster the cloud; unclustered points get the NOISE label (-1)."""
     return run_hdbscan(cloud.xyz, params)
-
-
-def radius_components(n: int, pairs: np.ndarray,
-                      min_cluster_size: int) -> ClusterLabels:
-    """Connected components of the graph on ``n`` points whose edges are
-    ``pairs``; components under ``min_cluster_size`` points are NOISE.
-
-    The components come from min-label hooking (``_forest``), so each is
-    rooted at its lowest point index.  Cluster ids follow that index, so a
-    tie in ``largest_cluster`` goes to the component holding the earliest
-    point.
-    """
-    root = _forest(np.arange(n, dtype=pairs.dtype), pairs[:, 0], pairs[:, 1])
-    return _labels(root, min_cluster_size)
 
 
 def largest_cluster(cloud: PointCloud, labels: ClusterLabels) -> PointCloud:

@@ -15,7 +15,7 @@ component of the calibrated cloud.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,12 +142,13 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
     if not 0.0 < search_band <= 1.0:
         raise InvalidParameter(f"search_band must be in (0, 1], got {search_band}")
     if mode == MODE_OVERRIDE:
-        if override_height is None:
-            raise InvalidParameter("OVERRIDE ground mode needs override_height")
-        ground = override_ground(override_height)
-        nearest = int(np.argmin(np.abs(hist.bin_centers - ground.height)))
-        return replace(ground, peak_bin=nearest,
-                       confidence=_confidence(hist, nearest))
+        if override_height is None or not math.isfinite(override_height):
+            raise InvalidParameter("OVERRIDE ground mode needs a finite "
+                                   f"override_height, got {override_height}")
+        nearest = int(np.argmin(np.abs(hist.bin_centers - override_height)))
+        return GroundEstimate(height=float(override_height), mode=mode,
+                              peak_bin=nearest,
+                              confidence=_confidence(hist, nearest))
     if mode not in (MODE_FIRST_PEAK, MODE_MID_PLATEAU):
         raise InvalidParameter(f"unknown ground mode {mode!r}")
     n_band = _band_bins(hist, search_band)
@@ -205,27 +206,18 @@ def _confidence(hist: HeightHistogram, ground_bin: int) -> float:
     return float(hist.counts[ground_bin] / median) if median > 0 else float("inf")
 
 
-def override_ground(height: float) -> GroundEstimate:
-    """Ground estimate pinned to an externally supplied height, with no
-    histogram read (``peak_bin`` -1, infinite confidence)."""
-    if not math.isfinite(height):
-        raise InvalidParameter(f"override height must be finite, got {height}")
-    return GroundEstimate(height=float(height), mode=MODE_OVERRIDE,
-                          peak_bin=-1, confidence=float("inf"))
-
-
-def calibrate(cloud: PointCloud, ground: GroundEstimate,
+def calibrate(cloud: PointCloud, height: float,
               margin: float = 0.0) -> PointCloud:
-    """Keep the points at least ``margin`` above the ground and translate z
-    by -ground.height, so heights are measured from the ground itself.
+    """Keep the points at least ``margin`` above the ground ``height`` and
+    translate z by -height, so heights are measured from the ground itself.
 
     The margin raises the cut so near-ground noise is stripped along with
     the ground, without shaving the columns the volume integrates.
     """
     if not (math.isfinite(margin) and margin >= 0):
         raise InvalidParameter(f"margin must be finite and >= 0, got {margin}")
-    keep = cloud.xyz[:, 2] - (ground.height + margin) >= 0.0
-    return cloud.select(keep).translated((0.0, 0.0, -ground.height))
+    keep = cloud.xyz[:, 2] - (height + margin) >= 0.0
+    return cloud.select(keep).translated((0.0, 0.0, -height))
 
 
 def fine_filter(cloud: PointCloud, rparams: RadiusFilterParams) -> PointCloud:

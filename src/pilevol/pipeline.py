@@ -49,7 +49,7 @@ from .ground import (
     smooth_histogram,
 )
 from .pose import RansacParams, correct_posture, ransac_plane
-from .synth import Scene, SceneSpec, generate_scene, reference_scenes, with_seed
+from .synth import Scene, SceneSpec, generate_scene, reference_scenes
 from .volume import GridSpec, VolumeEstimate, column_volume_grid
 
 STAGE_ORDER = ("passthrough", "downsample", "prefilter", "posture",
@@ -121,7 +121,7 @@ class PipelineConfig:
             raise ConfigError(f"override_height must be finite, got {height}")
         if not (math.isfinite(self.margin) and self.margin >= 0):
             raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
-        for name in ("n_interval", "smooth_step"):
+        for name in ("n_interval", "smooth_step", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -208,7 +208,7 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
                 height_histogram(cloud, config.n_interval), config.smooth_step)
             report.ground = find_ground(report.histogram, config.search_band,
                                         config.ground_mode, config.override_height)
-            cloud = calibrate(cloud, report.ground, config.margin)
+            cloud = calibrate(cloud, report.ground.height, config.margin)
         elif stage == "fine_filter" and config.enable_fine_filter:
             cloud = fine_filter(cloud, rparams)
         elif stage == "volume":
@@ -274,7 +274,7 @@ def _round_reports(spec: SceneSpec, base_seed: int, rounds: int,
     reports = []
     for r in range(rounds):
         seed = _round_seed(base_seed, r)
-        scene = generate_scene(with_seed(spec, seed))
+        scene = generate_scene(replace(spec, seed=seed))
         reports.append(run_pipeline(_with_round_seed(config, seed), scene=scene))
     return reports
 

@@ -176,6 +176,17 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
                       rms_residual=rms, iterations=iterations)
 
 
+def rodrigues(axis, sin_theta: float, cos_theta: float) -> np.ndarray:
+    """Rotation by the angle with the given sine and cosine about the unit
+    ``axis``: I + sin(theta) K + (1 - cos(theta)) K^2, where K is the
+    axis's cross-product matrix."""
+    kx, ky, kz = axis
+    K = np.array([[0.0, -kz, ky],
+                  [kz, 0.0, -kx],
+                  [-ky, kx, 0.0]])
+    return np.eye(3) + sin_theta * K + (1.0 - cos_theta) * (K @ K)
+
+
 def rotation_to_up(v: np.ndarray) -> np.ndarray:
     """Rotation matrix R with R @ v = (0, 0, 1), built by Rodrigues' formula.
 
@@ -198,12 +209,7 @@ def rotation_to_up(v: np.ndarray) -> np.ndarray:
         if cos_theta > 0:
             return np.eye(3)
         return np.diag([1.0, -1.0, -1.0])
-    k = axis / sin_theta
-    kx, ky, kz = k
-    K = np.array([[0.0, -kz, ky],
-                  [kz, 0.0, -kx],
-                  [-ky, kx, 0.0]])
-    return np.eye(3) + sin_theta * K + (1.0 - cos_theta) * (K @ K)
+    return rodrigues(axis / sin_theta, sin_theta, cos_theta)
 
 
 def correct_posture(cloud: PointCloud, plane: PlaneModel) -> PointCloud:

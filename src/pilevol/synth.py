@@ -20,6 +20,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import InvalidParameter
+from .pose import rodrigues
 
 HEIGHTFIELD_QUADRATURE_N = 2048
 # the wave field's lower clamp, so the surface stays above ground inside
@@ -281,11 +282,9 @@ def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
         xyz = xyz + rng.normal(0.0, spec.noise_sigma, xyz.shape)
     if spec.tilt_deg > 0:
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        axis = np.array([math.cos(phi), math.sin(phi), 0.0])
         theta = math.radians(spec.tilt_deg)
-        kx, ky, kz = axis
-        K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-        rot = np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
+        rot = rodrigues((math.cos(phi), math.sin(phi), 0.0),
+                        math.sin(theta), math.cos(theta))
         xyz = xyz @ rot.T
     offset = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                        rng.uniform(-0.3, 0.3)])
@@ -429,11 +428,6 @@ def reference_scenes() -> list[SceneSpec]:
                     scene_id=f"s{serial:02d}-a{area}-v{volume}-{label}",
                 ))
     return specs
-
-
-def with_seed(spec: SceneSpec, seed: int) -> SceneSpec:
-    """Same scene geometry with a different sampling seed (bench rounds)."""
-    return replace(spec, seed=seed)
 
 
 def dense_compression_scene(seed: int = 9000) -> SceneSpec:

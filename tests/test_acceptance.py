@@ -32,7 +32,6 @@ from pilevol.synth import (
     reference_scenes,
     smeared_ground_scene,
     walker_clutter,
-    with_seed,
 )
 from pilevol.volume import (
     GridSpec,
@@ -45,7 +44,7 @@ from pilevol.volume import (
 
 def _run_scene(spec, seed=None, **config_kw):
     seed = spec.seed if seed is None else seed
-    scene = generate_scene(with_seed(spec, seed))
+    scene = generate_scene(replace(spec, seed=seed))
     config = _with_round_seed(PipelineConfig(**config_kw), seed)
     return run_pipeline(config, scene=scene)
 
@@ -54,7 +53,7 @@ def _study(spec, config, rounds, add_walker=False):
     errors = []
     for r in range(rounds):
         seed = _round_seed(spec.seed, r)
-        s = with_seed(spec, seed)
+        s = replace(spec, seed=seed)
         if add_walker:
             s = replace(s, clutter=s.clutter + (walker_clutter(
                 s.ground_extent, s.pile.footprint_radius, seed),))

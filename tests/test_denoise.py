@@ -20,16 +20,18 @@ from pilevol._hdbscan import (
     core_distances,
     mutual_reachability_mst,
     run_hdbscan,
+    single_linkage,
 )
 from pilevol.cloud import PointCloud, voxel_downsample
 from pilevol.denoise import (
     HdbscanParams,
     RadiusFilterParams,
+    _forest,
+    _labels,
     _radius_graph,
     gap_trim,
     hdbscan,
     largest_cluster,
-    radius_components,
     radius_outlier_filter,
     robust_filter,
 )
@@ -323,6 +325,13 @@ def test_boruvka_labels_golden_with_duplicate_ties():
     mst = mutual_reachability_mst(xyz, core_distances(xyz, 10), "auto")
     assert (hashlib.sha256(mst.tobytes()).hexdigest()
             == "a8a018d7acfdff0a0efdf082772132c7bfbc90766eb43a17f72313f29335087d")
+    # and so is the merge hierarchy built on those edges: left, right,
+    # height and node size, in that order
+    digest = hashlib.sha256()
+    for array in single_linkage(mst, len(xyz)):
+        digest.update(array.tobytes())
+    assert (digest.hexdigest()
+            == "44c6a80e8a1946d35cb973a1db30fa21d012cf22359b36ba75605c2e71bb2467")
 
 
 def test_boruvka_without_progress_raises_typed_error():
@@ -425,27 +434,38 @@ def test_robust_filter_components_match_union_find_with_ties():
             np.testing.assert_array_equal(out.xyz, expected)
 
 
-def test_radius_components_labels():
-    # components {0, 2}, {1, 3, 4}, {5}; ids follow the lowest point index
+def test_forest_roots_and_labels_follow_lowest_index():
+    # components {0, 2}, {1, 3, 4}, {5}: each is rooted at its lowest
+    # point index, and cluster ids follow that index
     pairs = np.array([[0, 2], [1, 3], [3, 4]])
-    labels = radius_components(6, pairs, min_cluster_size=2)
+    root = _forest(np.arange(6), pairs[:, 0], pairs[:, 1])
+    np.testing.assert_array_equal(root, [0, 1, 0, 1, 1, 5])
+    labels = _labels(root, min_cluster_size=2)
     assert labels.cluster_count == 2
     np.testing.assert_array_equal(labels.labels, [0, 1, 0, 1, 1, -1])
-    labels = radius_components(6, pairs, min_cluster_size=3)
+    labels = _labels(root, min_cluster_size=3)
     np.testing.assert_array_equal(labels.labels, [-1, 0, -1, 0, 0, -1])
     # equal sizes: the component holding the earliest point wins
     cloud = PointCloud(np.arange(18, dtype=float).reshape(6, 3))
-    tie = radius_components(6, np.array([[5, 4], [1, 3]]), min_cluster_size=1)
+    pairs = np.array([[5, 4], [1, 3]])
+    tie = _labels(_forest(np.arange(6), pairs[:, 0], pairs[:, 1]), 1)
+    np.testing.assert_array_equal(tie.labels, [0, 1, 2, 1, 3, 3])
     np.testing.assert_array_equal(largest_cluster(cloud, tie).xyz,
                                   cloud.xyz[[1, 3]])
-    none = radius_components(3, np.zeros((0, 2), dtype=np.intp), 2)
+    no_edge = np.zeros(0, dtype=np.intp)
+    none = _labels(_forest(np.arange(3), no_edge, no_edge), 2)
     assert none.cluster_count == 0 and (none.labels == -1).all()
+    # renumbered through loc, an edge with an end mapped to -1 is dropped
+    loc = np.array([0, -1, 1, 2])
+    root = _forest(np.arange(3), np.array([0, 1, 2]), np.array([1, 2, 3]), loc)
+    np.testing.assert_array_equal(root, [0, 1, 1])
 
 
-def scipy_components(n: int, pairs: np.ndarray,
-                     min_cluster_size: int) -> tuple[np.ndarray, int]:
-    """Reference labels from scipy's connected_components, with cluster
-    ids in the order of each component's lowest point index."""
+def scipy_components(n: int, pairs: np.ndarray, min_cluster_size: int
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference components from scipy's connected_components: each
+    point's lowest component member, and labels with cluster ids in the
+    order of each component's lowest point index."""
     graph = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                        shape=(n, n))
     _, comp = connected_components(graph, directed=False)
@@ -454,30 +474,33 @@ def scipy_components(n: int, pairs: np.ndarray,
     kept = sizes[order] >= min_cluster_size
     cluster_id = np.full(len(sizes), -1)
     cluster_id[order[kept]] = np.arange(kept.sum())
-    return cluster_id[comp], int(kept.sum())
+    return lowest[comp], cluster_id[comp], int(kept.sum())
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 300),
        dtype=st.sampled_from([np.int32, np.int64]),
        min_cluster_size=st.integers(1, 8))
-def test_radius_components_match_scipy(data, n, dtype, min_cluster_size):
+def test_forest_matches_scipy(data, n, dtype, min_cluster_size):
     # unordered, duplicate and self-loop pairs, and isolated nodes
     node = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(node, node), max_size=3 * n))
     pairs = np.array(edges, dtype=dtype).reshape(-1, 2)
-    labels = radius_components(n, pairs, min_cluster_size)
-    expected, count = scipy_components(n, pairs, min_cluster_size)
+    root = _forest(np.arange(n, dtype=dtype), pairs[:, 0], pairs[:, 1])
+    labels = _labels(root, min_cluster_size)
+    expected_root, expected, count = scipy_components(n, pairs, min_cluster_size)
+    np.testing.assert_array_equal(root, expected_root)
     np.testing.assert_array_equal(labels.labels, expected)
     assert labels.cluster_count == count
 
 
-def test_radius_components_long_shuffled_path():
+def test_forest_long_shuffled_path():
     # a 200k-node path visited in random order takes the most hooking
-    # rounds of any input here; it must end as one cluster
+    # rounds of any input here; it must end as one tree rooted at 0
     order = np.random.default_rng(3).permutation(200_000).astype(np.int32)
-    pairs = np.column_stack([order[:-1], order[1:]])
-    labels = radius_components(len(order), pairs, min_cluster_size=2)
+    root = _forest(np.arange(len(order), dtype=np.int32), order[:-1], order[1:])
+    assert (root == 0).all()
+    labels = _labels(root, min_cluster_size=2)
     assert labels.cluster_count == 1
     assert (labels.labels == 0).all()
 
@@ -525,8 +548,8 @@ def whole_cloud_filter(xyz: np.ndarray, params: RadiusFilterParams) -> np.ndarra
     keep = np.bincount(pairs.ravel(), minlength=len(xyz)) >= params.n_min
     surv = xyz[keep]
     edges = (np.cumsum(keep) - 1)[pairs[keep[pairs[:, 0]] & keep[pairs[:, 1]]]]
-    labels, count = scipy_components(len(surv), edges.reshape(-1, 2),
-                                     params.min_cluster_size)
+    _, labels, count = scipy_components(len(surv), edges.reshape(-1, 2),
+                                        params.min_cluster_size)
     if count == 0:
         return surv[:0]
     return surv[labels == np.argmax(np.bincount(labels[labels >= 0]))]

@@ -20,7 +20,6 @@ from pilevol.ground import (
     find_ground,
     fine_filter,
     height_histogram,
-    override_ground,
     smooth_histogram,
 )
 
@@ -207,8 +206,6 @@ def test_override_marks_the_bin_nearest_its_height():
     assert (est.height, est.mode, est.peak_bin) == (0.3, MODE_OVERRIDE, 2)
     # the marked bin's count over the median count, as in the other modes
     assert est.confidence == 1.0
-    # with no histogram read there is no count to compare
-    assert override_ground(0.3).confidence == float("inf")
     with pytest.raises(InvalidParameter):
         find_ground(hist, 0.1, MODE_OVERRIDE)
 
@@ -219,13 +216,13 @@ def test_override_marks_the_bin_nearest_its_height():
 
 def test_calibrate_drops_below_ground():
     cloud = cloud_with_z([-0.1, 0.0, 0.5])
-    out = calibrate(cloud, override_ground(0.0), margin=0.0)
+    out = calibrate(cloud, 0.0, margin=0.0)
     np.testing.assert_allclose(sorted(out.xyz[:, 2]), [0.0, 0.5])
 
 
 def test_calibrate_margin_shifts_and_drops():
     cloud = cloud_with_z([0.01, 0.5])
-    out = calibrate(cloud, override_ground(0.0), margin=0.02)
+    out = calibrate(cloud, 0.0, margin=0.02)
     # heights are measured from the ground, not from the cut
     np.testing.assert_array_equal(out.xyz[:, 2], [0.5])
 
@@ -236,7 +233,7 @@ def test_calibrate_matches_brute_force_threshold():
     cloud = cloud_with_z(z)
     ground = 0.003
     margin = 0.007
-    out = calibrate(cloud, override_ground(ground), margin)
+    out = calibrate(cloud, ground, margin)
     expected = z[z - (ground + margin) >= 0.0] - ground
     np.testing.assert_array_equal(out.xyz[:, 2], expected)
     assert out.xyz[:, 2].min() >= 0.0
@@ -245,28 +242,29 @@ def test_calibrate_matches_brute_force_threshold():
 def test_calibrate_monotone_in_margin():
     rng = np.random.default_rng(12)
     cloud = cloud_with_z(rng.uniform(-0.1, 0.5, 5000))
-    counts = [len(calibrate(cloud, override_ground(0.0), m))
+    counts = [len(calibrate(cloud, 0.0, m))
               for m in (0.0, 0.01, 0.05, 0.2)]
     assert counts == sorted(counts, reverse=True)
 
 
 def test_calibrate_rejects_negative_margin():
     with pytest.raises(InvalidParameter):
-        calibrate(cloud_with_z([0.0]), override_ground(0.0), -0.01)
+        calibrate(cloud_with_z([0.0]), 0.0, -0.01)
 
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf")])
 def test_calibrate_rejects_non_finite_margin(margin):
     # either would cut every point and return an empty cloud
     with pytest.raises(InvalidParameter):
-        calibrate(cloud_with_z([0.0, 0.5]), override_ground(0.0), margin)
+        calibrate(cloud_with_z([0.0, 0.5]), 0.0, margin)
 
 
 @pytest.mark.parametrize("height", [float("nan"), float("inf"), float("-inf")])
 def test_override_ground_rejects_non_finite_height(height):
     # calibrating at such a height would cut every point and read 0 m3
+    hist = hist_from_counts(np.ones(8))
     with pytest.raises(InvalidParameter):
-        override_ground(height)
+        find_ground(hist, 0.25, MODE_OVERRIDE, height)
 
 
 # ---------------------------------------------------------------------------

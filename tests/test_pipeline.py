@@ -398,6 +398,18 @@ def test_pipeline_config_rejects_non_integer_histogram_sizes(bad, small_scene):
     PipelineConfig(n_interval=np.int64(256), smooth_step=np.int32(5)).validate()
 
 
+@pytest.mark.parametrize("seed", [1.5, "3"])
+def test_pipeline_config_rejects_a_non_integer_seed(seed, small_scene):
+    # a float seed ended the run in numpy's SeedSequence TypeError and a
+    # string one in the TypeError of the sign check; config files and
+    # --seed parse integers, so only the library API can pass either
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        PipelineConfig(seed=seed).validate()
+    with pytest.raises(ConfigError):
+        run_pipeline(PipelineConfig(seed=seed), scene=small_scene)
+    PipelineConfig(seed=np.int64(3)).validate()
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

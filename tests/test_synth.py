@@ -1,9 +1,11 @@
 """Synthetic scene generation and ground-truth bookkeeping."""
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,6 @@ from pilevol.synth import (
     reference_scenes,
     smeared_ground_scene,
     walker_clutter,
-    with_seed,
 )
 from pilevol.volume import GridSpec, column_volume_grid
 
@@ -155,8 +156,36 @@ def test_scene_deterministic_per_seed():
     a = generate_scene(spec)
     b = generate_scene(spec)
     assert np.array_equal(a.cloud.xyz, b.cloud.xyz)
-    c = generate_scene(with_seed(spec, 78))
+    c = generate_scene(replace(spec, seed=78))
     assert not np.array_equal(a.cloud.xyz, c.cloud.xyz)
+
+
+# SHA-256 of the cloud bytes: one tilted catalogue scene of each shape,
+# and the first one with its ground smeared by a 2 cm rise.  The report
+# goldens print volumes to 8 decimals, so these catch a last-bit change in
+# the sampling, noise, tilt or offset that those would pass unseen.
+SCENE_DIGESTS = {
+    "s01-a1.3-v0.014-cone":
+        "f26c7b5dda6557ccd85e60faea17678c30dbf50deedf4ae087b4fea24f7a5756",
+    "s02-a1.3-v0.014-frustum":
+        "9f824aee5e0d7bfe5dfee0bedda4450a3feb35510f8e8aff8c7f01fdbffbb552",
+    "s03-a1.3-v0.014-heightfield":
+        "6e1b2164a3f4420b67a2c71e384d39d8ab7220012807280fb5f734ea1d127a28",
+}
+SMEARED_S01_DIGEST = "9b25f7e6dc3872cbc0c09f1cc9e4d48ab569425e07c1dc7d8130d209117e4625"
+
+
+def _cloud_digest(scene) -> str:
+    return hashlib.sha256(scene.cloud.xyz.tobytes()).hexdigest()
+
+
+def test_scene_bytes_golden():
+    specs = reference_scenes()[:3]
+    assert all(spec.tilt_deg > 0 for spec in specs)
+    assert {spec.scene_id: _cloud_digest(generate_scene(spec))
+            for spec in specs} == SCENE_DIGESTS
+    assert (_cloud_digest(smeared_ground_scene(specs[0], rise=0.02))
+            == SMEARED_S01_DIGEST)
 
 
 def test_scene_noiseless_untilted_ground_exactly_zero():
