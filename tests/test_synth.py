@@ -188,6 +188,37 @@ def test_scene_bytes_golden():
             == SMEARED_S01_DIGEST)
 
 
+# SHA-256 of the crescent's cloud bytes at its default density and at the
+# density of test_crescent_truth_against_quadrature, and its analytic truth
+CRESCENT_DIGESTS = {
+    None: "07edf9200c354a30741686664db99910e94849488b25ffb0dd3d9148d6086e07",
+    1e4: "d081a7fa4692f1c25ffd59648a5a231dd72915deb4379ff59f12b638f8136ac0",
+}
+CRESCENT_TRUTH = float.fromhex("0x1.89374bc6a7efap-4")
+
+
+def test_crescent_bytes_golden():
+    for density, digest in CRESCENT_DIGESTS.items():
+        scene = (crescent_scene() if density is None
+                 else crescent_scene(point_density=density))
+        assert _cloud_digest(scene) == digest, density
+        assert scene.true_volume == CRESCENT_TRUTH
+
+
+# repr prints every float with the shortest digits that read back to the
+# same bits, so an equal text is an equal spec
+COMPRESSION_SPEC_REPR = (
+    "SceneSpec(pile=Frustum(r_base=0.651, r_top=0.3255, "
+    "height=0.43133645355075295), footprint_area=5.2, "
+    "ground_extent=(3.22490309931942, 1.61245154965971), "
+    "point_density=20000.0, noise_sigma=0.005, tilt_deg=8.0, clutter=(), "
+    "seed=9000, scene_id='compression-frustum-5.2')")
+
+
+def test_dense_compression_scene_fields_golden():
+    assert repr(dense_compression_scene()) == COMPRESSION_SPEC_REPR
+
+
 def test_scene_noiseless_untilted_ground_exactly_zero():
     spec = plain_spec(Cone(0.3, 0.25), noise_sigma=0.0, tilt_deg=0.0, seed=5)
     scene = generate_scene(spec)
