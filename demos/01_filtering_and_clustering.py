@@ -18,8 +18,9 @@ print(f"scene {spec.scene_id}: {len(scene.cloud)} points, "
       f"true volume {scene.true_volume:.4f} m^3")
 
 # Radius outlier rejection: drop points with fewer than n_min neighbors
-# within r0.  Sparse scatter dies here; dense surfaces survive.
-rparams = pv.RadiusFilterParams(r0=0.025, n_min=4, min_cluster_size=50)
+# within r0 (by default 4 within 2.5 cm, the pipeline's scales).  Sparse
+# scatter dies here; dense surfaces survive.
+rparams = pv.RadiusFilterParams()
 filtered = pv.radius_outlier_filter(scene.cloud, rparams)
 print(f"radius filter: {len(scene.cloud)} -> {len(filtered)} points "
       f"({len(scene.cloud) - len(filtered)} removed)")

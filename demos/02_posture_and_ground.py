@@ -42,10 +42,10 @@ print(f"calibration: {len(level)} -> {len(calibrated)} points "
       f"(ground slab removed)")
 
 # 4. fine filtering clears clutter islands and near-ground stragglers
-pile = pv.fine_filter(calibrated, pv.RadiusFilterParams(r0=0.025, n_min=4))
+pile = pv.fine_filter(calibrated, pv.RadiusFilterParams())
 print(f"fine filter: {len(calibrated)} -> {len(pile)} points")
 
-est = pv.column_volume_grid(pile, pv.GridSpec(cell_size=0.025))
+est = pv.column_volume_grid(pile, pv.GridSpec())
 err = (est.volume - scene.true_volume) / scene.true_volume
 print(f"volume {est.volume:.5f} m^3 vs truth {scene.true_volume:.5f} m^3 "
       f"({err * 100:+.2f}%)")

@@ -10,9 +10,8 @@ Points under no selected cluster are noise.
 The MST comes from a Boruvka variant that works from cached k-nearest
 neighbor lists with per-point exactness bounds, expanding the search only
 for points whose bound says a better foreign edge could exist outside the
-cache.  A dense Prim sweep stays available as the reference the Boruvka
-path must agree with in total weight.  Equal-weight ties are broken toward
-lower point indices so results are reproducible.
+cache.  Equal-weight ties are broken toward lower point indices so results
+are reproducible.
 """
 
 from __future__ import annotations
@@ -90,47 +89,6 @@ def _strip_self(dist: np.ndarray, idx: np.ndarray,
 # Minimum spanning tree of the mutual reachability graph
 # ---------------------------------------------------------------------------
 
-def mutual_reachability_mst(xyz: np.ndarray, core: np.ndarray,
-                            method: str = "auto") -> np.ndarray:
-    """Exact MST as an (n-1, 3) array of (i, j, weight) rows.
-
-    method: "auto" runs the Boruvka path at every size; "dense" runs the
-    O(n^2) Prim reference.  Both return spanning trees of identical
-    total weight; on equal weights they may pick different edges.
-    """
-    n = len(xyz)
-    if n < 2:
-        return np.zeros((0, 3))
-    if method == "dense":
-        return _mst_dense_prim(xyz, core)
-    if method == "auto":
-        return _mst_knn_boruvka(xyz, core)
-    raise InvalidParameter(f"unknown MST method {method!r}")
-
-
-def _mst_dense_prim(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Prim's algorithm with mutual reachability rows computed on the fly."""
-    n = len(xyz)
-    in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=np.int64)
-    edges = np.empty((n - 1, 3))
-    current = 0
-    in_tree[0] = True
-    for step in range(n - 1):
-        d = np.linalg.norm(xyz - xyz[current], axis=1)
-        mr = np.maximum(np.maximum(d, core), core[current])
-        update = (mr < best) & ~in_tree
-        best[update] = mr[update]
-        best_from[update] = current
-        masked = np.where(in_tree, np.inf, best)
-        nxt = int(np.argmin(masked))          # ties: lowest point index
-        edges[step] = (best_from[nxt], nxt, best[nxt])
-        in_tree[nxt] = True
-        current = nxt
-    return edges
-
-
 def _components(parent: np.ndarray) -> np.ndarray:
     """Resolve a union-find parent array to root labels by pointer jumping."""
     roots = parent.copy()
@@ -153,8 +111,9 @@ def _find(parent: list[int], x: int) -> int:
 DOUBLING_LEVELS = (2 * KNN_CACHE_SIZE, 4 * KNN_CACHE_SIZE, 8 * KNN_CACHE_SIZE)
 
 
-def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Exact Boruvka MST driven by cached kNN candidate lists.
+def mutual_reachability_mst(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Exact MST as an (n-1, 3) array of (i, j, weight) rows, from a
+    Boruvka pass driven by cached kNN candidate lists.
 
     Per round, every point proposes its cheapest foreign (other-component)
     neighbor from the cache.  A proposal set is trusted once every member's
@@ -165,6 +124,8 @@ def _mst_knn_boruvka(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
     islands, where the cache is blind -- get an exact complement-tree pass.
     """
     n = len(xyz)
+    if n < 2:
+        return np.zeros((0, 3))
     tree = cKDTree(xyz)
     dist, idx = _strip_self(*tree.query(xyz, k=min(KNN_CACHE_SIZE + 1, n)))
     mr = np.maximum(np.maximum(dist, core[:, None]), core[idx])
@@ -511,8 +472,7 @@ def label_points(parents, children, n: int, selected: set[int]) -> ClusterLabels
     return ClusterLabels(labels=labels, cluster_count=len(ids))
 
 
-def run_hdbscan(xyz: np.ndarray, params: HdbscanParams,
-                mst_method: str = "auto") -> ClusterLabels:
+def run_hdbscan(xyz: np.ndarray, params: HdbscanParams) -> ClusterLabels:
     """Full chain on an (N, 3) coordinate array."""
     n = len(xyz)
     if n == 0:
@@ -521,7 +481,7 @@ def run_hdbscan(xyz: np.ndarray, params: HdbscanParams,
         return ClusterLabels(labels=np.full(n, NOISE, dtype=np.int64),
                              cluster_count=0)
     core = core_distances(xyz, params.min_samples)
-    mst = mutual_reachability_mst(xyz, core, method=mst_method)
+    mst = mutual_reachability_mst(xyz, core)
     left, right, height, node_size = single_linkage(mst, n)
     parents, children, lambdas, sizes = condense_tree(
         left, right, height, node_size, n, params.min_cluster_size

@@ -79,7 +79,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadiusFilterParams:
-    r0: float = 0.015        # neighborhood radius, meters
+    r0: float = 0.025        # neighborhood radius, meters
     n_min: int = 4           # minimum neighbor count (excluding the point)
     min_cluster_size: int = 50   # smaller r0 components are noise
 

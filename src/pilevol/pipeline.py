@@ -73,8 +73,7 @@ class PipelineConfig:
     passthrough_ranges: tuple[AxisRange, ...] = ()
     downsample_voxel: float | None = None
     # the pre-filter reads only r0; the fine filter reads all three
-    radius_params: RadiusFilterParams = RadiusFilterParams(
-        r0=0.025, n_min=4, min_cluster_size=50)
+    radius_params: RadiusFilterParams = RadiusFilterParams()
 
     # posture correction
     ransac: RansacParams = RansacParams()
@@ -91,7 +90,7 @@ class PipelineConfig:
     margin: float = 0.012
 
     # volume
-    grid: GridSpec = GridSpec(cell_size=0.025)
+    grid: GridSpec = GridSpec()
 
     # seeds RANSAC: the pipeline overrides ``ransac.seed`` with it, so
     # ``validate`` rejects a ``ransac.seed`` that is neither 0 nor this seed
@@ -189,6 +188,9 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
         if scene is None:
             raise ConfigError("the pipeline needs a cloud or a scene")
         cloud = scene.cloud
+    if not isinstance(cloud, PointCloud):
+        raise ConfigError(f"the pipeline input must be a PointCloud, got "
+                          f"{type(cloud).__name__}")
     if len(cloud) == 0:
         raise EmptyCloud("pipeline input cloud is empty")
     rparams = config.effective_radius_params()
@@ -256,6 +258,8 @@ def _batch_config(config: PipelineConfig | None, rounds: int) -> PipelineConfig:
     """The config a batch study runs, rejecting settings it would ignore:
     every round is seeded from the scene's own seed, so a config seed
     would have no effect."""
+    if not isinstance(rounds, numbers.Integral):
+        raise ConfigError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
     if config is None:

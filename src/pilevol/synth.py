@@ -430,9 +430,10 @@ def reference_scenes() -> list[SceneSpec]:
     return specs
 
 
-def dense_compression_scene(seed: int = 9000) -> SceneSpec:
+def dense_compression_scene() -> SceneSpec:
     """Clutter-free, densely sampled large scene for the compression sweep
-    (about 100k points over the largest catalogue footprint)."""
+    (about 100k points over the largest catalogue footprint); another
+    capture of it is ``replace(spec, seed=...)``."""
     area = 5.2
     width = math.sqrt(2.0 * area)
     return SceneSpec(
@@ -443,7 +444,7 @@ def dense_compression_scene(seed: int = 9000) -> SceneSpec:
         noise_sigma=CATALOGUE_NOISE_SIGMA,
         tilt_deg=CATALOGUE_TILT_DEG,
         clutter=(),
-        seed=seed,
+        seed=9000,
         scene_id="compression-frustum-5.2",
     )
 
@@ -470,30 +471,30 @@ def walker_clutter(ground_extent: tuple[float, float], pile_radius: float,
 # Concave pile for the hull-baseline pathology study
 # ---------------------------------------------------------------------------
 
-def crescent_scene(r_inner: float = 0.25, r_outer: float = 0.55,
-                   height: float = 0.3, sweep_deg: float = 240.0,
-                   point_density: float = 4e4, seed: int = 0) -> Scene:
+# the crescent's inner radius, outer radius and height (m), and its sweep
+CRESCENT_R_INNER, CRESCENT_R_OUTER, CRESCENT_HEIGHT = 0.25, 0.55, 0.3
+CRESCENT_SWEEP_DEG = 240.0
+
+
+def crescent_scene(point_density: float = 4e4) -> Scene:
     """Crescent-shaped pile (annular sector footprint): surface-only samples
     with analytic volume; convex estimators must overestimate it.
 
     Height profile: h(r) = height * sin(pi * (r - r_inner) / w) across the
     radial width w, tapering to zero at both rims.  Closed-form volume:
-    sweep * height * w * (w + 2 r_inner) / pi.
+    sweep * height * w * (w + 2 r_inner) / pi.  The draw is seeded with 0.
     """
-    if not 0 < r_inner < r_outer:
-        raise InvalidParameter("need 0 < r_inner < r_outer")
-    if not 0 < sweep_deg <= 360:
-        raise InvalidParameter("sweep_deg must be in (0, 360]")
     if not point_density > 0:
         raise InvalidParameter("point_density must be > 0")
-    rng = np.random.default_rng(seed)
+    r_inner, r_outer, height = CRESCENT_R_INNER, CRESCENT_R_OUTER, CRESCENT_HEIGHT
+    rng = np.random.default_rng(0)
     half = r_outer + 0.15
     n = int(round(point_density * (2 * half) ** 2))
     x = rng.uniform(-half, half, n)
     y = rng.uniform(-half, half, n)
     r = np.hypot(x, y)
     theta = np.mod(np.arctan2(y, x), 2.0 * math.pi)
-    sweep = math.radians(sweep_deg)
+    sweep = math.radians(CRESCENT_SWEEP_DEG)
     w = r_outer - r_inner
     inside = (r >= r_inner) & (r <= r_outer) & (theta <= sweep)
     z = np.zeros(n)

@@ -267,10 +267,8 @@ def test_oracle_equivalence():
         oracle_weight += masked[nxt]
         in_tree[nxt] = True
         best = np.minimum(best, mreach[nxt])
-    core = core_distances(pts, k)
-    for method in ("dense", "auto"):
-        weight = mutual_reachability_mst(pts, core, method)[:, 2].sum()
-        assert abs(weight - oracle_weight) < 1e-9, method
+    weight = mutual_reachability_mst(pts, core_distances(pts, k))[:, 2].sum()
+    assert abs(weight - oracle_weight) < 1e-9
 
     # 2D hull vs brute-force hull (all-triples interior rejection), N <= 200
     def brute_hull_area(points):

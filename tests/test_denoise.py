@@ -36,7 +36,7 @@ from pilevol.denoise import (
     robust_filter,
 )
 from pilevol.errors import InvalidParameter, LabelMismatch, PilevolError
-from pilevol import denoise, pipeline
+from pilevol import _hdbscan, denoise, pipeline
 from pilevol.pipeline import (
     PipelineConfig,
     _with_round_seed,
@@ -123,6 +123,30 @@ def prim_total_weight(weights: np.ndarray) -> float:
         in_tree[nxt] = True
         best = np.minimum(best, weights[nxt])
     return total
+
+
+def dense_prim_mst(xyz: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Prim with each mutual-reachability row computed on the fly: the
+    exact MST in O(n) memory, as (i, j, weight) rows like
+    ``mutual_reachability_mst``.  Ties go to the lowest point index."""
+    n = len(xyz)
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    best_from = np.zeros(n, dtype=np.int64)
+    edges = np.empty((n - 1, 3))
+    current = 0
+    in_tree[0] = True
+    for step in range(n - 1):
+        d = np.linalg.norm(xyz - xyz[current], axis=1)
+        mr = np.maximum(np.maximum(d, core), core[current])
+        update = (mr < best) & ~in_tree
+        best[update] = mr[update]
+        best_from[update] = current
+        nxt = int(np.argmin(np.where(in_tree, np.inf, best)))
+        edges[step] = (best_from[nxt], nxt, best[nxt])
+        in_tree[nxt] = True
+        current = nxt
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +309,13 @@ def test_mst_weight_matches_dense_prim_oracle():
     mr = brute_mreach_matrix(xyz, k)
     oracle = prim_total_weight(mr)
     core = core_distances(xyz, k)
-    for method in ("dense", "auto"):
-        mst = mutual_reachability_mst(xyz, core, method=method)
-        assert mst.shape == (len(xyz) - 1, 3)
-        assert abs(mst[:, 2].sum() - oracle) < 1e-9
+    mst = mutual_reachability_mst(xyz, core)
+    assert mst.shape == (len(xyz) - 1, 3)
+    assert abs(mst[:, 2].sum() - oracle) < 1e-9
 
 
-def test_dense_and_auto_mst_weights_agree_at_5000_points():
+def test_mst_weight_matches_dense_prim_at_5000_points():
+    # too many points for the explicit matrix; Prim's rows on the fly fit
     rng = np.random.default_rng(31)
     xyz = np.vstack([
         rng.normal(0, 0.5, size=(2500, 3)),
@@ -300,8 +324,8 @@ def test_dense_and_auto_mst_weights_agree_at_5000_points():
     ])
     assert len(xyz) == 5000
     core = core_distances(xyz, 10)
-    dense = mutual_reachability_mst(xyz, core, method="dense")
-    boruvka = mutual_reachability_mst(xyz, core, method="auto")
+    dense = dense_prim_mst(xyz, core)
+    boruvka = mutual_reachability_mst(xyz, core)
     assert abs(dense[:, 2].sum() - boruvka[:, 2].sum()) < 1e-9
 
 
@@ -322,7 +346,7 @@ def test_boruvka_labels_golden_with_duplicate_ties():
             == "a7ab8d29934d3ea84055799c708ea26fd89d025a7f274c6af8afd0199c8ac38d")
     # labels absorb most MST tie changes, so the Boruvka edges, their
     # orientation and their merge order are pinned as well
-    mst = mutual_reachability_mst(xyz, core_distances(xyz, 10), "auto")
+    mst = mutual_reachability_mst(xyz, core_distances(xyz, 10))
     assert (hashlib.sha256(mst.tobytes()).hexdigest()
             == "a8a018d7acfdff0a0efdf082772132c7bfbc90766eb43a17f72313f29335087d")
     # and so is the merge hierarchy built on those edges: left, right,
@@ -338,7 +362,7 @@ def test_boruvka_without_progress_raises_typed_error():
     xyz = np.random.default_rng(0).uniform(size=(6000, 3))
     core = np.full(len(xyz), np.nan)
     with pytest.raises(PilevolError), np.errstate(invalid="ignore"):
-        mutual_reachability_mst(xyz, core, "auto")
+        mutual_reachability_mst(xyz, core)
 
 
 def _lattice_with_duplicates() -> np.ndarray:
@@ -348,18 +372,20 @@ def _lattice_with_duplicates() -> np.ndarray:
     return np.vstack([base, base[::2], base[::5]])
 
 
-def test_auto_labels_match_dense_on_voxel_thinned_cloud_with_ties():
-    # "auto" runs Boruvka at every size; on a voxel-thinned capture under
-    # 5000 points, with exact duplicates, it must label like dense Prim
+def test_boruvka_labels_match_dense_prim_on_voxel_thinned_cloud_with_ties(
+        monkeypatch):
+    # on a voxel-thinned capture under 5000 points, with exact duplicates,
+    # the chain must label as it does on dense Prim's MST
     scene = generate_scene(reference_scenes()[0])
     xyz = voxel_downsample(scene.cloud, 0.03).xyz
     xyz = np.vstack([xyz, xyz[::6]])
     assert 2000 < len(xyz) <= 5000
     params = HdbscanParams(min_cluster_size=50, min_samples=10)
-    auto = run_hdbscan(xyz, params, "auto")
-    dense = run_hdbscan(xyz, params, "dense")
-    assert auto.cluster_count == dense.cluster_count >= 1
-    np.testing.assert_array_equal(auto.labels, dense.labels)
+    boruvka = run_hdbscan(xyz, params)
+    monkeypatch.setattr(_hdbscan, "mutual_reachability_mst", dense_prim_mst)
+    dense = run_hdbscan(xyz, params)
+    assert boruvka.cluster_count == dense.cluster_count >= 1
+    np.testing.assert_array_equal(boruvka.labels, dense.labels)
 
 
 def test_largest_cluster_selection_and_ties():

@@ -365,6 +365,14 @@ def test_pipeline_empty_input():
         run_pipeline(PipelineConfig(), cloud=PointCloud.empty())
 
 
+@pytest.mark.parametrize("entry", [run_pipeline, emit_histogram],
+                         ids=["run_pipeline", "emit_histogram"])
+def test_pipeline_rejects_a_cloud_that_is_not_a_point_cloud(entry, small_scene):
+    # an (N, 3) array ended the run in the pre-filter's raw AttributeError
+    with pytest.raises(ConfigError, match="must be a PointCloud, got ndarray"):
+        entry(PipelineConfig(), cloud=small_scene.cloud.xyz)
+
+
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
         run_pipeline(PipelineConfig(ground_mode="NOT_A_MODE"),
@@ -449,6 +457,16 @@ def test_batch_studies_reject_a_config_seed():
         bench_reference([SMALL_SPEC], config=seeded)
     with pytest.raises(ConfigError, match="seed 7 would be ignored"):
         compression_sweep(SMALL_SPEC, [0.05], config=seeded)
+
+
+@pytest.mark.parametrize("rounds", [1.5, 2.0, "2"])
+def test_batch_studies_reject_a_non_integer_round_count(rounds):
+    # a float count ended in the raw TypeError of range(); the check runs
+    # before any scene does, so it does not become a FAILED row
+    with pytest.raises(ConfigError, match="rounds must be an integer"):
+        bench_reference([SMALL_SPEC], rounds=rounds)
+    with pytest.raises(ConfigError, match="rounds must be an integer"):
+        compression_sweep(SMALL_SPEC, [0.05], rounds=rounds)
 
 
 def test_bench_multi_round_variance():
