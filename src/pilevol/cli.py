@@ -23,7 +23,6 @@ from .errors import (
 )
 from .pipeline import (
     PipelineConfig,
-    _with_round_seed,
     bench_csv,
     bench_reference,
     compression_sweep,
@@ -101,8 +100,7 @@ def _load_pipeline_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         config = load_config(args.config, config)
     if getattr(args, "seed", None) is not None:
-        config = _with_round_seed(config, args.seed)
-    config.validate()
+        config = replace(config, seed=args.seed)
     return config
 
 

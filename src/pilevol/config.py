@@ -2,12 +2,14 @@
 
 Format: ``[section]`` headers with ``key = value`` lines; ``#`` starts a
 comment.  ``_KEYS`` says which ``PipelineConfig`` field each key sets;
-besides those, ``[pipeline] seed`` sets the pipeline and RANSAC seeds, and
-axis ranges live under ``[passthrough]`` as ``x|y|z = lo, hi`` with
-``inf``, ``-inf`` or an empty field for an open end.  Unknown sections or
-keys are errors so typos fail fast, and so is any value a parameter
-rejects: every error is a ``ConfigError`` that names its line.  Numbers
-must be finite.
+besides those, axis ranges live under ``[passthrough]`` as
+``x|y|z = lo, hi`` with ``inf``, ``-inf`` or an empty field for an open
+end.  Unknown sections or keys are errors so typos fail fast, and so is
+any value a parameter rejects: every error is a ``ConfigError``.  A key,
+a value or a nested parameter (``[filter]``, ``[ransac]``, ``[volume]``)
+that fails names its line; the config itself is built once, from the
+whole document, so a rule between fields is judged on all of it.
+Numbers must be finite.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from .cloud import AxisRange
 from .errors import ConfigError, InvalidParameter
-from .pipeline import PipelineConfig, _with_round_seed
+from .pipeline import PipelineConfig
 
 
 def _parse_bool(text: str) -> bool:
@@ -62,6 +64,7 @@ def _parse_range(axis: str, text: str) -> AxisRange:
 
 # (section, key) -> (dotted PipelineConfig field, parser of the value)
 _KEYS = {
+    ("pipeline", "seed"): ("seed", _parse_int),
     ("pipeline", "prefilter"): ("enable_prefilter", _parse_bool),
     ("pipeline", "posture"): ("enable_posture", _parse_bool),
     ("pipeline", "fine_filter"): ("enable_fine_filter", _parse_bool),
@@ -85,7 +88,8 @@ _SECTIONS = {section for section, _ in _KEYS} | {"passthrough"}
 
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
     """Apply a config document on top of ``base`` (defaults if omitted)."""
-    config = base if base is not None else PipelineConfig()
+    base = base if base is not None else PipelineConfig()
+    fields = {}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -100,34 +104,30 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            config = _apply(config, section, key.lower(), value)
+            name, value = _field(base, fields, section, key.lower(), value)
         except (ConfigError, InvalidParameter) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    config.validate()
-    return config
+        fields[name] = value
+    return replace(base, **fields)
 
 
 def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
     return parse_config_text(Path(path).read_text(), base)
 
 
-def _replace_leaf(obj, path: str, value):
-    """``obj`` with the dotted field ``path`` set to ``value``; each
-    dataclass on the path is rebuilt by ``replace``, so it runs its
-    ``__post_init__`` checks."""
-    name, _, rest = path.partition(".")
-    if rest:
-        value = _replace_leaf(getattr(obj, name), rest, value)
-    return replace(obj, **{name: value})
-
-
-def _apply(cfg: PipelineConfig, section: str, key: str, value: str) -> PipelineConfig:
-    if (section, key) == ("pipeline", "seed"):
-        return _with_round_seed(cfg, _parse_int(value))
+def _field(base: PipelineConfig, fields: dict, section: str, key: str,
+           value: str) -> tuple[str, object]:
+    """The ``PipelineConfig`` field one line sets and its new value, given
+    the ``fields`` earlier lines set on ``base``; a nested parameter is
+    rebuilt by ``replace``, so it runs its ``__post_init__`` checks."""
     if section == "passthrough" and key in ("x", "y", "z"):
-        return replace(cfg, passthrough_ranges=cfg.passthrough_ranges
-                       + (_parse_range(key, value),))
+        ranges = fields.get("passthrough_ranges", base.passthrough_ranges)
+        return "passthrough_ranges", ranges + (_parse_range(key, value),)
     if (section, key) not in _KEYS:
         raise ConfigError(f"unknown key {key!r} in section [{section or '(none)'}]")
     path, parse = _KEYS[section, key]
-    return _replace_leaf(cfg, path, parse(value))
+    name, _, leaf = path.partition(".")
+    value = parse(value)
+    if leaf:
+        value = replace(fields.get(name, getattr(base, name)), **{leaf: value})
+    return name, value

@@ -92,8 +92,8 @@ class PipelineConfig:
     # volume
     grid: GridSpec = GridSpec()
 
-    # seeds RANSAC: the pipeline overrides ``ransac.seed`` with it, so
-    # ``validate`` rejects a ``ransac.seed`` that is neither 0 nor this seed
+    # seeds RANSAC: the posture stage overrides ``ransac.seed`` with it, so
+    # a ``ransac.seed`` that is neither 0 nor this seed is rejected
     seed: int = 0
 
     # downsampling thins the cloud below the default neighborhood scales, so
@@ -110,7 +110,7 @@ class PipelineConfig:
         cell = max(self.grid.cell_size, 1.6 * self.downsample_voxel)
         return replace(self.grid, cell_size=cell)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.ground_mode not in (MODE_FIRST_PEAK, MODE_MID_PLATEAU, MODE_OVERRIDE):
             raise ConfigError(f"unknown ground mode {self.ground_mode!r}")
         height = self.override_height
@@ -122,7 +122,7 @@ class PipelineConfig:
             raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
         for name in ("n_interval", "smooth_step", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_interval < 2:
             raise ConfigError("n_interval must be >= 2")
@@ -167,10 +167,6 @@ class RunReport:
         return (self.volume - self.true_volume) / self.true_volume
 
 
-def _with_round_seed(config: PipelineConfig, seed: int) -> PipelineConfig:
-    return replace(config, seed=seed, ransac=replace(config.ransac, seed=seed))
-
-
 def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
                 scene: Scene | None, report: RunReport,
                 last: str = "fine_filter") -> PointCloud:
@@ -183,7 +179,6 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
     ablation semantics).
     RANSAC is seeded from ``config.seed``.
     """
-    config.validate()
     if cloud is None:
         if scene is None:
             raise ConfigError("the pipeline needs a cloud or a scene")
@@ -258,7 +253,7 @@ def _batch_config(config: PipelineConfig | None, rounds: int) -> PipelineConfig:
     """The config a batch study runs, rejecting settings it would ignore:
     every round is seeded from the scene's own seed, so a config seed
     would have no effect."""
-    if not isinstance(rounds, numbers.Integral):
+    if not isinstance(rounds, numbers.Integral) or isinstance(rounds, bool):
         raise ConfigError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
@@ -279,7 +274,7 @@ def _round_reports(spec: SceneSpec, base_seed: int, rounds: int,
     for r in range(rounds):
         seed = _round_seed(base_seed, r)
         scene = generate_scene(replace(spec, seed=seed))
-        reports.append(run_pipeline(_with_round_seed(config, seed), scene=scene))
+        reports.append(run_pipeline(replace(config, seed=seed), scene=scene))
     return reports
 
 

@@ -484,8 +484,8 @@ def crescent_scene(point_density: float = 4e4) -> Scene:
     radial width w, tapering to zero at both rims.  Closed-form volume:
     sweep * height * w * (w + 2 r_inner) / pi.  The draw is seeded with 0.
     """
-    if not point_density > 0:
-        raise InvalidParameter("point_density must be > 0")
+    if not (math.isfinite(point_density) and point_density > 0):
+        raise InvalidParameter(f"point_density must be finite and > 0, got {point_density}")
     r_inner, r_outer, height = CRESCENT_R_INNER, CRESCENT_R_OUTER, CRESCENT_HEIGHT
     rng = np.random.default_rng(0)
     half = r_outer + 0.15

@@ -19,7 +19,6 @@ from pilevol.ground import height_histogram
 from pilevol.pipeline import (
     PipelineConfig,
     _round_seed,
-    _with_round_seed,
     compression_sweep,
     run_pipeline,
     run_report_csv,
@@ -45,7 +44,7 @@ from pilevol.volume import (
 def _run_scene(spec, seed=None, **config_kw):
     seed = spec.seed if seed is None else seed
     scene = generate_scene(replace(spec, seed=seed))
-    config = _with_round_seed(PipelineConfig(**config_kw), seed)
+    config = PipelineConfig(seed=seed, **config_kw)
     return run_pipeline(config, scene=scene)
 
 
@@ -57,7 +56,7 @@ def _study(spec, config, rounds, add_walker=False):
         if add_walker:
             s = replace(s, clutter=s.clutter + (walker_clutter(
                 s.ground_extent, s.pile.footprint_radius, seed),))
-        report = run_pipeline(_with_round_seed(config, seed),
+        report = run_pipeline(replace(config, seed=seed),
                               scene=generate_scene(s))
         errors.append(report.relative_error)
     return np.asarray(errors)

@@ -28,7 +28,6 @@ from pilevol.pose import RansacParams, ransac_plane
 from pilevol import pipeline
 from pilevol.pipeline import (
     PipelineConfig,
-    _with_round_seed,
     bench_csv,
     bench_reference,
     compression_sweep,
@@ -151,7 +150,7 @@ def test_s09_wall_strip_stays_out_of_the_pile():
     # pile rim, into the pile (+19.45 %); the r0 components keep it apart
     seed = _perfbench_module("workloads").derive_seed(3006, "catalogue", 8)
     scene = generate_scene(replace(reference_scenes()[8], seed=seed))
-    report = run_pipeline(_with_round_seed(PipelineConfig(), seed), scene=scene)
+    report = run_pipeline(PipelineConfig(seed=seed), scene=scene)
     assert abs(report.relative_error) <= 0.05
 
 
@@ -184,22 +183,42 @@ def test_far_outlier_leaves_volume_unchanged(small_scene):
     assert report.volume == base.volume
 
 
+def _assert_strays_change_nothing(scene, center, n_stray):
+    """A run with one point at ``center``, or a 1 cm blob of ``n_stray``
+    around it, keeps the pre-filter count and volume of a run without."""
+    config = PipelineConfig(seed=3)
+    base = run_pipeline(config, cloud=scene.cloud)
+    stray = np.array([center])
+    if n_stray > 1:
+        rng = np.random.default_rng(n_stray)
+        stray = rng.normal(center, 0.01, size=(n_stray, 3))
+    cloud = PointCloud(np.vstack([scene.cloud.xyz, stray]))
+    report = run_pipeline(config, cloud=cloud)
+    assert report.stage_counts["prefilter"] == base.stage_counts["prefilter"]
+    assert report.volume == base.volume
+
+
 @pytest.mark.parametrize("z", [-50.0, 50.0], ids=["below", "above"])
 @pytest.mark.parametrize("n_stray", [1, 10, 60])
 def test_far_strays_leave_volume_unchanged(small_scene, n_stray, z):
     # a point or blob 50 m off the pile stretches the height histogram's
     # [z_min, z_max] until ground and pile share one bin (65 m3 from a
     # single point at -50 m with no prefilter), so the prefilter must drop it
-    config = PipelineConfig(seed=3)
-    base = run_pipeline(config, cloud=small_scene.cloud)
-    stray = np.array([[0.0, 0.0, z]])
-    if n_stray > 1:
-        rng = np.random.default_rng(n_stray)
-        stray = rng.normal((0.0, 0.0, z), 0.01, size=(n_stray, 3))
-    cloud = PointCloud(np.vstack([small_scene.cloud.xyz, stray]))
-    report = run_pipeline(config, cloud=cloud)
-    assert report.stage_counts["prefilter"] == base.stage_counts["prefilter"]
-    assert report.volume == base.volume
+    _assert_strays_change_nothing(small_scene, (0.0, 0.0, z), n_stray)
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("distance", [5.0, 50.0])
+@pytest.mark.parametrize("n_stray", [1, 10, 60])
+def test_far_strays_beside_the_pile_leave_volume_unchanged(small_scene, n_stray,
+                                                           distance, axis):
+    # strays at the cloud's median height, moved along x or y, sit at the
+    # pile's own height in the tilted capture, so only the pre-filter's x
+    # and y trims drop them: levelled by the 8 degree tilt they land metres
+    # off the ground and stretch the height histogram
+    center = np.median(small_scene.cloud.xyz, axis=0)
+    center[axis] += distance
+    _assert_strays_change_nothing(small_scene, center, n_stray)
 
 
 def _scaled_config(config: PipelineConfig, s: float) -> PipelineConfig:
@@ -221,7 +240,7 @@ def _scaled_config(config: PipelineConfig, s: float) -> PipelineConfig:
 def test_volume_scales_with_the_cube_of_length(seed, s, voxel):
     # a cloud and every length parameter scaled by s scale the volume by s^3
     cloud = generate_scene(replace(SMALL_SPEC, seed=seed)).cloud
-    config = _with_round_seed(PipelineConfig(downsample_voxel=voxel), seed)
+    config = PipelineConfig(seed=seed, downsample_voxel=voxel)
     base = run_pipeline(config, cloud=cloud).volume
     scaled = run_pipeline(_scaled_config(config, s),
                           cloud=PointCloud(cloud.xyz * s)).volume
@@ -236,7 +255,7 @@ def test_volume_is_invariant_under_translation(seed, offset):
     # the grid, the histogram and every filter are anchored to the cloud
     # itself, so a capture moved anywhere within 100 m reads the same volume
     cloud = generate_scene(replace(SMALL_SPEC, seed=seed)).cloud
-    config = _with_round_seed(PipelineConfig(), seed)
+    config = PipelineConfig(seed=seed)
     base = run_pipeline(config, cloud=cloud).volume
     moved = run_pipeline(config, cloud=cloud.translated(offset)).volume
     assert base >= 0 and moved >= 0
@@ -260,7 +279,7 @@ def test_volume_under_rotation_about_z_stays_within_the_grid_tolerance(seed, deg
                          [math.sin(turn), math.cos(turn), 0.0],
                          [0.0, 0.0, 1.0]])
     cloud = generate_scene(replace(SMALL_SPEC, seed=seed)).cloud
-    config = _with_round_seed(PipelineConfig(), seed)
+    config = PipelineConfig(seed=seed)
     base = run_pipeline(config, cloud=cloud).volume
     turned = run_pipeline(config, cloud=cloud.transformed(rotation)).volume
     assert base > 0
@@ -273,7 +292,7 @@ def test_same_seed_gives_the_same_report_bytes(seed):
     # a drawn scene run twice with one seed writes the same report, and the
     # grid never reads a negative volume
     scene = generate_scene(replace(SMALL_SPEC, seed=seed))
-    config = _with_round_seed(PipelineConfig(), seed)
+    config = PipelineConfig(seed=seed)
     first = run_pipeline(config, scene=scene)
     assert first.volume >= 0
     assert run_report_csv(first) == run_report_csv(run_pipeline(config, scene=scene))
@@ -290,7 +309,8 @@ def test_pipeline_seed_alone_seeds_ransac(small_scene, monkeypatch):
     monkeypatch.setattr(pipeline, "ransac_plane", spy)
     base = PipelineConfig(enable_prefilter=False, enable_fine_filter=False)
     alone = run_report_csv(run_pipeline(replace(base, seed=5), scene=small_scene))
-    both = run_report_csv(run_pipeline(_with_round_seed(base, 5), scene=small_scene))
+    both = run_report_csv(run_pipeline(
+        replace(base, seed=5, ransac=replace(base.ransac, seed=5)), scene=small_scene))
     run_pipeline(replace(base, seed=6), scene=small_scene)
     assert alone == both
     assert [fit[0] for fit in fits] == [5, 5, 6]
@@ -298,21 +318,22 @@ def test_pipeline_seed_alone_seeds_ransac(small_scene, monkeypatch):
     assert fits[2][1:] != fits[0][1:]
 
 
-def test_ignored_ransac_seed_is_rejected(small_scene):
+def test_ignored_ransac_seed_is_rejected():
     # the posture fit is seeded from PipelineConfig.seed; a different
-    # ransac.seed would be dropped without notice
-    lone = PipelineConfig(ransac=RansacParams(seed=9))
+    # ransac.seed would be dropped without notice, so neither the
+    # constructor, nor replace, nor a config file builds such a config
+    nine = PipelineConfig(seed=9, ransac=RansacParams(seed=9))
     with pytest.raises(ConfigError, match=r"ransac\.seed 9"):
-        lone.validate()
-    with pytest.raises(ConfigError):
-        run_pipeline(replace(lone, seed=8), scene=small_scene)
-    for ok in (replace(lone, seed=9), PipelineConfig(seed=9),
-               _with_round_seed(lone, 5)):
-        ok.validate()
-    # a config file's seed moves both seeds together
+        PipelineConfig(ransac=RansacParams(seed=9))
+    with pytest.raises(ConfigError, match=r"ransac\.seed 9"):
+        replace(nine, seed=8)
+    with pytest.raises(ConfigError, match=r"ransac\.seed 9"):
+        parse_config_text("[pipeline]\nseed = 4\n", base=nine)
+    # a config file's seed sets the pipeline seed alone; the posture stage
+    # copies it into ransac.seed
     reseeded = parse_config_text("[pipeline]\nseed = 4\n",
-                                 base=_with_round_seed(PipelineConfig(), 3))
-    assert (reseeded.seed, reseeded.ransac.seed) == (4, 4)
+                                 base=PipelineConfig(seed=3))
+    assert (reseeded.seed, reseeded.ransac.seed) == (4, 0)
 
 
 def test_traced_run_reaches_every_wrapped_layer():
@@ -374,13 +395,13 @@ def test_pipeline_rejects_a_cloud_that_is_not_a_point_cloud(entry, small_scene):
 
 
 def test_pipeline_config_validation():
+    # the constructor and replace check every field
     with pytest.raises(ConfigError):
-        run_pipeline(PipelineConfig(ground_mode="NOT_A_MODE"),
-                     cloud=PointCloud([[0, 0, 0]]))
+        PipelineConfig(ground_mode="NOT_A_MODE")
     with pytest.raises(ConfigError):
-        PipelineConfig(ground_mode="OVERRIDE").validate()
+        PipelineConfig(ground_mode="OVERRIDE")
     with pytest.raises(ConfigError):
-        PipelineConfig(smooth_step=4).validate()
+        replace(PipelineConfig(), smooth_step=4)
     # a non-finite override height would cut every point (a silent 0 m3),
     # and an infinite margin would fail later as a stage error
     for bad in (dict(seed=-1), dict(n_interval=1),
@@ -389,33 +410,32 @@ def test_pipeline_config_validation():
                 dict(ground_mode="OVERRIDE", override_height=math.inf),
                 dict(ground_mode="OVERRIDE", override_height=-math.inf)):
         with pytest.raises(ConfigError):
-            PipelineConfig(**bad).validate()
+            PipelineConfig(**bad)
     with pytest.raises(ConfigError):
         run_pipeline(PipelineConfig(), )        # no cloud, no scene
 
 
 @pytest.mark.parametrize("bad", [dict(n_interval=10.5), dict(n_interval=256.0),
-                                 dict(smooth_step=3.0)])
-def test_pipeline_config_rejects_non_integer_histogram_sizes(bad, small_scene):
-    # a float bin count or window ended the run in numpy's raw TypeError;
-    # config files cannot set one, since their integer parser rejects it
+                                 dict(smooth_step=3.0), dict(smooth_step=True),
+                                 dict(n_interval=True)])
+def test_pipeline_config_rejects_non_integer_histogram_sizes(bad):
+    # a float bin count or window ended the run in numpy's raw TypeError,
+    # and True passed as a 1-wide window; config files cannot set either,
+    # since their integer parser rejects it
     with pytest.raises(ConfigError, match="must be an integer"):
-        PipelineConfig(**bad).validate()
-    with pytest.raises(ConfigError):
-        run_pipeline(PipelineConfig(**bad), cloud=small_scene.cloud)
-    PipelineConfig(n_interval=np.int64(256), smooth_step=np.int32(5)).validate()
+        PipelineConfig(**bad)
+    PipelineConfig(n_interval=np.int64(256), smooth_step=np.int32(5))
 
 
-@pytest.mark.parametrize("seed", [1.5, "3"])
-def test_pipeline_config_rejects_a_non_integer_seed(seed, small_scene):
-    # a float seed ended the run in numpy's SeedSequence TypeError and a
-    # string one in the TypeError of the sign check; config files and
-    # --seed parse integers, so only the library API can pass either
+@pytest.mark.parametrize("seed", [1.5, "3", True])
+def test_pipeline_config_rejects_a_non_integer_seed(seed):
+    # a float seed ended the run in numpy's SeedSequence TypeError, a
+    # string one in the TypeError of the sign check, and True ran as seed
+    # 1; config files and --seed parse integers, so only the library API
+    # can pass any of them
     with pytest.raises(ConfigError, match="seed must be an integer"):
-        PipelineConfig(seed=seed).validate()
-    with pytest.raises(ConfigError):
-        run_pipeline(PipelineConfig(seed=seed), scene=small_scene)
-    PipelineConfig(seed=np.int64(3)).validate()
+        PipelineConfig(seed=seed)
+    PipelineConfig(seed=np.int64(3))
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +472,17 @@ def test_batch_studies_reject_a_config_seed():
     # every round is seeded from the scene's own seed, so a config seed
     # would be ignored; the error is raised before any scene runs, so it
     # does not become a FAILED row
-    seeded = _with_round_seed(PipelineConfig(), 7)
+    seeded = PipelineConfig(seed=7)
     with pytest.raises(ConfigError, match="seed 7 would be ignored"):
         bench_reference([SMALL_SPEC], config=seeded)
     with pytest.raises(ConfigError, match="seed 7 would be ignored"):
         compression_sweep(SMALL_SPEC, [0.05], config=seeded)
 
 
-@pytest.mark.parametrize("rounds", [1.5, 2.0, "2"])
+@pytest.mark.parametrize("rounds", [1.5, 2.0, "2", True])
 def test_batch_studies_reject_a_non_integer_round_count(rounds):
-    # a float count ended in the raw TypeError of range(); the check runs
+    # a float count ended in the raw TypeError of range(), and True ran one
+    # round and wrote True in bench_csv's rounds column; the check runs
     # before any scene does, so it does not become a FAILED row
     with pytest.raises(ConfigError, match="rounds must be an integer"):
         bench_reference([SMALL_SPEC], rounds=rounds)
@@ -660,7 +681,7 @@ margin = 0.02
 cell_size = 0.04
 """
     cfg = parse_config_text(text)
-    assert cfg.seed == 9 and cfg.ransac.seed == 9
+    assert cfg.seed == 9 and cfg.ransac.seed == 0
     assert cfg.enable_prefilter is False
     assert cfg.downsample_voxel == 0.02
     assert len(cfg.passthrough_ranges) == 2
@@ -680,6 +701,19 @@ def test_config_unknown_key_fails_fast():
         parse_config_text("[nowhere]\nseed = 1\n")
     with pytest.raises(ConfigError):
         parse_config_text("seed 1\n")
+
+
+@pytest.mark.parametrize("lines", [("mode = OVERRIDE", "override_height = 0.1"),
+                                   ("step = 301", "n_interval = 512")],
+                         ids=["override", "step"])
+def test_config_rules_between_fields_read_the_whole_document(lines):
+    # the config is built once from every line, so a rule between two
+    # fields holds whichever line comes first
+    forward = parse_config_text("[ground]\n" + "\n".join(lines))
+    assert forward == parse_config_text("[ground]\n" + "\n".join(lines[::-1]))
+    # a nested parameter is still checked on its own line
+    with pytest.raises(ConfigError, match="^line 5: "):
+        parse_config_text("[ground]\n" + "\n".join(lines) + "\n[filter]\nr0 = -1")
 
 
 def test_config_value_validation():
@@ -773,13 +807,13 @@ def _leaf_values(obj, prefix=""):
     return leaves
 
 
-# one config line per PipelineConfig leaf
+# one config line per PipelineConfig leaf but ransac.seed, which the posture
+# stage sets from seed
 CONFIG_LINE_FOR_LEAF = {
     "enable_prefilter": "[pipeline]\nprefilter = off",
     "enable_posture": "[pipeline]\nposture = off",
     "enable_fine_filter": "[pipeline]\nfine_filter = off",
     "seed": "[pipeline]\nseed = 5",
-    "ransac.seed": "[pipeline]\nseed = 5",
     "downsample_voxel": "[pipeline]\ndownsample_voxel = 0.02",
     "passthrough_ranges": "[passthrough]\nx = -1, 1",
     "radius_params.r0": "[filter]\nr0 = 0.03",
@@ -805,14 +839,13 @@ def _changed_leaves(text):
 
 
 def test_every_pipeline_knob_has_a_config_key():
-    # each key of the table sets exactly its leaf; [pipeline] seed sets both
-    # seeds
-    assert set(_leaf_values(PipelineConfig())) == set(CONFIG_LINE_FOR_LEAF)
+    # each key of the table sets exactly its leaf
+    leaves = set(_leaf_values(PipelineConfig()))
+    assert leaves - {"ransac.seed"} == set(CONFIG_LINE_FOR_LEAF)
     for (section, key), (leaf, _) in _KEYS.items():
         assert CONFIG_LINE_FOR_LEAF[leaf].startswith(f"[{section}]\n{key} = ")
     for leaf, text in CONFIG_LINE_FOR_LEAF.items():
-        expected = {"seed", "ransac.seed"} if leaf.endswith("seed") else {leaf}
-        assert _changed_leaves(text) == expected, text
+        assert _changed_leaves(text) == {leaf}, text
 
 
 def test_readme_config_table_lists_every_key():
@@ -822,7 +855,7 @@ def test_readme_config_table_lists_every_key():
     rows = re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, re.MULTILINE)
     listed = {section: set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys)))
               for section, keys in rows}
-    expected = {"pipeline": {"seed"}, "passthrough": {"x", "y", "z"}}
+    expected = {"passthrough": {"x", "y", "z"}}
     for section, key in _KEYS:
         expected.setdefault(section, set()).add(key)
     assert listed == expected
@@ -833,7 +866,7 @@ CONFIG_VALUES = ["nan", "inf", "-inf", "", "-1", "0", "1", "2", "3", "7",
                  "max", "mean", "hdbscan", "mid_plateau", "override",
                  "column_uniform", "column_grid"]
 CONFIG_LINES = sorted(_KEYS) + [
-    ("pipeline", "seed"), ("passthrough", "x"), ("passthrough", "z"),
+    ("passthrough", "x"), ("passthrough", "z"),
     ("passthrough", "w"), ("pipeline", "bogus"), ("volume", "origin"),
     ("volume", "signed"), ("nowhere", "r0"),
 ]
@@ -849,7 +882,7 @@ def test_config_document_is_valid_or_a_config_error(lines):
         config = parse_config_text(text)
     except ConfigError:
         return
-    config.validate()
+    assert replace(config) == config
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,14 @@ def test_crescent_bytes_golden():
         assert scene.true_volume == CRESCENT_TRUTH
 
 
+@pytest.mark.parametrize("density", [0.0, -1.0, math.nan, math.inf])
+def test_crescent_rejects_a_density_that_is_not_finite_and_positive(density):
+    # an infinite density passed the > 0 check and ended in the raw
+    # OverflowError of the point count's int()
+    with pytest.raises(InvalidParameter, match="point_density"):
+        crescent_scene(point_density=density)
+
+
 # repr prints every float with the shortest digits that read back to the
 # same bits, so an equal text is an equal spec
 COMPRESSION_SPEC_REPR = (
