@@ -77,13 +77,18 @@ def height_histogram(cloud: PointCloud, n_interval: int) -> HeightHistogram:
         raise InvalidParameter(f"n_interval must be >= 2, got {n_interval}")
     if len(cloud) == 0:
         raise EmptyCloud("cannot histogram an empty cloud")
-    z = cloud.xyz[:, 2]
+    z = cloud.xyz[:, 2].copy()
     z_min, z_max = float(z.min()), float(z.max())
     if not z_max > z_min:
         raise DegenerateHeights(f"z_max {z_max} must exceed z_min {z_min}")
     edges = np.linspace(z_min, z_max, n_interval + 1)
-    idx = np.floor((z - z_min) / (z_max - z_min) * n_interval).astype(np.int64)
-    idx = np.clip(idx, 0, n_interval - 1)
+    # z - z_min >= 0 holds exactly, so the cast's truncation is the floor
+    # and no index is negative
+    z -= z_min
+    z /= z_max - z_min
+    z *= n_interval
+    idx = z.astype(np.int64)
+    np.minimum(idx, n_interval - 1, out=idx)
     counts = np.bincount(idx, minlength=n_interval).astype(np.float64)
     return HeightHistogram(bin_edges=edges, counts=counts)
 

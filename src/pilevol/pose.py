@@ -57,11 +57,91 @@ class PlaneModel:
 
 
 def _plane_distances(xt: np.ndarray, normal: np.ndarray, d: float) -> np.ndarray:
-    """|normal @ xt + d| for the C-contiguous (3, N) ``xt``, with the sum
-    and the absolute value taken in place."""
-    dist = normal @ xt
+    """|((n0 x + n1 y) + n2 z) + d| for the (3, N) ``xt``, one point at a time.
+
+    Elementwise products and sums round each point the same way whether it
+    is scored alone or among all N, whatever the BLAS and its thread count;
+    the float32 screen's band recount relies on that.
+    """
+    n0, n1, n2 = (float(v) for v in normal)
+    # one allocation for both rows: two live N-length temporaries cost page
+    # faults on every call
+    dist, term = np.empty((2, xt.shape[1]))
+    np.multiply(xt[0], n0, out=dist)
+    np.multiply(xt[1], n1, out=term)
+    dist += term
+    np.multiply(xt[2], n2, out=term)
+    dist += term
     dist += d
     return np.abs(dist, out=dist)
+
+
+# the float32 screen's bound is _SCREEN_SLACK = 16 u times the sum it
+# covers, u = 2^-24 being float32's unit roundoff; below _SCREEN_LIMIT no
+# float32 product or sum comes near overflow
+_SCREEN_SLACK = 2.0 ** -20
+_SCREEN_LIMIT = 2.0 ** 64
+
+
+def _float32_screen(xt: np.ndarray, t: float):
+    """(the (4, N) float32 copy [x; y; z; 1] of ``xt``, the per-axis bounds
+    M_i = max |x_i|, tau = 2^-126 (1 + max_i M_i)) for ``_screened_inliers``,
+    or None when a coordinate or the threshold ``t`` reaches 2^64."""
+    bounds = np.maximum(xt.max(axis=1), -xt.min(axis=1))
+    top = float(bounds.max())
+    if not (top < _SCREEN_LIMIT and t < _SCREEN_LIMIT):
+        return None
+    x4 = np.empty((4, xt.shape[1]), dtype=np.float32)
+    x4[:3] = xt
+    x4[3] = 1.0
+    return x4, bounds.tolist(), 2.0 ** -126 * (1.0 + top)
+
+
+def _screened_inliers(xt: np.ndarray, screen, normal: np.ndarray, d: float,
+                      t: float, best_count: int) -> np.ndarray | None:
+    """The inlier mask ``_plane_distances(xt, normal, d) <= t`` for the unit
+    ``normal``, or None when a float32 screen shows it holds at most
+    ``best_count`` points.
+
+    The screen scores each point as s = |(n0, n1, n2, d) . (x, y, z, 1)| in
+    float32.  Let u = 2^-24, P = sum_i |n_i| M_i + |d| and D the float64
+    distance.  Then |s - D| <= 6.01 u P + 11 u tau:
+
+    - rounding x, n and d to float32 moves n.x + d by at most (2u + u^2) P;
+    - the BLAS's four products and three sums, in any order and with or
+      without FMA, pass each term through at most four roundings, which add
+      at most gamma_4 (1 + u)^2 P, gamma_4 = 4u / (1 - 4u);
+    - D is within float64's gamma_4, 4.0001 * 2^-53 P, of the exact value,
+      and the absolute value moves neither;
+    - a result in float32's subnormal range adds at most 2^-150 per
+      rounding, 2^-150 (11 + 3 max_i M_i) <= 11 u tau in all.
+
+    With eps = 16 u (P + t + tau), numpy's cast of the Python floats
+    t + eps and t - eps to float32 (NEP 50), within 1.0001 u (t + eps),
+    still leaves every point with s above t + eps at D > t and every point
+    with s below t - eps at D < t.  So the count with s <= t + eps is an
+    upper bound, and a candidate whose bound is at most ``best_count``
+    cannot win.  Otherwise the points below t - eps, with the float64 vote
+    of the band between, are exactly the full float64 mask.  Where
+    eps >= t, as at UTM-size coordinates, float32 cannot resolve the
+    threshold and every point is voted in float64.
+    """
+    if screen is not None:
+        x4, (m0, m1, m2), tau = screen
+        n0, n1, n2 = normal.tolist()
+        eps = _SCREEN_SLACK * (abs(n0) * m0 + abs(n1) * m1 + abs(n2) * m2
+                               + abs(d) + t + tau)
+    if screen is None or not eps < t:
+        return _plane_distances(xt, normal, d) <= t
+    s = np.array([n0, n1, n2, d], dtype=np.float32) @ x4
+    np.abs(s, out=s)
+    maybe = s <= t + eps
+    if np.count_nonzero(maybe) <= best_count:
+        return None
+    inliers = s < t - eps
+    band = np.flatnonzero(maybe ^ inliers)
+    inliers[band] = _plane_distances(xt[:, band], normal, d) <= t
+    return inliers
 
 
 def _plane_from_points(p0, p1, p2):
@@ -138,6 +218,8 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     # every pass over the N points runs on one contiguous (3, N) copy, on
     # which numpy's products and row reductions take their fast paths
     xt = np.ascontiguousarray(xyz.T)
+    t = params.distance_threshold
+    screen = _float32_screen(xt, t)
     rng = np.random.default_rng(params.seed)
     best_count = -1
     best_inliers = None
@@ -149,7 +231,9 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
         candidate = _plane_from_points(xyz[idx[0]], xyz[idx[1]], xyz[idx[2]])
         if candidate is None:
             continue
-        inliers = _plane_distances(xt, *candidate) <= params.distance_threshold
+        inliers = _screened_inliers(xt, screen, *candidate, t, best_count)
+        if inliers is None:
+            continue
         count = int(np.count_nonzero(inliers))
         if count > best_count:
             best_count = count
@@ -169,7 +253,7 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     refined_d = -float(refined_normal @ centroid)
 
     dist = _plane_distances(xt, refined_normal, refined_d)
-    inlier_idx = np.flatnonzero(dist <= params.distance_threshold)
+    inlier_idx = np.flatnonzero(dist <= t)
     rms = float(np.sqrt(np.mean(dist[inlier_idx] ** 2))) if inlier_idx.size else 0.0
     a, b, c = (float(v) for v in refined_normal)
     return PlaneModel(a, b, c, float(refined_d), inlier_indices=inlier_idx,

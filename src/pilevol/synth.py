@@ -235,14 +235,20 @@ class SceneSpec:
     scene_id: str = ""
 
     def __post_init__(self):
-        if self.footprint_area <= 0 or self.point_density <= 0:
-            raise InvalidParameter("footprint_area and point_density must be > 0")
-        if self.ground_extent[0] <= 0 or self.ground_extent[1] <= 0:
-            raise InvalidParameter("ground_extent must be positive")
+        # each test is written so that NaN fails it as well as inf
+        if not (0.0 < self.footprint_area < math.inf
+                and 0.0 < self.point_density < math.inf):
+            raise InvalidParameter(
+                "footprint_area and point_density must be finite and > 0, got "
+                f"{self.footprint_area} and {self.point_density}")
+        if not all(0.0 < side < math.inf for side in self.ground_extent):
+            raise InvalidParameter(
+                f"ground_extent must be finite and positive, got {self.ground_extent}")
         if not 0.0 <= self.tilt_deg <= 30.0:
             raise InvalidParameter(f"tilt_deg must be in [0, 30], got {self.tilt_deg}")
-        if self.noise_sigma < 0:
-            raise InvalidParameter("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise InvalidParameter(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if 2.0 * self.pile.footprint_radius > min(self.ground_extent):
             raise InvalidParameter("pile footprint does not fit in the ground extent")
 

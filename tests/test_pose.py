@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
+from pilevol import pose
 from pilevol.cloud import PointCloud
 from pilevol.errors import DegenerateCloud, InvalidParameter, NotUnitVector
 from pilevol.pose import (
     PlaneModel,
     RansacParams,
+    _float32_screen,
     _orient_up,
+    _plane_distances,
     _plane_from_points,
     _refine_plane,
+    _screened_inliers,
     correct_posture,
     ransac_plane,
     rotation_to_up,
@@ -258,6 +263,76 @@ def test_ransac_fit_survives_a_translation_to_utm_size_coordinates(scene):
     moved = ransac_plane(cloud.translated((1e6, -1e6, 1e3)), params)
     np.testing.assert_array_equal(moved.inlier_indices, here.inlier_indices)
     assert np.linalg.norm(np.cross(here.unit_normal, moved.unit_normal)) <= 1e-11
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300),
+       spread=st.sampled_from([1e-3, 1.0, 30.0]),
+       offset=st.sampled_from([0.0, 1e2, 1e4, 1e6]),
+       duplicates=st.integers(0, 40),
+       edge=st.sampled_from(["at", "ulp-below", "ulp-above", None]),
+       best=st.integers(-1, 340))
+def test_screen_gives_the_float64_vote_or_drops_a_candidate_that_cannot_win(
+        seed, n, spread, offset, duplicates, edge, best):
+    # points within a few thresholds of a plane through a point up to 1e6 m
+    # from the origin, some rows repeated; with ``edge`` the threshold is
+    # one point's float64 distance, or the float64 next to it on either
+    # side, so that point sits exactly at t or one ulp inside or outside
+    rng = np.random.default_rng(seed)
+    normal = rng.normal(size=3)
+    normal /= np.linalg.norm(normal)
+    u = np.cross(normal, rng.normal(size=3))
+    u /= np.linalg.norm(u)
+    v = np.cross(normal, u)
+    t = 0.01 * spread
+    ab = rng.uniform(-spread, spread, (n, 2))
+    h = rng.uniform(-3 * t, 3 * t, n)
+    xyz = (offset * rng.uniform(-1, 1, 3) + ab[:, :1] * u + ab[:, 1:] * v
+           + h[:, None] * normal)
+    xyz = np.vstack([xyz, xyz[rng.integers(0, n, duplicates)]])
+    xt = np.ascontiguousarray(xyz.T)
+    d = -float(normal @ xyz[0])
+    dist = _plane_distances(xt, normal, d)
+    if edge is not None:
+        t = float(dist[rng.integers(0, len(dist))])
+        t = {"at": t, "ulp-below": np.nextafter(t, np.inf),
+             "ulp-above": np.nextafter(t, 0.0)}[edge]
+        assume(t > 0.0)
+    screen = _float32_screen(xt, t)
+    inliers = _screened_inliers(xt, screen, normal, d, t, best)
+    expected = dist <= t
+    if inliers is None:
+        event("dropped")
+        assert np.count_nonzero(expected) <= best
+    else:
+        event("voted")
+        np.testing.assert_array_equal(inliers, expected)
+
+
+def test_screen_drops_most_candidates_without_a_float64_pass(monkeypatch):
+    # the float32 screen is the fast path: on a 50k-point cloud most
+    # candidates must end there, and no candidate scores all N points in
+    # float64; the one full float64 pass left is the refit's
+    rng = np.random.default_rng(18)
+    cloud, _ = ground_plus_pile(rng, n_ground=40000, n_pile=10000)
+    widths, outcomes = [], []
+
+    def distances(xt, normal, d):
+        widths.append(xt.shape[1])
+        return _plane_distances(xt, normal, d)
+
+    def screened(*args):
+        inliers = _screened_inliers(*args)
+        outcomes.append(inliers is None)
+        return inliers
+
+    monkeypatch.setattr(pose, "_plane_distances", distances)
+    monkeypatch.setattr(pose, "_screened_inliers", screened)
+    plane = ransac_plane(cloud, RansacParams(seed=4))
+    assert len(outcomes) >= 10
+    assert sum(outcomes) > len(outcomes) / 2
+    assert widths.count(len(cloud)) == 1
+    assert plane.inlier_indices.size > 30000
 
 
 def pile_dominated_crop(ground_fraction, n=4000, seed=16):

@@ -277,6 +277,26 @@ def test_spec_validation():
         ClutterSpec(kind="cylinder", center=(0, 0, 0), size=(1, 1, 1), count=5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["footprint_area", "point_density",
+                                   "ground_extent[0]", "ground_extent[1]",
+                                   "noise_sigma"])
+def test_spec_rejects_values_that_are_not_finite(field, bad):
+    # an infinite density ended in the raw OverflowError of the point
+    # count's int(), a NaN area built a scene, and an infinite noise sigma
+    # built one after a numpy warning
+    spec = reference_scenes()[0]
+    if field.startswith("ground_extent"):
+        extent = list(spec.ground_extent)
+        extent[int(field[-2])] = bad
+        change = {"ground_extent": tuple(extent)}
+    else:
+        change = {field: bad}
+    with pytest.raises(InvalidParameter, match=field.split("[")[0]):
+        replace(spec, **change)
+
+
 # ---------------------------------------------------------------------------
 # reference catalogue
 # ---------------------------------------------------------------------------
