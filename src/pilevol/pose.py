@@ -76,25 +76,36 @@ def _plane_distances(xt: np.ndarray, normal: np.ndarray, d: float) -> np.ndarray
     return np.abs(dist, out=dist)
 
 
-# the float32 screen's bound is _SCREEN_SLACK = 16 u times the sum it
-# covers, u = 2^-24 being float32's unit roundoff; below _SCREEN_LIMIT no
+# the float32 screen's bound is _SCREEN_SLACK = 16 u times the float32
+# terms it covers, u = 2^-24 being float32's unit roundoff, plus
+# _CENTRE_SLACK times the float64 terms of centring; below _SCREEN_LIMIT no
 # float32 product or sum comes near overflow
 _SCREEN_SLACK = 2.0 ** -20
+_CENTRE_SLACK = 2.0 ** -49
 _SCREEN_LIMIT = 2.0 ** 64
 
 
 def _float32_screen(xt: np.ndarray, t: float):
-    """(the (4, N) float32 copy [x; y; z; 1] of ``xt``, the per-axis bounds
-    M_i = max |x_i|, tau = 2^-126 (1 + max_i M_i)) for ``_screened_inliers``,
-    or None when a coordinate or the threshold ``t`` reaches 2^64."""
-    bounds = np.maximum(xt.max(axis=1), -xt.min(axis=1))
-    top = float(bounds.max())
-    if not (top < _SCREEN_LIMIT and t < _SCREEN_LIMIT):
+    """The float32 copy of ``xt`` for ``_screened_inliers``, or None when a
+    coordinate or the threshold ``t`` reaches 2^64.
+
+    Returns the (4, N) float32 rows [x - c; y - c; z - c; 1], with the
+    centre c of the bounding box subtracted in float64 first; c; the
+    per-axis bounds M_i = max |x_i - c_i| of those float64 differences; and
+    tau = 2^-126 (1 + max_i M_i).  Centred, float32 resolves a 1 cm
+    threshold on a capture of a few km wherever it lies, UTM-size
+    coordinates included.
+    """
+    lo, hi = xt.min(axis=1), xt.max(axis=1)
+    if not (max(-lo.min(), hi.max()) < _SCREEN_LIMIT and t < _SCREEN_LIMIT):
         return None
+    centre = (lo + hi) * 0.5
+    # x -> x - c rounds monotonically, so its extremes bound every point
+    bounds = np.maximum(hi - centre, centre - lo)
     x4 = np.empty((4, xt.shape[1]), dtype=np.float32)
-    x4[:3] = xt
+    np.subtract(xt, centre[:, None], out=x4[:3])
     x4[3] = 1.0
-    return x4, bounds.tolist(), 2.0 ** -126 * (1.0 + top)
+    return x4, centre.tolist(), bounds.tolist(), 2.0 ** -126 * (1.0 + float(bounds.max()))
 
 
 def _screened_inliers(xt: np.ndarray, screen, normal: np.ndarray, d: float,
@@ -103,37 +114,43 @@ def _screened_inliers(xt: np.ndarray, screen, normal: np.ndarray, d: float,
     ``normal``, or None when a float32 screen shows it holds at most
     ``best_count`` points.
 
-    The screen scores each point as s = |(n0, n1, n2, d) . (x, y, z, 1)| in
-    float32.  Let u = 2^-24, P = sum_i |n_i| M_i + |d| and D the float64
-    distance.  Then |s - D| <= 6.01 u P + 11 u tau:
+    The screen scores each point as s = |(n, d_c) . (x - c, 1)| in float32,
+    with d_c = d + n.c summed in float64.  Let u = 2^-24 and D the float64
+    distance, and let P = sum_i |n_i| M_i + |d_c| and Q = |d| + sum_i |n_i|
+    |c_i|.  Then |s - D| <= 6.02 u P + 11 u tau + 8.001 * 2^-53 Q:
 
-    - rounding x, n and d to float32 moves n.x + d by at most (2u + u^2) P;
+    - rounding x - c, n and d_c to float32 moves their dot product by at
+      most (2u + u^2) P;
     - the BLAS's four products and three sums, in any order and with or
       without FMA, pass each term through at most four roundings, which add
       at most gamma_4 (1 + u)^2 P, gamma_4 = 4u / (1 - 4u);
-    - D is within float64's gamma_4, 4.0001 * 2^-53 P, of the exact value,
-      and the absolute value moves neither;
+    - in float64, x - c is within 2^-53 of its exact value, and d_c and D
+      are each within gamma_4 (4.0001 * 2^-53) of theirs; these add at most
+      0.01 u P + 8.001 * 2^-53 Q, and the absolute values move nothing;
     - a result in float32's subnormal range adds at most 2^-150 per
       rounding, 2^-150 (11 + 3 max_i M_i) <= 11 u tau in all.
 
-    With eps = 16 u (P + t + tau), numpy's cast of the Python floats
-    t + eps and t - eps to float32 (NEP 50), within 1.0001 u (t + eps),
-    still leaves every point with s above t + eps at D > t and every point
-    with s below t - eps at D < t.  So the count with s <= t + eps is an
-    upper bound, and a candidate whose bound is at most ``best_count``
-    cannot win.  Otherwise the points below t - eps, with the float64 vote
-    of the band between, are exactly the full float64 mask.  Where
-    eps >= t, as at UTM-size coordinates, float32 cannot resolve the
-    threshold and every point is voted in float64.
+    With eps = 16 u (P + t + tau) + 2^-49 Q, numpy's cast of the Python
+    floats t + eps and t - eps to float32 (NEP 50), within 1.0001 u
+    (t + eps), still leaves every point with s above t + eps at D > t and
+    every point with s below t - eps at D < t.  So the count with
+    s <= t + eps is an upper bound, and a candidate whose bound is at most
+    ``best_count`` cannot win.  Otherwise the points below t - eps, with
+    the float64 vote of the band between, are exactly the full float64
+    mask.  Where eps >= t, as on a capture tens of km across, float32
+    cannot resolve the threshold and every point is voted in float64.
     """
     if screen is not None:
-        x4, (m0, m1, m2), tau = screen
+        x4, (c0, c1, c2), (m0, m1, m2), tau = screen
         n0, n1, n2 = normal.tolist()
-        eps = _SCREEN_SLACK * (abs(n0) * m0 + abs(n1) * m1 + abs(n2) * m2
-                               + abs(d) + t + tau)
+        d_c = d + n0 * c0 + n1 * c1 + n2 * c2
+        eps = (_SCREEN_SLACK * (abs(n0) * m0 + abs(n1) * m1 + abs(n2) * m2
+                                + abs(d_c) + t + tau)
+               + _CENTRE_SLACK * (abs(d) + abs(n0 * c0) + abs(n1 * c1)
+                                  + abs(n2 * c2)))
     if screen is None or not eps < t:
         return _plane_distances(xt, normal, d) <= t
-    s = np.array([n0, n1, n2, d], dtype=np.float32) @ x4
+    s = np.array([n0, n1, n2, d_c], dtype=np.float32) @ x4
     np.abs(s, out=s)
     maybe = s <= t + eps
     if np.count_nonzero(maybe) <= best_count:
@@ -205,7 +222,9 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     refined by a least-squares fit over its inliers; the refined normal is
     oriented upward (C >= 0).  Deterministic for a fixed seed: ties on the
     inlier count keep the earlier iteration, so the result equals a fixed
-    loop of ``iterations`` draws.
+    loop of ``iterations`` draws.  Each candidate is screened in float32
+    first (``_screened_inliers``), which drops most candidates unvoted and
+    leaves every count that of a full float64 vote.
 
     Raises:
         DegenerateCloud: fewer than 3 points, all samples collinear, or no
@@ -215,8 +234,9 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     n = len(cloud)
     if n < 3:
         raise DegenerateCloud(f"plane fit needs >= 3 points, got {n}")
-    # every pass over the N points runs on one contiguous (3, N) copy, on
-    # which numpy's products and row reductions take their fast paths
+    # every float64 pass over the N points runs on one contiguous (3, N)
+    # copy, on which numpy's products and row reductions take their fast
+    # paths
     xt = np.ascontiguousarray(xyz.T)
     t = params.distance_threshold
     screen = _float32_screen(xt, t)

@@ -265,26 +265,29 @@ def test_ransac_fit_survives_a_translation_to_utm_size_coordinates(scene):
     assert np.linalg.norm(np.cross(here.unit_normal, moved.unit_normal)) <= 1e-11
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300),
        spread=st.sampled_from([1e-3, 1.0, 30.0]),
        offset=st.sampled_from([0.0, 1e2, 1e4, 1e6]),
+       relative=st.sampled_from([1e-2, 1e-7]),
        duplicates=st.integers(0, 40),
        edge=st.sampled_from(["at", "ulp-below", "ulp-above", None]),
        best=st.integers(-1, 340))
 def test_screen_gives_the_float64_vote_or_drops_a_candidate_that_cannot_win(
-        seed, n, spread, offset, duplicates, edge, best):
+        seed, n, spread, offset, relative, duplicates, edge, best):
     # points within a few thresholds of a plane through a point up to 1e6 m
-    # from the origin, some rows repeated; with ``edge`` the threshold is
-    # one point's float64 distance, or the float64 next to it on either
-    # side, so that point sits exactly at t or one ulp inside or outside
+    # from the origin, some rows repeated; a threshold of 1e-7 of the spread
+    # is below what float32 resolves, so those cases vote in float64; with
+    # ``edge`` the threshold is one point's float64 distance, or the
+    # float64 next to it on either side, so that point sits exactly at t
+    # or one ulp inside or outside
     rng = np.random.default_rng(seed)
     normal = rng.normal(size=3)
     normal /= np.linalg.norm(normal)
     u = np.cross(normal, rng.normal(size=3))
     u /= np.linalg.norm(u)
     v = np.cross(normal, u)
-    t = 0.01 * spread
+    t = relative * spread
     ab = rng.uniform(-spread, spread, (n, 2))
     h = rng.uniform(-3 * t, 3 * t, n)
     xyz = (offset * rng.uniform(-1, 1, 3) + ab[:, :1] * u + ab[:, 1:] * v
