@@ -268,6 +268,7 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
             "a crop dominated by the pile leaves too little ground"
         )
 
+    del screen   # the refit's passes reuse the float32 copy's memory
     refined_normal, centroid = _refine_plane(np.compress(best_inliers, xt, axis=1))
     refined_normal = _orient_up(refined_normal)
     refined_d = -float(refined_normal @ centroid)
