@@ -277,7 +277,8 @@ def test_screen_gives_the_float64_vote_or_drops_a_candidate_that_cannot_win(
         seed, n, spread, offset, relative, duplicates, edge, best):
     # points within a few thresholds of a plane through a point up to 1e6 m
     # from the origin, some rows repeated; a threshold of 1e-7 of the spread
-    # is below what float32 resolves, so those cases vote in float64; with
+    # is below what float32 resolves on most planes drawn, so those cases
+    # mostly vote in float64; with
     # ``edge`` the threshold is one point's float64 distance, or the
     # float64 next to it on either side, so that point sits exactly at t
     # or one ulp inside or outside
