@@ -1,10 +1,9 @@
 """The one worker thread that runs half of a split call beside the caller.
 
-Three calls are split: the fine filter's two x-slabs each query their r0
-pairs (``denoise._slab_pairs``) and hook their forest (``denoise._forest``)
-one on the calling thread and one on this worker, and the voxel pass forms
-its x and y cells on the caller and its z cells here
-(``cloud._cell_columns``).  A call is worth splitting only when each half
+Two calls are split, both in the fine filter: its two x-slabs each query
+their r0 pairs (``denoise._slab_pairs``) and hook their forest
+(``denoise._forest``), one slab on the calling thread and one on this
+worker.  A call is worth splitting only when each half
 releases the GIL for most of its time, as numpy and scipy calls on arrays
 of about 100k elements do, and only where a benchmark shows the gain.
 

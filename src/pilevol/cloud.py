@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._worker import both
 from .errors import InvalidParameter, NonFiniteCoordinate
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2, "X": 0, "Y": 1, "Z": 2}
@@ -145,130 +144,121 @@ def passthrough_filter(cloud: PointCloud, ranges: Sequence[AxisRange]) -> PointC
     return cloud.select(mask)
 
 
-def _grid_cells(coords: np.ndarray, size: float) -> tuple[np.ndarray, list[int]]:
-    """``floor((coords - min) / size)`` of the (N, k) ``coords`` as (N, k)
-    int64, the cells of the voxels and of the volume grid, and each column's
-    extent, its largest cell + 1; a column that spans 2**63 cells or more is
-    an ``InvalidParameter``.
-
-    One column at a time, without the (N, k) broadcast's slow length-k inner
-    loop; stored column-major, so each column the keys read is contiguous.
-    """
-    cells = _empty_cells(coords)
-    tops = _cell_columns(coords, size, cells, range(coords.shape[1]))
-    return cells, _extents(tops, size)
-
-
-def _empty_cells(coords: np.ndarray) -> np.ndarray:
-    """An uninitialised column-major int64 array shaped like ``coords``."""
-    return np.empty((coords.shape[1], len(coords)), dtype=np.int64).T
-
-
-def _cell_columns(coords: np.ndarray, size: float, cells: np.ndarray,
-                  columns) -> list[float]:
-    """Write ``floor((col - min) / size)`` of each of the ``columns`` of
-    ``coords`` into the same column of ``cells``; return each column's
-    largest quotient.  A column whose quotient reaches 2**63 (or is NaN)
-    is left unwritten, for ``_extents`` to reject.
-
-    It runs on the worker thread, so it calls numpy only.
-    """
-    tops = []
-    for k in columns:
-        col = coords[:, k]
-        with np.errstate(over="ignore"):    # an overflow is inf, rejected later
-            quotient = col - col.min()
-            quotient /= size
-        top = float(quotient.max())
-        if top < 2.0 ** 63:
-            # the quotient is non-negative, so the truncating cast is the floor
-            cells[:, k] = quotient
-        tops.append(top)
-    return tops
-
-
-def _extents(tops: list[float], size: float) -> list[int]:
-    """Each column's extent, its largest cell + 1, from its largest
-    quotient; a quotient of 2**63 or more is an ``InvalidParameter``."""
-    for top in tops:
-        if not top < 2.0 ** 63:
-            raise InvalidParameter(f"cell size {size} puts 2**63 or more cells "
-                                   "along one axis, past an int64 index")
-    return [int(top) + 1 for top in tops]
+# rows per chunk of the cell kernel's passes: its buffers are this long,
+# so the table path's only N-long array is the int64 cell keys
+_CHUNK = 1 << 14
 
 
 def cell_means(coords: np.ndarray, size: float,
                values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the points of the non-empty (N, k) ``coords`` into the cells of
-    ``_grid_cells`` and average the (N, j) ``values`` over each occupied cell.
+    """Group the points of the non-empty (N, k) ``coords`` into cells of side
+    ``size``, ``floor((coords - min) / size)``, and average the (N, j)
+    ``values`` over each occupied cell: the voxels and the volume grid.
 
-    Returns the (M, j) means, one row per cell in sorted cell order, and each
-    cell's lowest point index.
+    Returns the (M, j) means, one row per cell in sorted (lexicographic)
+    cell order, and each cell's lowest point index.  An axis that spans
+    2**63 cells or more is an ``InvalidParameter``.
+
+    The cells are keyed as int64 in sorted order, ``_CHUNK`` rows at a
+    time.  When the cells' bounding box spans at most 4 keys per row, a
+    direct-addressed table of at most 4*N intp entries (32 bytes per row)
+    numbers them with no sort; a sparser grid, such as one stretched by a
+    far stray point, sorts the keys; and a box of more keys than int64
+    holds, past a far outlier, falls back to the row-wise ``np.unique``.
+    Each cell's members are added in point order, the additions of one
+    ``np.bincount``, so a mean does not depend on the chunks or on how the
+    cells are numbered.
     """
-    return _cell_means(*_grid_cells(coords, size), values)
+    n, width = coords.shape
+    chunks = [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
+    # each chunk's coordinates, one contiguous row per axis: reading the
+    # strided columns of an (N, 3) cloud directly takes about twice as long
+    axes = np.empty((width, min(n, _CHUNK)))
 
+    def chunk_axes(rows: slice) -> np.ndarray:
+        out = axes[:, :rows.stop - rows.start]
+        np.copyto(out, coords[rows].T)
+        return out
 
-def _cell_means(cells: np.ndarray, extent: list[int],
-                values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cell_means`` over the (N, k) ``cells``, whose column k lies below
-    ``extent[k]``.  ``np.bincount`` adds each cell's members in point order,
-    so a mean does not depend on how the cells are numbered."""
-    number, first = _number_cells(cells, extent)
-    m = len(first)
-    counts = np.bincount(number, minlength=m)
-    means = np.empty((m, values.shape[1]))
-    for k in range(values.shape[1]):
-        np.divide(np.bincount(number, weights=values[:, k], minlength=m), counts,
-                  out=means[:, k])
-    return means, first
-
-
-def _number_cells(cells: np.ndarray,
-                  extent: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of the non-negative (N, k) integer ``cells``,
-    whose column k lies below ``extent[k]``, in sorted (lexicographic)
-    order; return each row's number and each number's lowest row index.
-
-    The rows are keyed as int64 in that order.  When the cells' bounding box
-    spans at most 4 keys per row, a direct-addressed table of at most 4*N
-    intp entries (32 bytes per row) numbers them with no sort; a sparser
-    grid, such as one stretched by a far stray point, sorts the keys; and a
-    box of more keys than int64 holds, past a far outlier, falls back to the
-    row-wise ``np.unique``.
-    """
-    n, width = cells.shape
+    lo, hi = np.full(width, np.inf), np.full(width, -np.inf)
+    for rows in chunks:
+        part = chunk_axes(rows)
+        np.minimum(lo, part.min(axis=1), out=lo)
+        np.maximum(hi, part.max(axis=1), out=hi)
+    # (max - min) / size is the largest quotient, as subtraction and
+    # division round monotonically; an overflow is inf, rejected here
+    tops = [(top - bottom) / size for bottom, top in zip(lo.tolist(), hi.tolist())]
+    if not all(top < 2.0 ** 63 for top in tops):
+        raise InvalidParameter(f"cell size {size} puts 2**63 or more cells "
+                               "along one axis, past an int64 index")
+    extent = [int(top) + 1 for top in tops]
     span = math.prod(extent)
+    origin = lo[:, None]
+
+    def quotients(rows: slice) -> np.ndarray:
+        # non-negative, so the truncating cast to int64 is the floor
+        part = chunk_axes(rows)
+        part -= origin
+        part /= size
+        return part
+
+    table = number = None
     if span > np.iinfo(np.int64).max:
-        _, first, number = np.unique(cells, axis=0, return_index=True,
+        grid = np.empty((width, n), dtype=np.int64)
+        for rows in chunks:
+            grid[:, rows] = quotients(rows)
+        _, first, number = np.unique(grid.T, axis=0, return_index=True,
                                      return_inverse=True)
-        return number.reshape(n), first
-    key = cells[:, 0].copy()
-    for k in range(1, width):
-        key *= extent[k]
-        key += cells[:, k]
-    if span <= 4 * n:
-        # the table holds each key's lowest row index, or n where unoccupied;
-        # the occupied keys, in sorted order, then get their ranks in place
-        table = np.full(span, n)
-        np.minimum.at(table, key, np.arange(n))
-        occupied = np.flatnonzero(table < n)
-        first = table.take(occupied)
-        table[occupied] = np.arange(len(occupied))
-        return table.take(key), first
-    # an unstable sort groups equal keys, so each run's lowest row index is
-    # its minimum, not necessarily its first entry
-    order = np.argsort(key)
-    sorted_key = key[order]
-    new_run = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
-    number = np.empty(n, dtype=np.intp)
-    number[order] = np.cumsum(new_run) - 1
-    return number, np.minimum.reduceat(order, np.flatnonzero(new_run))
+        number = number.reshape(n)
+    else:
+        key = np.empty(n, dtype=np.int64)
+        cell = np.empty(axes.shape[1], dtype=np.int64)
+        if span <= 4 * n:
+            # the table holds each key's lowest row index, or n where
+            # unoccupied; the occupied keys, in sorted order, then get
+            # their ranks in place
+            table = np.full(span, n)
+        for rows in chunks:
+            part = quotients(rows)
+            chunk_key = key[rows]
+            chunk_key[...] = part[0]
+            chunk_cell = cell[:len(chunk_key)]
+            for k in range(1, width):
+                chunk_key *= extent[k]
+                chunk_cell[...] = part[k]
+                chunk_key += chunk_cell
+            if table is not None:
+                np.minimum.at(table, chunk_key, np.arange(rows.start, rows.stop))
+        if table is not None:
+            occupied = np.flatnonzero(table < n)
+            first = table.take(occupied)
+            table[occupied] = np.arange(len(occupied))
+        else:
+            # an unstable sort groups equal keys, so each run's lowest row
+            # index is its minimum, not necessarily its first entry
+            order = np.argsort(key)
+            sorted_key = key[order]
+            new_run = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
+            number = np.empty(n, dtype=np.intp)
+            number[order] = np.cumsum(new_run) - 1
+            first = np.minimum.reduceat(order, np.flatnonzero(new_run))
+    m = len(first)
+    counts = np.zeros(m, dtype=np.intp)
+    sums = np.zeros((values.shape[1], m))
+    for rows in chunks:
+        chunk_number = table.take(key[rows]) if table is not None else number[rows]
+        counts += np.bincount(chunk_number, minlength=m)
+        for k, total in enumerate(sums):
+            np.add.at(total, chunk_number, values[rows, k])
+    for total in sums:
+        total /= counts
+    return sums.T, first
 
 
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """Replace the points of every occupied voxel by their centroid.
 
-    The voxels are the cubes of ``_grid_cells``, anchored at the cloud's min
+    The voxels are the cells of ``cell_means``, anchored at the cloud's min
     corner so the result is deterministic for a given cloud.  Output points
     are ordered by first-occurring member point, which keeps repeated runs
     identical.
@@ -277,13 +267,7 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
         raise InvalidParameter(f"voxel_size must be finite and > 0, got {voxel_size}")
     if len(cloud) == 0:
         return cloud
-    xyz = cloud.xyz
-    # the cells form on two threads, as N-element passes that release the
-    # GIL: the x and y cells here and the z cells on the worker
-    cells = _empty_cells(xyz)
-    tops_xy, tops_z = both(_cell_columns, (xyz, voxel_size, cells, (0, 1)),
-                           (xyz, voxel_size, cells, (2,)))
-    centroids, first = _cell_means(cells, _extents(tops_xy + tops_z, voxel_size), xyz)
+    centroids, first = cell_means(cloud.xyz, voxel_size, cloud.xyz)
     # list the voxels by first point; take copies the rows several times
     # faster than a fancy index
     return PointCloud._own(centroids.take(np.argsort(first), axis=0))

@@ -5,7 +5,9 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from hypothesis import event, given, settings, strategies as st
 
 from pilevol.cloud import (
     AxisRange,
+    _CHUNK,
     PointCloud,
-    _grid_cells,
-    _number_cells,
+    cell_means,
     passthrough_filter,
     voxel_downsample,
 )
@@ -168,21 +170,28 @@ def test_voxel_downsample_compression_ratio_on_dense_pile():
     assert 0.06 <= ratio <= 0.10
 
 
+def unique_rows_cell_reference(coords, size, values):
+    """``cell_means`` through the row-wise ``np.unique(axis=0)``: the means
+    of ``values`` over the cells of ``coords``, summed in point order, in
+    sorted cell order, and each cell's lowest row."""
+    cells = np.floor((coords - coords.min(axis=0)) / size).astype(np.int64)
+    _, first_idx, inverse = np.unique(cells, axis=0, return_index=True,
+                                      return_inverse=True)
+    sums = np.zeros((first_idx.shape[0], values.shape[1]))
+    np.add.at(sums, inverse.reshape(-1), values)
+    counts = np.bincount(inverse.reshape(-1), minlength=first_idx.shape[0])
+    return sums / counts[:, None], first_idx
+
+
 def unique_rows_voxel_reference(cloud, voxel_size):
     """Voxel centroids through the row-wise ``np.unique(axis=0)``, summed in
     point order and listed by each voxel's first point."""
-    xyz = cloud.xyz
-    cells = np.floor((xyz - xyz.min(axis=0)) / voxel_size).astype(np.int64)
-    _, first_idx, inverse = np.unique(cells, axis=0, return_index=True,
-                                      return_inverse=True)
-    sums = np.zeros((first_idx.shape[0], 3))
-    np.add.at(sums, inverse, xyz)
-    counts = np.bincount(inverse, minlength=first_idx.shape[0])
-    return (sums / counts[:, None])[np.argsort(first_idx, kind="stable")]
+    means, first_idx = unique_rows_cell_reference(cloud.xyz, voxel_size, cloud.xyz)
+    return means[np.argsort(first_idx, kind="stable")]
 
 
 def numbering_path(cells):
-    """The path ``_number_cells`` takes for the (N, k) ``cells``, worked out
+    """The path ``cell_means`` takes for the (N, k) ``cells``, worked out
     from the bound it documents: "table" when the product M of the per-axis
     extents (max + 1) is at most 4 N, "sort" for a larger M that fits int64,
     and "unique" when M overflows it."""
@@ -257,10 +266,76 @@ def test_voxel_downsample_edge_clouds_match_unique_rows_reference(shape, path):
     assert out.flags.c_contiguous and not out.flags.writeable
 
 
+def chunk_cloud(n, path):
+    """An n-point cloud, rounded to 1 cm in [-0.5, 0.5] m, that puts points
+    on both sides of the cell kernel's chunk edges (``_CHUNK`` rows): rows
+    _CHUNK - 1 and _CHUNK repeat one row, and rows 1, _CHUNK + 1 and
+    2 _CHUNK + 1 share one 0.05 m cell, in three chunks, where the cloud
+    has those rows.  Its 0.05 m cells, as voxels and as xy columns, take
+    the numbering ``path``: the table for the compact cloud, a sort past a
+    stray point 100 m off, and the row-wise ``np.unique`` past one 1e9 m
+    off."""
+    rng = np.random.default_rng(n)
+    xyz = np.round(rng.uniform(-0.5, 0.5, size=(n, 3)), 2)
+    xyz[0] = -0.5
+    if n > _CHUNK:
+        xyz[_CHUNK] = xyz[_CHUNK - 1]
+    members = [(0.02, 0.02, 0.02), (0.03, 0.02, 0.04), (0.02, 0.04, 0.03)]
+    for row, member in zip(range(1, n, _CHUNK), members):
+        xyz[row] = member
+    offset = {"table": None, "sort": 100.0, "unique": 1e9}[path]
+    if offset is not None:
+        xyz[n // 2] += offset
+    return xyz
+
+
+@pytest.mark.parametrize("path", ["table", "sort", "unique"])
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7],
+                         ids=["chunk-less-1", "chunk", "chunk-plus-1", "3-chunks-plus-7"])
+def test_cell_kernel_chunk_edges_match_unique_rows_reference(n, path):
+    xyz = chunk_cloud(n, path)
+    cells = np.floor((xyz - xyz.min(axis=0)) / 0.05).astype(np.int64)
+    if n > 2 * _CHUNK:
+        assert (cells[[_CHUNK + 1, 2 * _CHUNK + 1]] == cells[1]).all()
+    cloud = PointCloud(xyz)
+    # the voxels
+    assert numbering_path(cells) == path
+    out = voxel_downsample(cloud, 0.05).xyz
+    assert out.tobytes() == unique_rows_voxel_reference(cloud, 0.05).tobytes()
+    # the volume grid's xy columns, averaging z
+    assert numbering_path(cells[:, :2]) == path
+    means, first = cell_means(xyz[:, :2], 0.05, xyz[:, 2:])
+    ref_means, ref_first = unique_rows_cell_reference(xyz[:, :2], 0.05, xyz[:, 2:])
+    assert means.tobytes() == ref_means.tobytes()
+    assert first.tolist() == ref_first.tolist()
+
+
+@lru_cache(maxsize=None)
+def voxel_band_cloud():
+    """The first voxel-band benchmark capture at seed 1 (perfbench
+    derive_seed(1, "voxel-band", 0)): 104,000 points, 2.5 MB."""
+    return generate_scene(replace(dense_compression_scene(), seed=2816247519)).cloud
+
+
+def test_voxel_downsample_peak_memory_stays_near_the_clouds_size():
+    # the cell kernel works in chunks, so its transient arrays are the cell
+    # keys (8 bytes a point), the table (8 bytes a cell of the bounding
+    # box; 107,065 cells here) and chunk-sized buffers
+    cloud = voxel_band_cloud()
+    voxel_downsample(cloud, 0.034)
+    tracemalloc.start()
+    try:
+        voxel_downsample(cloud, 0.034)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * cloud.xyz.nbytes
+
+
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_voxel_downsample_rejects_a_quotient_of_2_63_on_any_axis(axis):
-    # the x and y cells are formed on the calling thread and the z cells on
-    # the worker; an overflow on either must be an InvalidParameter
+    # each axis's largest quotient is checked on its own; an overflow on
+    # any of them must be an InvalidParameter
     for top, fits in [(2.0 ** 63, False), (np.nextafter(2.0 ** 63, 0.0), True)]:
         xyz = np.zeros((2, 3))
         xyz[1, axis] = top
@@ -279,8 +354,8 @@ def _voxel_digest_into(conn, xyz, size):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_voxel_downsample_runs_in_a_forked_child():
-    # the parent's voxel pass starts the worker thread; a forked child
-    # inherits the pool object without its thread and must start its own
+    # the voxel pass runs on the calling thread alone, so a child forked
+    # after the parent's pass runs it too and gives the parent's bytes
     cloud = PointCloud(voxel_case("negative", "table"))
     expected = unique_rows_voxel_reference(cloud, 0.05).tobytes()
     assert voxel_downsample(cloud, 0.05).xyz.tobytes() == expected
@@ -299,11 +374,9 @@ def test_voxel_downsample_runs_in_a_forked_child():
         child.join()
 
 
-def test_voxel_downsample_from_two_threads_matches_the_reference(monkeypatch):
-    # two callers share the one worker; with a short switch interval they
-    # interleave finely, and with the pool dropped first they also race to
-    # start it
-    from pilevol import _worker
+def test_voxel_downsample_from_two_threads_matches_the_reference():
+    # each call keeps its chunk buffers to itself; with a short switch
+    # interval two callers interleave finely between numpy calls
     clouds = [PointCloud(voxel_case("negative", path)) for path in ("table", "sort")]
     expected = [unique_rows_voxel_reference(c, 0.05).tobytes() for c in clouds]
     results = [[], []]
@@ -312,7 +385,6 @@ def test_voxel_downsample_from_two_threads_matches_the_reference(monkeypatch):
         for _ in range(20):
             results[k].append(voxel_downsample(clouds[k], 0.05).xyz.tobytes())
 
-    monkeypatch.setattr(_worker, "_pool_pid", -1)
     threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -328,11 +400,10 @@ def test_voxel_downsample_from_two_threads_matches_the_reference(monkeypatch):
 
 
 def test_voxel_downsample_golden():
-    # the first voxel-band benchmark capture at seed 1 (perfbench
-    # derive_seed(1, "voxel-band", 0)), at the benchmark's voxel; 104,000
-    # points span 107,065 cells, so the table numbers them.  The hash was
-    # taken from the version that numbered cells by sorting their keys
-    cloud = generate_scene(replace(dense_compression_scene(), seed=2816247519)).cloud
+    # the benchmark's voxel-band capture at its voxel; 104,000 points span
+    # 107,065 cells, so the table numbers them.  The hash was taken from
+    # the version that numbered cells by sorting their keys
+    cloud = voxel_band_cloud()
     cells = np.floor((cloud.xyz - cloud.xyz.min(axis=0)) / 0.034).astype(np.int64)
     assert numbering_path(cells) == "table"
     out = voxel_downsample(cloud, 0.034)
@@ -360,28 +431,32 @@ def test_voxel_downsample_rejects_a_voxel_index_past_int64():
         voxel_downsample(cloud, 1e-300)
 
 
-def test_grid_cells_index_stays_below_2_63():
+def test_cell_means_index_stays_below_2_63():
     below = np.nextafter(2.0 ** 63, 0.0)    # the largest float under 2**63
-    cells, _ = _grid_cells(np.array([[0.0, 0.0], [below, 1.0]]), 1.0)
-    np.testing.assert_array_equal(cells, [[0, 0], [int(below), 1]])
-    with pytest.raises(InvalidParameter):
-        _grid_cells(np.array([[0.0, 0.0], [2.0 ** 63, 1.0]]), 1.0)
-    with pytest.raises(InvalidParameter):
-        _grid_cells(np.array([[-1e308, 0.0], [1e308, 1.0]]), 1.0)
+    coords = np.array([[0.0, 0.0], [below, 1.0]])
+    means, first = cell_means(coords, 1.0, coords)
+    np.testing.assert_array_equal(means, coords)
+    assert first.tolist() == [0, 1]
+    for coords in ([[0.0, 0.0], [2.0 ** 63, 1.0]], [[-1e308, 0.0], [1e308, 1.0]]):
+        with pytest.raises(InvalidParameter):
+            cell_means(np.array(coords), 1.0, np.zeros((2, 1)))
 
 
 def assert_cell_numbers(rows):
-    """``_number_cells`` against a dict oracle: each row's number is its
-    cell's rank in sorted order, and each cell's first index is its lowest
-    row."""
-    cells = np.array(rows, dtype=np.int64)
-    numbers, first = _number_cells(cells, (cells.max(axis=0) + 1).tolist())
-    lowest: dict = {}
+    """``cell_means`` over integer cells of side 1 against a dict oracle:
+    the cells come in sorted order, each with its lowest row, and each
+    averages its own rows, here their coordinates and their indices."""
+    coords = np.array(rows, dtype=np.float64)
+    index = np.arange(len(rows), dtype=np.float64)[:, None]
+    means, first = cell_means(coords, 1.0, np.hstack([coords, index]))
+    members: dict = {}
     for i, row in enumerate(rows):
-        lowest.setdefault(row, i)
-    rank = {row: r for r, row in enumerate(sorted(lowest))}
-    assert numbers.tolist() == [rank[row] for row in rows]
-    assert first.tolist() == [lowest[row] for row in sorted(lowest)]
+        members.setdefault(row, []).append(i)
+    cells = sorted(members)
+    assert first.tolist() == [members[cell][0] for cell in cells]
+    assert means[:, :3].tolist() == [list(cell) for cell in cells]
+    assert means[:, 3].tolist() == [sum(members[cell]) / len(members[cell])
+                                    for cell in cells]
 
 
 @st.composite
@@ -402,7 +477,8 @@ def test_first_occurrence_cells_match_dict_oracle(rows, far, at):
     # 2**63 and beyond, which overflows int64 (far = 2**31, 2**62)
     if far is not None:
         rows.insert(at % (len(rows) + 1), (far, 1, far))
-    event(numbering_path(np.array(rows)))
+    cells = np.array(rows)
+    event(numbering_path(cells - cells.min(axis=0)))
     assert_cell_numbers(rows)
 
 

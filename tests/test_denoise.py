@@ -682,13 +682,13 @@ def test_slabs_match_one_query_on_a_catalogue_capture(decimals):
 def test_worker_kernels_reference_only_numpy_and_scipy():
     # the kernels run on the worker thread, so they must reach no pilevol
     # function through a module global: the benchmark's tracer rebinds
-    # those and keeps one stack for one thread
+    # those and keeps one stack for one thread.  The voxel pass runs on the
+    # calling thread alone
     from pilevol import cloud, denoise
-    for module, kernel in [(denoise, denoise._slab_pairs),
-                           (denoise, denoise._forest),
-                           (cloud, cloud._cell_columns)]:
-        names = set(kernel.__code__.co_names) & set(vars(module))
+    for kernel in [denoise._slab_pairs, denoise._forest]:
+        names = set(kernel.__code__.co_names) & set(vars(denoise))
         assert names <= {"np", "cKDTree"}, (kernel.__name__, names)
+    assert "both" not in vars(cloud)
 
 
 def _filter_digest_into(conn, xyz, params):
