@@ -55,6 +55,7 @@ pipeline no longer runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,10 @@ class RadiusFilterParams:
     def __post_init__(self):
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise InvalidParameter(f"r0 must be finite and > 0, got {self.r0}")
+        for name in ("n_min", "min_cluster_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
         if self.n_min < 0:
             raise InvalidParameter(f"n_min must be >= 0, got {self.n_min}")
         if self.min_cluster_size < 2:

@@ -198,8 +198,9 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
         elif stage == "prefilter" and config.enable_prefilter:
             cloud = gap_trim(cloud, rparams.r0)
         elif stage == "posture" and config.enable_posture:
-            plane = ransac_plane(cloud, replace(config.ransac, seed=config.seed))
-            cloud = correct_posture(cloud, plane)
+            # no name keeps the plane, nor through it the unlevelled cloud
+            cloud = correct_posture(
+                cloud, ransac_plane(cloud, replace(config.ransac, seed=config.seed)))
         elif stage == "calibration":
             report.histogram = smooth_histogram(
                 height_histogram(cloud, config.n_interval), config.smooth_step)

@@ -9,6 +9,7 @@ so the fitted plane lands on z = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,23 +34,79 @@ class RansacParams:
         if not (math.isfinite(self.distance_threshold)
                 and self.distance_threshold > 0):
             raise InvalidParameter("distance_threshold must be finite and > 0")
+        for name in ("max_iterations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
         if self.max_iterations < 1:
             raise InvalidParameter("max_iterations must be >= 1")
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.min_inlier_fraction <= 1.0:
             raise InvalidParameter("min_inlier_fraction must be in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PlaneModel:
-    """Plane A*x + B*y + C*z + D = 0 with unit (A, B, C) and C >= 0."""
+    """Plane A*x + B*y + C*z + D = 0 with unit (A, B, C) and C >= 0.
+
+    ``iterations`` counts the RANSAC candidates drawn before the stop.
+    ``inlier_indices``, the points within the fit's distance threshold in
+    cloud order, and ``rms_residual``, their RMS distance, are diagnostics
+    that no pipeline stage reads.  A plane from ``ransac_plane`` computes
+    both from its fitted cloud, with one distance pass, the first time
+    either is read, and keeps them; a plane built directly carries the
+    values it is given.  Equality and hashing compare (a, b, c, d,
+    iterations) only.
+    """
 
     a: float
     b: float
     c: float
     d: float
-    inlier_indices: np.ndarray = field(repr=False)
-    rms_residual: float = 0.0
-    iterations: int = 0   # RANSAC candidates drawn before the stop
+    iterations: int = 0
+    # (inlier_indices, rms_residual), or None until a fitted plane's first
+    # read computes them from _fitted, its (cloud, distance_threshold)
+    _diagnostics: tuple | None = field(default=None, repr=False, compare=False)
+    _fitted: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __init__(self, a: float, b: float, c: float, d: float,
+                 inlier_indices: np.ndarray, rms_residual: float = 0.0,
+                 iterations: int = 0):
+        for name, value in (("a", a), ("b", b), ("c", c), ("d", d),
+                            ("iterations", iterations),
+                            ("_diagnostics", (inlier_indices, rms_residual)),
+                            ("_fitted", None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_fit(cls, normal: np.ndarray, d: float, iterations: int,
+                cloud: PointCloud, threshold: float) -> "PlaneModel":
+        """The plane fitted to ``cloud``, its diagnostics not yet computed."""
+        plane = cls(*normal.tolist(), d, None, iterations=iterations)
+        object.__setattr__(plane, "_diagnostics", None)
+        object.__setattr__(plane, "_fitted", (cloud, threshold))
+        return plane
+
+    def _diagnose(self) -> tuple:
+        if self._diagnostics is None:
+            cloud, t = self._fitted
+            # _plane_distances is elementwise, so the transposed view scores
+            # each point with the same bits as the fit's contiguous copy
+            dist = _plane_distances(cloud.xyz.T, self.unit_normal, self.d)
+            inlier_idx = np.flatnonzero(dist <= t)
+            rms = (float(np.sqrt(np.mean(dist[inlier_idx] ** 2)))
+                   if inlier_idx.size else 0.0)
+            object.__setattr__(self, "_diagnostics", (inlier_idx, rms))
+        return self._diagnostics
+
+    @property
+    def inlier_indices(self) -> np.ndarray:
+        return self._diagnose()[0]
+
+    @property
+    def rms_residual(self) -> float:
+        return self._diagnose()[1]
 
     @property
     def unit_normal(self) -> np.ndarray:
@@ -168,7 +225,9 @@ def _plane_from_points(p0, p1, p2):
     ux, uy, uz = (p1 - p0).tolist()
     vx, vy, vz = (p2 - p0).tolist()
     normal = np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
-    norm = np.linalg.norm(normal)
+    # the dot product and correctly rounded square root np.linalg.norm
+    # takes, without its per-call checks
+    norm = math.sqrt(normal.dot(normal))
     if norm < 1e-12:
         return None
     normal = normal / norm
@@ -224,7 +283,9 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     inlier count keep the earlier iteration, so the result equals a fixed
     loop of ``iterations`` draws.  Each candidate is screened in float32
     first (``_screened_inliers``), which drops most candidates unvoted and
-    leaves every count that of a full float64 vote.
+    leaves every count that of a full float64 vote.  The fit returns once
+    the plane is refined; its diagnostics are computed when first read
+    (``PlaneModel``).
 
     Raises:
         DegenerateCloud: fewer than 3 points, all samples collinear, or no
@@ -273,12 +334,7 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     refined_normal = _orient_up(refined_normal)
     refined_d = -float(refined_normal @ centroid)
 
-    dist = _plane_distances(xt, refined_normal, refined_d)
-    inlier_idx = np.flatnonzero(dist <= t)
-    rms = float(np.sqrt(np.mean(dist[inlier_idx] ** 2))) if inlier_idx.size else 0.0
-    a, b, c = (float(v) for v in refined_normal)
-    return PlaneModel(a, b, c, float(refined_d), inlier_indices=inlier_idx,
-                      rms_residual=rms, iterations=iterations)
+    return PlaneModel._of_fit(refined_normal, refined_d, iterations, cloud, t)
 
 
 def rodrigues(axis, sin_theta: float, cos_theta: float) -> np.ndarray:

@@ -214,6 +214,12 @@ def test_radius_params_validation():
         RadiusFilterParams(r0=1.0, n_min=-1)
     with pytest.raises(InvalidParameter):
         RadiusFilterParams(r0=1.0, min_cluster_size=1)
+    # a fractional or bool count would run the pipeline as if it were one
+    for field in ("n_min", "min_cluster_size"):
+        for bad in (50.5, 4.0, True, "4"):
+            with pytest.raises(InvalidParameter, match=field):
+                RadiusFilterParams(**{field: bad})
+    assert RadiusFilterParams(n_min=np.int64(3)).n_min == 3
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])

@@ -260,6 +260,27 @@ def test_calibrate_rejects_non_finite_margin(margin):
 
 
 @pytest.mark.parametrize("height", [float("nan"), float("inf"), float("-inf")])
+def test_calibrate_rejects_non_finite_height(height):
+    # -inf would shift every z to +inf, nan and +inf would cut every point
+    with pytest.raises(InvalidParameter, match="height"):
+        calibrate(cloud_with_z([0.0, 0.5]), height)
+
+
+def test_calibrate_equals_select_then_translate():
+    # signed zeros included: the shifted copy must keep every byte
+    rng = np.random.default_rng(23)
+    xyz = rng.normal(size=(2000, 3))
+    xyz[::7] = 0.0
+    xyz[3::7] = -0.0
+    cloud = PointCloud(xyz)
+    for height in (0.0, -0.0, 0.3, -1.25, 5e-324):
+        for margin in (0.0, 0.01):
+            keep = cloud.xyz[:, 2] - (height + margin) >= 0.0
+            expected = cloud.select(keep).translated((0.0, 0.0, -height))
+            assert calibrate(cloud, height, margin).xyz.tobytes() == expected.xyz.tobytes()
+
+
+@pytest.mark.parametrize("height", [float("nan"), float("inf"), float("-inf")])
 def test_override_ground_rejects_non_finite_height(height):
     # calibrating at such a height would cut every point and read 0 m3
     hist = hist_from_counts(np.ones(8))

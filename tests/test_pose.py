@@ -160,10 +160,21 @@ def test_ransac_params_reject_nan_inf_and_zero(bad):
         RansacParams(distance_threshold=bad)
 
 
+@pytest.mark.parametrize("field", ["max_iterations", "seed"])
+@pytest.mark.parametrize("bad", [2.5, 1.0, True, "3", -1])
+def test_ransac_params_reject_a_non_integer_or_negative_count_or_seed(field, bad):
+    # seed = 1.5 or -1 would end in numpy's own TypeError or ValueError,
+    # and max_iterations = 2.5 would run 3 draws
+    with pytest.raises(InvalidParameter, match=field):
+        RansacParams(**{field: bad})
+    assert getattr(RansacParams(**{field: np.int64(7)}), field) == 7
+
+
 def test_plane_from_points_matches_np_cross():
-    # spreads from 1e-6 to 1e3 m, and exactly repeated points (degenerate)
+    # spreads from 1e-6 to 1e6 m, and exactly repeated points (degenerate);
+    # the normal's length must equal np.linalg.norm's bit for bit
     rng = np.random.default_rng(17)
-    triples = rng.normal(size=(3000, 3, 3)) * 10.0 ** rng.integers(-6, 4, size=(3000, 1, 1))
+    triples = rng.normal(size=(3000, 3, 3)) * 10.0 ** rng.integers(-6, 7, size=(3000, 1, 1))
     triples[::100, 2] = triples[::100, 0]
     for p0, p1, p2 in triples:
         normal = np.cross(p1 - p0, p2 - p0)
@@ -315,8 +326,9 @@ def test_screen_gives_the_float64_vote_or_drops_a_candidate_that_cannot_win(
 
 def test_screen_drops_most_candidates_without_a_float64_pass(monkeypatch):
     # the float32 screen is the fast path: on a 50k-point cloud most
-    # candidates must end there, and no candidate scores all N points in
-    # float64; the one full float64 pass left is the refit's
+    # candidates must end there, and the fit scores no candidate, and no
+    # refitted plane, on all N points in float64; the diagnostics' one full
+    # pass runs when they are first read
     rng = np.random.default_rng(18)
     cloud, _ = ground_plus_pile(rng, n_ground=40000, n_pile=10000)
     widths, outcomes = [], []
@@ -335,8 +347,84 @@ def test_screen_drops_most_candidates_without_a_float64_pass(monkeypatch):
     plane = ransac_plane(cloud, RansacParams(seed=4))
     assert len(outcomes) >= 10
     assert sum(outcomes) > len(outcomes) / 2
-    assert widths.count(len(cloud)) == 1
+    assert widths.count(len(cloud)) == 0
     assert plane.inlier_indices.size > 30000
+    assert plane.rms_residual > 0.0
+    assert widths.count(len(cloud)) == 1
+
+
+def eager_diagnostics(cloud, plane, t):
+    """The inlier indices and RMS residual of ``plane`` at threshold ``t``,
+    spelled out term for term as the fit's distance pass forms them."""
+    x, y, z = (cloud.xyz[:, k] for k in range(3))
+    dist = np.abs(((x * plane.a + y * plane.b) + z * plane.c) + plane.d)
+    inliers = np.flatnonzero(dist <= t)
+    rms = float(np.sqrt(np.mean(dist[inliers] ** 2))) if inliers.size else 0.0
+    return inliers, rms
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300),
+       offset=st.sampled_from([0.0, 1e3, 1e6]),
+       duplicates=st.integers(0, 40),
+       edge=st.booleans())
+def test_lazy_diagnostics_equal_an_eager_recomputation(seed, n, offset,
+                                                       duplicates, edge):
+    # a noisy plane through a point up to 1e6 m from the origin, as in UTM
+    # coordinates, some rows repeated; with ``edge`` the threshold is one
+    # point's distance from the plane, so that point sits exactly at t
+    rng = np.random.default_rng(seed)
+    normal = rng.normal(size=3)
+    normal /= np.linalg.norm(normal)
+    u = np.cross(normal, rng.normal(size=3))
+    u /= np.linalg.norm(u)
+    v = np.cross(normal, u)
+    ab = rng.uniform(-5.0, 5.0, (n, 2))
+    h = rng.uniform(-0.03, 0.03, n)
+    xyz = (offset * rng.uniform(-1, 1, 3) + ab[:, :1] * u + ab[:, 1:] * v
+           + h[:, None] * normal)
+    cloud = PointCloud(np.vstack([xyz, xyz[rng.integers(0, n, duplicates)]]))
+    params = RansacParams(distance_threshold=0.01, seed=seed,
+                          max_iterations=50, min_inlier_fraction=0.01)
+    try:
+        plane = ransac_plane(cloud, params)
+    except DegenerateCloud:
+        assume(False)
+    t = params.distance_threshold
+    if edge:
+        # the same plane, fitted at the threshold one point's distance
+        x, y, z = cloud.xyz[rng.integers(0, len(cloud))]
+        t = float(abs(((x * plane.a + y * plane.b) + z * plane.c) + plane.d))
+        assume(t > 0.0)
+        plane = PlaneModel._of_fit(plane.unit_normal, plane.d, plane.iterations,
+                                   cloud, t)
+    inliers, rms = eager_diagnostics(cloud, plane, t)
+    assert plane.rms_residual.hex() == rms.hex()
+    assert plane.inlier_indices.dtype == inliers.dtype
+    np.testing.assert_array_equal(plane.inlier_indices, inliers)
+    if edge:
+        assert plane.inlier_indices.size >= 1
+
+
+def test_plane_model_equality_and_hash_ignore_the_diagnostics():
+    one = PlaneModel(0.0, 0.0, 1.0, 0.0, inlier_indices=np.arange(5))
+    same = PlaneModel(0.0, 0.0, 1.0, 0.0, inlier_indices=np.arange(5))
+    assert one == same
+    assert hash(one) == hash(same)
+    assert one == PlaneModel(0.0, 0.0, 1.0, 0.0, inlier_indices=np.arange(3),
+                             rms_residual=0.5)
+    assert one != PlaneModel(0.0, 0.0, 1.0, 0.0, np.arange(5), iterations=2)
+    assert one != PlaneModel(0.0, 0.0, 1.0, 1.0, np.arange(5))
+    assert len({one, same}) == 1
+    # a fitted plane equals the same plane built directly, read or unread
+    rng = np.random.default_rng(19)
+    cloud, _ = ground_plus_pile(rng, n_ground=600, n_pile=200)
+    fitted = ransac_plane(cloud, RansacParams(seed=1))
+    direct = PlaneModel(fitted.a, fitted.b, fitted.c, fitted.d, np.arange(0),
+                        iterations=fitted.iterations)
+    assert fitted == direct and hash(fitted) == hash(direct)
+    assert fitted.inlier_indices.size > 0
+    assert fitted == direct and hash(fitted) == hash(direct)
 
 
 def pile_dominated_crop(ground_fraction, n=4000, seed=16):
