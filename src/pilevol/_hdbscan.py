@@ -16,6 +16,7 @@ are reproducible.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,10 @@ class HdbscanParams:
     min_samples: int = 10
 
     def __post_init__(self):
+        for name in ("min_cluster_size", "min_samples"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
         if self.min_cluster_size < 2:
             raise InvalidParameter("min_cluster_size must be >= 2")
         if self.min_samples < 1:

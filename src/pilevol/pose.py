@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,18 +47,17 @@ class RansacParams:
             raise InvalidParameter("min_inlier_fraction must be in (0, 1]")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PlaneModel:
     """Plane A*x + B*y + C*z + D = 0 with unit (A, B, C) and C >= 0.
 
     ``iterations`` counts the RANSAC candidates drawn before the stop.
-    ``inlier_indices``, the points within the fit's distance threshold in
-    cloud order, and ``rms_residual``, their RMS distance, are diagnostics
-    that no pipeline stage reads.  A plane from ``ransac_plane`` computes
-    both from its fitted cloud, with one distance pass, the first time
-    either is read, and keeps them; a plane built directly carries the
-    values it is given.  Equality and hashing compare (a, b, c, d,
-    iterations) only.
+    ``cloud`` and ``threshold`` are the fitted cloud and the fit's distance
+    threshold; equality, hashing and repr leave them out.  The diagnostics
+    ``inlier_indices``, the points of ``cloud`` within ``threshold`` in
+    cloud order, and ``rms_residual``, their RMS distance, come from one
+    distance pass the first time either is read, and are cached; no
+    pipeline stage reads them.
     """
 
     a: float
@@ -65,48 +65,34 @@ class PlaneModel:
     c: float
     d: float
     iterations: int = 0
-    # (inlier_indices, rms_residual), or None until a fitted plane's first
-    # read computes them from _fitted, its (cloud, distance_threshold)
-    _diagnostics: tuple | None = field(default=None, repr=False, compare=False)
-    _fitted: tuple | None = field(default=None, repr=False, compare=False)
+    cloud: PointCloud | None = field(default=None, repr=False, compare=False)
+    threshold: float | None = field(default=None, repr=False, compare=False)
 
-    def __init__(self, a: float, b: float, c: float, d: float,
-                 inlier_indices: np.ndarray, rms_residual: float = 0.0,
-                 iterations: int = 0):
-        for name, value in (("a", a), ("b", b), ("c", c), ("d", d),
-                            ("iterations", iterations),
-                            ("_diagnostics", (inlier_indices, rms_residual)),
-                            ("_fitted", None)):
-            object.__setattr__(self, name, value)
+    def __post_init__(self):
+        coefficients = (self.a, self.b, self.c, self.d)
+        if not all(map(math.isfinite, coefficients)):
+            raise InvalidParameter(f"plane coefficients must be finite, got {coefficients}")
 
-    @classmethod
-    def _of_fit(cls, normal: np.ndarray, d: float, iterations: int,
-                cloud: PointCloud, threshold: float) -> "PlaneModel":
-        """The plane fitted to ``cloud``, its diagnostics not yet computed."""
-        plane = cls(*normal.tolist(), d, None, iterations=iterations)
-        object.__setattr__(plane, "_diagnostics", None)
-        object.__setattr__(plane, "_fitted", (cloud, threshold))
-        return plane
-
-    def _diagnose(self) -> tuple:
-        if self._diagnostics is None:
-            cloud, t = self._fitted
-            # _plane_distances is elementwise, so the transposed view scores
-            # each point with the same bits as the fit's contiguous copy
-            dist = _plane_distances(cloud.xyz.T, self.unit_normal, self.d)
-            inlier_idx = np.flatnonzero(dist <= t)
-            rms = (float(np.sqrt(np.mean(dist[inlier_idx] ** 2)))
-                   if inlier_idx.size else 0.0)
-            object.__setattr__(self, "_diagnostics", (inlier_idx, rms))
-        return self._diagnostics
+    @cached_property
+    def _diagnostics(self) -> tuple[np.ndarray, float]:
+        if self.cloud is None or self.threshold is None:
+            raise InvalidParameter("a plane built without its fitted cloud "
+                                   "and threshold has no diagnostics")
+        # _plane_distances is elementwise, so the transposed view scores
+        # each point with the same bits as the fit's contiguous copy
+        dist = _plane_distances(self.cloud.xyz.T, self.unit_normal, self.d)
+        inlier_idx = np.flatnonzero(dist <= self.threshold)
+        rms = (float(np.sqrt(np.mean(dist[inlier_idx] ** 2)))
+               if inlier_idx.size else 0.0)
+        return inlier_idx, rms
 
     @property
     def inlier_indices(self) -> np.ndarray:
-        return self._diagnose()[0]
+        return self._diagnostics[0]
 
     @property
     def rms_residual(self) -> float:
-        return self._diagnose()[1]
+        return self._diagnostics[1]
 
     @property
     def unit_normal(self) -> np.ndarray:
@@ -334,7 +320,7 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     refined_normal = _orient_up(refined_normal)
     refined_d = -float(refined_normal @ centroid)
 
-    return PlaneModel._of_fit(refined_normal, refined_d, iterations, cloud, t)
+    return PlaneModel(*refined_normal.tolist(), refined_d, iterations, cloud, t)
 
 
 def rodrigues(axis, sin_theta: float, cos_theta: float) -> np.ndarray:
@@ -356,12 +342,13 @@ def rotation_to_up(v: np.ndarray) -> np.ndarray:
     degree rotation about X, where the axis-angle form is singular.
 
     Raises:
-        NotUnitVector: |v| differs from 1 by more than 1e-6.
+        NotUnitVector: |v| differs from 1 by more than 1e-6, or is NaN.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (3,):
         raise NotUnitVector(f"expected a 3-vector, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-6:
+    # written so that a NaN component fails it too
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-6:
         raise NotUnitVector(f"|v| = {np.linalg.norm(v)!r} is not 1")
     axis = np.cross(v, EZ)
     sin_theta = np.linalg.norm(axis)

@@ -12,6 +12,7 @@ pure function of the scene seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Union
@@ -27,6 +28,12 @@ HEIGHTFIELD_QUADRATURE_N = 2048
 # the footprint
 _HEIGHTFIELD_FLOOR = 0.05
 _QUADRATURE_BLOCK_ROWS = 64
+
+
+def _is_count(value) -> bool:
+    """True for an integer >= 0 that is not a bool."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +176,7 @@ def heightfield_quadrature(pile: Heightfield, n: int = HEIGHTFIELD_QUADRATURE_N,
     n = 2048 it takes about 0.04 s per pile on one core of a 2-core x86-64
     VM, against 0.4 s point by point.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (_is_count(n) and n >= 1):
         raise InvalidParameter(f"quadrature size n must be an integer >= 1, got {n!r}")
     a = pile.radius
     step = 2.0 * a / n
@@ -218,8 +225,15 @@ class ClutterSpec:
     def __post_init__(self):
         if self.kind not in ("box", "sphere"):
             raise InvalidParameter(f"clutter kind must be box or sphere, got {self.kind!r}")
-        if self.count < 0:
-            raise InvalidParameter("clutter count must be >= 0")
+        if not _is_count(self.count):
+            raise InvalidParameter(f"clutter count must be an integer >= 0, got {self.count!r}")
+        # each test is written so that NaN fails it as well as inf
+        if not (len(self.center) == 3
+                and all(-math.inf < v < math.inf for v in self.center)):
+            raise InvalidParameter(f"clutter center must be 3 finite values, got {self.center}")
+        if not (len(self.size) == 3 and all(0.0 < v < math.inf for v in self.size)):
+            raise InvalidParameter(
+                f"clutter size must be 3 finite values > 0, got {self.size}")
 
 
 @dataclass(frozen=True)
@@ -249,6 +263,8 @@ class SceneSpec:
         if not 0.0 <= self.noise_sigma < math.inf:
             raise InvalidParameter(
                 f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not _is_count(self.seed):
+            raise InvalidParameter(f"seed must be an integer >= 0, got {self.seed!r}")
         if 2.0 * self.pile.footprint_radius > min(self.ground_extent):
             raise InvalidParameter("pile footprint does not fit in the ground extent")
 

@@ -222,6 +222,17 @@ def test_radius_params_validation():
     assert RadiusFilterParams(n_min=np.int64(3)).n_min == 3
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("min_samples", 2.5), ("min_samples", True), ("min_cluster_size", 20.0),
+    ("min_cluster_size", "50"),
+])
+def test_hdbscan_params_reject_counts_that_are_not_integers(field, bad):
+    # a fractional min_samples failed only inside core_distances, with
+    # numpy's IndexError
+    with pytest.raises(InvalidParameter, match=field):
+        HdbscanParams(**{"min_cluster_size": 20, field: bad})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
 def test_radius_params_reject_nan_inf_and_zero(bad):
     # r0 = inf would list every pair; only construction is tried

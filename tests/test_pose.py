@@ -396,8 +396,8 @@ def test_lazy_diagnostics_equal_an_eager_recomputation(seed, n, offset,
         x, y, z = cloud.xyz[rng.integers(0, len(cloud))]
         t = float(abs(((x * plane.a + y * plane.b) + z * plane.c) + plane.d))
         assume(t > 0.0)
-        plane = PlaneModel._of_fit(plane.unit_normal, plane.d, plane.iterations,
-                                   cloud, t)
+        plane = PlaneModel(plane.a, plane.b, plane.c, plane.d, plane.iterations,
+                           cloud, t)
     inliers, rms = eager_diagnostics(cloud, plane, t)
     assert plane.rms_residual.hex() == rms.hex()
     assert plane.inlier_indices.dtype == inliers.dtype
@@ -407,20 +407,24 @@ def test_lazy_diagnostics_equal_an_eager_recomputation(seed, n, offset,
 
 
 def test_plane_model_equality_and_hash_ignore_the_diagnostics():
-    one = PlaneModel(0.0, 0.0, 1.0, 0.0, inlier_indices=np.arange(5))
-    same = PlaneModel(0.0, 0.0, 1.0, 0.0, inlier_indices=np.arange(5))
-    assert one == same
-    assert hash(one) == hash(same)
-    assert one == PlaneModel(0.0, 0.0, 1.0, 0.0, inlier_indices=np.arange(3),
-                             rms_residual=0.5)
-    assert one != PlaneModel(0.0, 0.0, 1.0, 0.0, np.arange(5), iterations=2)
-    assert one != PlaneModel(0.0, 0.0, 1.0, 1.0, np.arange(5))
-    assert len({one, same}) == 1
-    # a fitted plane equals the same plane built directly, read or unread
     rng = np.random.default_rng(19)
     cloud, _ = ground_plus_pile(rng, n_ground=600, n_pile=200)
+    one = PlaneModel(0.0, 0.0, 1.0, 0.0, cloud=cloud, threshold=0.01)
+    same = PlaneModel(0.0, 0.0, 1.0, 0.0, cloud=cloud, threshold=0.01)
+    assert one == same
+    assert hash(one) == hash(same)
+    other = PlaneModel(0.0, 0.0, 1.0, 0.0, cloud=cloud.select(np.arange(3)),
+                       threshold=0.5)
+    assert one == other
+    assert other.inlier_indices.size <= 3 < one.inlier_indices.size
+    assert one == other and hash(one) == hash(other)
+    assert one != PlaneModel(0.0, 0.0, 1.0, 0.0, iterations=2, cloud=cloud,
+                             threshold=0.01)
+    assert one != PlaneModel(0.0, 0.0, 1.0, 1.0, cloud=cloud, threshold=0.01)
+    assert len({one, same}) == 1
+    # a fitted plane equals the same plane built directly, read or unread
     fitted = ransac_plane(cloud, RansacParams(seed=1))
-    direct = PlaneModel(fitted.a, fitted.b, fitted.c, fitted.d, np.arange(0),
+    direct = PlaneModel(fitted.a, fitted.b, fitted.c, fitted.d,
                         iterations=fitted.iterations)
     assert fitted == direct and hash(fitted) == hash(direct)
     assert fitted.inlier_indices.size > 0
@@ -492,6 +496,22 @@ def test_rotation_rejects_non_unit():
         rotation_to_up(np.array([1.0, 1.0, 0.0]))
 
 
+@pytest.mark.parametrize("call, error", [
+    # |v| - 1 is NaN, which no bound test caught, so posture handed on a
+    # NaN rotation and NaN coordinates
+    (lambda: rotation_to_up(np.array([np.nan, 0.0, 1.0])), NotUnitVector),
+    (lambda: rotation_to_up(np.full(3, np.nan)), NotUnitVector),
+    (lambda: PlaneModel(np.nan, 0.0, 1.0, 0.0), InvalidParameter),
+    (lambda: PlaneModel(0.0, 0.0, 1.0, np.inf), InvalidParameter),
+    (lambda: PlaneModel(0.0, 0.0, 1.0, 0.0).inlier_indices, InvalidParameter),
+    (lambda: PlaneModel(0.0, 0.0, 1.0, 0.0).rms_residual, InvalidParameter),
+], ids=["nan-vector", "all-nan-vector", "nan-coefficient", "inf-offset",
+        "cloudless-inliers", "cloudless-rms"])
+def test_posture_rejects_non_finite_planes_and_cloudless_diagnostics(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # correct_posture
 # ---------------------------------------------------------------------------
@@ -501,9 +521,10 @@ def test_correct_posture_identity_on_level_plane():
     xyz = np.column_stack([rng.uniform(-1, 1, 500), rng.uniform(-1, 1, 500),
                            np.zeros(500)])
     cloud = PointCloud(xyz)
-    plane = PlaneModel(0.0, 0.0, 1.0, 0.0, inlier_indices=np.arange(500))
+    plane = PlaneModel(0.0, 0.0, 1.0, 0.0, cloud=cloud, threshold=0.01)
     out = correct_posture(cloud, plane)
     np.testing.assert_allclose(out.xyz, xyz, atol=1e-12)
+    np.testing.assert_array_equal(plane.inlier_indices, np.arange(500))
 
 
 def test_correct_posture_diagonal_plane_to_zero():

@@ -277,6 +277,34 @@ def test_spec_validation():
         ClutterSpec(kind="cylinder", center=(0, 0, 0), size=(1, 1, 1), count=5)
 
 
+def _blob(**changes):
+    return ClutterSpec(**{"kind": "box", "center": (0.5, 0.2, 0.1),
+                          "size": (0.05, 0.05, 0.05), "count": 10, **changes})
+
+
+@pytest.mark.parametrize("call", [
+    # numpy's ValueError and TypeError from default_rng
+    lambda: generate_scene(replace(reference_scenes()[0], seed=-1)),
+    lambda: generate_scene(replace(reference_scenes()[0], seed=1.5)),
+    lambda: _blob(count=2.5),
+    lambda: _blob(count=True),
+    lambda: _blob(count="10"),
+    # a non-finite blob put NaN rows in the scene, read as a silent 0 m^3
+    lambda: _blob(center=(math.nan, 0.0, 0.0)),
+    lambda: _blob(center=(0.0, math.inf, 0.0)),
+    lambda: _blob(size=(0.05, math.nan, 0.05)),
+    lambda: _blob(size=(0.0, 0.05, 0.05)),
+    lambda: _blob(size=(0.05, 0.05, -0.05)),
+    lambda: heightfield_quadrature(
+        Heightfield(shape_seed=7, radius=0.4, target_volume=0.05), n=True),
+], ids=["negative-seed", "fractional-seed", "fractional-count", "bool-count",
+        "string-count", "nan-center", "inf-center", "nan-size", "zero-size",
+        "negative-size", "bool-quadrature-size"])
+def test_synth_inputs_raise_typed_errors(call):
+    with pytest.raises(InvalidParameter):
+        call()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("field", ["footprint_area", "point_density",
