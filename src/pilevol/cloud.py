@@ -144,9 +144,18 @@ def passthrough_filter(cloud: PointCloud, ranges: Sequence[AxisRange]) -> PointC
     return cloud.select(mask)
 
 
-# rows per chunk of the cell kernel's passes: its buffers are this long,
-# so the table path's only N-long array is the int64 cell keys
+# rows per chunk of the cell kernel's passes, the scene generator and the
+# text writers: their buffers are this long, so the table path's only
+# N-long array is the int64 cell keys.  A whole number of SIMD vectors, so
+# a chunked elementwise pass leaves its scalar tail on the same rows as one
+# pass over the whole array.
 _CHUNK = 1 << 14
+
+
+def _chunks(n: int) -> list[slice]:
+    """The slices of ``_CHUNK`` rows, the last one shorter, that cover
+    ``n`` rows in order."""
+    return [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
 
 
 def cell_means(coords: np.ndarray, size: float,
@@ -170,7 +179,7 @@ def cell_means(coords: np.ndarray, size: float,
     cells are numbered.
     """
     n, width = coords.shape
-    chunks = [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
+    chunks = _chunks(n)
     # each chunk's coordinates, one contiguous row per axis: reading the
     # strided columns of an (N, 3) cloud directly takes about twice as long
     axes = np.empty((width, min(n, _CHUNK)))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _chunks
 from .errors import InvalidParameter, MalformedHeader, UnsupportedProperty
 
 FORMAT_PLY_ASCII = "ply-ascii"
@@ -71,15 +71,21 @@ def save_cloud(cloud: PointCloud, path, format: str = FORMAT_PLY_BINARY) -> None
     """
     path = Path(path)
     if format == FORMAT_XYZ:
-        path.write_text(_text_rows(cloud.xyz))
+        with open(path, "wb") as fh:
+            _write_text_rows(fh, cloud.xyz)
     elif format in (FORMAT_PLY_ASCII, FORMAT_PLY_BINARY):
         _save_ply(cloud, path, format)
     else:
         raise InvalidParameter(f"unknown cloud format {format!r}")
 
 
-def _text_rows(xyz: np.ndarray) -> str:
-    return "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in xyz.tolist())
+def _write_text_rows(fh, xyz: np.ndarray) -> None:
+    """Write each row of ``xyz`` to the binary file ``fh`` as an "x y z"
+    line of shortest round-trip reprs, ``_CHUNK`` rows at a time, so the
+    text in memory is one chunk's."""
+    for rows in _chunks(len(xyz)):
+        fh.write("".join(f"{x!r} {y!r} {z!r}\n"
+                         for x, y, z in xyz[rows].tolist()).encode("ascii"))
 
 
 def _load_xyz(path: Path) -> PointCloud:
@@ -238,6 +244,7 @@ def _save_ply(cloud: PointCloud, path: Path, fmt: str) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if fmt == FORMAT_PLY_ASCII:
-            fh.write(_text_rows(cloud.xyz).encode("ascii"))
+            _write_text_rows(fh, cloud.xyz)
         else:
-            fh.write(cloud.xyz.astype("<f8").tobytes())
+            # the cloud's own buffer: a copy only on a big-endian host
+            fh.write(memoryview(np.ascontiguousarray(cloud.xyz, dtype="<f8")))

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import _CHUNK, PointCloud, _add_to_columns, _chunks
 from .errors import InvalidParameter
 from .pose import rodrigues
 
@@ -36,6 +36,17 @@ def _is_count(value) -> bool:
             and value >= 0)
 
 
+def _require_positive(shape, *fields: str) -> None:
+    """Raise ``InvalidParameter`` unless each named dimension of ``shape`` is
+    finite and > 0; the test is written so that NaN fails it as well as
+    inf."""
+    for name in fields:
+        value = getattr(shape, name)
+        if not 0.0 < value < math.inf:
+            raise InvalidParameter(
+                f"{type(shape).__name__}.{name} must be finite and > 0, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Pile shapes: a footprint, an upper-surface height function, and an
 # analytic volume
@@ -45,6 +56,9 @@ def _is_count(value) -> bool:
 class Cone:
     radius: float
     height: float
+
+    def __post_init__(self):
+        _require_positive(self, "radius", "height")
 
     @property
     def footprint_radius(self) -> float:
@@ -65,6 +79,13 @@ class Frustum:
     r_top: float
     height: float
 
+    def __post_init__(self):
+        _require_positive(self, "r_base", "height")
+        # equal radii would divide by zero in surface_height
+        if not 0.0 <= self.r_top < self.r_base:
+            raise InvalidParameter(
+                f"Frustum.r_top must be in [0, r_base), got {self.r_top!r}")
+
     @property
     def footprint_radius(self) -> float:
         return self.r_base
@@ -84,6 +105,15 @@ class Frustum:
 class SphericalCap:
     sphere_radius: float
     cap_height: float
+
+    def __post_init__(self):
+        _require_positive(self, "sphere_radius", "cap_height")
+        # past a hemisphere the surface does not meet the ground at the
+        # footprint rim
+        if not self.cap_height <= self.sphere_radius:
+            raise InvalidParameter(
+                f"SphericalCap.cap_height must be <= sphere_radius, got "
+                f"{self.cap_height!r}")
 
     @property
     def footprint_radius(self) -> float:
@@ -112,6 +142,12 @@ class Heightfield:
     shape_seed: int
     radius: float
     target_volume: float
+
+    def __post_init__(self):
+        if not _is_count(self.shape_seed):
+            raise InvalidParameter(
+                f"Heightfield.shape_seed must be an integer >= 0, got {self.shape_seed!r}")
+        _require_positive(self, "radius", "target_volume")
 
     @property
     def footprint_radius(self) -> float:
@@ -288,30 +324,53 @@ def _sample_clutter(blob: ClutterSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
+    """The scene cloud, built in one (N, 3) array.
+
+    Each stage runs ``_CHUNK`` rows at a time, in place, drawing from the
+    seed's generator in the same order and with the same call shapes per
+    row as one whole-array pass would: all x, then all y, each clutter
+    blob, then the noise of every row, the tilt axis and the offset.  Every
+    row gets the same bits, and no temporary outgrows a chunk.
+    """
     rng = np.random.default_rng(spec.seed)
     width, length = spec.ground_extent
     n_scene = int(round(spec.point_density * width * length))
-    x = rng.uniform(-0.5 * width, 0.5 * width, n_scene)
-    y = rng.uniform(-0.5 * length, 0.5 * length, n_scene)
-    z = spec.pile.surface_height(x, y)
-    parts = [np.column_stack([x, y, z])]
+    xyz = np.empty((n_scene + sum(blob.count for blob in spec.clutter), 3))
+    ground, every = _chunks(n_scene), _chunks(len(xyz))
+    for k, half in enumerate((0.5 * width, 0.5 * length)):
+        for rows in ground:
+            xyz[rows, k] = rng.uniform(-half, half, rows.stop - rows.start)
+    for rows in ground:
+        # contiguous copies, as the pile's ufuncs saw whole-array x and y
+        xyz[rows, 2] = spec.pile.surface_height(xyz[rows, 0].copy(),
+                                                xyz[rows, 1].copy())
+    start = n_scene
     for blob in spec.clutter:
-        parts.append(_sample_clutter(blob, rng))
-    xyz = np.concatenate(parts, axis=0)
+        xyz[start:start + blob.count] = _sample_clutter(blob, rng)
+        start += blob.count
     if ground_warp is not None:
-        xyz[:, 2] += ground_warp(xyz[:, 0], xyz[:, 1])
+        for rows in every:
+            xyz[rows, 2] += ground_warp(xyz[rows, 0], xyz[rows, 1])
     if spec.noise_sigma > 0:
-        xyz = xyz + rng.normal(0.0, spec.noise_sigma, xyz.shape)
+        for rows in every:
+            xyz[rows] += rng.normal(0.0, spec.noise_sigma, (rows.stop - rows.start, 3))
     if spec.tilt_deg > 0:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         theta = math.radians(spec.tilt_deg)
         rot = rodrigues((math.cos(phi), math.sin(phi), 0.0),
                         math.sin(theta), math.cos(theta))
-        xyz = xyz @ rot.T
+        turned = np.empty((min(len(xyz), _CHUNK), 3))
+        for rows in every:
+            part = xyz[rows]
+            if len(part) == 1 < len(xyz):
+                # numpy takes one row as a gemv, which may round unlike the
+                # gemm of the whole array; the row doubled stays a gemm
+                part = part[[0, 0]]
+            np.matmul(part, rot.T, out=turned[:len(part)])
+            xyz[rows] = turned[:rows.stop - rows.start]
     offset = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                        rng.uniform(-0.3, 0.3)])
-    xyz = xyz + offset
-    return Scene(cloud=PointCloud._own(xyz),
+    return Scene(cloud=PointCloud._own(_add_to_columns(xyz, offset)),
                  true_volume=spec.pile.true_volume)
 
 

@@ -5,6 +5,8 @@ import io
 import multiprocessing
 import os
 import struct
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pilevol import cloudio
-from pilevol.cloud import PointCloud
+from pilevol.cloud import _CHUNK, PointCloud
 from pilevol.cloudio import (
     FORMAT_PLY_ASCII,
     FORMAT_PLY_BINARY,
@@ -98,6 +100,49 @@ def test_binary_float64_roundtrip_exact(tmp_path):
     save_cloud(cloud, path, FORMAT_PLY_BINARY)
     again = load_cloud(path)
     assert np.max(np.abs(again.xyz - cloud.xyz)) == 0.0
+
+
+def _traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of ``fn(*args)`` above what was
+    allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def whole_text(xyz: np.ndarray) -> str:
+    """The text writers' rows written in one piece, as they were before they
+    wrote chunk by chunk."""
+    return "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in xyz.tolist())
+
+
+@pytest.mark.parametrize("fmt", [FORMAT_XYZ, FORMAT_PLY_ASCII])
+def test_text_writers_write_chunk_by_chunk(tmp_path, fmt):
+    # the rows span three chunks, the last one partial; the bytes are those
+    # of the one-piece writer, and the text held in memory is one chunk's
+    rng = np.random.default_rng(5)
+    cloud = PointCloud(rng.normal(scale=10.0, size=(2 * _CHUNK + 7, 3)))
+    path = tmp_path / ("c.xyz" if fmt == FORMAT_XYZ else "c.ply")
+    header = b"" if fmt == FORMAT_XYZ else ply_bytes(
+        "ascii", f"element vertex {len(cloud)}")
+    whole = _traced_peak(save_cloud, cloud, path, fmt)
+    assert path.read_bytes() == header + whole_text(cloud.xyz).encode("ascii")
+    one_chunk = _traced_peak(save_cloud, PointCloud(cloud.xyz[:_CHUNK]), path, fmt)
+    assert whole < 1.25 * one_chunk
+
+
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="a big-endian host writes a little-endian copy")
+def test_binary_save_makes_no_copy_of_the_payload(tmp_path):
+    cloud = PointCloud(np.random.default_rng(6).normal(size=(100_000, 3)))
+    path = tmp_path / "b.ply"
+    peak = _traced_peak(save_cloud, cloud, path, FORMAT_PLY_BINARY)
+    assert peak < 0.05 * cloud.xyz.nbytes
+    assert load_cloud(path) == cloud
 
 
 def test_ply_skips_extra_properties(tmp_path):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from pilevol import synth
-from pilevol.cloud import PointCloud
+from pilevol.cloud import _CHUNK, PointCloud
 from pilevol.errors import InvalidParameter
+from pilevol.pose import rodrigues
 from pilevol.synth import (
     ClutterSpec,
     Cone,
@@ -188,6 +190,90 @@ def test_scene_bytes_golden():
             == SMEARED_S01_DIGEST)
 
 
+def whole_array_generate(spec, ground_warp=None) -> np.ndarray:
+    """The scene generator as it was before it filled one array in chunks:
+    each stage a whole-array pass that returns a new array."""
+    rng = np.random.default_rng(spec.seed)
+    width, length = spec.ground_extent
+    n_scene = int(round(spec.point_density * width * length))
+    x = rng.uniform(-0.5 * width, 0.5 * width, n_scene)
+    y = rng.uniform(-0.5 * length, 0.5 * length, n_scene)
+    z = spec.pile.surface_height(x, y)
+    parts = [np.column_stack([x, y, z])]
+    for blob in spec.clutter:
+        parts.append(synth._sample_clutter(blob, rng))
+    xyz = np.concatenate(parts, axis=0)
+    if ground_warp is not None:
+        xyz[:, 2] += ground_warp(xyz[:, 0], xyz[:, 1])
+    if spec.noise_sigma > 0:
+        xyz = xyz + rng.normal(0.0, spec.noise_sigma, xyz.shape)
+    if spec.tilt_deg > 0:
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        theta = math.radians(spec.tilt_deg)
+        rot = rodrigues((math.cos(phi), math.sin(phi), 0.0),
+                        math.sin(theta), math.cos(theta))
+        xyz = xyz @ rot.T
+    offset = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
+                       rng.uniform(-0.3, 0.3)])
+    return xyz + offset
+
+
+CHUNK_EDGES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]
+
+
+def edge_spec(pile, n, **kw):
+    """A scene of exactly ``n`` ground and pile points."""
+    extent = (1.6, 0.8)
+    spec = plain_spec(pile, extent, density=n / (extent[0] * extent[1]), seed=n, **kw)
+    assert int(round(spec.point_density * extent[0] * extent[1])) == n
+    return spec
+
+
+@pytest.mark.parametrize("clutter", [(), default_clutter((1.6, 0.8))],
+                         ids=["bare", "clutter"])
+@pytest.mark.parametrize("n", CHUNK_EDGES)
+def test_chunked_scene_matches_the_whole_array_reference(n, clutter):
+    # on both sides of a chunk edge, every shape's ufuncs, the noise draw
+    # and the BLAS tilt give each row the bits of one whole-array pass,
+    # with the noise or the tilt off as well; a single last row of the
+    # tilt is a gemv in numpy unless it is kept a gemm
+    piles = (Cone(0.3, 0.25), Frustum(0.3, 0.15, 0.2), SphericalCap(0.5, 0.1),
+             Heightfield(shape_seed=7, radius=0.3, target_volume=0.02))
+    for pile in piles:
+        for noise_sigma, tilt_deg in ((0.005, 8.0), (0.0, 8.0), (0.005, 0.0)):
+            spec = edge_spec(pile, n, noise_sigma=noise_sigma, tilt_deg=tilt_deg,
+                             clutter=clutter)
+            cloud = generate_scene(spec).cloud.xyz
+            assert cloud.tobytes() == whole_array_generate(spec).tobytes(), (
+                pile, noise_sigma, tilt_deg)
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGES)
+def test_chunked_smeared_scene_matches_the_whole_array_reference(n):
+    spec = edge_spec(Cone(0.3, 0.25), n, noise_sigma=0.002, tilt_deg=5.0,
+                     clutter=default_clutter((1.6, 0.8)))
+    rise = 0.02
+
+    def warp(x, y):
+        return rise * np.abs(x) / (0.5 * spec.ground_extent[0])
+
+    reference = whole_array_generate(replace(spec, tilt_deg=0.0), warp)
+    assert smeared_ground_scene(spec, rise).cloud.xyz.tobytes() == reference.tobytes()
+
+
+def test_generate_scene_holds_about_one_copy_of_the_cloud():
+    # each stage runs in place on the scene's one array, a chunk at a time;
+    # the whole-array stages held about four copies of the cloud
+    spec = dense_compression_scene()
+    tracemalloc.start()
+    try:
+        scene = generate_scene(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * scene.cloud.xyz.nbytes
+
+
 # SHA-256 of the crescent's cloud bytes at its default density and at the
 # density of test_crescent_truth_against_quadrature, and its analytic truth
 CRESCENT_DIGESTS = {
@@ -297,9 +383,33 @@ def _blob(**changes):
     lambda: _blob(size=(0.05, 0.05, -0.05)),
     lambda: heightfield_quadrature(
         Heightfield(shape_seed=7, radius=0.4, target_volume=0.05), n=True),
+    # a NaN dimension gave NaN rows and a NaN truth, a negative radius a
+    # positive truth
+    lambda: Cone(0.3, math.nan),
+    lambda: Cone(-0.3, 0.2),
+    lambda: Cone(math.inf, 0.2),
+    lambda: Frustum(0.3, 0.1, math.nan),
+    lambda: Frustum(0.3, math.nan, 0.2),
+    lambda: Frustum(0.3, -0.1, 0.2),
+    # equal radii divided by zero in surface_height
+    lambda: Frustum(0.3, 0.3, 0.2),
+    lambda: Frustum(0.3, 0.4, 0.2),
+    lambda: SphericalCap(math.nan, 0.1),
+    lambda: SphericalCap(0.5, 0.0),
+    # past a hemisphere the surface does not close at the footprint rim
+    lambda: SphericalCap(0.1, 0.2),
+    lambda: Heightfield(shape_seed=1.5, radius=0.4, target_volume=0.05),
+    lambda: Heightfield(shape_seed=True, radius=0.4, target_volume=0.05),
+    lambda: Heightfield(shape_seed=7, radius=-0.4, target_volume=0.05),
+    lambda: Heightfield(shape_seed=7, radius=0.4, target_volume=math.inf),
 ], ids=["negative-seed", "fractional-seed", "fractional-count", "bool-count",
         "string-count", "nan-center", "inf-center", "nan-size", "zero-size",
-        "negative-size", "bool-quadrature-size"])
+        "negative-size", "bool-quadrature-size", "nan-cone-height",
+        "negative-cone-radius", "inf-cone-radius", "nan-frustum-height",
+        "nan-frustum-top", "negative-frustum-top", "equal-frustum-radii",
+        "frustum-top-past-base", "nan-cap-radius", "zero-cap-height",
+        "cap-past-hemisphere", "fractional-shape-seed", "bool-shape-seed",
+        "negative-heightfield-radius", "inf-heightfield-volume"])
 def test_synth_inputs_raise_typed_errors(call):
     with pytest.raises(InvalidParameter):
         call()
