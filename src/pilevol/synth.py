@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .cloud import _CHUNK, PointCloud, _add_to_columns, _chunks
+from .cloud import PointCloud, _add_to_columns, _chunks
 from .errors import InvalidParameter
 from .pose import rodrigues
 
@@ -326,11 +326,11 @@ def _sample_clutter(blob: ClutterSpec, rng: np.random.Generator) -> np.ndarray:
 def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
     """The scene cloud, built in one (N, 3) array.
 
-    Each stage runs ``_CHUNK`` rows at a time, in place, drawing from the
-    seed's generator in the same order and with the same call shapes per
-    row as one whole-array pass would: all x, then all y, each clutter
-    blob, then the noise of every row, the tilt axis and the offset.  Every
-    row gets the same bits, and no temporary outgrows a chunk.
+    Each stage runs ``_CHUNK`` rows at a time, in place, and draws from
+    the seed's generator in the order of whole-array passes: all x, then
+    all y, each clutter blob, the noise of every row, the tilt axis and
+    the offset.  Every row gets the bits those passes gave it, and no
+    temporary outgrows a chunk.
     """
     rng = np.random.default_rng(spec.seed)
     width, length = spec.ground_extent
@@ -359,15 +359,13 @@ def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
         theta = math.radians(spec.tilt_deg)
         rot = rodrigues((math.cos(phi), math.sin(phi), 0.0),
                         math.sin(theta), math.cos(theta))
-        turned = np.empty((min(len(xyz), _CHUNK), 3))
         for rows in every:
             part = xyz[rows]
             if len(part) == 1 < len(xyz):
                 # numpy takes one row as a gemv, which may round unlike the
                 # gemm of the whole array; the row doubled stays a gemm
                 part = part[[0, 0]]
-            np.matmul(part, rot.T, out=turned[:len(part)])
-            xyz[rows] = turned[:rows.stop - rows.start]
+            xyz[rows] = (part @ rot.T)[:rows.stop - rows.start]
     offset = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                        rng.uniform(-0.3, 0.3)])
     return Scene(cloud=PointCloud._own(_add_to_columns(xyz, offset)),
