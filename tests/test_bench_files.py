@@ -32,8 +32,12 @@ def test_bench_file_names_the_benchmark_workloads_metrics_and_units(path):
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     record = json.loads(path.read_text())
     assert path.name == f"BENCH_{record['n']}.json"
+    assert record["seconds"] == spec["run_seconds"]
+    assert record["seed"] == bench_record.SEED
+    if record["base"]:
+        assert record["pairs"] >= bench_record.MIN_PAIRS
     assert record["workloads"]
-    assert set(record["workloads"]) <= {w["name"] for w in spec["workloads"]}
+    assert set(record["workloads"]) == {w["name"] for w in spec["workloads"]}
     sides = ["head"] + (["base"] if record["base"] else [])
     for workload, entry in record["workloads"].items():
         for side in sides:

@@ -248,6 +248,16 @@ def test_chunked_scene_matches_the_whole_array_reference(n, clutter):
                 pile, noise_sigma, tilt_deg)
 
 
+def test_large_chunked_scene_matches_the_whole_array_reference():
+    # past about 111k rows (M*N*K > 1e6 for the 3x3 tilt) OpenBLAS may take
+    # the whole-array gemm through another dgemm kernel than the 2**14-row
+    # chunks; the rows must still read the same bits
+    spec = edge_spec(Cone(0.3, 0.25), 2**17 + 7, noise_sigma=0.005, tilt_deg=8.0,
+                     clutter=default_clutter((1.6, 0.8)))
+    cloud = generate_scene(spec).cloud.xyz
+    assert cloud.tobytes() == whole_array_generate(spec).tobytes()
+
+
 @pytest.mark.parametrize("n", CHUNK_EDGES)
 def test_chunked_smeared_scene_matches_the_whole_array_reference(n):
     spec = edge_spec(Cone(0.3, 0.25), n, noise_sigma=0.002, tilt_deg=5.0,

@@ -1,20 +1,21 @@
 """Record the benchmark's end-to-end metrics in a committed BENCH_<n>.json.
 
-Each workload runs as ``perfbench/run.py --workload <w> --trace 0`` in a
-fresh process, ``--pairs`` times.  With ``--base <commit>`` the same runs
-are made on a ``git archive`` copy of that commit in a temporary
-directory, in alternating pairs: the first side of each pair alternates,
-so a slow phase of the machine does not always fall on one side.
+Every workload of BENCHMARK.json runs as ``perfbench/run.py --workload
+<w> --trace 0`` in a fresh process, at the benchmark's seed and for its
+``run_seconds``, ``--pairs`` times (10 at least).  With ``--base <commit>``
+the same runs are made on a ``git archive`` copy of that commit in a
+temporary directory, in alternating pairs: the first side of each pair
+alternates, so a slow phase of the machine does not always fall on one
+side.
 
-    python3 tools/bench_record.py --n 32 --base HEAD~1 --pairs 10
-    python3 tools/bench_record.py --n 33 --workload voxel-band --pairs 3
+    python3 tools/bench_record.py --n 32 --base HEAD~1
 
 The file holds both commits, the machine facts, every run's end-to-end
 metrics, and each side's median and quartiles per metric.  With a base,
 each metric also gets the number of pairs in which the checkout did better
 and whether its median moved by more than the base's interquartile range.
 The checkout side is the working tree; the file notes whether it had
-uncommitted changes.
+uncommitted changes or untracked files that are not ignored.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # the facts of a run that describe the run, not the machine
 RUN_FACTS = ("workload", "seed", "seconds", "trace", "pass_size")
+# perfbench/run.py's default seed, the one the benchmark runs
+SEED = 1
+# the fewest alternating pairs that can back a claimed gain
+MIN_PAIRS = 10
 
 
 def benchmark_spec() -> dict:
@@ -51,11 +56,11 @@ def export(commit: str, into: Path) -> Path:
     return root
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seconds: float) -> dict:
     """One fresh-process run of one workload: its end-to-end metrics, its
     outcome, and the facts of the machine it ran on."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
     child = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                            timeout=900)
     lines = child.stdout.strip().splitlines()
@@ -64,7 +69,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                          f"{child.returncode}:\n{child.stderr[-2000:]}")
     last = json.loads(lines[-1])
     record = json.loads(
-        (checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json")
+        (checkout / "perfbench" / "out" / f"{workload}-seed{SEED}-trace0.json")
         .read_text())
     return {"correct": last["correct"], "attempted": last["attempted"],
             "failed": last["failed"], "speed_factor_p50": record["speed_factor_p50"],
@@ -106,26 +111,20 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, required=True,
                         help="the number in the file name BENCH_<n>.json")
     parser.add_argument("--base", help="a commit to measure against")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (repeatable); all by default")
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     args = parser.parse_args(argv)
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be >= {MIN_PAIRS}")
     spec = benchmark_spec()
-    names = [w["name"] for w in spec["workloads"]]
-    workloads = args.workload or names
-    if unknown := set(workloads) - set(names):
-        parser.error(f"unknown workload(s) {sorted(unknown)}; BENCHMARK.json has {names}")
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     head = {"commit": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+            "dirty": bool(git("status", "--porcelain"))}
     base = {"commit": git("rev-parse", f"{args.base}^{{commit}}")} if args.base else None
     result = {"n": args.n, "benchmark": "perfbench/run.py --trace 0",
-              "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+              "seed": SEED, "seconds": seconds, "pairs": args.pairs,
               "head": head, "base": base, "machine": None, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         sides = {"head": ROOT}
@@ -136,7 +135,7 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
                 for side in order:
-                    run = run_once(sides[side], workload, args.seed, args.seconds)
+                    run = run_once(sides[side], workload, seconds)
                     runs[side].append(run)
                     print(f"{workload} pair {pair + 1}/{args.pairs} {side}: "
                           + ", ".join(f"{k} {v:.6g}" for k, v in run["metrics"].items()),
