@@ -18,7 +18,6 @@ import numpy as np
 from .cloud import PointCloud
 from .errors import DegenerateCloud, InvalidParameter, NotUnitVector
 
-EZ = np.array([0.0, 0.0, 1.0])
 # probability that the adaptive stop has drawn at least one all-inlier
 # sample (Hartley & Zisserman, Multiple View Geometry, section 4.7)
 RANSAC_CONFIDENCE = 0.999
@@ -134,10 +133,11 @@ def _float32_screen(xt: np.ndarray, t: float):
 
     Returns the (4, N) float32 rows [x - c; y - c; z - c; 1], with the
     centre c of the bounding box subtracted in float64 first; c; the
-    per-axis bounds M_i = max |x_i - c_i| of those float64 differences; and
-    tau = 2^-126 (1 + max_i M_i).  Centred, float32 resolves a 1 cm
-    threshold on a capture of a few km wherever it lies, UTM-size
-    coordinates included.
+    per-axis bounds M_i = max |x_i - c_i| of those float64 differences;
+    tau = 2^-126 (1 + max_i M_i); and two N-length buffers, float32 and
+    bool, into which every candidate's scores and screen mask are written.
+    Centred, float32 resolves a 1 cm threshold on a capture of a few km
+    wherever it lies, UTM-size coordinates included.
     """
     lo, hi = xt.min(axis=1), xt.max(axis=1)
     if not (max(-lo.min(), hi.max()) < _SCREEN_LIMIT and t < _SCREEN_LIMIT):
@@ -148,7 +148,8 @@ def _float32_screen(xt: np.ndarray, t: float):
     x4 = np.empty((4, xt.shape[1]), dtype=np.float32)
     np.subtract(xt, centre[:, None], out=x4[:3])
     x4[3] = 1.0
-    return x4, centre.tolist(), bounds.tolist(), 2.0 ** -126 * (1.0 + float(bounds.max()))
+    return (x4, centre.tolist(), bounds.tolist(), 2.0 ** -126 * (1.0 + float(bounds.max())),
+            np.empty(xt.shape[1], dtype=np.float32), np.empty(xt.shape[1], dtype=bool))
 
 
 def _screened_inliers(xt: np.ndarray, screen, normal: np.ndarray, d: float,
@@ -184,7 +185,7 @@ def _screened_inliers(xt: np.ndarray, screen, normal: np.ndarray, d: float,
     cannot resolve the threshold and every point is voted in float64.
     """
     if screen is not None:
-        x4, (c0, c1, c2), (m0, m1, m2), tau = screen
+        x4, (c0, c1, c2), (m0, m1, m2), tau, s, maybe = screen
         n0, n1, n2 = normal.tolist()
         d_c = d + n0 * c0 + n1 * c1 + n2 * c2
         eps = (_SCREEN_SLACK * (abs(n0) * m0 + abs(n1) * m1 + abs(n2) * m2
@@ -193,13 +194,13 @@ def _screened_inliers(xt: np.ndarray, screen, normal: np.ndarray, d: float,
                                   + abs(n2 * c2)))
     if screen is None or not eps < t:
         return _plane_distances(xt, normal, d) <= t
-    s = np.array([n0, n1, n2, d_c], dtype=np.float32) @ x4
+    np.matmul(np.array([n0, n1, n2, d_c], dtype=np.float32), x4, out=s)
     np.abs(s, out=s)
-    maybe = s <= t + eps
+    np.less_equal(s, t + eps, out=maybe)
     if np.count_nonzero(maybe) <= best_count:
         return None
     inliers = s < t - eps
-    band = np.flatnonzero(maybe ^ inliers)
+    band = np.flatnonzero(np.logical_xor(maybe, inliers, out=maybe))
     inliers[band] = _plane_distances(xt[:, band], normal, d) <= t
     return inliers
 
@@ -220,6 +221,59 @@ def _plane_from_points(p0, p1, p2):
     return normal, -float(normal @ p0)
 
 
+def _words(rng: np.random.Generator):
+    """The generator's 32-bit words in order, drawn 64 at a time.  Every
+    word is one ``next_uint32`` of its bit generator, the call
+    ``Generator.choice`` draws from, so the stream does not depend on how
+    it is cut."""
+    while True:
+        yield from rng.integers(0, 2**32, size=64, dtype=np.uint32).tolist()
+
+
+def _below(words, span: int) -> int:
+    """An integer in [0, ``span``), 1 < span < 2^32, drawn from ``words`` as
+    numpy draws it: Lemire's multiply-shift, rejecting a word whose low
+    half falls below 2^32 mod span (Lemire, ACM TOMACS 29(1), 2019)."""
+    m = next(words) * span
+    if m & 0xFFFFFFFF < span:
+        threshold = (0x100000000 - span) % span
+        while m & 0xFFFFFFFF < threshold:
+            m = next(words) * span
+    return m >> 32
+
+
+def _sample3(words, n: int) -> list[int]:
+    """``Generator.choice(n, 3, replace=False)`` for 3 <= n < 2^32, drawn
+    from the generator's ``words``: Floyd's algorithm over j = n-3, n-2,
+    n-1, where a repeated draw takes j and j = 0 draws no word, then the
+    two-step swap shuffle."""
+    a = _below(words, n - 2) if n > 3 else 0
+    b = _below(words, n - 1)
+    if b == a:
+        b = n - 2
+    c = _below(words, n)
+    if c == a or c == b:
+        c = n - 1
+    idx = [a, b, c]
+    k = _below(words, 3)
+    idx[k], idx[2] = idx[2], idx[k]
+    k = _below(words, 2)
+    idx[k], idx[1] = idx[1], idx[k]
+    return idx
+
+
+def _triples(rng: np.random.Generator, n: int):
+    """``rng.choice(n, size=3, replace=False)``, draw after draw: from
+    buffered 32-bit words for n < 2^32, where numpy bounds its draws with
+    32-bit words, and by ``choice`` itself above."""
+    if n >= 2**32:
+        while True:
+            yield rng.choice(n, size=3, replace=False)
+    words = _words(rng)
+    while True:
+        yield _sample3(words, n)
+
+
 def _adaptive_bound(count: int, n: int, cap: int) -> int:
     """Draws needed to sample 3 inliers with probability RANSAC_CONFIDENCE
     when ``count`` of ``n`` points are inliers, capped at ``cap``."""
@@ -233,12 +287,14 @@ def _adaptive_bound(count: int, n: int, cap: int) -> int:
 
 def _refine_plane(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares plane through the C-contiguous (3, M) points ``xt``:
-    centroid + smallest covariance eigenvector."""
+    centroid + smallest covariance eigenvector.  ``xt`` is centred in
+    place."""
     centroid = xt.mean(axis=1)
+    xt -= centroid[:, None]
     # six dot products of the contiguous centred rows.  einsum sums on the
     # calling thread, where a BLAS dot splits the sum by its thread count
     # and so rounds differently under OPENBLAS_NUM_THREADS=1
-    x, y, z = xt - centroid[:, None]
+    x, y, z = xt
     xx, yy, zz, xy, xz, yz = (np.einsum("i,i", u, v) for u, v in
                               ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)))
     cov = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
@@ -258,8 +314,10 @@ def _orient_up(normal: np.ndarray) -> np.ndarray:
 def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> PlaneModel:
     """Fit the dominant plane by seeded RANSAC voting plus LS refinement.
 
-    Each iteration samples 3 distinct points, forms a candidate plane, and
-    counts inliers within ``distance_threshold``.  The loop stops adaptively
+    Each iteration samples 3 distinct points, the draw of
+    ``Generator.choice(n, 3, replace=False)`` taken from buffered words
+    (``_triples``), forms a candidate plane, and counts inliers within
+    ``distance_threshold``.  The loop stops adaptively
     (Fischler & Bolles 1981): after each new best candidate with inlier
     fraction w it needs ceil(log(1 - p) / log(1 - w^3)) draws in all, with
     p = RANSAC_CONFIDENCE (0.999), capped at ``max_iterations``; a cloud
@@ -287,15 +345,15 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     xt = np.ascontiguousarray(xyz.T)
     t = params.distance_threshold
     screen = _float32_screen(xt, t)
-    rng = np.random.default_rng(params.seed)
+    triples = _triples(np.random.default_rng(params.seed), n)
     best_count = -1
     best_inliers = None
     needed = params.max_iterations
     iterations = 0
     while iterations < needed:
         iterations += 1
-        idx = rng.choice(n, size=3, replace=False)
-        candidate = _plane_from_points(xyz[idx[0]], xyz[idx[1]], xyz[idx[2]])
+        p0, p1, p2 = xyz.take(next(triples), axis=0)
+        candidate = _plane_from_points(p0, p1, p2)
         if candidate is None:
             continue
         inliers = _screened_inliers(xt, screen, *candidate, t, best_count)
@@ -315,7 +373,7 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
             "a crop dominated by the pile leaves too little ground"
         )
 
-    del screen   # the refit's passes reuse the float32 copy's memory
+    del screen   # the refit's passes reuse the float32 copy's and buffers' memory
     refined_normal, centroid = _refine_plane(np.compress(best_inliers, xt, axis=1))
     refined_normal = _orient_up(refined_normal)
     refined_d = -float(refined_normal @ centroid)
@@ -350,9 +408,13 @@ def rotation_to_up(v: np.ndarray) -> np.ndarray:
     # written so that a NaN component fails it too
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-6:
         raise NotUnitVector(f"|v| = {np.linalg.norm(v)!r} is not 1")
-    axis = np.cross(v, EZ)
-    sin_theta = np.linalg.norm(axis)
-    cos_theta = float(np.clip(v @ EZ, -1.0, 1.0))
+    # v x ez = (v1, -v0, 0), term for term as np.cross forms it; its length
+    # with the dot product and correctly rounded square root np.linalg.norm
+    # takes; and v . ez, which is v2 exactly
+    v0, v1, v2 = v.tolist()
+    axis = np.array([v1 * 1.0 - v2 * 0.0, v2 * 0.0 - v0 * 1.0, v0 * 0.0 - v1 * 0.0])
+    sin_theta = math.sqrt(axis.dot(axis))
+    cos_theta = min(max(v2, -1.0), 1.0)
     if sin_theta < 1e-12:
         if cos_theta > 0:
             return np.eye(3)

@@ -30,6 +30,7 @@ def test_a_bench_file_is_committed():
 def test_bench_file_names_the_benchmark_workloads_metrics_and_units(path):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    per_layer = {m["name"]: m["unit"] for m in spec["per_layer"]}
     record = json.loads(path.read_text())
     assert path.name == f"BENCH_{record['n']}.json"
     assert record["seconds"] == spec["run_seconds"]
@@ -46,6 +47,10 @@ def test_bench_file_names_the_benchmark_workloads_metrics_and_units(path):
                 assert set(run["metrics"]) == set(units), (workload, side)
             assert {name: s["unit"] for name, s in entry[side]["summary"].items()} \
                 == units, (workload, side)
+            if "traced" in entry[side]:
+                assert {name: m["unit"] for name, m
+                        in entry[side]["traced"]["per_layer"].items()} \
+                    == per_layer, (workload, side)
         if record["base"]:
             assert set(entry["comparison"]) == set(units), workload
 
@@ -66,3 +71,13 @@ def test_comparison_counts_pairs_in_the_metric_s_better_direction():
     higher = bench_record.compare([83.0, 83.5, 91.0, 83.2], base, "higher")
     assert higher["head_better_pairs"] == 1
     assert not higher["beyond_base_iqr"]
+
+
+def test_traced_record_pairs_each_per_layer_value_with_its_unit():
+    run = {"correct": True, "attempted": 64, "failed": 0, "speed_factor_p50": 0.9,
+           "metrics": {"pose.ransac_s": 0.0012, "pose.points_in": 8213.3},
+           "units": {"pose.ransac_s": "s", "pose.points_in": "count"}, "facts": {}}
+    assert bench_record.traced_record(run) == {
+        "correct": True, "attempted": 64, "failed": 0, "speed_factor_p50": 0.9,
+        "per_layer": {"pose.ransac_s": {"value": 0.0012, "unit": "s"},
+                      "pose.points_in": {"value": 8213.3, "unit": "count"}}}

@@ -15,9 +15,13 @@ from pilevol.pose import (
     _plane_distances,
     _plane_from_points,
     _refine_plane,
+    _sample3,
     _screened_inliers,
+    _triples,
+    _words,
     correct_posture,
     ransac_plane,
+    rodrigues,
     rotation_to_up,
 )
 from pilevol.synth import generate_scene, reference_scenes
@@ -186,6 +190,55 @@ def test_plane_from_points_matches_np_cross():
         unit = normal / norm
         assert candidate[0].tobytes() == unit.tobytes()
         assert candidate[1] == -float(unit @ p0)
+
+
+def choice_draws(seed, n, draws=32):
+    """``draws`` successive ``Generator.choice(n, 3, replace=False)``."""
+    rng = np.random.default_rng(seed)
+    return [rng.choice(n, size=3, replace=False).tolist() for _ in range(draws)]
+
+
+def sampled_draws(seed, n, draws=32):
+    """The fit's first ``draws`` index triples."""
+    triples = _triples(np.random.default_rng(seed), n)
+    return [[int(i) for i in next(triples)] for _ in range(draws)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(3, 2**20))
+def test_sampler_draws_what_generator_choice_draws(seed, n):
+    assert sampled_draws(seed, n) == choice_draws(seed, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 2**31 + 2, 2**32 - 1],
+                         ids=["3", "4", "2^31+2", "2^32-1"])
+@pytest.mark.parametrize("seed", [0, 1, 2718])
+def test_sampler_draws_what_generator_choice_draws_at_the_edges(n, seed):
+    # n = 3 draws no word for its first index; 2^31 + 2 rejects about half
+    # the words in two of its five bounded draws; 2^32 - 1 is the largest
+    # population numpy bounds with 32-bit words below 2^32 - 1
+    assert sampled_draws(seed, n) == choice_draws(seed, n)
+
+
+def test_sampler_rejects_about_half_the_words_at_2_31_plus_2():
+    # without a rejection a draw takes 5 words; at n = 2^31 + 2 the bounds
+    # 2^31 + 1 and 2^31 + 2 reject a word with probability about 1/2, so
+    # 32 draws take about 64 words more
+    taken = []
+    words = _words(np.random.default_rng(5))
+    counted = (taken.append(w) or w for w in words)
+    draws = [_sample3(counted, 2**31 + 2) for _ in range(32)]
+    assert len(taken) >= 6 * 32
+    assert draws == choice_draws(5, 2**31 + 2)
+
+
+@pytest.mark.parametrize("n", [2**32, 2**32 + 5, 2**40])
+def test_sampler_falls_back_to_choice_from_2_32(monkeypatch, n):
+    def forbidden(words, n):
+        raise AssertionError("the 32-bit sampler ran at n >= 2^32")
+
+    monkeypatch.setattr(pose, "_sample3", forbidden)
+    assert sampled_draws(9, n) == choice_draws(9, n)
 
 
 def fixed_loop_plane(cloud, params, draws):
@@ -489,6 +542,33 @@ def test_rotation_random_vectors_vs_quaternion_oracle():
         np.testing.assert_allclose(R, quaternion_rotation_to_up(v), atol=1e-9)
         np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-9)
         assert abs(np.linalg.det(R) - 1.0) < 1e-9
+
+
+def rotation_to_up_with_np_cross(v):
+    """``rotation_to_up`` written with np.cross, np.linalg.norm and np.clip."""
+    ez = np.array([0.0, 0.0, 1.0])
+    axis = np.cross(v, ez)
+    sin_theta = np.linalg.norm(axis)
+    cos_theta = float(np.clip(v @ ez, -1.0, 1.0))
+    if sin_theta < 1e-12:
+        return np.eye(3) if cos_theta > 0 else np.diag([1.0, -1.0, -1.0])
+    return rodrigues(axis / sin_theta, sin_theta, cos_theta)
+
+
+def test_rotation_has_the_bytes_of_the_np_cross_form():
+    rng = np.random.default_rng(22)
+    unit = rng.normal(size=(10_000, 3))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    # +-ez with either sign of zero, and vectors within 1e-12 of +-ez on
+    # both sides of the 1e-12 axis-length cut
+    poles = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, 1.0], [-0.0, 0.0, -1.0],
+             [1e-12, 0.0, 1.0], [7e-13, -7e-13, 1.0], [-7.1e-13, 7.1e-13, -1.0],
+             [0.0, -1e-12, -1.0], [5e-13, 0.0, 1.0],
+             # signed zeros off the poles
+             [0.6, -0.0, 0.8], [-0.6, 0.0, 0.8], [-0.0, 0.6, -0.8], [-1.0, -0.0, 0.0]]
+    near = np.array([0.0, 0.0, 1.0]) + rng.uniform(-1e-12, 1e-12, size=(500, 3))
+    for v in [*np.array(poles), *near, *-near, *unit]:
+        assert rotation_to_up(v).tobytes() == rotation_to_up_with_np_cross(v).tobytes(), v
 
 
 def test_rotation_rejects_non_unit():

@@ -1,4 +1,5 @@
-"""Record the benchmark's end-to-end metrics in a committed BENCH_<n>.json.
+"""Record the benchmark's end-to-end and per-layer metrics in a committed
+BENCH_<n>.json.
 
 Every workload of BENCHMARK.json runs as ``perfbench/run.py --workload
 <w> --trace 0`` in a fresh process, at the benchmark's seed and for its
@@ -6,16 +7,18 @@ Every workload of BENCHMARK.json runs as ``perfbench/run.py --workload
 the same runs are made on a ``git archive`` copy of that commit in a
 temporary directory, in alternating pairs: the first side of each pair
 alternates, so a slow phase of the machine does not always fall on one
-side.
+side.  After the pairs, each side runs the workload once more with
+``--trace 1``, which reports the per-layer and ``stage.*`` metrics.
 
     python3 tools/bench_record.py --n 32 --base HEAD~1
 
 The file holds both commits, the machine facts, every run's end-to-end
-metrics, and each side's median and quartiles per metric.  With a base,
-each metric also gets the number of pairs in which the checkout did better
-and whether its median moved by more than the base's interquartile range.
-The checkout side is the working tree; the file notes whether it had
-uncommitted changes or untracked files that are not ignored.
+metrics, each side's median and quartiles per metric, and each side's
+traced run.  With a base, each end-to-end metric also gets the number of
+pairs in which the checkout did better and whether its median moved by
+more than the base's interquartile range.  The checkout side is the
+working tree; the file notes whether it had uncommitted changes or
+untracked files that are not ignored.
 """
 
 from __future__ import annotations
@@ -56,11 +59,12 @@ def export(commit: str, into: Path) -> Path:
     return root
 
 
-def run_once(checkout: Path, workload: str, seconds: float) -> dict:
-    """One fresh-process run of one workload: its end-to-end metrics, its
-    outcome, and the facts of the machine it ran on."""
+def run_once(checkout: Path, workload: str, seconds: float, trace: int = 0) -> dict:
+    """One fresh-process run of one workload: its metrics (end-to-end, or
+    per-layer when ``trace`` is 1), its outcome, and the facts of the
+    machine it ran on."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     child = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                            timeout=900)
     lines = child.stdout.strip().splitlines()
@@ -69,7 +73,7 @@ def run_once(checkout: Path, workload: str, seconds: float) -> dict:
                          f"{child.returncode}:\n{child.stderr[-2000:]}")
     last = json.loads(lines[-1])
     record = json.loads(
-        (checkout / "perfbench" / "out" / f"{workload}-seed{SEED}-trace0.json")
+        (checkout / "perfbench" / "out" / f"{workload}-seed{SEED}-trace{trace}.json")
         .read_text())
     return {"correct": last["correct"], "attempted": last["attempted"],
             "failed": last["failed"], "speed_factor_p50": record["speed_factor_p50"],
@@ -106,6 +110,13 @@ def side_summary(runs: list[dict], units: dict) -> dict:
             for name, unit in units.items()}
 
 
+def traced_record(run: dict) -> dict:
+    """A traced run's outcome and its per-layer metrics with their units."""
+    return {**{k: run[k] for k in ("correct", "attempted", "failed", "speed_factor_p50")},
+            "per_layer": {name: {"value": value, "unit": run["units"][name]}
+                          for name, value in run["metrics"].items()}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", type=int, required=True,
@@ -124,6 +135,7 @@ def main(argv=None) -> int:
             "dirty": bool(git("status", "--porcelain"))}
     base = {"commit": git("rev-parse", f"{args.base}^{{commit}}")} if args.base else None
     result = {"n": args.n, "benchmark": "perfbench/run.py --trace 0",
+              "traced": "perfbench/run.py --trace 1, once per side after the pairs",
               "seed": SEED, "seconds": seconds, "pairs": args.pairs,
               "head": head, "base": base, "machine": None, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
@@ -132,12 +144,21 @@ def main(argv=None) -> int:
             sides["base"] = export(base["commit"], Path(tmp))
         for workload in workloads:
             runs = {side: [] for side in sides}
-            for pair in range(args.pairs):
+            traced = {}
+            # the pairs, then one traced run per side, each round alternating
+            # which side goes first
+            for pair in range(args.pairs + 1):
                 order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
                 for side in order:
-                    run = run_once(sides[side], workload, seconds)
-                    runs[side].append(run)
-                    print(f"{workload} pair {pair + 1}/{args.pairs} {side}: "
+                    if pair < args.pairs:
+                        run = run_once(sides[side], workload, seconds)
+                        runs[side].append(run)
+                        label = f"pair {pair + 1}/{args.pairs}"
+                    else:
+                        run = traced[side] = run_once(sides[side], workload, seconds,
+                                                      trace=1)
+                        label = "traced"
+                    print(f"{workload} {label} {side}: "
                           + ", ".join(f"{k} {v:.6g}" for k, v in run["metrics"].items()),
                           flush=True)
             units, facts = runs["head"][0]["units"], runs["head"][0]["facts"]
@@ -146,7 +167,8 @@ def main(argv=None) -> int:
             entry = {side: {"runs": [{k: r[k] for k in ("correct", "attempted", "failed",
                                                         "speed_factor_p50", "metrics")}
                                      for r in side_runs],
-                            "summary": side_summary(side_runs, units)}
+                            "summary": side_summary(side_runs, units),
+                            "traced": traced_record(traced[side])}
                      for side, side_runs in runs.items()}
             if base:
                 entry["comparison"] = {
