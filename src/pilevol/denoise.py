@@ -85,6 +85,8 @@ class RadiusFilterParams:
     min_cluster_size: int = 50   # smaller r0 components are noise
 
     def __post_init__(self):
+        if not isinstance(self.r0, numbers.Real) or isinstance(self.r0, bool):
+            raise InvalidParameter(f"r0 must be a number, got {self.r0!r}")
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise InvalidParameter(f"r0 must be finite and > 0, got {self.r0}")
         for name in ("n_min", "min_cluster_size"):

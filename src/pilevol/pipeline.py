@@ -111,6 +111,26 @@ class PipelineConfig:
         return replace(self.grid, cell_size=cell)
 
     def __post_init__(self) -> None:
+        for name in ("enable_prefilter", "enable_posture", "enable_fine_filter"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be True or False, got {value!r}")
+        for name, kind in (("radius_params", RadiusFilterParams), ("ransac", RansacParams),
+                           ("grid", GridSpec)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+        ranges = self.passthrough_ranges
+        if not (isinstance(ranges, tuple)
+                and all(isinstance(r, AxisRange) for r in ranges)):
+            raise ConfigError(f"passthrough_ranges must be a tuple of AxisRange, "
+                              f"got {ranges!r}")
+        for name in ("margin", "search_band", "downsample_voxel", "override_height"):
+            value = getattr(self, name)
+            if value is None and name in ("downsample_voxel", "override_height"):
+                continue
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.ground_mode not in (MODE_FIRST_PEAK, MODE_MID_PLATEAU, MODE_OVERRIDE):
             raise ConfigError(f"unknown ground mode {self.ground_mode!r}")
         height = self.override_height

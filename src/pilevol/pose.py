@@ -31,6 +31,10 @@ class RansacParams:
     min_inlier_fraction: float = 0.15
 
     def __post_init__(self):
+        for name in ("distance_threshold", "min_inlier_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise InvalidParameter(f"{name} must be a number, got {value!r}")
         if not (math.isfinite(self.distance_threshold)
                 and self.distance_threshold > 0):
             raise InvalidParameter("distance_threshold must be finite and > 0")
@@ -221,57 +225,31 @@ def _plane_from_points(p0, p1, p2):
     return normal, -float(normal @ p0)
 
 
-def _words(rng: np.random.Generator):
-    """The generator's 32-bit words in order, drawn 64 at a time.  Every
-    word is one ``next_uint32`` of its bit generator, the call
-    ``Generator.choice`` draws from, so the stream does not depend on how
-    it is cut."""
-    while True:
-        yield from rng.integers(0, 2**32, size=64, dtype=np.uint32).tolist()
-
-
-def _below(words, span: int) -> int:
-    """An integer in [0, ``span``), 1 < span < 2^32, drawn from ``words`` as
-    numpy draws it: Lemire's multiply-shift, rejecting a word whose low
-    half falls below 2^32 mod span (Lemire, ACM TOMACS 29(1), 2019)."""
-    m = next(words) * span
-    if m & 0xFFFFFFFF < span:
-        threshold = (0x100000000 - span) % span
-        while m & 0xFFFFFFFF < threshold:
-            m = next(words) * span
-    return m >> 32
-
-
-def _sample3(words, n: int) -> list[int]:
-    """``Generator.choice(n, 3, replace=False)`` for 3 <= n < 2^32, drawn
-    from the generator's ``words``: Floyd's algorithm over j = n-3, n-2,
-    n-1, where a repeated draw takes j and j = 0 draws no word, then the
-    two-step swap shuffle."""
-    a = _below(words, n - 2) if n > 3 else 0
-    b = _below(words, n - 1)
-    if b == a:
-        b = n - 2
-    c = _below(words, n)
-    if c == a or c == b:
-        c = n - 1
-    idx = [a, b, c]
-    k = _below(words, 3)
-    idx[k], idx[2] = idx[2], idx[k]
-    k = _below(words, 2)
-    idx[k], idx[1] = idx[1], idx[k]
-    return idx
+# the triples one ``_triples`` call to the generator draws; a fit stops
+# after 10-30 draws, so one call usually serves it
+_BATCH = 32
 
 
 def _triples(rng: np.random.Generator, n: int):
-    """``rng.choice(n, size=3, replace=False)``, draw after draw: from
-    buffered 32-bit words for n < 2^32, where numpy bounds its draws with
-    32-bit words, and by ``choice`` itself above."""
-    if n >= 2**32:
-        while True:
-            yield rng.choice(n, size=3, replace=False)
-    words = _words(rng)
+    """``rng.choice(n, size=3, replace=False)``, draw after draw.
+
+    ``choice`` draws five bounded integers per triple, below n - 2, n - 1,
+    n, 3 and 2: Floyd's algorithm over j = n-3, n-2, n-1, where a repeated
+    draw takes j, then the two-step swap shuffle.  ``rng.integers`` makes
+    the same bounded draws from the same words, so ``_BATCH`` triples'
+    bounds are drawn in one call and Floyd's rule and the swaps applied to
+    the batch; the stream is ``choice``'s for any n, whatever word width
+    numpy bounds it with."""
+    bounds = np.tile([n - 2, n - 1, n, 3, 2], _BATCH)
+    rows = np.arange(_BATCH)
     while True:
-        yield _sample3(words, n)
+        a, b, c, k, m = rng.integers(0, bounds).reshape(_BATCH, 5).T
+        b[b == a] = n - 2
+        c[(c == a) | (c == b)] = n - 1
+        idx = np.column_stack([a, b, c])
+        for i, j in ((2, k), (1, m)):
+            idx[rows, i], idx[rows, j] = idx[rows, j], idx[rows, i]
+        yield from idx
 
 
 def _adaptive_bound(count: int, n: int, cap: int) -> int:
@@ -315,8 +293,8 @@ def ransac_plane(cloud: PointCloud, params: RansacParams = RansacParams()) -> Pl
     """Fit the dominant plane by seeded RANSAC voting plus LS refinement.
 
     Each iteration samples 3 distinct points, the draw of
-    ``Generator.choice(n, 3, replace=False)`` taken from buffered words
-    (``_triples``), forms a candidate plane, and counts inliers within
+    ``Generator.choice(n, 3, replace=False)`` made by ``_triples`` from
+    numpy's bounded integers, forms a candidate plane, and counts inliers within
     ``distance_threshold``.  The loop stops adaptively
     (Fischler & Bolles 1981): after each new best candidate with inlier
     fraction w it needs ceil(log(1 - p) / log(1 - w^3)) draws in all, with

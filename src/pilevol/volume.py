@@ -14,6 +14,7 @@ pathologies.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,6 +37,8 @@ class GridSpec:
     cell_size: float = 0.025
 
     def __post_init__(self):
+        if not isinstance(self.cell_size, numbers.Real) or isinstance(self.cell_size, bool):
+            raise InvalidParameter(f"cell_size must be a number, got {self.cell_size!r}")
         # a finite area also rules out a cell so large its area overflows
         if not (math.isfinite(self.cell_size * self.cell_size) and self.cell_size > 0):
             raise InvalidParameter(

@@ -51,8 +51,31 @@ def test_bench_file_names_the_benchmark_workloads_metrics_and_units(path):
                 assert {name: m["unit"] for name, m
                         in entry[side]["traced"]["per_layer"].items()} \
                     == per_layer, (workload, side)
+            if record.get("heldout_seed") is not None:
+                heldout = entry[side]["heldout"]
+                assert len(heldout["runs"]) == record["heldout_pairs"], (workload, side)
+                for run in heldout["runs"]:
+                    assert set(run["metrics"]) == set(units), (workload, side)
+                assert {name: s["unit"] for name, s in heldout["summary"].items()} \
+                    == units, (workload, side)
         if record["base"]:
             assert set(entry["comparison"]) == set(units), workload
+        if record.get("heldout_seed") is not None:
+            assert set(entry["heldout_comparison"]) == set(units), workload
+    if record.get("heldout_seed") is not None:
+        assert record["heldout_seed"] == bench_record.HELDOUT_SEED
+        assert record["heldout_pairs"] == bench_record.HELDOUT_PAIRS
+    if "tier1" in record:
+        for side in sides:
+            tier1 = record["tier1"][side]
+            assert set(tier1) == {"wall_s", "returncode", "passed", "failed", "skipped",
+                                  "slowest"}, side
+            assert tier1["wall_s"] > 0 and tier1["passed"] > 0, side
+            assert min(tier1["failed"], tier1["skipped"]) >= 0, side
+            times = [t["s"] for t in tier1["slowest"]]
+            assert len(times) == min(10, tier1["passed"] + tier1["failed"]
+                                     + tier1["skipped"]), side
+            assert times == sorted(times, reverse=True), side
 
 
 def test_summary_is_the_median_and_inclusive_quartiles():
@@ -81,3 +104,23 @@ def test_traced_record_pairs_each_per_layer_value_with_its_unit():
         "correct": True, "attempted": 64, "failed": 0, "speed_factor_p50": 0.9,
         "per_layer": {"pose.ransac_s": {"value": 0.0012, "unit": "s"},
                       "pose.points_in": {"value": 8213.3, "unit": "count"}}}
+
+
+def test_tier1_record_counts_outcomes_and_keeps_the_ten_slowest(tmp_path):
+    cases = "".join(f'<testcase classname="tests.test_a" name="t{i}" time="{i}.5"/>'
+                    for i in range(10))
+    cases += ('<testcase classname="tests.test_b" name="bad" time="0.1">'
+              '<failure message="x"/></testcase>'
+              '<testcase classname="tests.test_b" name="broken" time="0.2">'
+              '<error message="y"/></testcase>'
+              '<testcase classname="tests.test_b" name="off" time="30.0">'
+              '<skipped message="z"/></testcase>')
+    junit = tmp_path / "tier1.xml"
+    junit.write_text(f'<testsuites><testsuite name="pytest">{cases}</testsuite></testsuites>')
+    record = bench_record.tier1_record(junit, 41.5, 1)
+    assert {k: record[k] for k in ("wall_s", "returncode", "passed", "failed",
+                                   "skipped")} == {
+        "wall_s": 41.5, "returncode": 1, "passed": 10, "failed": 2, "skipped": 1}
+    assert record["slowest"][:2] == [{"test": "tests.test_b::off", "s": 30.0},
+                                     {"test": "tests.test_a::t9", "s": 9.5}]
+    assert [t["test"] for t in record["slowest"]][-1] == "tests.test_a::t1"

@@ -222,6 +222,15 @@ def test_radius_params_validation():
     assert RadiusFilterParams(n_min=np.int64(3)).n_min == 3
 
 
+@pytest.mark.parametrize("bad", [True, "0.025", None])
+def test_radius_params_reject_a_bool_or_non_number_radius(bad):
+    # r0 = True ran as a 1 m radius: s01 read 0.0301 m^3 against a truth of
+    # 0.014; a string or None ended in a TypeError from the range check
+    with pytest.raises(InvalidParameter, match="r0 must be a number"):
+        RadiusFilterParams(r0=bad)
+    assert RadiusFilterParams(r0=np.float32(0.03)).r0 == np.float32(0.03)
+
+
 @pytest.mark.parametrize("field, bad", [
     ("min_samples", 2.5), ("min_samples", True), ("min_cluster_size", 20.0),
     ("min_cluster_size", "50"),

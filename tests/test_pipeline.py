@@ -427,6 +427,28 @@ def test_pipeline_config_rejects_non_integer_histogram_sizes(bad):
     PipelineConfig(n_interval=np.int64(256), smooth_step=np.int32(5))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("margin", True), ("margin", False), ("margin", "0.012"),
+    ("search_band", True), ("downsample_voxel", True), ("override_height", True),
+    ("enable_prefilter", "false"), ("enable_posture", None),
+    ("enable_fine_filter", 0), ("enable_fine_filter", np.True_),
+    ("grid", 0.05), ("ransac", None), ("radius_params", 0.03),
+    ("passthrough_ranges", (("z", 0, 1),)),
+    ("passthrough_ranges", [AxisRange("Z", 0, 1)]),
+    ("passthrough_ranges", AxisRange("Z", 0, 1)),
+])
+def test_pipeline_config_rejects_a_wrongly_typed_field(field, bad):
+    # a bool number ran as 0 or 1 (margin = True read 0 m^3 on s01), a
+    # truthy string or int toggle switched its stage, and a nested
+    # parameter or range that is not its class ended in an AttributeError
+    # or TypeError; config files build the right types, so only the
+    # library API can pass any of these
+    with pytest.raises(ConfigError, match=field):
+        PipelineConfig(**{field: bad})
+    with pytest.raises(ConfigError, match=field):
+        replace(PipelineConfig(), **{field: bad})
+
+
 @pytest.mark.parametrize("seed", [1.5, "3", True])
 def test_pipeline_config_rejects_a_non_integer_seed(seed):
     # a float seed ended the run in numpy's SeedSequence TypeError, a

@@ -8,6 +8,7 @@ from pilevol import pose
 from pilevol.cloud import PointCloud
 from pilevol.errors import DegenerateCloud, InvalidParameter, NotUnitVector
 from pilevol.pose import (
+    _BATCH,
     PlaneModel,
     RansacParams,
     _float32_screen,
@@ -15,10 +16,8 @@ from pilevol.pose import (
     _plane_distances,
     _plane_from_points,
     _refine_plane,
-    _sample3,
     _screened_inliers,
     _triples,
-    _words,
     correct_posture,
     ransac_plane,
     rodrigues,
@@ -174,6 +173,17 @@ def test_ransac_params_reject_a_non_integer_or_negative_count_or_seed(field, bad
     assert getattr(RansacParams(**{field: np.int64(7)}), field) == 7
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("distance_threshold", True), ("distance_threshold", "0.01"),
+    ("min_inlier_fraction", True), ("min_inlier_fraction", "0.5"),
+])
+def test_ransac_params_reject_a_bool_or_non_number_threshold_or_fraction(field, bad):
+    # True passed as 1 m or as a fraction of 1, and a string ended in a
+    # TypeError from the range check
+    with pytest.raises(InvalidParameter, match=f"{field} must be a number"):
+        RansacParams(**{field: bad})
+
+
 def test_plane_from_points_matches_np_cross():
     # spreads from 1e-6 to 1e6 m, and exactly repeated points (degenerate);
     # the normal's length must equal np.linalg.norm's bit for bit
@@ -207,38 +217,22 @@ def sampled_draws(seed, n, draws=32):
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(3, 2**20))
 def test_sampler_draws_what_generator_choice_draws(seed, n):
-    assert sampled_draws(seed, n) == choice_draws(seed, n)
+    # one more draw than three batches, so every example crosses batch
+    # boundaries and starts a fourth batch
+    draws = 3 * _BATCH + 1
+    assert sampled_draws(seed, n, draws) == choice_draws(seed, n, draws)
 
 
-@pytest.mark.parametrize("n", [3, 4, 2**31 + 2, 2**32 - 1],
-                         ids=["3", "4", "2^31+2", "2^32-1"])
+@pytest.mark.parametrize("n", [3, 4, 2**31 + 2, 2**32 - 1, 2**32, 2**32 + 5, 2**40],
+                         ids=["3", "4", "2^31+2", "2^32-1", "2^32", "2^32+5", "2^40"])
 @pytest.mark.parametrize("seed", [0, 1, 2718])
 def test_sampler_draws_what_generator_choice_draws_at_the_edges(n, seed):
     # n = 3 draws no word for its first index; 2^31 + 2 rejects about half
-    # the words in two of its five bounded draws; 2^32 - 1 is the largest
-    # population numpy bounds with 32-bit words below 2^32 - 1
-    assert sampled_draws(seed, n) == choice_draws(seed, n)
-
-
-def test_sampler_rejects_about_half_the_words_at_2_31_plus_2():
-    # without a rejection a draw takes 5 words; at n = 2^31 + 2 the bounds
-    # 2^31 + 1 and 2^31 + 2 reject a word with probability about 1/2, so
-    # 32 draws take about 64 words more
-    taken = []
-    words = _words(np.random.default_rng(5))
-    counted = (taken.append(w) or w for w in words)
-    draws = [_sample3(counted, 2**31 + 2) for _ in range(32)]
-    assert len(taken) >= 6 * 32
-    assert draws == choice_draws(5, 2**31 + 2)
-
-
-@pytest.mark.parametrize("n", [2**32, 2**32 + 5, 2**40])
-def test_sampler_falls_back_to_choice_from_2_32(monkeypatch, n):
-    def forbidden(words, n):
-        raise AssertionError("the 32-bit sampler ran at n >= 2^32")
-
-    monkeypatch.setattr(pose, "_sample3", forbidden)
-    assert sampled_draws(9, n) == choice_draws(9, n)
+    # the words in two of its five bounded draws; at 2^32 the third bound
+    # takes a whole 32-bit word unbounded, and above 2^32 the larger bounds
+    # take 64-bit words
+    draws = _BATCH + 1
+    assert sampled_draws(seed, n, draws) == choice_draws(seed, n, draws)
 
 
 def fixed_loop_plane(cloud, params, draws):

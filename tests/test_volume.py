@@ -220,6 +220,15 @@ def test_grid_spec_rejects_nan_inf_and_zero(bad):
         GridSpec(cell_size=bad)
 
 
+@pytest.mark.parametrize("bad", [True, "0.025", None])
+def test_grid_spec_rejects_a_bool_or_non_number_cell_size(bad):
+    # cell_size = True ran as 1 m cells: s01 read 0.0857 m^3 against a truth
+    # of 0.014; a string or None ended in a TypeError from the area check
+    with pytest.raises(InvalidParameter, match="cell_size must be a number"):
+        GridSpec(cell_size=bad)
+    assert GridSpec(cell_size=np.float64(0.02)).cell_size == 0.02
+
+
 # ---------------------------------------------------------------------------
 # slice baseline
 # ---------------------------------------------------------------------------

@@ -7,28 +7,37 @@ Every workload of BENCHMARK.json runs as ``perfbench/run.py --workload
 the same runs are made on a ``git archive`` copy of that commit in a
 temporary directory, in alternating pairs: the first side of each pair
 alternates, so a slow phase of the machine does not always fall on one
-side.  After the pairs, each side runs the workload once more with
+side.  With a base, ``HELDOUT_PAIRS`` more alternating pairs follow at
+the held-out seed ``HELDOUT_SEED``, since a gain must hold on scenes it
+was not tuned on.  Last, each side runs the workload once more with
 ``--trace 1``, which reports the per-layer and ``stage.*`` metrics.
+Before any of that, each side runs Tier-1 once, with the ROADMAP's
+command plus ``--junitxml``.
 
     python3 tools/bench_record.py --n 32 --base HEAD~1
 
 The file holds both commits, the machine facts, every run's end-to-end
-metrics, each side's median and quartiles per metric, and each side's
-traced run.  With a base, each end-to-end metric also gets the number of
-pairs in which the checkout did better and whether its median moved by
-more than the base's interquartile range.  The checkout side is the
-working tree; the file notes whether it had uncommitted changes or
-untracked files that are not ignored.
+metrics, each side's median and quartiles per metric, each side's
+held-out runs and traced run, and each side's Tier-1 wall time, passed,
+failed and skipped counts and ten slowest tests; a failing Tier-1 is
+recorded, not raised.  With a base, each end-to-end metric also gets, at
+either seed, the number of pairs in which the checkout did better and
+whether its median moved by more than the base's interquartile range.
+The checkout side is the working tree; the file notes whether it had
+uncommitted changes or untracked files that are not ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,8 +45,13 @@ ROOT = Path(__file__).resolve().parents[1]
 RUN_FACTS = ("workload", "seed", "seconds", "trace", "pass_size")
 # perfbench/run.py's default seed, the one the benchmark runs
 SEED = 1
+# a seed no workload was tuned on, and the alternating pairs run at it
+HELDOUT_SEED = 2718
+HELDOUT_PAIRS = 3
 # the fewest alternating pairs that can back a claimed gain
 MIN_PAIRS = 10
+# the ROADMAP's Tier-1 command, run with PYTHONPATH=src prepended
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def benchmark_spec() -> dict:
@@ -59,12 +73,13 @@ def export(commit: str, into: Path) -> Path:
     return root
 
 
-def run_once(checkout: Path, workload: str, seconds: float, trace: int = 0) -> dict:
+def run_once(checkout: Path, workload: str, seconds: float, seed: int = SEED,
+             trace: int = 0) -> dict:
     """One fresh-process run of one workload: its metrics (end-to-end, or
     per-layer when ``trace`` is 1), its outcome, and the facts of the
     machine it ran on."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     child = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                            timeout=900)
     lines = child.stdout.strip().splitlines()
@@ -73,13 +88,44 @@ def run_once(checkout: Path, workload: str, seconds: float, trace: int = 0) -> d
                          f"{child.returncode}:\n{child.stderr[-2000:]}")
     last = json.loads(lines[-1])
     record = json.loads(
-        (checkout / "perfbench" / "out" / f"{workload}-seed{SEED}-trace{trace}.json")
+        (checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json")
         .read_text())
     return {"correct": last["correct"], "attempted": last["attempted"],
             "failed": last["failed"], "speed_factor_p50": record["speed_factor_p50"],
             "metrics": {name: m["value"] for name, m in last["metrics"].items()},
             "units": {name: m["unit"] for name, m in last["metrics"].items()},
             "facts": record["facts"]}
+
+
+def tier1_record(junit: Path, wall_s: float, returncode: int) -> dict:
+    """Tier-1's outcome from its JUnit XML report: the wall time, the
+    exit code, the passed, failed (failures and errors) and skipped
+    counts, and the ten slowest tests."""
+    cases = list(ET.parse(junit).getroot().iter("testcase"))
+    failed = sum(c.find("failure") is not None or c.find("error") is not None
+                 for c in cases)
+    skipped = sum(c.find("skipped") is not None for c in cases)
+    slowest = sorted(cases, key=lambda c: float(c.get("time", 0)), reverse=True)[:10]
+    return {"wall_s": wall_s, "returncode": returncode,
+            "passed": len(cases) - failed - skipped, "failed": failed,
+            "skipped": skipped,
+            "slowest": [{"test": f"{c.get('classname')}::{c.get('name')}",
+                         "s": float(c.get("time", 0))} for c in slowest]}
+
+
+def run_tier1(checkout: Path, junit: Path) -> dict:
+    """One Tier-1 run in ``checkout``, recorded whether it passes or not."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": "src" + (f":{path}" if path else "")}
+    t0 = time.perf_counter()
+    child = subprocess.run([sys.executable, *TIER1, f"--junitxml={junit}"],
+                           cwd=checkout, env=env, capture_output=True, text=True,
+                           timeout=1800)
+    wall_s = time.perf_counter() - t0
+    if not junit.exists():
+        raise SystemExit(f"Tier-1 in {checkout} wrote no report, exit "
+                         f"{child.returncode}:\n{child.stdout[-2000:]}{child.stderr[-2000:]}")
+    return tier1_record(junit, wall_s, child.returncode)
 
 
 def summarise(values: list[float]) -> dict:
@@ -103,6 +149,12 @@ def compare(head: list[float], base: list[float], better: str) -> dict:
             "median_change": summarise(head)["median"] - spread["median"],
             "base_iqr": spread["q3"] - spread["q1"],
             "beyond_base_iqr": gain > spread["q3"] - spread["q1"]}
+
+
+def kept_runs(runs: list[dict]) -> list[dict]:
+    """What the file keeps of each end-to-end run."""
+    return [{k: r[k] for k in ("correct", "attempted", "failed", "speed_factor_p50",
+                               "metrics")} for r in runs]
 
 
 def side_summary(runs: list[dict], units: dict) -> dict:
@@ -137,44 +189,54 @@ def main(argv=None) -> int:
     result = {"n": args.n, "benchmark": "perfbench/run.py --trace 0",
               "traced": "perfbench/run.py --trace 1, once per side after the pairs",
               "seed": SEED, "seconds": seconds, "pairs": args.pairs,
-              "head": head, "base": base, "machine": None, "workloads": {}}
+              "heldout_seed": HELDOUT_SEED if base else None,
+              "heldout_pairs": HELDOUT_PAIRS if base else 0,
+              "head": head, "base": base, "machine": None,
+              "tier1": {"command": "PYTHONPATH=src python " + " ".join(TIER1)
+                        + " --junitxml=<file>"},
+              "workloads": {}}
+    # the pairs at the benchmark's seed, the held-out pairs, then one traced
+    # run per side: (label, seed, trace) per round
+    rounds = ([("pairs", SEED, 0)] * args.pairs
+              + [("heldout", HELDOUT_SEED, 0)] * result["heldout_pairs"]
+              + [("traced", SEED, 1)])
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         sides = {"head": ROOT}
         if base:
             sides["base"] = export(base["commit"], Path(tmp))
+        for side, checkout in sides.items():
+            tier1 = result["tier1"][side] = run_tier1(checkout, Path(tmp) / f"tier1-{side}.xml")
+            print(f"tier-1 {side}: {tier1['passed']} passed, {tier1['failed']} failed, "
+                  f"{tier1['skipped']} skipped in {tier1['wall_s']:.1f} s", flush=True)
         for workload in workloads:
-            runs = {side: [] for side in sides}
-            traced = {}
-            # the pairs, then one traced run per side, each round alternating
-            # which side goes first
-            for pair in range(args.pairs + 1):
-                order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
-                for side in order:
-                    if pair < args.pairs:
-                        run = run_once(sides[side], workload, seconds)
-                        runs[side].append(run)
-                        label = f"pair {pair + 1}/{args.pairs}"
-                    else:
-                        run = traced[side] = run_once(sides[side], workload, seconds,
-                                                      trace=1)
-                        label = "traced"
-                    print(f"{workload} {label} {side}: "
+            runs = {side: {label: [] for label, _, _ in rounds} for side in sides}
+            # each round alternates which side goes first
+            for i, (label, seed, trace) in enumerate(rounds):
+                for side in list(sides) if i % 2 == 0 else list(sides)[::-1]:
+                    run = run_once(sides[side], workload, seconds, seed, trace)
+                    runs[side][label].append(run)
+                    print(f"{workload} {label} {len(runs[side][label])} seed {seed} {side}: "
                           + ", ".join(f"{k} {v:.6g}" for k, v in run["metrics"].items()),
                           flush=True)
-            units, facts = runs["head"][0]["units"], runs["head"][0]["facts"]
+            first = runs["head"]["pairs"][0]
+            units = first["units"]
             result["machine"] = result["machine"] or {
-                k: v for k, v in facts.items() if k not in RUN_FACTS}
-            entry = {side: {"runs": [{k: r[k] for k in ("correct", "attempted", "failed",
-                                                        "speed_factor_p50", "metrics")}
-                                     for r in side_runs],
-                            "summary": side_summary(side_runs, units),
-                            "traced": traced_record(traced[side])}
+                k: v for k, v in first["facts"].items() if k not in RUN_FACTS}
+            entry = {side: {"runs": kept_runs(side_runs["pairs"]),
+                            "summary": side_summary(side_runs["pairs"], units),
+                            "traced": traced_record(side_runs["traced"][0])}
                      for side, side_runs in runs.items()}
             if base:
-                entry["comparison"] = {
-                    name: compare([r["metrics"][name] for r in runs["head"]],
-                                  [r["metrics"][name] for r in runs["base"]], better[name])
-                    for name in units}
+                for side, side_runs in runs.items():
+                    entry[side]["heldout"] = {
+                        "runs": kept_runs(side_runs["heldout"]),
+                        "summary": side_summary(side_runs["heldout"], units)}
+                for key, label in (("comparison", "pairs"), ("heldout_comparison", "heldout")):
+                    entry[key] = {
+                        name: compare([r["metrics"][name] for r in runs["head"][label]],
+                                      [r["metrics"][name] for r in runs["base"][label]],
+                                      better[name])
+                        for name in units}
             result["workloads"][workload] = entry
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
