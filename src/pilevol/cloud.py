@@ -8,6 +8,7 @@ they return new clouds and never mutate their inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,6 +122,9 @@ class AxisRange:
     def __post_init__(self):
         if self.axis not in AXIS_INDEX:
             raise InvalidParameter(f"axis must be one of X/Y/Z, got {self.axis!r}")
+        for bound in (self.lo, self.hi):
+            if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
+                raise InvalidParameter(f"AxisRange bounds must be numbers, got {bound!r}")
         if math.isnan(self.lo) or math.isnan(self.hi):
             raise InvalidParameter(f"AxisRange bounds must not be NaN, got "
                                    f"{self.lo}, {self.hi}")

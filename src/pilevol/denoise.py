@@ -11,8 +11,11 @@ Most axes have no such gap, and a linear pass shows it without sorting:
 the pigeonhole bucketing behind the maximum-gap algorithm (Gonzalez 1975;
 Preparata & Shamos, Computational Geometry, 1985, section 6.4) bins the
 coordinates just under r0/2 wide, and when every bin holds a value no
-neighbour gap reaches r0.  Only an axis with an empty bin is sorted, and
-a trim that drops no point returns the cloud it was given.
+neighbour gap reaches r0.  On an axis with an empty bin the runs come
+from the bins as well: a gap can only span empty bins, so only the
+values in the bins beside each empty stretch are compared.  Only an axis
+with more bins than values is sorted, and a trim that drops no point
+returns the cloud it was given.
 
 ``robust_filter`` is the pipeline's fine filter: radius outlier rejection
 followed by the largest connected component of the r0 radius graph among
@@ -107,17 +110,17 @@ class RadiusFilterParams:
 HALO_PAD = 1.0 + 1e-6
 
 
-def _gap_free(values: np.ndarray, r0: float) -> bool:
-    """True when no two neighbours of the sorted ``values`` lie more than
-    r0 apart, shown in linear time; False when a sort must tell.
+def _bins(values: np.ndarray, r0: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each value's bin, ``floor((v - min) * 2 * HALO_PAD / r0)``, and each
+    bin's count of values; None when the bins would outnumber the values.
 
-    The values are binned by ``floor((v - min) * 2 * HALO_PAD / r0)``.
-    When every bin from 0 to the top one holds a value, each value's
-    successor lies in its own bin or the next, under two bin widths,
+    The bins are just under r0 / 2 wide, so each value's successor in
+    sorted order lies in its own bin or the next, under two bin widths,
     r0 / HALO_PAD, away: the pad covers the quotient's rounding, under 4
-    ulps of the bin index, for up to 1e9 values.  More bins than values
-    leave one empty, so the bins are only allocated when there are at most
-    as many.
+    ulps of the bin index, for up to 1e9 values.  A neighbour gap above r0
+    therefore only spans empty bins, and when every bin from 0 to the top
+    one holds a value there is none.  More bins than values leave one
+    empty, so the bins are only allocated when there are at most as many.
     """
     lo, hi = float(values.min()), float(values.max())
     # Python floats: a subnormal r0 makes the scale inf and the top bin inf
@@ -125,26 +128,56 @@ def _gap_free(values: np.ndarray, r0: float) -> bool:
     scale = 2.0 * HALO_PAD / r0
     top = (hi - lo) * scale
     if not top < len(values):
-        return False
-    seen = np.zeros(int(top) + 1, dtype=bool)
-    seen[((values - lo) * scale).astype(np.intp)] = True
-    return bool(seen.all())
+        return None
+    index = ((values - lo) * scale).astype(np.intp)
+    return index, np.bincount(index, minlength=int(top) + 1)
 
 
 def _densest_run(values: np.ndarray, r0: float) -> tuple[float, float] | None:
     """The first and last value of the run holding the most ``values``,
     where runs split the sorted values at every neighbour gap above r0;
-    ties go to the lowest run.  None when one run holds every value."""
-    if _gap_free(values, r0):
+    ties go to the lowest run.  None when one run holds every value.
+
+    When the bins fit, the runs come from them without a sort: a gap can
+    only lie between the largest value of a filled bin and the smallest
+    of the next filled bin past an empty stretch, and each run's size is
+    its bins' count.  Otherwise the values are sorted.
+    """
+    binned = _bins(values, r0)
+    if binned is None:
+        v = np.sort(values)
+        last = np.flatnonzero(np.diff(v) > r0)      # last index of every run but the last
+        firsts = v[np.concatenate(([0], last + 1))]
+        ends = np.concatenate((last, [len(v) - 1]))
+        lasts, sizes = v[ends], np.diff(ends, prepend=-1)
+    else:
+        index, counts = binned
+        if counts.all():
+            return None
+        filled = np.flatnonzero(counts)
+        stretch = np.flatnonzero(np.diff(filled) > 1)
+        before, after = filled[stretch], filled[stretch + 1]
+        # the extreme values of the bins at each empty stretch, and of the
+        # first and last bin, from those bins' values alone
+        edge = np.zeros(len(counts), dtype=bool)
+        edge[[0, -1]] = True
+        edge[before] = edge[after] = True
+        near = edge[index]
+        near_index, near_values = index[near], values[near]
+        low = np.full(len(counts), np.inf)
+        high = np.full(len(counts), -np.inf)
+        np.minimum.at(low, near_index, near_values)
+        np.maximum.at(high, near_index, near_values)
+        split = low[after] - high[before] > r0
+        ends = before[split]                        # last bin of every run but the last
+        firsts = np.concatenate((low[:1], low[after[split]]))
+        lasts = np.concatenate((high[ends], high[-1:]))
+        in_bins = np.cumsum(counts)
+        sizes = np.diff(np.concatenate((in_bins[ends], [len(values)])), prepend=0)
+    if len(sizes) == 1:
         return None
-    v = np.sort(values)
-    last = np.flatnonzero(np.diff(v) > r0)      # last index of every run but the last
-    if len(last) == 0:
-        return None
-    starts = np.concatenate(([0], last + 1))
-    ends = np.concatenate((last, [len(v) - 1]))
-    best = int(np.argmax(ends - starts))        # argmax takes the lowest run on ties
-    return v[starts[best]], v[ends[best]]
+    best = int(np.argmax(sizes))                    # argmax takes the lowest run on ties
+    return firsts[best], lasts[best]
 
 
 def gap_trim(cloud: PointCloud, r0: float) -> PointCloud:

@@ -161,7 +161,7 @@ class Heightfield:
 
     def _raw_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         kvecs, phases, amps = _heightfield_waves(self.shape_seed, self.radius)
-        taper = _heightfield_taper(np.hypot(x, y), self.radius)
+        taper = _heightfield_taper(np.asarray(np.hypot(x, y)), self.radius)
         field = np.ones_like(taper)
         for k, phi, amp in zip(kvecs, phases, amps):
             field = field + amp * np.cos(k[0] * x + k[1] * y + phi)
@@ -172,9 +172,17 @@ class Heightfield:
 
 
 def _heightfield_taper(r: np.ndarray, radius: float) -> np.ndarray:
-    """cos²(π/2 · r/R) inside the footprint, 0 outside."""
-    return np.where(r < radius, np.cos(0.5 * math.pi * np.clip(r / radius, 0, 1)) ** 2,
-                    0.0)
+    """cos²(π/2 · r/R) inside the footprint, 0 outside, written over the
+    distances ``r`` (an array, >= 0) and returned."""
+    outside = r >= radius
+    r /= radius
+    # r >= 0, so the upper clamp alone is clip(r/R, 0, 1)
+    np.minimum(r, 1.0, out=r)
+    r *= 0.5 * math.pi
+    np.cos(r, out=r)
+    np.square(r, out=r)
+    r[outside] = 0.0
+    return r
 
 
 @lru_cache(maxsize=None)
@@ -202,15 +210,24 @@ def heightfield_quadrature(pile: Heightfield, n: int = HEIGHTFIELD_QUADRATURE_N,
     The rule sums ``pile._raw_height`` at the n × n cell centres, evaluated
     separably instead of point by point.  Each wave splits by angle
     addition, cos(kx·x + ky·y + φ) = cos(kx·x)·cos(ky·y + φ)
-    − sin(kx·x)·sin(ky·y + φ), so the wave field of a block of rows is one
-    rank-8 matrix product of per-row and per-column factors: 16 n cosines
-    and sines in place of 4 n².  The radial taper is computed on one
-    quadrant, a quarter of the grid, and mirrored to the other three.  The
-    clamp and the taper product stay point by point, and rows are summed
-    block by block, so no temporary outgrows a block of 64 rows.  The
-    result agrees with the direct evaluation to about 1e-16 relative; at
-    n = 2048 it takes about 0.04 s per pile on one core of a 2-core x86-64
-    VM, against 0.4 s point by point.
+    − sin(kx·x)·sin(ky·y + φ), so the wave field of a block of 64 rows is
+    one rank-8 matrix product of per-row and per-column factors: 16 n
+    cosines and sines in place of 4 n².  The radial taper is computed on
+    one quadrant and mirrored to the other three.  The quadrant is
+    symmetric, as hypot(x, y) == hypot(y, x), so each block of rows
+    computes it only from the diagonal on and takes the columns before
+    the diagonal from transposed tiles that earlier blocks kept.  Columns
+    whose x² + y² at the block's innermost row passes R²(1 + 1e-9) are
+    outside the disc on every row of the block, and their taper is set to
+    0 with no ``hypot`` or ``cos``.  That leaves about 0.43 of the
+    quadrant's cells to evaluate at n = 2048.  The clamp, the taper
+    product and the row sums still run over whole rows, so the sum has the
+    bits of the whole-quadrant evaluation.  The kept tiles peak at about a
+    quarter of the quadrant; every other temporary is a block of 64 rows
+    at most.  The result agrees with the direct evaluation to about 1e-16
+    relative; at n = 2048 it takes about 0.026 s per pile on one core of a
+    2-core x86-64 VM, against 0.037 s with the taper evaluated on the
+    whole quadrant and 0.4 s point by point.
     """
     if not (_is_count(n) and n >= 1):
         raise InvalidParameter(f"quadrature size n must be an integer >= 1, got {n!r}")
@@ -227,17 +244,41 @@ def heightfield_quadrature(pile: Heightfield, n: int = HEIGHTFIELD_QUADRATURE_N,
     # with n odd the centre row is its own partner (evaluated twice, stored
     # once) and the centre column is not mirrored
     half = (n + 1) // 2
+    # x² falls column by column towards the centre; past R²(1 + 1e-9),
+    # x² + y² puts hypot at R or beyond whatever its rounding
+    x2 = axis[:half] ** 2
+    rim = a * a * (1.0 + 1e-9)
+    taper = np.empty((min(_QUADRATURE_BLOCK_ROWS, half), n))
+    # kept[s] holds (r, tile) pairs: an earlier block's taper at its rows
+    # r.. and block s's columns, transposed to block s's rows at columns r..
+    kept: dict[int, list] = {}
     row_sums = np.empty(n)
     for start in range(0, half, _QUADRATURE_BLOCK_ROWS):
-        top = np.arange(start, min(start + _QUADRATURE_BLOCK_ROWS, half))
-        quadrant = _heightfield_taper(np.hypot(axis[:half], axis[top, None]), a)
-        taper = np.hstack([quadrant, quadrant[:, :n - half][:, ::-1]])
+        stop = min(start + _QUADRATURE_BLOCK_ROWS, half)
+        block = taper[:stop - start]
+        cut = int(np.count_nonzero(x2 + axis[stop - 1] ** 2 > rim))
+        first = max(cut, start)
+        block[:, :first] = 0.0
+        for row, tile in kept.pop(start, ()):
+            block[len(block) - len(tile):, row:row + tile.shape[1]] = tile
+        block[:, first:half] = _heightfield_taper(
+            np.hypot(axis[first:half], axis[start:stop, None]), a)
+        for later in range(stop, half, _QUADRATURE_BLOCK_ROWS):
+            end = min(later + _QUADRATURE_BLOCK_ROWS, half)
+            if end > first:
+                tile = block[:, max(later, first):end]
+                kept.setdefault(later, []).append((start, tile.T.copy()))
+        block[:, half:] = block[:, :n - half][:, ::-1]
+        top = np.arange(start, stop)
         for rows in (top, n - 1 - top):
             field = per_row[rows] @ per_column
             field += 1.0
             np.maximum(field, _HEIGHTFIELD_FLOOR, out=field)
-            field *= taper
+            field *= block
             row_sums[rows] = field.sum(axis=1)
+            # freed here, so that it and the next block's taper temporaries
+            # are not held at once
+            del field
     raw = float(row_sums.sum()) * step * step
     return raw * _heightfield_scale(pile) if scaled else raw
 

@@ -100,6 +100,18 @@ def test_axis_range_validation():
         AxisRange("X", 2.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(True, 2), (0, False), ("0", 1), (0, "1"),
+                                    (None, 1), (0, 1j), (np.bool_(False), 1)])
+def test_axis_range_rejects_a_bool_or_non_real_bound(lo, hi):
+    with pytest.raises(InvalidParameter):
+        AxisRange("Z", lo, hi)
+
+
+def test_axis_range_takes_numpy_and_integer_bounds():
+    assert AxisRange("Z", np.float32(0.5), np.int64(2)).hi == 2
+    assert AxisRange("Z", 0, 1) == AxisRange("Z", 0.0, 1.0)
+
+
 @pytest.mark.parametrize("build", [
     lambda cloud: voxel_downsample(cloud, float("nan")),
     lambda cloud: voxel_downsample(cloud, float("inf")),

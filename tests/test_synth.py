@@ -98,12 +98,15 @@ def test_heightfield_quadrature_matches_direct_rule(n):
     assert separable == pytest.approx(direct_quadrature(pile, n), rel=1e-13, abs=0)
 
 
+# no drawn wave set dips below the clamp (the lowest field over seeds
+# 0..400000 is 0.067), so these waves are made to dip below it on about
+# 1 % of the footprint
+CLAMPED_WAVES = (((9.0, 2.0), (-3.0, 8.0), (5.0, -6.0), (7.0, 7.0)),
+                 (0.3, 1.1, 2.0, 4.0), (0.6, 0.5, 0.55, 0.45))
+
+
 def test_heightfield_quadrature_matches_direct_rule_where_clamped(monkeypatch):
-    # no drawn wave set dips below the clamp (the lowest field over seeds
-    # 0..400000 is 0.067), so these waves are made to dip below it on about
-    # 1 % of the footprint
-    waves = (((9.0, 2.0), (-3.0, 8.0), (5.0, -6.0), (7.0, 7.0)),
-             (0.3, 1.1, 2.0, 4.0), (0.6, 0.5, 0.55, 0.45))
+    waves = CLAMPED_WAVES
     monkeypatch.setattr(synth, "_heightfield_waves", lambda shape_seed, radius: waves)
     pile = Heightfield(shape_seed=0, radius=0.4, target_volume=0.05)
     n = 255
@@ -146,6 +149,67 @@ def test_catalogue_heightfield_scales_independent_of_blas_threads():
         scales.append(result.stdout.split())
     assert len(scales[0]) == 6
     assert scales[0] == scales[1]
+
+
+def whole_quadrant_quadrature(pile, n):
+    """The separable rule with the radial taper evaluated on the whole
+    quadrant of every block, the way ``heightfield_quadrature`` did before
+    it mirrored the quadrant about its diagonal and skipped the cells
+    outside the disc: the reference its sum must equal bit for bit."""
+    a = pile.radius
+    step = 2.0 * a / n
+    axis = -a + (np.arange(n) + 0.5) * step
+    kvecs, phases, amps = synth._heightfield_waves(pile.shape_seed, a)
+    k, amps = np.array(kvecs), np.array(amps)
+    x_phase = np.outer(k[:, 0], axis)
+    y_phase = np.outer(axis, k[:, 1]) + phases
+    per_row = np.hstack([amps * np.cos(y_phase), -(amps * np.sin(y_phase))])
+    per_column = np.vstack([np.cos(x_phase), np.sin(x_phase)])
+    half = (n + 1) // 2
+    row_sums = np.empty(n)
+    for start in range(0, half, 64):
+        top = np.arange(start, min(start + 64, half))
+        r = np.hypot(axis[:half], axis[top, None])
+        quadrant = np.where(r < a, np.cos(0.5 * math.pi * np.clip(r / a, 0, 1)) ** 2, 0.0)
+        taper = np.hstack([quadrant, quadrant[:, :n - half][:, ::-1]])
+        for rows in (top, n - 1 - top):
+            field = per_row[rows] @ per_column
+            field += 1.0
+            np.maximum(field, 0.05, out=field)
+            field *= taper
+            row_sums[rows] = field.sum(axis=1)
+    return float(row_sums.sum()) * step * step
+
+
+CATALOGUE_HEIGHTFIELDS = [s.pile for s in reference_scenes()
+                          if isinstance(s.pile, Heightfield)]
+
+
+# block edges at 63, 64, 65 and 129 rows a half, odd sizes with an
+# unmirrored centre row and column, and the catalogue's 2048
+@pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 129, 2047, 2048])
+@pytest.mark.parametrize("pile", CATALOGUE_HEIGHTFIELDS,
+                         ids=[f"seed{p.shape_seed}" for p in CATALOGUE_HEIGHTFIELDS])
+def test_quadrature_matches_the_whole_quadrant_reference(pile, n):
+    assert (heightfield_quadrature(pile, n=n, scaled=False)
+            == whole_quadrant_quadrature(pile, n))
+
+
+@pytest.mark.parametrize("n", [7, 65, 255, 2048])
+def test_clamped_quadrature_matches_the_whole_quadrant_reference(monkeypatch, n):
+    monkeypatch.setattr(synth, "_heightfield_waves", lambda shape_seed, radius: CLAMPED_WAVES)
+    pile = Heightfield(shape_seed=0, radius=0.4, target_volume=0.05)
+    assert (heightfield_quadrature(pile, n=n, scaled=False)
+            == whole_quadrant_quadrature(pile, n))
+
+
+def test_catalogue_heightfield_scales_are_pinned():
+    # the scales every catalogue heightfield's truth rests on, as the
+    # whole-quadrant quadrature gave them
+    scales = [synth._heightfield_scale(pile).hex() for pile in CATALOGUE_HEIGHTFIELDS]
+    assert scales == ["0x1.da91ad897180ep-3", "0x1.92e85a94f5b57p-2",
+                      "0x1.64af33df540f9p-2", "0x1.97233db275aebp-3",
+                      "0x1.055f7cfd1b6b7p-2", "0x1.8dfe9d23968b5p-1"]
 
 
 # ---------------------------------------------------------------------------
