@@ -1,15 +1,20 @@
 """The one worker thread that runs half of a split call beside the caller.
 
-Two calls are split, both in the fine filter: its two x-slabs each query
+Three calls are split.  In the fine filter, its two x-slabs each query
 their r0 pairs (``denoise._slab_pairs``) and hook their forest
 (``denoise._forest``), one slab on the calling thread and one on this
-worker.  A call is worth splitting only when each half
+worker.  In the scene generator (``synth._generate``), the worker draws
+each chunk's noise (``synth._draw_noise``) while the caller evaluates
+the pile's surface.  A call is worth splitting only when each half
 releases the GIL for most of its time, as numpy and scipy calls on arrays
 of about 100k elements do, and only where a benchmark shows the gain.
 
 A kernel that runs on the worker calls only numpy and scipy,
 never a pilevol function through a module global: a tracer may rebind
-those, and it keeps one span stack for one thread.
+those, and it keeps one span stack for one thread.  An object that both
+halves could reach, such as the scene's random generator, belongs to one
+thread at a time: the caller hands it over before the worker's half
+starts and takes it back only once that half has returned.
 """
 
 from __future__ import annotations

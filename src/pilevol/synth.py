@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
+from concurrent import futures
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .cloud import PointCloud, _add_to_columns, _chunks
+from ._worker import _worker
+from .cloud import _CHUNK, PointCloud, _add_to_columns, _chunks
 from .errors import InvalidParameter
 from .pose import rodrigues
 
@@ -28,6 +31,9 @@ HEIGHTFIELD_QUADRATURE_N = 2048
 # the footprint
 _HEIGHTFIELD_FLOOR = 0.05
 _QUADRATURE_BLOCK_ROWS = 64
+# rows of the pile surface a scene evaluates at once: half a chunk, a whole
+# number of SIMD vectors
+_SURFACE_ROWS = _CHUNK // 2
 
 
 def _is_count(value) -> bool:
@@ -364,6 +370,21 @@ def _sample_clutter(blob: ClutterSpec, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(blob.center) + direction * rad[:, None]
 
 
+def _draw_noise(rng: np.random.Generator, sigma: float, xyz: np.ndarray,
+                every: list, ready: list, buf: np.ndarray) -> None:
+    """The worker's half of ``_generate``: each chunk's noise, drawn as
+    ``rng.normal(0.0, sigma, (rows, 3))`` draws it (0.0 + sigma * z, so
+    -0.0 reads +0.0) into ``buf``, and added to the chunk's rows once its
+    event says the caller is done with them."""
+    for rows, event in zip(every, ready):
+        noise = buf[:rows.stop - rows.start]
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        noise += 0.0
+        event.wait()
+        xyz[rows] += noise
+
+
 def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
     """The scene cloud, built in one (N, 3) array.
 
@@ -372,6 +393,16 @@ def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
     all y, each clutter blob, the noise of every row, the tilt axis and
     the offset.  Every row gets the bits those passes gave it, and no
     temporary outgrows a chunk.
+
+    With noise on, the generator passes to the worker thread
+    (``pilevol._worker``) once the clutter is drawn.  It draws each
+    chunk's noise into one chunk-sized buffer while the caller evaluates
+    the pile's surface, ``_SURFACE_ROWS`` rows at a time, and applies the
+    warp; the worker adds a chunk's noise once the caller has set that
+    chunk's event.  The caller sets every event and waits for the worker
+    before it takes the generator back for the tilt axis and the offset,
+    also when its own half raises.  The surface pieces are whole numbers
+    of SIMD vectors, so each row gets the bits of one whole-array pass.
     """
     rng = np.random.default_rng(spec.seed)
     width, length = spec.ground_extent
@@ -381,20 +412,32 @@ def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
     for k, half in enumerate((0.5 * width, 0.5 * length)):
         for rows in ground:
             xyz[rows, k] = rng.uniform(-half, half, rows.stop - rows.start)
-    for rows in ground:
-        # contiguous copies, as the pile's ufuncs saw whole-array x and y
-        xyz[rows, 2] = spec.pile.surface_height(xyz[rows, 0].copy(),
-                                                xyz[rows, 1].copy())
     start = n_scene
     for blob in spec.clutter:
         xyz[start:start + blob.count] = _sample_clutter(blob, rng)
         start += blob.count
-    if ground_warp is not None:
-        for rows in every:
-            xyz[rows, 2] += ground_warp(xyz[rows, 0], xyz[rows, 1])
+    ready = [threading.Event() for _ in every]
+    noise = None
     if spec.noise_sigma > 0:
-        for rows in every:
-            xyz[rows] += rng.normal(0.0, spec.noise_sigma, (rows.stop - rows.start, 3))
+        noise = _worker().submit(_draw_noise, rng, spec.noise_sigma, xyz, every,
+                                 ready, np.empty((min(len(xyz), _CHUNK), 3)))
+    try:
+        for rows, event in zip(every, ready):
+            for lo in range(rows.start, min(rows.stop, n_scene), _SURFACE_ROWS):
+                part = slice(lo, min(lo + _SURFACE_ROWS, rows.stop, n_scene))
+                # contiguous copies, as the pile's ufuncs saw whole-array x and y
+                xyz[part, 2] = spec.pile.surface_height(xyz[part, 0].copy(),
+                                                        xyz[part, 1].copy())
+            if ground_warp is not None:
+                xyz[rows, 2] += ground_warp(xyz[rows, 0], xyz[rows, 1])
+            event.set()
+    finally:
+        for event in ready:
+            event.set()
+        if noise is not None:
+            futures.wait((noise,))
+    if noise is not None:
+        noise.result()
     if spec.tilt_deg > 0:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         theta = math.radians(spec.tilt_deg)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -282,7 +283,10 @@ def whole_array_generate(spec, ground_warp=None) -> np.ndarray:
     return xyz + offset
 
 
-CHUNK_EDGES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]
+# one and two rows, and both sides of a chunk edge; with clutter, every
+# size but _CHUNK puts the first clutter row inside the last ground chunk,
+# which the worker's noise and the caller's surface then share
+CHUNK_EDGES = [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]
 
 
 def edge_spec(pile, n, **kw):
@@ -324,15 +328,138 @@ def test_large_chunked_scene_matches_the_whole_array_reference():
 
 @pytest.mark.parametrize("n", CHUNK_EDGES)
 def test_chunked_smeared_scene_matches_the_whole_array_reference(n):
-    spec = edge_spec(Cone(0.3, 0.25), n, noise_sigma=0.002, tilt_deg=5.0,
-                     clutter=default_clutter((1.6, 0.8)))
+    # the warp runs over the clutter rows too, between the caller's surface
+    # and the worker's noise of the same chunk, and alone with the noise off
     rise = 0.02
+    for noise_sigma in (0.002, 0.0):
+        spec = edge_spec(Cone(0.3, 0.25), n, noise_sigma=noise_sigma, tilt_deg=5.0,
+                         clutter=default_clutter((1.6, 0.8)))
 
-    def warp(x, y):
-        return rise * np.abs(x) / (0.5 * spec.ground_extent[0])
+        def warp(x, y):
+            return rise * np.abs(x) / (0.5 * spec.ground_extent[0])
 
-    reference = whole_array_generate(replace(spec, tilt_deg=0.0), warp)
-    assert smeared_ground_scene(spec, rise).cloud.xyz.tobytes() == reference.tobytes()
+        reference = whole_array_generate(replace(spec, tilt_deg=0.0), warp)
+        assert (smeared_ground_scene(spec, rise).cloud.xyz.tobytes()
+                == reference.tobytes()), noise_sigma
+
+
+def run_within(seconds, fn, *args):
+    """``fn(*args)`` on a thread of its own; a call still running after
+    ``seconds`` fails the test instead of hanging it."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{fn.__name__} did not return in {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class SecondChunkFails:
+    """A pile whose surface raises once it is asked for a row past the
+    first chunk."""
+
+    footprint_radius = 0.3
+    true_volume = 0.0
+
+    def __init__(self):
+        self.rows = 0
+
+    def surface_height(self, x, y):
+        self.rows += len(x)
+        if self.rows > _CHUNK:
+            raise RuntimeError("surface failed in the second chunk")
+        return np.zeros_like(x)
+
+
+def _scene_bytes(spec):
+    return generate_scene(spec).cloud.xyz.tobytes()
+
+
+def test_scene_after_a_failing_surface_matches_the_whole_array_reference(monkeypatch):
+    # the caller's error reaches the caller after the worker has drawn its
+    # noise and returned: a worker left waiting for a chunk's event would
+    # hang the next scene that draws noise
+    draw, drawn = synth._draw_noise, []
+
+    def recorded(*args):
+        draw(*args)
+        drawn.append(len(args[3]))
+
+    failing = edge_spec(SecondChunkFails(), 3 * _CHUNK, clutter=default_clutter((1.6, 0.8)))
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "_draw_noise", recorded)
+        with pytest.raises(RuntimeError, match="second chunk"):
+            run_within(60, generate_scene, failing)
+    assert failing.pile.rows > _CHUNK
+    # the worker's half had returned, every chunk drawn, before the error
+    # left generate_scene
+    assert drawn == [4]
+    spec = edge_spec(Cone(0.3, 0.25), 2 * _CHUNK + 7, tilt_deg=8.0,
+                     clutter=default_clutter((1.6, 0.8)))
+    assert run_within(60, _scene_bytes, spec) == whole_array_generate(spec).tobytes()
+
+
+def test_failing_noise_draw_raises_and_the_next_scene_matches_the_whole_array_reference(
+        monkeypatch):
+    def broken(*args):
+        raise MemoryError("noise draw failed")
+
+    spec = edge_spec(Cone(0.3, 0.25), _CHUNK + 1, tilt_deg=8.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "_draw_noise", broken)
+        with pytest.raises(MemoryError, match="noise draw failed"):
+            run_within(60, generate_scene, spec)
+    assert run_within(60, _scene_bytes, spec) == whole_array_generate(spec).tobytes()
+
+
+def test_scenes_on_two_threads_match_the_whole_array_reference(monkeypatch):
+    # both callers share the one worker: one scene's noise waits in its
+    # queue while the other's is drawn, and neither waits on the other's
+    # events.  A short switch interval interleaves them finely, and with the
+    # pool dropped first they also race to start it
+    from pilevol import _worker
+    specs = [edge_spec(Frustum(0.3, 0.15, 0.2), 2 * _CHUNK + 7, tilt_deg=8.0,
+                       clutter=default_clutter((1.6, 0.8))),
+             edge_spec(Heightfield(shape_seed=7, radius=0.3, target_volume=0.02),
+                       _CHUNK + 1, tilt_deg=5.0)]
+    expected = [whole_array_generate(spec).tobytes() for spec in specs]
+    results = [[] for _ in specs]
+
+    def run(k):
+        for _ in range(5):
+            results[k].append(_scene_bytes(specs[k]))
+
+    monkeypatch.setattr(_worker, "_pool_pid", -1)
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(specs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(len(specs)):
+        assert results[k] == [expected[k]] * 5
+
+
+def test_noise_kernel_references_only_numpy():
+    # it runs on the worker thread, so it must reach no pilevol function
+    # through a module global: the benchmark's tracer rebinds those and
+    # keeps one stack for one thread
+    names = set(synth._draw_noise.__code__.co_names) & set(vars(synth))
+    assert names <= {"np"}, names
 
 
 def test_generate_scene_holds_about_one_copy_of_the_cloud():
