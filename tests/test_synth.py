@@ -385,8 +385,8 @@ def _scene_bytes(spec):
 
 
 def test_scene_after_a_failing_surface_matches_the_whole_array_reference(monkeypatch):
-    # the caller's error reaches the caller after the worker has drawn its
-    # noise and returned: a worker left waiting for a chunk's event would
+    # the surface's error reaches the caller only after the worker has drawn
+    # its noise and returned: a worker left waiting for a chunk's event would
     # hang the next scene that draws noise
     draw, drawn = synth._draw_noise, []
 
