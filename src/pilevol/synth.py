@@ -30,7 +30,10 @@ HEIGHTFIELD_QUADRATURE_N = 2048
 # the wave field's lower clamp, so the surface stays above ground inside
 # the footprint
 _HEIGHTFIELD_FLOOR = 0.05
-_QUADRATURE_BLOCK_ROWS = 64
+# rows of the quadrant a quadrature block takes: at 32, its taper block,
+# the worker's two scratch blocks and the field temporaries peak below
+# what 64-row blocks with no worker held
+_QUADRATURE_BLOCK_ROWS = 32
 # rows of the pile surface a scene evaluates at once: half a chunk, a whole
 # number of SIMD vectors
 _SURFACE_ROWS = _CHUNK // 2
@@ -177,18 +180,52 @@ class Heightfield:
         return _heightfield_scale(self) * self._raw_height(x, y)
 
 
-def _heightfield_taper(r: np.ndarray, radius: float) -> np.ndarray:
+def _heightfield_taper(r: np.ndarray, radius: float,
+                       outside: np.ndarray | None = None) -> np.ndarray:
     """cos²(π/2 · r/R) inside the footprint, 0 outside, written over the
-    distances ``r`` (an array, >= 0) and returned."""
-    outside = r >= radius
+    distances ``r`` (an array, >= 0) and returned.
+
+    The outside mask goes into ``outside`` (a bool array of r's shape)
+    when one is given, and the taper then allocates no array.  It names no
+    module global but ``np``, as the quadrature's worker half calls it.
+    """
+    outside = np.greater_equal(r, radius, out=outside)
     r /= radius
     # r >= 0, so the upper clamp alone is clip(r/R, 0, 1)
     np.minimum(r, 1.0, out=r)
-    r *= 0.5 * math.pi
+    r *= 0.5 * np.pi
     np.cos(r, out=r)
     np.square(r, out=r)
     r[outside] = 0.0
     return r
+
+
+def _taper_blocks(taper, axis: np.ndarray, radius: float, spans: list,
+                  outside: np.ndarray, free: list, ready: list,
+                  halt: threading.Event) -> None:
+    """The worker's half of ``heightfield_quadrature``: for each block
+    ``(start, stop, first, out)`` of ``spans``, once its ``free`` event says
+    the caller is done with ``out``, the taper (``_heightfield_taper``) at
+    rows start..stop and columns first..centre, written into ``out`` with
+    ``outside`` as its mask; then the block's ``ready`` event.
+
+    It allocates no array and calls no BLAS.  It returns as soon as it sees
+    ``halt``; if it raises, it sets ``halt`` and every ``ready`` event, so
+    the caller never waits on a block that will not come.
+    """
+    try:
+        for (start, stop, first, out), free_k, ready_k in zip(spans, free, ready):
+            free_k.wait()
+            if halt.is_set():
+                return
+            np.hypot(axis[first:first + out.shape[1]], axis[start:stop, None], out=out)
+            taper(out, radius, outside[:out.size].reshape(out.shape))
+            ready_k.set()
+    except BaseException:
+        halt.set()
+        for event in ready:
+            event.set()
+        raise
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +253,7 @@ def heightfield_quadrature(pile: Heightfield, n: int = HEIGHTFIELD_QUADRATURE_N,
     The rule sums ``pile._raw_height`` at the n × n cell centres, evaluated
     separably instead of point by point.  Each wave splits by angle
     addition, cos(kx·x + ky·y + φ) = cos(kx·x)·cos(ky·y + φ)
-    − sin(kx·x)·sin(ky·y + φ), so the wave field of a block of 64 rows is
+    − sin(kx·x)·sin(ky·y + φ), so the wave field of a block of 32 rows is
     one rank-8 matrix product of per-row and per-column factors: 16 n
     cosines and sines in place of 4 n².  The radial taper is computed on
     one quadrant and mirrored to the other three.  The quadrant is
@@ -226,14 +263,29 @@ def heightfield_quadrature(pile: Heightfield, n: int = HEIGHTFIELD_QUADRATURE_N,
     whose x² + y² at the block's innermost row passes R²(1 + 1e-9) are
     outside the disc on every row of the block, and their taper is set to
     0 with no ``hypot`` or ``cos``.  That leaves about 0.43 of the
-    quadrant's cells to evaluate at n = 2048.  The clamp, the taper
-    product and the row sums still run over whole rows, so the sum has the
-    bits of the whole-quadrant evaluation.  The kept tiles peak at about a
-    quarter of the quadrant; every other temporary is a block of 64 rows
-    at most.  The result agrees with the direct evaluation to about 1e-16
-    relative; at n = 2048 it takes about 0.026 s per pile on one core of a
-    2-core x86-64 VM, against 0.037 s with the taper evaluated on the
-    whole quadrant and 0.4 s point by point.
+    quadrant's cells to evaluate at n = 2048.
+
+    The two halves run side by side.  The worker thread
+    (``pilevol._worker``) evaluates each block's taper, from the block's
+    first evaluated column to the centre, into one of two scratch blocks
+    the caller allocated (``_taper_blocks``).  While it evaluates block
+    k + 1, the calling thread copies block k out of its scratch block,
+    fills in the kept tiles, mirrors the block, and forms the wave field,
+    the clamp, the taper product and the row sums.  A pair of events per
+    block hands each scratch block back and forth.  The worker allocates
+    no array and calls no BLAS: variants that did raised the benchmark's
+    peak resident memory.
+    The clamp, the taper product and the row sums still run over whole
+    rows, each cell gets the same operations in the same order, and each
+    row sum is the same whole-row pairwise sum, so the sum has the bits of
+    the whole-quadrant evaluation.  The kept tiles peak at about a quarter
+    of the quadrant; every other temporary is a block of 32 rows at most.
+
+    The result agrees with the direct evaluation to about 1e-16 relative.
+    At n = 2048 the six catalogue piles take about 126 ms together (p50 of
+    15 rounds, one BLAS thread, a 2-vCPU x86-64 VM), against 169 ms with
+    the whole quadrature on one thread; point by point, one pile takes
+    0.4 s.
     """
     if not (_is_count(n) and n >= 1):
         raise InvalidParameter(f"quadrature size n must be an integer >= 1, got {n!r}")
@@ -254,37 +306,66 @@ def heightfield_quadrature(pile: Heightfield, n: int = HEIGHTFIELD_QUADRATURE_N,
     # x² + y² puts hypot at R or beyond whatever its rounding
     x2 = axis[:half] ** 2
     rim = a * a * (1.0 + 1e-9)
+    size = min(_QUADRATURE_BLOCK_ROWS, half) * half
+    # the worker writes block k's taper into scratch[k % 2], the columns
+    # first..centre as one contiguous array, the layout of a fresh one
+    scratch = (np.empty(size), np.empty(size))
+    spans = []
+    for start in range(0, half, _QUADRATURE_BLOCK_ROWS):
+        stop = min(start + _QUADRATURE_BLOCK_ROWS, half)
+        cut = int(np.count_nonzero(x2 + axis[stop - 1] ** 2 > rim))
+        first = max(cut, start)
+        shape = (stop - start, half - first)
+        out = scratch[len(spans) % 2][:shape[0] * shape[1]].reshape(shape)
+        spans.append((start, stop, first, out))
+    free = [threading.Event() for _ in spans]
+    ready = [threading.Event() for _ in spans]
+    halt = threading.Event()
+    for event in free[:2]:
+        event.set()
+    job = _worker().submit(_taper_blocks, _heightfield_taper, axis, a, spans,
+                           np.empty(size, dtype=bool), free, ready, halt)
     taper = np.empty((min(_QUADRATURE_BLOCK_ROWS, half), n))
     # kept[s] holds (r, tile) pairs: an earlier block's taper at its rows
     # r.. and block s's columns, transposed to block s's rows at columns r..
     kept: dict[int, list] = {}
     row_sums = np.empty(n)
-    for start in range(0, half, _QUADRATURE_BLOCK_ROWS):
-        stop = min(start + _QUADRATURE_BLOCK_ROWS, half)
-        block = taper[:stop - start]
-        cut = int(np.count_nonzero(x2 + axis[stop - 1] ** 2 > rim))
-        first = max(cut, start)
-        block[:, :first] = 0.0
-        for row, tile in kept.pop(start, ()):
-            block[len(block) - len(tile):, row:row + tile.shape[1]] = tile
-        block[:, first:half] = _heightfield_taper(
-            np.hypot(axis[first:half], axis[start:stop, None]), a)
-        for later in range(stop, half, _QUADRATURE_BLOCK_ROWS):
-            end = min(later + _QUADRATURE_BLOCK_ROWS, half)
-            if end > first:
-                tile = block[:, max(later, first):end]
-                kept.setdefault(later, []).append((start, tile.T.copy()))
-        block[:, half:] = block[:, :n - half][:, ::-1]
-        top = np.arange(start, stop)
-        for rows in (top, n - 1 - top):
-            field = per_row[rows] @ per_column
-            field += 1.0
-            np.maximum(field, _HEIGHTFIELD_FLOOR, out=field)
-            field *= block
-            row_sums[rows] = field.sum(axis=1)
-            # freed here, so that it and the next block's taper temporaries
-            # are not held at once
-            del field
+    try:
+        for b, (start, stop, first, out) in enumerate(spans):
+            block = taper[:stop - start]
+            block[:, :first] = 0.0
+            for row, tile in kept.pop(start, ()):
+                block[len(block) - len(tile):, row:row + tile.shape[1]] = tile
+            ready[b].wait()
+            if halt.is_set():
+                break
+            block[:, first:half] = out
+            if b + 2 < len(spans):
+                free[b + 2].set()
+            for later in range(stop, half, _QUADRATURE_BLOCK_ROWS):
+                end = min(later + _QUADRATURE_BLOCK_ROWS, half)
+                if end > first:
+                    tile = block[:, max(later, first):end]
+                    kept.setdefault(later, []).append((start, tile.T.copy()))
+            block[:, half:] = block[:, :n - half][:, ::-1]
+            top = np.arange(start, stop)
+            for rows in (top, n - 1 - top):
+                field = per_row[rows] @ per_column
+                field += 1.0
+                np.maximum(field, _HEIGHTFIELD_FLOOR, out=field)
+                field *= block
+                row_sums[rows] = field.sum(axis=1)
+                # freed here, so that it and the next block's tiles are not
+                # held at once
+                del field
+    finally:
+        # the worker's half returns before the caller's error leaves, so
+        # no half outlives the call
+        halt.set()
+        for event in free:
+            event.set()
+        futures.wait((job,))
+    job.result()
     raw = float(row_sums.sum()) * step * step
     return raw * _heightfield_scale(pile) if scaled else raw
 
@@ -403,6 +484,9 @@ def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
     before it takes the generator back for the tilt axis and the offset,
     also when its own half raises.  The surface pieces are whole numbers
     of SIMD vectors, so each row gets the bits of one whole-array pass.
+    A heightfield's scale is taken before the noise job is handed over:
+    its quadrature is a worker job of its own, which would otherwise queue
+    behind the noise job that waits on this thread.
     """
     rng = np.random.default_rng(spec.seed)
     width, length = spec.ground_extent
@@ -416,6 +500,9 @@ def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
     for blob in spec.clutter:
         xyz[start:start + blob.count] = _sample_clutter(blob, rng)
         start += blob.count
+    if isinstance(spec.pile, Heightfield):
+        # a worker job of its own, so it must come before the noise job
+        _heightfield_scale(spec.pile)
     ready = [threading.Event() for _ in every]
     noise = None
     if spec.noise_sigma > 0:

@@ -18,6 +18,7 @@ from pilevol.cloud import _CHUNK, PointCloud
 from pilevol.errors import InvalidParameter
 from pilevol.pose import rodrigues
 from pilevol.synth import (
+    HEIGHTFIELD_QUADRATURE_N,
     ClutterSpec,
     Cone,
     Frustum,
@@ -186,9 +187,14 @@ CATALOGUE_HEIGHTFIELDS = [s.pile for s in reference_scenes()
                           if isinstance(s.pile, Heightfield)]
 
 
-# block edges at 63, 64, 65 and 129 rows a half, odd sizes with an
-# unmirrored centre row and column, and the catalogue's 2048
-@pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 129, 2047, 2048])
+# one block, one block and a row, and two blocks and a row of the quadrant,
+# at the block rows' own n too; odd sizes with an unmirrored centre row and
+# column, and the catalogue's 2048
+BLOCK_ROWS = synth._QUADRATURE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               63, 64, 65, 129, 2047, 2048])
 @pytest.mark.parametrize("pile", CATALOGUE_HEIGHTFIELDS,
                          ids=[f"seed{p.shape_seed}" for p in CATALOGUE_HEIGHTFIELDS])
 def test_quadrature_matches_the_whole_quadrant_reference(pile, n):
@@ -204,13 +210,129 @@ def test_clamped_quadrature_matches_the_whole_quadrant_reference(monkeypatch, n)
             == whole_quadrant_quadrature(pile, n))
 
 
+# the scales every catalogue heightfield's truth rests on, as the
+# whole-quadrant quadrature gave them
+PINNED_SCALES = ["0x1.da91ad897180ep-3", "0x1.92e85a94f5b57p-2",
+                 "0x1.64af33df540f9p-2", "0x1.97233db275aebp-3",
+                 "0x1.055f7cfd1b6b7p-2", "0x1.8dfe9d23968b5p-1"]
+
+
 def test_catalogue_heightfield_scales_are_pinned():
-    # the scales every catalogue heightfield's truth rests on, as the
-    # whole-quadrant quadrature gave them
     scales = [synth._heightfield_scale(pile).hex() for pile in CATALOGUE_HEIGHTFIELDS]
-    assert scales == ["0x1.da91ad897180ep-3", "0x1.92e85a94f5b57p-2",
-                      "0x1.64af33df540f9p-2", "0x1.97233db275aebp-3",
-                      "0x1.055f7cfd1b6b7p-2", "0x1.8dfe9d23968b5p-1"]
+    assert scales == PINNED_SCALES
+
+
+def fresh_catalogue_scales() -> list[str]:
+    """Each catalogue heightfield's scale from a quadrature of its own, by
+    ``float.hex``, with no cache between."""
+    return [(pile.target_volume
+             / heightfield_quadrature(pile, HEIGHTFIELD_QUADRATURE_N, scaled=False)).hex()
+            for pile in CATALOGUE_HEIGHTFIELDS]
+
+
+def run_within(seconds, fn, *args):
+    """``fn(*args)`` on a thread of its own; a call still running after
+    ``seconds`` fails the test instead of hanging it."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{fn.__name__} did not return in {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class FloorFailsAt:
+    """A wave-field floor whose ``fail_at``-th use raises: the quadrature's
+    caller half fails part-way through its blocks."""
+
+    floor = synth._HEIGHTFIELD_FLOOR
+
+    def __init__(self, fail_at):
+        self.uses, self.fail_at = 0, fail_at
+
+    def __array__(self, dtype=None, copy=None):
+        self.uses += 1
+        if self.uses == self.fail_at:
+            raise RuntimeError("caller half failed")
+        return np.array(self.floor, dtype=dtype)
+
+
+def test_failing_caller_half_raises_and_the_next_scales_are_pinned(monkeypatch):
+    # the worker's half returns before the caller's error leaves the
+    # quadrature: a worker left waiting for a scratch block would hang the
+    # next quadrature and the next scene
+    taper_blocks, returned = synth._taper_blocks, []
+
+    def recorded(*args):
+        taper_blocks(*args)
+        returned.append(sum(event.is_set() for event in args[6]))
+
+    floor = FloorFailsAt(fail_at=9)
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "_HEIGHTFIELD_FLOOR", floor)
+        patch.setattr(synth, "_taper_blocks", recorded)
+        with pytest.raises(RuntimeError, match="caller half failed"):
+            run_within(60, heightfield_quadrature, CATALOGUE_HEIGHTFIELDS[0],
+                       HEIGHTFIELD_QUADRATURE_N, False)
+    assert floor.uses == 9
+    # the ninth use is block 4's first, so the worker had written blocks
+    # 0..4 and at most two past them
+    assert len(returned) == 1 and 5 <= returned[0] <= 7
+    assert run_within(60, fresh_catalogue_scales) == PINNED_SCALES
+
+
+def test_failing_worker_half_raises_and_the_next_scales_are_pinned(monkeypatch):
+    # the caller never waits on a block the failed worker will not write
+    taper, calls = synth._heightfield_taper, []
+
+    def fails_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise MemoryError("worker half failed")
+        return taper(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "_heightfield_taper", fails_third)
+        with pytest.raises(MemoryError, match="worker half failed"):
+            run_within(60, heightfield_quadrature, CATALOGUE_HEIGHTFIELDS[0],
+                       HEIGHTFIELD_QUADRATURE_N, False)
+    assert len(calls) == 3
+    assert run_within(60, fresh_catalogue_scales) == PINNED_SCALES
+
+
+def test_quadratures_on_two_threads_scales_are_pinned(monkeypatch):
+    # both callers share the one worker: one quadrature's taper job waits in
+    # its queue while the other's runs, and neither waits on the other's
+    # events.  A short switch interval interleaves them finely, and with the
+    # pool dropped first they also race to start it
+    from pilevol import _worker
+    results = [None, None]
+
+    def run(k):
+        results[k] = fresh_catalogue_scales()
+
+    monkeypatch.setattr(_worker, "_pool_pid", -1)
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [PINNED_SCALES, PINNED_SCALES]
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +465,6 @@ def test_chunked_smeared_scene_matches_the_whole_array_reference(n):
                 == reference.tobytes()), noise_sigma
 
 
-def run_within(seconds, fn, *args):
-    """``fn(*args)`` on a thread of its own; a call still running after
-    ``seconds`` fails the test instead of hanging it."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["value"] = fn(*args)
-        except BaseException as error:
-            outcome["error"] = error
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"{fn.__name__} did not return in {seconds} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
 class SecondChunkFails:
     """A pile whose surface raises once it is asked for a row past the
     first chunk."""
@@ -460,6 +562,62 @@ def test_noise_kernel_references_only_numpy():
     # keeps one stack for one thread
     names = set(synth._draw_noise.__code__.co_names) & set(vars(synth))
     assert names <= {"np"}, names
+
+
+@pytest.mark.parametrize("kernel", [synth._taper_blocks, synth._heightfield_taper],
+                         ids=["taper_blocks", "heightfield_taper"])
+def test_quadrature_worker_kernels_reference_only_numpy(kernel):
+    # the quadrature's worker half, and the taper it is handed, run on the
+    # worker thread under the same rule as the noise kernel
+    names = set(kernel.__code__.co_names) & set(vars(synth))
+    assert names <= {"np"}, names
+
+
+def test_quadrature_worker_half_allocates_no_array():
+    # it writes a block's taper into the caller's scratch block and its mask
+    # into the caller's bool block; numpy's broadcast hypot takes its own
+    # iteration buffer, of at most 8192 elements an operand
+    n, a = 2048, 0.4
+    axis = -a + (np.arange(n) + 0.5) * (2.0 * a / n)
+    out = np.empty((BLOCK_ROWS, n // 2))
+    free, ready = [threading.Event()], [threading.Event()]
+    free[0].set()
+    args = (synth._heightfield_taper, axis, a, [(0, BLOCK_ROWS, 0, out)],
+            np.empty(out.size, dtype=bool), free, ready, threading.Event())
+    synth._taper_blocks(*args)
+    first = out.copy()
+    tracemalloc.start()
+    try:
+        synth._taper_blocks(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ready[0].is_set()
+    assert peak < 3 * 8 * 8192 < out.nbytes
+    r = np.hypot(axis[:n // 2], axis[:BLOCK_ROWS, None])
+    assert np.array_equal(out, first)
+    assert np.array_equal(first, synth._heightfield_taper(r, a))
+
+
+def test_cold_cache_heightfield_scenes_match_the_whole_array_reference():
+    # a heightfield scene takes its truth's scale, half of whose quadrature
+    # runs on the worker, before its noise job holds the worker waiting on
+    # the caller; taken lazily by the surface, the quadrature's job would
+    # queue behind the noise job, and neither would finish.  A fresh process
+    # starts with cold caches, and its timeout ends a hang that, on a thread
+    # of the test run, would also hold the run's exit on the stuck worker
+    specs = [spec for spec in reference_scenes() if isinstance(spec.pile, Heightfield)]
+    expected = [hashlib.sha256(whole_array_generate(spec).tobytes()).hexdigest()
+                for spec in specs]
+    code = ("import hashlib\n"
+            "from pilevol.synth import Heightfield, generate_scene, reference_scenes\n"
+            "print(*[hashlib.sha256(generate_scene(s).cloud.xyz.tobytes()).hexdigest()"
+            " for s in reference_scenes() if isinstance(s.pile, Heightfield)])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.split() == expected
 
 
 def test_generate_scene_holds_about_one_copy_of_the_cloud():
