@@ -205,9 +205,10 @@ def _taper_blocks(taper, axis: np.ndarray, radius: float, spans: list,
                   halt: threading.Event) -> None:
     """The worker's half of ``heightfield_quadrature``: for each block
     ``(start, stop, first, out)`` of ``spans``, once its ``free`` event says
-    the caller is done with ``out``, the taper (``_heightfield_taper``) at
-    rows start..stop and columns first..centre, written into ``out`` with
-    ``outside`` as its mask; then the block's ``ready`` event.
+    the caller is done with ``out``, the taper at rows start..stop and
+    columns first..centre, written into ``out`` with ``outside`` as its
+    mask; then the block's ``ready`` event.  The caller hands in ``taper``
+    (``_heightfield_taper``), as a worker kernel names no pilevol global.
 
     It allocates no array and calls no BLAS.  It returns as soon as it sees
     ``halt``; if it raises, it sets ``halt`` and every ``ready`` event, so
@@ -282,10 +283,10 @@ def heightfield_quadrature(pile: Heightfield, n: int = HEIGHTFIELD_QUADRATURE_N,
     of the quadrant; every other temporary is a block of 32 rows at most.
 
     The result agrees with the direct evaluation to about 1e-16 relative.
-    At n = 2048 the six catalogue piles take about 126 ms together (p50 of
-    15 rounds, one BLAS thread, a 2-vCPU x86-64 VM), against 169 ms with
-    the whole quadrature on one thread; point by point, one pile takes
-    0.4 s.
+    At n = 2048 the six catalogue piles take 126–142 ms together, against
+    169–182 ms with the whole quadrature on one thread (p50 of two series
+    of 15 alternating rounds, one BLAS thread, a 2-vCPU x86-64 VM); point
+    by point, one pile takes 0.4 s.
     """
     if not (_is_count(n) and n >= 1):
         raise InvalidParameter(f"quadrature size n must be an integer >= 1, got {n!r}")
