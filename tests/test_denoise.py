@@ -811,17 +811,25 @@ def test_hdbscan_chain_golden():
     # both filter passes, merged the wall strip into the pile (+19.45 %).
     # The chain on the raw capture is what that pre-filter kept; the hash
     # was taken from the last version with the pipeline mode, so the
-    # library chain must stay the paper's bit for bit
+    # library chain must stay the paper's bit for bit.  The hash is of the
+    # decisions, the kept rows of the raw capture (radius mask, then labels,
+    # then the winner), not of their coordinates, whose last bits follow the
+    # scene's truth scale and the machine's SIMD kernels
     seed = 1432710598
     cloud = generate_scene(replace(reference_scenes()[8], seed=seed)).cloud
     rparams = RadiusFilterParams(r0=0.025, n_min=4)
+    keep = _radius_graph(cloud.xyz, rparams)[1]
     filtered = radius_outlier_filter(cloud, rparams)
+    assert np.array_equal(filtered.xyz, cloud.xyz[keep])
     labels = hdbscan(filtered, HdbscanParams(min_cluster_size=50, min_samples=10))
     kept = largest_cluster(filtered, labels)
+    winner = int(np.argmax(labels.cluster_sizes()))
+    rows = np.flatnonzero(keep)[labels.labels == winner].astype(np.int64)
+    assert np.array_equal(kept.xyz, cloud.xyz[rows])
     assert (len(cloud), len(filtered), labels.cluster_count, len(kept)) == (
         28140, 28023, 1, 28023)
-    assert (hashlib.sha256(kept.xyz.tobytes()).hexdigest()
-            == "877b0e94baa4607d3027f0b18b344294beb424f4d0d165fbf1d7cb32ef6bf447")
+    assert (hashlib.sha256(rows.tobytes()).hexdigest()
+            == "a8c655a6f3de4ad36a79987f0f5148ac0333544837ddb05d3aa787e8e0133b9d")
 
 
 def _s09_default_capture(seed):
