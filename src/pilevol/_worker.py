@@ -1,14 +1,11 @@
 """The one worker thread that runs half of a split call beside the caller.
 
-Four calls are split.  In the fine filter, its two x-slabs each query
+Three calls are split.  In the fine filter, its two x-slabs each query
 their r0 pairs (``denoise._slab_pairs``) and hook their forest
 (``denoise._forest``), one slab on the calling thread and one on this
 worker.  In the scene generator (``synth._generate``), the worker draws
 each chunk's noise (``synth._draw_noise``) while the caller evaluates
-the pile's surface.  In the heightfield quadrature
-(``synth.heightfield_quadrature``), the worker evaluates each block's
-radial taper (``synth._taper_blocks``) while the caller forms the wave
-field of the block before.  A call is worth splitting only when each half
+the pile's surface.  A call is worth splitting only when each half
 releases the GIL for most of its time, as numpy and scipy calls on arrays
 of about 100k elements do, and only where a benchmark shows the gain.
 
@@ -22,10 +19,8 @@ starts and takes it back only once that half has returned.
 Jobs run one at a time, in the order they were submitted.  So a caller
 never waits on a second worker job while its first job waits on that
 caller: the second would queue behind the first, and neither would
-finish.  The scene generator therefore takes a heightfield's scale, whose
-quadrature is a worker job, before it hands the worker its noise job.
-Jobs of two callers may queue behind each other, since each job waits
-only on its own caller.
+finish.  Jobs of two callers may queue behind each other, since each
+job waits only on its own caller.
 """
 
 from __future__ import annotations

@@ -26,14 +26,8 @@ from .cloud import _CHUNK, PointCloud, _add_to_columns, _chunks
 from .errors import InvalidParameter
 from .pose import rodrigues
 
-HEIGHTFIELD_QUADRATURE_N = 2048
-# the wave field's lower clamp, so the surface stays above ground inside
-# the footprint
-_HEIGHTFIELD_FLOOR = 0.05
-# rows of the quadrant a quadrature block takes: at 32, its taper block,
-# the worker's two scratch blocks and the field temporaries peak below
-# what 64-row blocks with no worker held
-_QUADRATURE_BLOCK_ROWS = 32
+# terms of each power series in a heightfield's closed-form volume
+_SERIES_TERMS = 30
 # rows of the pile surface a scene evaluates at once: half a chunk, a whole
 # number of SIMD vectors
 _SURFACE_ROWS = _CHUNK // 2
@@ -165,31 +159,26 @@ class Heightfield:
     @property
     def true_volume(self) -> float:
         # heights scale linearly with the calibration factor, so the scaled
-        # quadrature equals the target exactly
+        # surface's volume equals the target exactly
         return self.target_volume
 
     def _raw_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         kvecs, phases, amps = _heightfield_waves(self.shape_seed, self.radius)
         taper = _heightfield_taper(np.asarray(np.hypot(x, y)), self.radius)
+        # four amplitudes of at most 0.25 each, so the field stays >= 0
         field = np.ones_like(taper)
         for k, phi, amp in zip(kvecs, phases, amps):
             field = field + amp * np.cos(k[0] * x + k[1] * y + phi)
-        return taper * np.maximum(field, _HEIGHTFIELD_FLOOR)
+        return taper * field
 
     def surface_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _heightfield_scale(self) * self._raw_height(x, y)
 
 
-def _heightfield_taper(r: np.ndarray, radius: float,
-                       outside: np.ndarray | None = None) -> np.ndarray:
+def _heightfield_taper(r: np.ndarray, radius: float) -> np.ndarray:
     """cos²(π/2 · r/R) inside the footprint, 0 outside, written over the
-    distances ``r`` (an array, >= 0) and returned.
-
-    The outside mask goes into ``outside`` (a bool array of r's shape)
-    when one is given, and the taper then allocates no array.  It names no
-    module global but ``np``, as the quadrature's worker half calls it.
-    """
-    outside = np.greater_equal(r, radius, out=outside)
+    distances ``r`` (an array, >= 0) and returned."""
+    outside = r >= radius
     r /= radius
     # r >= 0, so the upper clamp alone is clip(r/R, 0, 1)
     np.minimum(r, 1.0, out=r)
@@ -198,35 +187,6 @@ def _heightfield_taper(r: np.ndarray, radius: float,
     np.square(r, out=r)
     r[outside] = 0.0
     return r
-
-
-def _taper_blocks(taper, axis: np.ndarray, radius: float, spans: list,
-                  outside: np.ndarray, free: list, ready: list,
-                  halt: threading.Event) -> None:
-    """The worker's half of ``heightfield_quadrature``: for each block
-    ``(start, stop, first, out)`` of ``spans``, once its ``free`` event says
-    the caller is done with ``out``, the taper at rows start..stop and
-    columns first..centre, written into ``out`` with ``outside`` as its
-    mask; then the block's ``ready`` event.  The caller hands in ``taper``
-    (``_heightfield_taper``), as a worker kernel names no pilevol global.
-
-    It allocates no array and calls no BLAS.  It returns as soon as it sees
-    ``halt``; if it raises, it sets ``halt`` and every ``ready`` event, so
-    the caller never waits on a block that will not come.
-    """
-    try:
-        for (start, stop, first, out), free_k, ready_k in zip(spans, free, ready):
-            free_k.wait()
-            if halt.is_set():
-                return
-            np.hypot(axis[first:first + out.shape[1]], axis[start:stop, None], out=out)
-            taper(out, radius, outside[:out.size].reshape(out.shape))
-            ready_k.set()
-    except BaseException:
-        halt.set()
-        for event in ready:
-            event.set()
-        raise
 
 
 @lru_cache(maxsize=None)
@@ -241,134 +201,47 @@ def _heightfield_waves(shape_seed: int, radius: float):
     return kvecs, phases, amps
 
 
+def _taper_moment(m: int) -> float:
+    """c_m = ∫₀¹ u^(2m+1) cos²(πu/2) du, from the power series of
+    cos²(πu/2) = (1 + cos πu)/2 integrated term by term."""
+    series = sum((-math.pi ** 2) ** j / (math.factorial(2 * j) * (2 * m + 2 * j + 2))
+                 for j in range(_SERIES_TERMS))
+    return 0.5 * (1.0 / (2 * m + 2) + series)
+
+
+_TAPER_MOMENTS = tuple(_taper_moment(m) for m in range(_SERIES_TERMS))
+
+
+def _heightfield_raw_volume(pile: Heightfield) -> float:
+    """The exact volume under ``pile._raw_height``, in closed form.
+
+    The surface is T(r)·(1 + Σᵢ aᵢ cos(kᵢ·p + φᵢ)) with the taper
+    T(r) = cos²(πr/2R) on the disc r < R.  Over the angle, each wave
+    integrates to 2π J₀(|kᵢ|r) cos φᵢ, so with u = r/R the volume is
+
+        2πR² [c₀ + Σᵢ aᵢ cos φᵢ Σₘ (−xᵢ²)ᵐ/(m!)² cₘ],   xᵢ = |kᵢ|R/2,
+
+    the inner sum being ∫₀¹ u J₀(|kᵢ|R u) T du from J₀'s power series and
+    cₘ the taper's moments (``_taper_moment``).  Every drawn wave has |k|R
+    in [1.5, 4), so x < 2, where ``_SERIES_TERMS`` terms leave a remainder
+    far below one ulp.  It agrees with an adaptive quadrature of the
+    radial integral to about 1e-16 relative.
+    """
+    kvecs, phases, amps = _heightfield_waves(pile.shape_seed, pile.radius)
+    total = _TAPER_MOMENTS[0]
+    for (kx, ky), phi, amp in zip(kvecs, phases, amps):
+        x2 = (0.5 * math.hypot(kx, ky) * pile.radius) ** 2
+        term, bessel = 1.0, 0.0
+        for m, moment in enumerate(_TAPER_MOMENTS):
+            bessel += term * moment
+            term *= -x2 / (m + 1) ** 2
+        total += amp * math.cos(phi) * bessel
+    return 2.0 * math.pi * pile.radius ** 2 * total
+
+
 @lru_cache(maxsize=None)
 def _heightfield_scale(pile: Heightfield) -> float:
-    raw = heightfield_quadrature(pile, n=HEIGHTFIELD_QUADRATURE_N, scaled=False)
-    return pile.target_volume / raw
-
-
-def heightfield_quadrature(pile: Heightfield, n: int = HEIGHTFIELD_QUADRATURE_N,
-                           scaled: bool = True) -> float:
-    """Midpoint-rule volume of the heightfield over its footprint square.
-
-    The rule sums ``pile._raw_height`` at the n × n cell centres, evaluated
-    separably instead of point by point.  Each wave splits by angle
-    addition, cos(kx·x + ky·y + φ) = cos(kx·x)·cos(ky·y + φ)
-    − sin(kx·x)·sin(ky·y + φ), so the wave field of a block of 32 rows is
-    one rank-8 matrix product of per-row and per-column factors: 16 n
-    cosines and sines in place of 4 n².  The radial taper is computed on
-    one quadrant and mirrored to the other three.  The quadrant is
-    symmetric, as hypot(x, y) == hypot(y, x), so each block of rows
-    computes it only from the diagonal on and takes the columns before
-    the diagonal from transposed tiles that earlier blocks kept.  Columns
-    whose x² + y² at the block's innermost row passes R²(1 + 1e-9) are
-    outside the disc on every row of the block, and their taper is set to
-    0 with no ``hypot`` or ``cos``.  That leaves about 0.43 of the
-    quadrant's cells to evaluate at n = 2048.
-
-    The two halves run side by side.  The worker thread
-    (``pilevol._worker``) evaluates each block's taper, from the block's
-    first evaluated column to the centre, into one of two scratch blocks
-    the caller allocated (``_taper_blocks``).  While it evaluates block
-    k + 1, the calling thread copies block k out of its scratch block,
-    fills in the kept tiles, mirrors the block, and forms the wave field,
-    the clamp, the taper product and the row sums.  A pair of events per
-    block hands each scratch block back and forth.  The worker allocates
-    no array and calls no BLAS: variants that did raised the benchmark's
-    peak resident memory.
-    The clamp, the taper product and the row sums still run over whole
-    rows, each cell gets the same operations in the same order, and each
-    row sum is the same whole-row pairwise sum, so the sum has the bits of
-    the whole-quadrant evaluation.  The kept tiles peak at about a quarter
-    of the quadrant; every other temporary is a block of 32 rows at most.
-
-    The result agrees with the direct evaluation to about 1e-16 relative.
-    At n = 2048 the six catalogue piles take 126–142 ms together, against
-    169–182 ms with the whole quadrature on one thread (p50 of two series
-    of 15 alternating rounds, one BLAS thread, a 2-vCPU x86-64 VM); point
-    by point, one pile takes 0.4 s.
-    """
-    if not (_is_count(n) and n >= 1):
-        raise InvalidParameter(f"quadrature size n must be an integer >= 1, got {n!r}")
-    a = pile.radius
-    step = 2.0 * a / n
-    axis = -a + (np.arange(n) + 0.5) * step
-    kvecs, phases, amps = _heightfield_waves(pile.shape_seed, a)
-    k, amps = np.array(kvecs), np.array(amps)
-    x_phase = np.outer(k[:, 0], axis)
-    y_phase = np.outer(axis, k[:, 1]) + phases
-    per_row = np.hstack([amps * np.cos(y_phase), -(amps * np.sin(y_phase))])
-    per_column = np.vstack([np.cos(x_phase), np.sin(x_phase)])
-    # row i and row n-1-i see the same taper, as do columns j and n-1-j;
-    # with n odd the centre row is its own partner (evaluated twice, stored
-    # once) and the centre column is not mirrored
-    half = (n + 1) // 2
-    # x² falls column by column towards the centre; past R²(1 + 1e-9),
-    # x² + y² puts hypot at R or beyond whatever its rounding
-    x2 = axis[:half] ** 2
-    rim = a * a * (1.0 + 1e-9)
-    size = min(_QUADRATURE_BLOCK_ROWS, half) * half
-    # the worker writes block k's taper into scratch[k % 2], the columns
-    # first..centre as one contiguous array, the layout of a fresh one
-    scratch = (np.empty(size), np.empty(size))
-    spans = []
-    for start in range(0, half, _QUADRATURE_BLOCK_ROWS):
-        stop = min(start + _QUADRATURE_BLOCK_ROWS, half)
-        cut = int(np.count_nonzero(x2 + axis[stop - 1] ** 2 > rim))
-        first = max(cut, start)
-        shape = (stop - start, half - first)
-        out = scratch[len(spans) % 2][:shape[0] * shape[1]].reshape(shape)
-        spans.append((start, stop, first, out))
-    free = [threading.Event() for _ in spans]
-    ready = [threading.Event() for _ in spans]
-    halt = threading.Event()
-    for event in free[:2]:
-        event.set()
-    job = _worker().submit(_taper_blocks, _heightfield_taper, axis, a, spans,
-                           np.empty(size, dtype=bool), free, ready, halt)
-    taper = np.empty((min(_QUADRATURE_BLOCK_ROWS, half), n))
-    # kept[s] holds (r, tile) pairs: an earlier block's taper at its rows
-    # r.. and block s's columns, transposed to block s's rows at columns r..
-    kept: dict[int, list] = {}
-    row_sums = np.empty(n)
-    try:
-        for b, (start, stop, first, out) in enumerate(spans):
-            block = taper[:stop - start]
-            block[:, :first] = 0.0
-            for row, tile in kept.pop(start, ()):
-                block[len(block) - len(tile):, row:row + tile.shape[1]] = tile
-            ready[b].wait()
-            if halt.is_set():
-                break
-            block[:, first:half] = out
-            if b + 2 < len(spans):
-                free[b + 2].set()
-            for later in range(stop, half, _QUADRATURE_BLOCK_ROWS):
-                end = min(later + _QUADRATURE_BLOCK_ROWS, half)
-                if end > first:
-                    tile = block[:, max(later, first):end]
-                    kept.setdefault(later, []).append((start, tile.T.copy()))
-            block[:, half:] = block[:, :n - half][:, ::-1]
-            top = np.arange(start, stop)
-            for rows in (top, n - 1 - top):
-                field = per_row[rows] @ per_column
-                field += 1.0
-                np.maximum(field, _HEIGHTFIELD_FLOOR, out=field)
-                field *= block
-                row_sums[rows] = field.sum(axis=1)
-                # freed here, so that it and the next block's tiles are not
-                # held at once
-                del field
-    finally:
-        # the worker's half returns before the caller's error leaves, so
-        # no half outlives the call
-        halt.set()
-        for event in free:
-            event.set()
-        futures.wait((job,))
-    job.result()
-    raw = float(row_sums.sum()) * step * step
-    return raw * _heightfield_scale(pile) if scaled else raw
+    return pile.target_volume / _heightfield_raw_volume(pile)
 
 
 Pile = Union[Cone, Frustum, SphericalCap, Heightfield]
@@ -485,9 +358,6 @@ def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
     before it takes the generator back for the tilt axis and the offset,
     also when its own half raises.  The surface pieces are whole numbers
     of SIMD vectors, so each row gets the bits of one whole-array pass.
-    A heightfield's scale is taken before the noise job is handed over:
-    its quadrature is a worker job of its own, which would otherwise queue
-    behind the noise job that waits on this thread.
     """
     rng = np.random.default_rng(spec.seed)
     width, length = spec.ground_extent
@@ -501,9 +371,6 @@ def _generate(spec: SceneSpec, ground_warp=None) -> Scene:
     for blob in spec.clutter:
         xyz[start:start + blob.count] = _sample_clutter(blob, rng)
         start += blob.count
-    if isinstance(spec.pile, Heightfield):
-        # a worker job of its own, so it must come before the noise job
-        _heightfield_scale(spec.pile)
     ready = [threading.Event() for _ in every]
     noise = None
     if spec.noise_sigma > 0:

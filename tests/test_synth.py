@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from pilevol import synth
 from pilevol.cloud import _CHUNK, PointCloud
 from pilevol.errors import InvalidParameter
 from pilevol.pose import rodrigues
 from pilevol.synth import (
-    HEIGHTFIELD_QUADRATURE_N,
     ClutterSpec,
     Cone,
     Frustum,
@@ -29,7 +29,6 @@ from pilevol.synth import (
     default_clutter,
     dense_compression_scene,
     generate_scene,
-    heightfield_quadrature,
     reference_scenes,
     smeared_ground_scene,
     walker_clutter,
@@ -75,14 +74,6 @@ def test_surface_heights_match_volume_by_quadrature():
         assert vol == pytest.approx(pile.true_volume, rel=2e-3)
 
 
-def test_heightfield_quadrature_convergence():
-    pile = Heightfield(shape_seed=7, radius=0.4, target_volume=0.05)
-    declared = pile.true_volume
-    assert declared == 0.05
-    fine = heightfield_quadrature(pile, n=4096)
-    assert abs(fine - declared) / declared < 5e-4
-
-
 def direct_quadrature(pile, n):
     """The midpoint rule point by point: ``_raw_height`` on the whole grid."""
     a = pile.radius
@@ -92,72 +83,12 @@ def direct_quadrature(pile, n):
     return float(pile._raw_height(xs, ys).sum()) * step * step
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 255, 256])
-def test_heightfield_quadrature_matches_direct_rule(n):
-    # odd n has a centre row and column with no mirror partner
-    pile = Heightfield(shape_seed=7, radius=0.4, target_volume=0.05)
-    separable = heightfield_quadrature(pile, n=n, scaled=False)
-    assert separable == pytest.approx(direct_quadrature(pile, n), rel=1e-13, abs=0)
-
-
-# no drawn wave set dips below the clamp (the lowest field over seeds
-# 0..400000 is 0.067), so these waves are made to dip below it on about
-# 1 % of the footprint
-CLAMPED_WAVES = (((9.0, 2.0), (-3.0, 8.0), (5.0, -6.0), (7.0, 7.0)),
-                 (0.3, 1.1, 2.0, 4.0), (0.6, 0.5, 0.55, 0.45))
-
-
-def test_heightfield_quadrature_matches_direct_rule_where_clamped(monkeypatch):
-    waves = CLAMPED_WAVES
-    monkeypatch.setattr(synth, "_heightfield_waves", lambda shape_seed, radius: waves)
-    pile = Heightfield(shape_seed=0, radius=0.4, target_volume=0.05)
-    n = 255
-    axis = -0.4 + (np.arange(n) + 0.5) * (0.8 / n)
-    xs, ys = np.meshgrid(axis, axis)
-    field = 1 + sum(amp * np.cos(kx * xs + ky * ys + phi)
-                    for (kx, ky), phi, amp in zip(*waves))
-    assert (field[np.hypot(xs, ys) < 0.4] < 0.05).mean() > 0.005
-    separable = heightfield_quadrature(pile, n=n, scaled=False)
-    assert separable == pytest.approx(direct_quadrature(pile, n), rel=1e-13, abs=0)
-
-
-def test_catalogue_heightfield_quadratures_match_direct_rule():
-    piles = [s.pile for s in reference_scenes() if isinstance(s.pile, Heightfield)]
-    assert len(piles) == 6
-    for pile in piles:
-        separable = heightfield_quadrature(pile, n=512, scaled=False)
-        assert separable == pytest.approx(direct_quadrature(pile, 512), rel=1e-13, abs=0)
-
-
-@pytest.mark.parametrize("n", [0, -3, 2.5])
-def test_heightfield_quadrature_rejects_bad_size(n):
-    pile = Heightfield(shape_seed=7, radius=0.4, target_volume=0.05)
-    with pytest.raises(InvalidParameter):
-        heightfield_quadrature(pile, n=n)
-
-
-def test_catalogue_heightfield_scales_independent_of_blas_threads():
-    # the wave field is a BLAS product; its truths must not depend on how
-    # many threads the product runs on
-    code = ("from pilevol.synth import Heightfield, _heightfield_scale, reference_scenes\n"
-            "print(*[_heightfield_scale(s.pile).hex() for s in reference_scenes()"
-            " if isinstance(s.pile, Heightfield)])")
-    src = Path(__file__).resolve().parents[1] / "src"
-    scales = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True)
-        scales.append(result.stdout.split())
-    assert len(scales[0]) == 6
-    assert scales[0] == scales[1]
-
-
 def whole_quadrant_quadrature(pile, n):
-    """The separable rule with the radial taper evaluated on the whole
-    quadrant of every block, the way ``heightfield_quadrature`` did before
-    it mirrored the quadrant about its diagonal and skipped the cells
-    outside the disc: the reference its sum must equal bit for bit."""
+    """The midpoint rule at the n × n cell centres, evaluated separably: the
+    wave field of a block of rows as one rank-8 matrix product of per-row
+    and per-column factors, and the radial taper on one quadrant, mirrored
+    to the other three.  At n = 2048 it gave the truth's scale before the
+    closed form, with its wave field clamped below at 0.05, as here."""
     a = pile.radius
     step = 2.0 * a / n
     axis = -a + (np.arange(n) + 0.5) * step
@@ -183,35 +114,116 @@ def whole_quadrant_quadrature(pile, n):
     return float(row_sums.sum()) * step * step
 
 
+def radial_reference(pile):
+    """The raw volume as an adaptive quadrature of the radial integral: the
+    taper against 1 and against each wave's J₀(|k|r), which is its
+    integral over the angle."""
+    kvecs, phases, amps = synth._heightfield_waves(pile.shape_seed, pile.radius)
+    a = pile.radius
+
+    def taper(r):
+        return math.cos(0.5 * math.pi * r / a) ** 2
+
+    def radial(weight):
+        return integrate.quad(lambda r: taper(r) * weight(r) * r, 0.0, a,
+                              epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+    volume = radial(lambda r: 1.0)
+    for (kx, ky), phi, amp in zip(kvecs, phases, amps):
+        k = math.hypot(kx, ky)
+        volume += amp * math.cos(phi) * radial(lambda r: special.j0(k * r))
+    return 2.0 * math.pi * volume
+
+
 CATALOGUE_HEIGHTFIELDS = [s.pile for s in reference_scenes()
                           if isinstance(s.pile, Heightfield)]
 
 
-# one block, one block and a row, and two blocks and a row of the quadrant,
-# at the block rows' own n too; odd sizes with an unmirrored centre row and
-# column, and the catalogue's 2048
-BLOCK_ROWS = synth._QUADRATURE_BLOCK_ROWS
+def test_heightfield_quadrature_convergence():
+    # the scaled midpoint rule approaches the declared truth
+    pile = Heightfield(shape_seed=7, radius=0.4, target_volume=0.05)
+    declared = pile.true_volume
+    assert declared == 0.05
+    fine = whole_quadrant_quadrature(pile, 4096) * synth._heightfield_scale(pile)
+    assert abs(fine - declared) / declared < 5e-4
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                               63, 64, 65, 129, 2047, 2048])
-@pytest.mark.parametrize("pile", CATALOGUE_HEIGHTFIELDS,
-                         ids=[f"seed{p.shape_seed}" for p in CATALOGUE_HEIGHTFIELDS])
-def test_quadrature_matches_the_whole_quadrant_reference(pile, n):
-    assert (heightfield_quadrature(pile, n=n, scaled=False)
-            == whole_quadrant_quadrature(pile, n))
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 255, 256])
+def test_heightfield_quadrature_matches_direct_rule(n):
+    # the separable rule the closed form is held to is the midpoint rule
+    # of the surface itself; odd n has a centre row and column with no
+    # mirror partner
+    pile = Heightfield(shape_seed=7, radius=0.4, target_volume=0.05)
+    separable = whole_quadrant_quadrature(pile, n)
+    assert separable == pytest.approx(direct_quadrature(pile, n), rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("n", [7, 65, 255, 2048])
-def test_clamped_quadrature_matches_the_whole_quadrant_reference(monkeypatch, n):
-    monkeypatch.setattr(synth, "_heightfield_waves", lambda shape_seed, radius: CLAMPED_WAVES)
+def test_catalogue_heightfield_quadratures_match_direct_rule():
+    assert len(CATALOGUE_HEIGHTFIELDS) == 6
+    for pile in CATALOGUE_HEIGHTFIELDS:
+        separable = whole_quadrant_quadrature(pile, 512)
+        assert separable == pytest.approx(direct_quadrature(pile, 512), rel=1e-13, abs=0)
+
+
+# four waves at the largest |k|R a draw reaches, in phase at the centre
+STEEPEST_WAVES = (tuple((4.0 / 0.4 * math.cos(t), 4.0 / 0.4 * math.sin(t))
+                        for t in (0.3, 1.1, 2.0, 4.0)),
+                  (0.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25))
+
+
+def test_closed_form_matches_the_radial_quadrature(monkeypatch):
+    for pile in CATALOGUE_HEIGHTFIELDS:
+        assert synth._heightfield_raw_volume(pile) == pytest.approx(
+            radial_reference(pile), rel=1e-13, abs=0), pile.shape_seed
+    monkeypatch.setattr(synth, "_heightfield_waves",
+                        lambda shape_seed, radius: STEEPEST_WAVES)
     pile = Heightfield(shape_seed=0, radius=0.4, target_volume=0.05)
-    assert (heightfield_quadrature(pile, n=n, scaled=False)
-            == whole_quadrant_quadrature(pile, n))
+    assert synth._heightfield_raw_volume(pile) == pytest.approx(
+        radial_reference(pile), rel=1e-13, abs=0)
 
 
-# the scales every catalogue heightfield's truth rests on, as the
-# whole-quadrant quadrature gave them
+def test_closed_form_matches_the_old_rule():
+    # the midpoint rule at n = 2048 gave the truth's scale before the
+    # closed form; its error there is about 5e-12
+    for pile in CATALOGUE_HEIGHTFIELDS:
+        assert synth._heightfield_raw_volume(pile) == pytest.approx(
+            whole_quadrant_quadrature(pile, 2048), rel=1e-11, abs=0), pile.shape_seed
+
+
+def test_raw_height_is_nonnegative_over_the_footprint():
+    # the closed form integrates the wave field unclamped: with four
+    # amplitudes of at most 0.25 it never goes below 0.  The lowest field
+    # of any drawn wave set over seeds 0..400000 is 0.067
+    n = 101
+    axis = np.linspace(-1.0, 1.0, n)
+    xs, ys = np.meshgrid(axis, axis)
+    for seed in range(200):
+        pile = Heightfield(shape_seed=seed, radius=0.3 + 0.001 * seed, target_volume=0.05)
+        _, _, amps = synth._heightfield_waves(seed, pile.radius)
+        assert sum(amps) <= 1.0
+        heights = pile._raw_height(pile.radius * xs, pile.radius * ys)
+        assert (heights >= 0.0).all(), seed
+
+
+def test_catalogue_heightfield_scales_independent_of_blas_threads():
+    # the truths must not depend on how many threads a BLAS product would
+    # run on; the closed form takes none, in plain Python floats
+    code = ("from pilevol.synth import Heightfield, _heightfield_scale, reference_scenes\n"
+            "print(*[_heightfield_scale(s.pile).hex() for s in reference_scenes()"
+            " if isinstance(s.pile, Heightfield)])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    scales = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        scales.append(result.stdout.split())
+    assert len(scales[0]) == 6
+    assert scales[0] == scales[1]
+
+
+# the scales every catalogue heightfield's truth rests on, as the closed
+# form gives them
 PINNED_SCALES = ["0x1.da91ad897180ep-3", "0x1.92e85a94f5b57p-2",
                  "0x1.64af33df540f9p-2", "0x1.97233db275aebp-3",
                  "0x1.055f7cfd1b6b7p-2", "0x1.8dfe9d23968b5p-1"]
@@ -220,119 +232,6 @@ PINNED_SCALES = ["0x1.da91ad897180ep-3", "0x1.92e85a94f5b57p-2",
 def test_catalogue_heightfield_scales_are_pinned():
     scales = [synth._heightfield_scale(pile).hex() for pile in CATALOGUE_HEIGHTFIELDS]
     assert scales == PINNED_SCALES
-
-
-def fresh_catalogue_scales() -> list[str]:
-    """Each catalogue heightfield's scale from a quadrature of its own, by
-    ``float.hex``, with no cache between."""
-    return [(pile.target_volume
-             / heightfield_quadrature(pile, HEIGHTFIELD_QUADRATURE_N, scaled=False)).hex()
-            for pile in CATALOGUE_HEIGHTFIELDS]
-
-
-def run_within(seconds, fn, *args):
-    """``fn(*args)`` on a thread of its own; a call still running after
-    ``seconds`` fails the test instead of hanging it."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["value"] = fn(*args)
-        except BaseException as error:
-            outcome["error"] = error
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"{fn.__name__} did not return in {seconds} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
-class FloorFailsAt:
-    """A wave-field floor whose ``fail_at``-th use raises: the quadrature's
-    caller half fails part-way through its blocks."""
-
-    floor = synth._HEIGHTFIELD_FLOOR
-
-    def __init__(self, fail_at):
-        self.uses, self.fail_at = 0, fail_at
-
-    def __array__(self, dtype=None, copy=None):
-        self.uses += 1
-        if self.uses == self.fail_at:
-            raise RuntimeError("caller half failed")
-        return np.array(self.floor, dtype=dtype)
-
-
-def test_failing_caller_half_raises_and_the_next_scales_are_pinned(monkeypatch):
-    # the worker's half returns before the caller's error leaves the
-    # quadrature: a worker left waiting for a scratch block would hang the
-    # next quadrature and the next scene
-    taper_blocks, returned = synth._taper_blocks, []
-
-    def recorded(*args):
-        taper_blocks(*args)
-        returned.append(sum(event.is_set() for event in args[6]))
-
-    floor = FloorFailsAt(fail_at=9)
-    with monkeypatch.context() as patch:
-        patch.setattr(synth, "_HEIGHTFIELD_FLOOR", floor)
-        patch.setattr(synth, "_taper_blocks", recorded)
-        with pytest.raises(RuntimeError, match="caller half failed"):
-            run_within(60, heightfield_quadrature, CATALOGUE_HEIGHTFIELDS[0],
-                       HEIGHTFIELD_QUADRATURE_N, False)
-    assert floor.uses == 9
-    # the ninth use is block 4's first, so the worker had written blocks
-    # 0..4 and at most two past them
-    assert len(returned) == 1 and 5 <= returned[0] <= 7
-    assert run_within(60, fresh_catalogue_scales) == PINNED_SCALES
-
-
-def test_failing_worker_half_raises_and_the_next_scales_are_pinned(monkeypatch):
-    # the caller never waits on a block the failed worker will not write
-    taper, calls = synth._heightfield_taper, []
-
-    def fails_third(*args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise MemoryError("worker half failed")
-        return taper(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(synth, "_heightfield_taper", fails_third)
-        with pytest.raises(MemoryError, match="worker half failed"):
-            run_within(60, heightfield_quadrature, CATALOGUE_HEIGHTFIELDS[0],
-                       HEIGHTFIELD_QUADRATURE_N, False)
-    assert len(calls) == 3
-    assert run_within(60, fresh_catalogue_scales) == PINNED_SCALES
-
-
-def test_quadratures_on_two_threads_scales_are_pinned(monkeypatch):
-    # both callers share the one worker: one quadrature's taper job waits in
-    # its queue while the other's runs, and neither waits on the other's
-    # events.  A short switch interval interleaves them finely, and with the
-    # pool dropped first they also race to start it
-    from pilevol import _worker
-    results = [None, None]
-
-    def run(k):
-        results[k] = fresh_catalogue_scales()
-
-    monkeypatch.setattr(_worker, "_pool_pid", -1)
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [PINNED_SCALES, PINNED_SCALES]
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +385,22 @@ def _scene_bytes(spec):
     return generate_scene(spec).cloud.xyz.tobytes()
 
 
-def test_scene_after_a_failing_surface_matches_the_whole_array_reference(monkeypatch):
-    # the surface's error reaches the caller only after the worker has drawn
-    # its noise and returned: a worker left waiting for a chunk's event would
-    # hang the next scene that draws noise
+def in_child(body, seconds=60):
+    """Run ``body``, a function of this module, in a fresh process, and fail
+    if it raises or still runs after ``seconds``.  A worker job stuck on an
+    event in the test run's own process would hold its exit, since
+    ``concurrent.futures`` joins its threads at interpreter shutdown; the
+    timeout ends a hung child instead."""
+    here = Path(__file__).resolve()
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(here.parents[1] / "src"), str(here.parent)])}
+    code = f"import {here.stem}; {here.stem}.{body.__name__}()"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=seconds)
+    assert result.returncode == 0, result.stderr
+
+
+def _failing_surface_then_next_scene():
     draw, drawn = synth._draw_noise, []
 
     def recorded(*args):
@@ -497,37 +408,43 @@ def test_scene_after_a_failing_surface_matches_the_whole_array_reference(monkeyp
         drawn.append(len(args[3]))
 
     failing = edge_spec(SecondChunkFails(), 3 * _CHUNK, clutter=default_clutter((1.6, 0.8)))
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synth, "_draw_noise", recorded)
         with pytest.raises(RuntimeError, match="second chunk"):
-            run_within(60, generate_scene, failing)
+            generate_scene(failing)
     assert failing.pile.rows > _CHUNK
     # the worker's half had returned, every chunk drawn, before the error
     # left generate_scene
     assert drawn == [4]
     spec = edge_spec(Cone(0.3, 0.25), 2 * _CHUNK + 7, tilt_deg=8.0,
                      clutter=default_clutter((1.6, 0.8)))
-    assert run_within(60, _scene_bytes, spec) == whole_array_generate(spec).tobytes()
+    assert _scene_bytes(spec) == whole_array_generate(spec).tobytes()
 
 
-def test_failing_noise_draw_raises_and_the_next_scene_matches_the_whole_array_reference(
-        monkeypatch):
+def test_scene_after_a_failing_surface_matches_the_whole_array_reference():
+    # the surface's error reaches the caller only after the worker has drawn
+    # its noise and returned: a worker left waiting for a chunk's event would
+    # hang the next scene that draws noise
+    in_child(_failing_surface_then_next_scene)
+
+
+def _failing_noise_draw_then_next_scene():
     def broken(*args):
         raise MemoryError("noise draw failed")
 
     spec = edge_spec(Cone(0.3, 0.25), _CHUNK + 1, tilt_deg=8.0)
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synth, "_draw_noise", broken)
         with pytest.raises(MemoryError, match="noise draw failed"):
-            run_within(60, generate_scene, spec)
-    assert run_within(60, _scene_bytes, spec) == whole_array_generate(spec).tobytes()
+            generate_scene(spec)
+    assert _scene_bytes(spec) == whole_array_generate(spec).tobytes()
 
 
-def test_scenes_on_two_threads_match_the_whole_array_reference(monkeypatch):
-    # both callers share the one worker: one scene's noise waits in its
-    # queue while the other's is drawn, and neither waits on the other's
-    # events.  A short switch interval interleaves them finely, and with the
-    # pool dropped first they also race to start it
+def test_failing_noise_draw_raises_and_the_next_scene_matches_the_whole_array_reference():
+    in_child(_failing_noise_draw_then_next_scene)
+
+
+def _scenes_on_two_threads():
     from pilevol import _worker
     specs = [edge_spec(Frustum(0.3, 0.15, 0.2), 2 * _CHUNK + 7, tilt_deg=8.0,
                        clutter=default_clutter((1.6, 0.8))),
@@ -540,20 +457,23 @@ def test_scenes_on_two_threads_match_the_whole_array_reference(monkeypatch):
         for _ in range(5):
             results[k].append(_scene_bytes(specs[k]))
 
-    monkeypatch.setattr(_worker, "_pool_pid", -1)
+    # dropped, so that the two threads also race to start the pool
+    _worker._pool_pid = -1
     threads = [threading.Thread(target=run, args=(k,)) for k in range(len(specs))]
-    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
     for k in range(len(specs)):
         assert results[k] == [expected[k]] * 5
+
+
+def test_scenes_on_two_threads_match_the_whole_array_reference():
+    # both callers share the one worker: one scene's noise waits in its
+    # queue while the other's is drawn, and neither waits on the other's
+    # events.  A short switch interval interleaves them finely
+    in_child(_scenes_on_two_threads)
 
 
 def test_noise_kernel_references_only_numpy():
@@ -564,60 +484,17 @@ def test_noise_kernel_references_only_numpy():
     assert names <= {"np"}, names
 
 
-@pytest.mark.parametrize("kernel", [synth._taper_blocks, synth._heightfield_taper],
-                         ids=["taper_blocks", "heightfield_taper"])
-def test_quadrature_worker_kernels_reference_only_numpy(kernel):
-    # the quadrature's worker half, and the taper it is handed, run on the
-    # worker thread under the same rule as the noise kernel
-    names = set(kernel.__code__.co_names) & set(vars(synth))
-    assert names <= {"np"}, names
-
-
-def test_quadrature_worker_half_allocates_no_array():
-    # it writes a block's taper into the caller's scratch block and its mask
-    # into the caller's bool block; numpy's broadcast hypot takes its own
-    # iteration buffer, of at most 8192 elements an operand
-    n, a = 2048, 0.4
-    axis = -a + (np.arange(n) + 0.5) * (2.0 * a / n)
-    out = np.empty((BLOCK_ROWS, n // 2))
-    free, ready = [threading.Event()], [threading.Event()]
-    free[0].set()
-    args = (synth._heightfield_taper, axis, a, [(0, BLOCK_ROWS, 0, out)],
-            np.empty(out.size, dtype=bool), free, ready, threading.Event())
-    synth._taper_blocks(*args)
-    first = out.copy()
-    tracemalloc.start()
-    try:
-        synth._taper_blocks(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ready[0].is_set()
-    assert peak < 3 * 8 * 8192 < out.nbytes
-    r = np.hypot(axis[:n // 2], axis[:BLOCK_ROWS, None])
-    assert np.array_equal(out, first)
-    assert np.array_equal(first, synth._heightfield_taper(r, a))
+def _cold_cache_heightfield_scenes():
+    for spec in reference_scenes():
+        if isinstance(spec.pile, Heightfield):
+            assert _scene_bytes(spec) == whole_array_generate(spec).tobytes(), spec.scene_id
 
 
 def test_cold_cache_heightfield_scenes_match_the_whole_array_reference():
-    # a heightfield scene takes its truth's scale, half of whose quadrature
-    # runs on the worker, before its noise job holds the worker waiting on
-    # the caller; taken lazily by the surface, the quadrature's job would
-    # queue behind the noise job, and neither would finish.  A fresh process
-    # starts with cold caches, and its timeout ends a hang that, on a thread
-    # of the test run, would also hold the run's exit on the stuck worker
-    specs = [spec for spec in reference_scenes() if isinstance(spec.pile, Heightfield)]
-    expected = [hashlib.sha256(whole_array_generate(spec).tobytes()).hexdigest()
-                for spec in specs]
-    code = ("import hashlib\n"
-            "from pilevol.synth import Heightfield, generate_scene, reference_scenes\n"
-            "print(*[hashlib.sha256(generate_scene(s).cloud.xyz.tobytes()).hexdigest()"
-            " for s in reference_scenes() if isinstance(s.pile, Heightfield)])")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=60)
-    assert result.stdout.split() == expected
+    # a heightfield scene takes its truth's scale lazily, on the caller,
+    # while the worker's noise job waits on that caller; a fresh process
+    # starts with the scale's cache cold
+    in_child(_cold_cache_heightfield_scenes)
 
 
 def test_generate_scene_holds_about_one_copy_of_the_cloud():
@@ -740,8 +617,6 @@ def _blob(**changes):
     lambda: _blob(size=(0.05, math.nan, 0.05)),
     lambda: _blob(size=(0.0, 0.05, 0.05)),
     lambda: _blob(size=(0.05, 0.05, -0.05)),
-    lambda: heightfield_quadrature(
-        Heightfield(shape_seed=7, radius=0.4, target_volume=0.05), n=True),
     # a NaN dimension gave NaN rows and a NaN truth, a negative radius a
     # positive truth
     lambda: Cone(0.3, math.nan),
@@ -763,7 +638,7 @@ def _blob(**changes):
     lambda: Heightfield(shape_seed=7, radius=0.4, target_volume=math.inf),
 ], ids=["negative-seed", "fractional-seed", "fractional-count", "bool-count",
         "string-count", "nan-center", "inf-center", "nan-size", "zero-size",
-        "negative-size", "bool-quadrature-size", "nan-cone-height",
+        "negative-size", "nan-cone-height",
         "negative-cone-radius", "inf-cone-radius", "nan-frustum-height",
         "nan-frustum-top", "negative-frustum-top", "equal-frustum-radii",
         "frustum-top-past-base", "nan-cap-radius", "zero-cap-height",
