@@ -460,11 +460,16 @@ def _scenes_on_two_threads():
     # dropped, so that the two threads also race to start the pool
     _worker._pool_pid = -1
     threads = [threading.Thread(target=run, args=(k,)) for k in range(len(specs))]
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     for k in range(len(specs)):
         assert results[k] == [expected[k]] * 5
 
