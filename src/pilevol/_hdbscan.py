@@ -16,13 +16,12 @@ are reproducible.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateCloud, EmptyCloud, InvalidParameter
+from .errors import DegenerateCloud, EmptyCloud, check_number
 
 KNN_CACHE_SIZE = 16
 NOISE = -1
@@ -34,14 +33,9 @@ class HdbscanParams:
     min_samples: int = 10
 
     def __post_init__(self):
-        for name in ("min_cluster_size", "min_samples"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-        if self.min_cluster_size < 2:
-            raise InvalidParameter("min_cluster_size must be >= 2")
-        if self.min_samples < 1:
-            raise InvalidParameter("min_samples must be >= 1")
+        check_number("min_cluster_size", self.min_cluster_size, 2, integer=True,
+                     lo_open=False)
+        check_number("min_samples", self.min_samples, 1, integer=True, lo_open=False)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ failure during processing.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +19,7 @@ from .errors import (
     NonFiniteCoordinate,
     PilevolError,
     UnsupportedProperty,
+    check_number,
 )
 from .pipeline import (
     PipelineConfig,
@@ -183,8 +183,8 @@ def _resolve_input(args):
 
 
 def _cmd_run(args, config, out_dir) -> int:
-    if args.truth is not None and not (math.isfinite(args.truth) and args.truth > 0):
-        raise ConfigError(f"--truth must be a finite volume > 0, got {args.truth}")
+    if args.truth is not None:
+        check_number("--truth", args.truth, 0, error=ConfigError)
     cloud, scene = _resolve_input(args)
     report = run_pipeline(config, cloud=cloud, scene=scene)
     if args.truth is not None:

@@ -8,13 +8,12 @@ they return new clouds and never mutate their inputs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteCoordinate
+from .errors import InvalidParameter, NonFiniteCoordinate, check_number
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2, "X": 0, "Y": 1, "Z": 2}
 
@@ -122,12 +121,9 @@ class AxisRange:
     def __post_init__(self):
         if self.axis not in AXIS_INDEX:
             raise InvalidParameter(f"axis must be one of X/Y/Z, got {self.axis!r}")
-        for bound in (self.lo, self.hi):
-            if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
-                raise InvalidParameter(f"AxisRange bounds must be numbers, got {bound!r}")
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise InvalidParameter(f"AxisRange bounds must not be NaN, got "
-                                   f"{self.lo}, {self.hi}")
+        for name in ("lo", "hi"):
+            check_number(f"AxisRange.{name}", getattr(self, name), lo_open=False,
+                         hi_open=False)
         if self.lo > self.hi:
             raise InvalidParameter(f"AxisRange lo {self.lo} > hi {self.hi}")
 
@@ -276,8 +272,7 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     are ordered by first-occurring member point, which keeps repeated runs
     identical.
     """
-    if not (math.isfinite(voxel_size) and voxel_size > 0):
-        raise InvalidParameter(f"voxel_size must be finite and > 0, got {voxel_size}")
+    check_number("voxel_size", voxel_size, 0)
     if len(cloud) == 0:
         return cloud
     centroids, first = cell_means(cloud.xyz, voxel_size, cloud.xyz)

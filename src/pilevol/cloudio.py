@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import PointCloud, _chunks
-from .errors import InvalidParameter, MalformedHeader, UnsupportedProperty
+from .errors import InvalidParameter, MalformedHeader, UnsupportedProperty, check_number
 
 FORMAT_PLY_ASCII = "ply-ascii"
 FORMAT_PLY_BINARY = "ply-binary-le"
@@ -153,8 +153,8 @@ def _parse_ply_header(fh) -> tuple[str, int, list[str], list[int]]:
                     vertex_count = int(fields[2])
                 except ValueError as exc:
                     raise MalformedHeader(f"bad vertex count: {fields[2]!r}") from exc
-                if vertex_count < 0:
-                    raise MalformedHeader(f"negative vertex count {vertex_count}")
+                check_number("vertex count", vertex_count, 0, integer=True, lo_open=False,
+                             error=MalformedHeader)
         elif fields[0] == "property" and in_vertex_element:
             if fields[1:2] == ["list"]:
                 raise UnsupportedProperty("list property in vertex element")

@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .cloud import AxisRange
-from .errors import ConfigError, InvalidParameter
+from .errors import ConfigError, InvalidParameter, check_number
 from .pipeline import PipelineConfig
 
 
@@ -37,9 +37,7 @@ def _parse_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}")
-    return value
+    return check_number("a number", value, error=ConfigError)
 
 
 def _parse_int(text: str) -> int:

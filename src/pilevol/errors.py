@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check_number``, the
+one test of a numeric parameter: a real that is not a bool, NaN never,
+inside an interval that defaults to the finite numbers."""
+
+import math
+import numbers
 
 
 class PilevolError(Exception):
@@ -56,3 +61,27 @@ class NonFiniteCoordinate(PilevolError, ValueError):
 
 class ConfigError(PilevolError, ValueError):
     """A pipeline configuration file or value is invalid."""
+
+
+def check_number(name: str, value, lo=-math.inf, hi=math.inf, *, integer: bool = False,
+                 lo_open: bool = True, hi_open: bool = True, error=InvalidParameter):
+    """Return ``value`` if it is a number (an integer with ``integer``),
+    not a bool, inside the interval from ``lo`` to ``hi``; raise ``error``
+    naming ``name`` otherwise.
+
+    Each end is open unless ``lo_open`` or ``hi_open`` is False, so the
+    default interval holds exactly the finite numbers, and a closed
+    infinite end admits that infinity.  NaN lies in no interval.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise error(f"{name} must be {'an integer' if integer else 'a number'}, "
+                    f"got {value!r}")
+    above = lo < value if lo_open else lo <= value
+    below = value < hi if hi_open else value <= hi
+    if not (above and below):
+        if (lo, hi, lo_open, hi_open) == (-math.inf, math.inf, True, True):
+            raise error(f"{name} must be finite, got {value}")
+        raise error(f"{name} must be in {'(' if lo_open else '['}{lo}, {hi}"
+                    f"{')' if hi_open else ']'}, got {value}")
+    return value

@@ -14,14 +14,13 @@ component of the calibrated cloud.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cloud import PointCloud, _add_to_columns
 from .denoise import RadiusFilterParams, robust_filter
-from .errors import DegenerateHeights, EmptyBand, EmptyCloud, InvalidParameter
+from .errors import DegenerateHeights, EmptyBand, EmptyCloud, InvalidParameter, check_number
 
 MODE_FIRST_PEAK = "FIRST_PEAK"
 MODE_MID_PLATEAU = "MID_PLATEAU"
@@ -73,8 +72,7 @@ class GroundEstimate:
 def height_histogram(cloud: PointCloud, n_interval: int) -> HeightHistogram:
     """Uniform z binning over the cloud's [z_min, z_max]; z = z_max goes to
     the last bin."""
-    if n_interval < 2:
-        raise InvalidParameter(f"n_interval must be >= 2, got {n_interval}")
+    check_number("n_interval", n_interval, 2, integer=True, lo_open=False)
     if len(cloud) == 0:
         raise EmptyCloud("cannot histogram an empty cloud")
     z = cloud.xyz[:, 2].copy()
@@ -99,10 +97,9 @@ def smooth_histogram(hist: HeightHistogram, step: int) -> HeightHistogram:
     The (step-1)/2 bins at each end have no full window and are dropped;
     the bin edges shrink accordingly.  step = 1 returns the input.
     """
-    if step < 1 or step % 2 == 0:
-        raise InvalidParameter(f"step must be a positive odd integer, got {step}")
-    if step > hist.n_bins:
-        raise InvalidParameter(f"step {step} exceeds bin count {hist.n_bins}")
+    check_number("step", step, 1, hist.n_bins, integer=True, lo_open=False, hi_open=False)
+    if step % 2 == 0:
+        raise InvalidParameter(f"step must be odd, got {step}")
     if step == 1:
         return hist
     half = step // 2
@@ -144,12 +141,9 @@ def find_ground(hist: HeightHistogram, search_band: float = 0.25,
     count (infinite when the median bin is empty), so an override far from
     any peak reads low.
     """
-    if not 0.0 < search_band <= 1.0:
-        raise InvalidParameter(f"search_band must be in (0, 1], got {search_band}")
+    check_number("search_band", search_band, 0, 1, hi_open=False)
     if mode == MODE_OVERRIDE:
-        if override_height is None or not math.isfinite(override_height):
-            raise InvalidParameter("OVERRIDE ground mode needs a finite "
-                                   f"override_height, got {override_height}")
+        check_number("override_height", override_height)
         nearest = int(np.argmin(np.abs(hist.bin_centers - override_height)))
         return GroundEstimate(height=float(override_height), mode=mode,
                               peak_bin=nearest,
@@ -219,10 +213,8 @@ def calibrate(cloud: PointCloud, height: float,
     The margin raises the cut so near-ground noise is stripped along with
     the ground, without shaving the columns the volume integrates.
     """
-    if not math.isfinite(height):
-        raise InvalidParameter(f"ground height must be finite, got {height}")
-    if not (math.isfinite(margin) and margin >= 0):
-        raise InvalidParameter(f"margin must be finite and >= 0, got {margin}")
+    check_number("height", height)
+    check_number("margin", margin, 0, lo_open=False)
     keep = cloud.xyz[:, 2] - (height + margin) >= 0.0
     # one copy of the kept rows, shifted in place: the bytes of
     # cloud.select(keep).translated((0, 0, -height)), which copies them twice

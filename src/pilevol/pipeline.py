@@ -25,7 +25,6 @@ a library composition the pipeline does not run (see ``pilevol.denoise``).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -35,7 +34,7 @@ from .cloud import AxisRange, PointCloud, passthrough_filter, voxel_downsample
 # no stage calls robust_filter here (the fine filter reaches it through
 # ground.fine_filter), but the benchmark's tracer wraps this module's name
 from .denoise import RadiusFilterParams, gap_trim, robust_filter
-from .errors import ConfigError, EmptyCloud, PilevolError
+from .errors import ConfigError, EmptyCloud, PilevolError, check_number
 from .ground import (
     MODE_FIRST_PEAK,
     MODE_MID_PLATEAU,
@@ -125,39 +124,23 @@ class PipelineConfig:
                 and all(isinstance(r, AxisRange) for r in ranges)):
             raise ConfigError(f"passthrough_ranges must be a tuple of AxisRange, "
                               f"got {ranges!r}")
-        for name in ("margin", "search_band", "downsample_voxel", "override_height"):
-            value = getattr(self, name)
-            if value is None and name in ("downsample_voxel", "override_height"):
-                continue
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+        check_number("margin", self.margin, 0, lo_open=False, error=ConfigError)
+        check_number("search_band", self.search_band, 0, 1, hi_open=False, error=ConfigError)
+        if self.downsample_voxel is not None:
+            check_number("downsample_voxel", self.downsample_voxel, 0, error=ConfigError)
+        if self.override_height is not None:
+            check_number("override_height", self.override_height, error=ConfigError)
         if self.ground_mode not in (MODE_FIRST_PEAK, MODE_MID_PLATEAU, MODE_OVERRIDE):
             raise ConfigError(f"unknown ground mode {self.ground_mode!r}")
-        height = self.override_height
-        if self.ground_mode == MODE_OVERRIDE and height is None:
+        if self.ground_mode == MODE_OVERRIDE and self.override_height is None:
             raise ConfigError("OVERRIDE ground mode needs override_height")
-        if height is not None and not math.isfinite(height):
-            raise ConfigError(f"override_height must be finite, got {height}")
-        if not (math.isfinite(self.margin) and self.margin >= 0):
-            raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
-        for name in ("n_interval", "smooth_step", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n_interval < 2:
-            raise ConfigError("n_interval must be >= 2")
-        if self.smooth_step < 1 or self.smooth_step % 2 == 0:
-            raise ConfigError("smooth_step must be a positive odd integer")
-        if self.smooth_step > self.n_interval:
-            raise ConfigError(f"smooth_step {self.smooth_step} exceeds "
-                              f"n_interval {self.n_interval}")
-        if not 0 < self.search_band <= 1:
-            raise ConfigError("search_band must be in (0, 1]")
-        voxel = self.downsample_voxel
-        if voxel is not None and not (math.isfinite(voxel) and voxel > 0):
-            raise ConfigError(f"downsample_voxel must be finite and > 0, got {voxel}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_number("n_interval", self.n_interval, 2, integer=True, lo_open=False,
+                     error=ConfigError)
+        check_number("smooth_step", self.smooth_step, 1, self.n_interval, integer=True,
+                     lo_open=False, hi_open=False, error=ConfigError)
+        if self.smooth_step % 2 == 0:
+            raise ConfigError(f"smooth_step must be odd, got {self.smooth_step}")
+        check_number("seed", self.seed, 0, integer=True, lo_open=False, error=ConfigError)
         if self.ransac.seed not in (0, self.seed):
             raise ConfigError(
                 f"ransac.seed {self.ransac.seed} would be ignored: RANSAC is "
@@ -274,10 +257,7 @@ def _batch_config(config: PipelineConfig | None, rounds: int) -> PipelineConfig:
     """The config a batch study runs, rejecting settings it would ignore:
     every round is seeded from the scene's own seed, so a config seed
     would have no effect."""
-    if not isinstance(rounds, numbers.Integral) or isinstance(rounds, bool):
-        raise ConfigError(f"rounds must be an integer, got {rounds!r}")
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1")
+    check_number("rounds", rounds, 1, integer=True, lo_open=False, error=ConfigError)
     if config is None:
         return PipelineConfig()
     if config.seed != 0:
@@ -385,8 +365,8 @@ def compression_sweep(spec: SceneSpec, voxel_sizes: list[float],
     (``PipelineConfig.effective_grid``).  Rounds are seeded as in
     ``bench_reference``.
     """
-    if not all(math.isfinite(s) and s > 0 for s in voxel_sizes):
-        raise ConfigError("voxel sizes must be finite and positive")
+    for k, size in enumerate(voxel_sizes):
+        check_number(f"voxel_sizes[{k}]", size, 0, error=ConfigError)
     if sorted(voxel_sizes) != list(voxel_sizes):
         raise ConfigError("voxel sizes must be ascending")
     config = _batch_config(config, rounds)

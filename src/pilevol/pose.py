@@ -9,14 +9,13 @@ so the fitted plane lands on z = 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DegenerateCloud, InvalidParameter, NotUnitVector
+from .errors import DegenerateCloud, InvalidParameter, NotUnitVector, check_number
 
 # probability that the adaptive stop has drawn at least one all-inlier
 # sample (Hartley & Zisserman, Multiple View Geometry, section 4.7)
@@ -31,23 +30,10 @@ class RansacParams:
     min_inlier_fraction: float = 0.15
 
     def __post_init__(self):
-        for name in ("distance_threshold", "min_inlier_fraction"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise InvalidParameter(f"{name} must be a number, got {value!r}")
-        if not (math.isfinite(self.distance_threshold)
-                and self.distance_threshold > 0):
-            raise InvalidParameter("distance_threshold must be finite and > 0")
-        for name in ("max_iterations", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-        if self.max_iterations < 1:
-            raise InvalidParameter("max_iterations must be >= 1")
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.min_inlier_fraction <= 1.0:
-            raise InvalidParameter("min_inlier_fraction must be in (0, 1]")
+        check_number("distance_threshold", self.distance_threshold, 0)
+        check_number("max_iterations", self.max_iterations, 1, integer=True, lo_open=False)
+        check_number("seed", self.seed, 0, integer=True, lo_open=False)
+        check_number("min_inlier_fraction", self.min_inlier_fraction, 0, 1, hi_open=False)
 
 
 @dataclass(frozen=True)

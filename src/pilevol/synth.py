@@ -12,7 +12,6 @@ pure function of the scene seed.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from concurrent import futures
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ import numpy as np
 
 from ._worker import _worker
 from .cloud import _CHUNK, PointCloud, _add_to_columns, _chunks
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_number
 from .pose import rodrigues
 
 # terms of each power series in a heightfield's closed-form volume
@@ -33,21 +32,11 @@ _SERIES_TERMS = 30
 _SURFACE_ROWS = _CHUNK // 2
 
 
-def _is_count(value) -> bool:
-    """True for an integer >= 0 that is not a bool."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 0)
-
-
 def _require_positive(shape, *fields: str) -> None:
     """Raise ``InvalidParameter`` unless each named dimension of ``shape`` is
-    finite and > 0; the test is written so that NaN fails it as well as
-    inf."""
+    a finite number > 0."""
     for name in fields:
-        value = getattr(shape, name)
-        if not 0.0 < value < math.inf:
-            raise InvalidParameter(
-                f"{type(shape).__name__}.{name} must be finite and > 0, got {value!r}")
+        check_number(f"{type(shape).__name__}.{name}", getattr(shape, name), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +74,7 @@ class Frustum:
     def __post_init__(self):
         _require_positive(self, "r_base", "height")
         # equal radii would divide by zero in surface_height
-        if not 0.0 <= self.r_top < self.r_base:
-            raise InvalidParameter(
-                f"Frustum.r_top must be in [0, r_base), got {self.r_top!r}")
+        check_number("Frustum.r_top", self.r_top, 0, self.r_base, lo_open=False)
 
     @property
     def footprint_radius(self) -> float:
@@ -110,13 +97,11 @@ class SphericalCap:
     cap_height: float
 
     def __post_init__(self):
-        _require_positive(self, "sphere_radius", "cap_height")
+        _require_positive(self, "sphere_radius")
         # past a hemisphere the surface does not meet the ground at the
         # footprint rim
-        if not self.cap_height <= self.sphere_radius:
-            raise InvalidParameter(
-                f"SphericalCap.cap_height must be <= sphere_radius, got "
-                f"{self.cap_height!r}")
+        check_number("SphericalCap.cap_height", self.cap_height, 0, self.sphere_radius,
+                     hi_open=False)
 
     @property
     def footprint_radius(self) -> float:
@@ -147,9 +132,8 @@ class Heightfield:
     target_volume: float
 
     def __post_init__(self):
-        if not _is_count(self.shape_seed):
-            raise InvalidParameter(
-                f"Heightfield.shape_seed must be an integer >= 0, got {self.shape_seed!r}")
+        check_number("Heightfield.shape_seed", self.shape_seed, 0, integer=True,
+                     lo_open=False)
         _require_positive(self, "radius", "target_volume")
 
     @property
@@ -263,15 +247,13 @@ class ClutterSpec:
     def __post_init__(self):
         if self.kind not in ("box", "sphere"):
             raise InvalidParameter(f"clutter kind must be box or sphere, got {self.kind!r}")
-        if not _is_count(self.count):
-            raise InvalidParameter(f"clutter count must be an integer >= 0, got {self.count!r}")
-        # each test is written so that NaN fails it as well as inf
-        if not (len(self.center) == 3
-                and all(-math.inf < v < math.inf for v in self.center)):
-            raise InvalidParameter(f"clutter center must be 3 finite values, got {self.center}")
-        if not (len(self.size) == 3 and all(0.0 < v < math.inf for v in self.size)):
-            raise InvalidParameter(
-                f"clutter size must be 3 finite values > 0, got {self.size}")
+        check_number("clutter count", self.count, 0, integer=True, lo_open=False)
+        for name, lo in (("center", -math.inf), ("size", 0)):
+            values = getattr(self, name)
+            if not (hasattr(values, "__len__") and len(values) == 3):
+                raise InvalidParameter(f"clutter {name} must hold 3 values, got {values!r}")
+            for value in values:
+                check_number(f"clutter {name}", value, lo)
 
 
 @dataclass(frozen=True)
@@ -287,23 +269,26 @@ class SceneSpec:
     scene_id: str = ""
 
     def __post_init__(self):
-        # each test is written so that NaN fails it as well as inf
-        if not (0.0 < self.footprint_area < math.inf
-                and 0.0 < self.point_density < math.inf):
-            raise InvalidParameter(
-                "footprint_area and point_density must be finite and > 0, got "
-                f"{self.footprint_area} and {self.point_density}")
-        if not all(0.0 < side < math.inf for side in self.ground_extent):
-            raise InvalidParameter(
-                f"ground_extent must be finite and positive, got {self.ground_extent}")
-        if not 0.0 <= self.tilt_deg <= 30.0:
-            raise InvalidParameter(f"tilt_deg must be in [0, 30], got {self.tilt_deg}")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise InvalidParameter(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not _is_count(self.seed):
-            raise InvalidParameter(f"seed must be an integer >= 0, got {self.seed!r}")
-        if 2.0 * self.pile.footprint_radius > min(self.ground_extent):
+        if not isinstance(self.pile, Pile):
+            raise InvalidParameter("pile must be a Cone, Frustum, SphericalCap or "
+                                   f"Heightfield, got {self.pile!r}")
+        check_number("footprint_area", self.footprint_area, 0)
+        check_number("point_density", self.point_density, 0)
+        try:
+            width, length = self.ground_extent
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"ground_extent must hold two values, got "
+                                   f"{self.ground_extent!r}") from None
+        check_number("ground_extent[0]", width, 0)
+        check_number("ground_extent[1]", length, 0)
+        check_number("tilt_deg", self.tilt_deg, 0, 30, lo_open=False, hi_open=False)
+        check_number("noise_sigma", self.noise_sigma, 0, lo_open=False)
+        if not (isinstance(self.clutter, tuple)
+                and all(isinstance(blob, ClutterSpec) for blob in self.clutter)):
+            raise InvalidParameter(f"clutter must be a tuple of ClutterSpec, got "
+                                   f"{self.clutter!r}")
+        check_number("seed", self.seed, 0, integer=True, lo_open=False)
+        if 2.0 * self.pile.footprint_radius > min(width, length):
             raise InvalidParameter("pile footprint does not fit in the ground extent")
 
 
@@ -432,6 +417,7 @@ def smeared_ground_scene(spec: SceneSpec, rise: float) -> Scene:
     untouched, so the analytic volume still holds.  Tilt is disabled to
     keep the warp the only posture disturbance.
     """
+    check_number("rise", rise)
     flat = replace(spec, tilt_deg=0.0)
     width = spec.ground_extent[0]
 
@@ -572,6 +558,8 @@ def walker_clutter(ground_extent: tuple[float, float], pile_radius: float,
     """A person-sized blob whose position and girth change per seed,
     modeling moving personnel: the filter stages must remove it, and runs
     without them inherit its seed-to-seed volume swing."""
+    check_number("pile_radius", pile_radius, 0, lo_open=False)
+    check_number("seed", seed, 0, integer=True, lo_open=False)
     rng = np.random.default_rng(seed)
     width, length = ground_extent
     radius = float(rng.uniform(0.08, 0.18))
@@ -602,8 +590,7 @@ def crescent_scene(point_density: float = 4e4) -> Scene:
     radial width w, tapering to zero at both rims.  Closed-form volume:
     sweep * height * w * (w + 2 r_inner) / pi.  The draw is seeded with 0.
     """
-    if not (math.isfinite(point_density) and point_density > 0):
-        raise InvalidParameter(f"point_density must be finite and > 0, got {point_density}")
+    check_number("point_density", point_density, 0)
     r_inner, r_outer, height = CRESCENT_R_INNER, CRESCENT_R_OUTER, CRESCENT_HEIGHT
     rng = np.random.default_rng(0)
     half = r_outer + 0.15

@@ -14,7 +14,6 @@ pathologies.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .cloud import PointCloud, cell_means
-from .errors import DegenerateCloud, DegenerateInput, InvalidParameter
+from .errors import DegenerateCloud, DegenerateInput, InvalidParameter, check_number
 
 METHOD_COLUMN_UNIFORM = "COLUMN_UNIFORM"
 METHOD_COLUMN_GRID = "COLUMN_GRID"
@@ -37,12 +36,10 @@ class GridSpec:
     cell_size: float = 0.025
 
     def __post_init__(self):
-        if not isinstance(self.cell_size, numbers.Real) or isinstance(self.cell_size, bool):
-            raise InvalidParameter(f"cell_size must be a number, got {self.cell_size!r}")
+        check_number("cell_size", self.cell_size, 0)
         # a finite area also rules out a cell so large its area overflows
-        if not (math.isfinite(self.cell_size * self.cell_size) and self.cell_size > 0):
-            raise InvalidParameter(
-                f"cell_size must be > 0 with a finite area, got {self.cell_size}")
+        if not math.isfinite(self.cell_size * self.cell_size):
+            raise InvalidParameter(f"cell_size must have a finite area, got {self.cell_size}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +52,8 @@ class VolumeEstimate:
 
 def footprint_area(scene_area: float, point_count: int) -> float:
     """Ground element area per point under the uniform-sampling assumption."""
-    if not (math.isfinite(scene_area) and scene_area > 0):
-        raise InvalidParameter(f"scene_area must be finite and > 0, got {scene_area}")
-    if point_count <= 0:
-        raise InvalidParameter(f"point_count must be > 0, got {point_count}")
+    check_number("scene_area", scene_area, 0)
+    check_number("point_count", point_count, 1, integer=True, lo_open=False)
     return scene_area / point_count
 
 
@@ -68,9 +63,7 @@ def column_volume_uniform(cloud: PointCloud, element_area: float) -> VolumeEstim
     Below-ground heights stay negative, matching the single-pass
     integration that skips a positivity test.
     """
-    if not (math.isfinite(element_area) and element_area > 0):
-        raise InvalidParameter(
-            f"element_area must be finite and > 0, got {element_area}")
+    check_number("element_area", element_area, 0)
     volume = element_area * float(cloud.xyz[:, 2].sum())
     return VolumeEstimate(
         volume=volume,
@@ -110,8 +103,7 @@ def slice_volume(cloud: PointCloud, interval: float) -> VolumeEstimate:
     the method, while large intervals overestimate by integrating each
     layer's full footprint over its whole thickness.
     """
-    if not (math.isfinite(interval) and interval > 0):
-        raise InvalidParameter(f"interval must be finite and > 0, got {interval}")
+    check_number("interval", interval, 0)
     xyz = cloud.xyz
     total = 0.0
     n_layers = 0

@@ -978,10 +978,10 @@ def test_gap_trim_keeps_or_drops_each_r0_component_whole(seed, n, r0):
 
 
 def _sort_only_gap_trim(cloud, r0):
-    """The trim with every axis sorted: the reference the binned runs
-    must match."""
+    """The trim with every axis sorted: the reference the linear gap-free
+    test must match."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(denoise, "_bins", lambda values, r0: None)
+        mp.setattr(denoise, "_gap_free", lambda values, r0: False)
         return gap_trim(cloud, r0)
 
 
@@ -1009,46 +1009,16 @@ def test_gap_trim_linear_test_matches_the_sort_path(data, n, r0, offset):
         assert gap_trim(cloud, r0) == _sort_only_gap_trim(cloud, r0)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), runs=st.integers(1, 5), size=st.integers(8, 12),
-       r0=st.sampled_from([0.125, 0.25]), offset=st.sampled_from([0.0, -3.0, 1024.0]))
-def test_binned_runs_match_the_sort_path_on_ties_and_gaps_of_r0(data, runs, size, r0,
-                                                                offset):
-    # runs of equal size, so every split leaves a tie, joined by gaps of
-    # exactly r0 or split by gaps just over it; the values are multiples of
-    # 2**-10, so every difference is exact.  A run may hold one gap of
-    # 0.75 r0, which leaves an empty bin that splits nothing; the gaps are
-    # few enough that the bins never outnumber the values
-    inner = st.sampled_from([0.0, r0 / 16, r0 / 8])
-    between = st.sampled_from([r0, r0 + r0 / 64, 1.5 * r0])
-    gaps = []
-    for k in range(runs):
-        if k:
-            gaps.append(data.draw(between))
-        run = data.draw(st.lists(inner, min_size=size - 1, max_size=size - 1))
-        if data.draw(st.booleans()):
-            run[data.draw(st.integers(0, size - 2))] = 0.75 * r0
-        gaps += run
-    values = offset + np.concatenate(([0.0], np.cumsum(gaps)))
-    values = values[data.draw(st.permutations(range(len(values))))]
-    assert denoise._bins(values, r0) is not None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(denoise, "_bins", lambda values, r0: None)
-        sorted_run = denoise._densest_run(values, r0)
-    assert denoise._densest_run(values, r0) == sorted_run
-
-
 def test_gap_trim_returns_a_cloud_it_does_not_trim_as_is():
     rng = np.random.default_rng(5)
     cloud = PointCloud(rng.uniform(0, 1, size=(500, 3)))
     assert gap_trim(cloud, 0.05) is cloud
-    # a gap between r0/2 and r0 empties a bin, so that axis takes its runs
-    # from the bins, and still drops nothing
+    # a gap between r0/2 and r0 empties a bin, so that axis is sorted, and
+    # still drops nothing
     xyz = np.zeros((4, 3))
     xyz[:, 1] = [0.0, 0.4, 1.3, 1.3]
     cloud = PointCloud(xyz)
-    _, counts = denoise._bins(cloud.xyz[:, 1].copy(), 1.0)
-    assert not counts.all()
+    assert not denoise._gap_free(cloud.xyz[:, 1].copy(), 1.0)
     assert gap_trim(cloud, 1.0) is cloud
 
 
@@ -1064,17 +1034,14 @@ def test_gap_trim_at_extreme_scales(monkeypatch, r0, width):
     xyz[::7] = xyz[0]
     cloud = PointCloud(xyz)
     sizes = []
-    zeros, bincount = np.zeros, np.bincount
-    monkeypatch.setattr(denoise.np, "zeros",
-                        lambda shape, *args, **kwargs:
-                        sizes.append(shape) or zeros(shape, *args, **kwargs))
+    bincount = np.bincount
     monkeypatch.setattr(denoise.np, "bincount",
                         lambda *args, **kwargs:
                         sizes.append(kwargs.get("minlength", 0))
                         or bincount(*args, **kwargs))
     out = gap_trim(cloud, r0)
     monkeypatch.undo()
-    assert all(np.prod(shape) <= len(cloud) for shape in sizes)
+    assert all(size <= len(cloud) for size in sizes)
     assert out == _sort_only_gap_trim(cloud, r0)
 
 

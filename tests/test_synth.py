@@ -1,11 +1,14 @@
 """Synthetic scene generation and ground-truth bookkeeping."""
 
+import functools
 import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import traceback
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -373,19 +376,17 @@ def test_chunked_smeared_scene_matches_the_whole_array_reference(n):
                 == reference.tobytes()), noise_sigma
 
 
-class SecondChunkFails:
-    """A pile whose surface raises once it is asked for a row past the
-    first chunk."""
-
-    footprint_radius = 0.3
-    true_volume = 0.0
+class SecondChunkFails(Cone):
+    """A cone whose surface raises once it is asked for a row past the
+    first chunk; ``asked`` lists the rows of each request."""
 
     def __init__(self):
-        self.rows = 0
+        super().__init__(radius=0.3, height=0.25)
+        object.__setattr__(self, "asked", [])
 
     def surface_height(self, x, y):
-        self.rows += len(x)
-        if self.rows > _CHUNK:
+        self.asked.append(len(x))
+        if sum(self.asked) > _CHUNK:
             raise RuntimeError("surface failed in the second chunk")
         return np.zeros_like(x)
 
@@ -394,19 +395,63 @@ def _scene_bytes(spec):
     return generate_scene(spec).cloud.xyz.tobytes()
 
 
-def in_child(body, seconds=60):
-    """Run ``body``, a function of this module, in a fresh process, and fail
-    if it raises or still runs after ``seconds``.  A worker job stuck on an
-    event in the test run's own process would hold its exit, since
-    ``concurrent.futures`` joins its threads at interpreter shutdown; the
-    timeout ends a hung child instead."""
+# the bodies of the child-process tests, in the order one child runs
+# them: the cold-cache one first, while the heightfield caches are cold
+CHILD_BODIES = ("_cold_cache_heightfield_scenes", "_failing_surface_then_next_scene",
+                "_failing_noise_draw_then_next_scene", "_scenes_on_two_threads")
+
+
+def _run_child_bodies():
+    """The child's side of ``_child_outcomes``: run each body of
+    ``CHILD_BODIES`` and print one JSON line per body, its name and its
+    traceback, or null where it passed."""
+    for name in CHILD_BODIES:
+        try:
+            globals()[name]()
+            error = None
+        except (Exception, pytest.fail.Exception):
+            # pytest.raises fails with a BaseException that is no Exception
+            error = traceback.format_exc()
+        print(json.dumps([name, error]), flush=True)
+
+
+@functools.cache
+def _child_outcomes(seconds=120) -> dict:
+    """Run every body of ``CHILD_BODIES`` in one fresh process, and return
+    each body's traceback, or None where it passed.
+
+    A worker job stuck on an event in the test run's own process would
+    hold its exit, since ``concurrent.futures`` joins its threads at
+    interpreter shutdown; the timeout ends a hung child instead.  A child
+    that hangs or exits with an error fails every body, since any of them
+    may have left it so; the interpreter, numpy, scipy and this module
+    are imported once for all four.
+    """
     here = Path(__file__).resolve()
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(here.parents[1] / "src"), str(here.parent)])}
-    code = f"import {here.stem}; {here.stem}.{body.__name__}()"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=seconds)
-    assert result.returncode == 0, result.stderr
+    code = f"import {here.stem}; {here.stem}._run_child_bodies()"
+    failure = None
+    try:
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=seconds)
+        out = result.stdout
+        if result.returncode != 0:
+            failure = f"the child exited with code {result.returncode}:\n{result.stderr}"
+    except subprocess.TimeoutExpired as exc:
+        # on a timeout the output read so far comes undecoded
+        out = (exc.stdout or b"").decode()
+        failure = f"the child still ran after {seconds} s:\n{(exc.stderr or b'').decode()}"
+    done = dict(json.loads(line) for line in out.splitlines() if line.startswith('["'))
+    return {name: done.get(name, f"the body did not finish: {failure}") or failure
+            for name in CHILD_BODIES}
+
+
+def in_child(body):
+    """Fail if ``body``, one of ``CHILD_BODIES``, raised in the child, or
+    if the child did not exit cleanly."""
+    error = _child_outcomes()[body.__name__]
+    assert error is None, error
 
 
 def _failing_surface_then_next_scene():
@@ -421,7 +466,7 @@ def _failing_surface_then_next_scene():
         patch.setattr(synth, "_draw_noise", recorded)
         with pytest.raises(RuntimeError, match="second chunk"):
             generate_scene(failing)
-    assert failing.pile.rows > _CHUNK
+    assert sum(failing.pile.asked) > _CHUNK
     # the worker's half had returned, every chunk drawn, before the error
     # left generate_scene
     assert drawn == [4]
@@ -499,6 +544,8 @@ def test_noise_kernel_references_only_numpy():
 
 
 def _cold_cache_heightfield_scenes():
+    # the child runs this body first, before any scale is cached
+    assert synth._heightfield_scale.cache_info().currsize == 0
     for spec in reference_scenes():
         if isinstance(spec.pile, Heightfield):
             assert _scene_bytes(spec) == whole_array_generate(spec).tobytes(), spec.scene_id
@@ -631,6 +678,10 @@ def _blob(**changes):
     lambda: _blob(size=(0.05, math.nan, 0.05)),
     lambda: _blob(size=(0.0, 0.05, 0.05)),
     lambda: _blob(size=(0.05, 0.05, -0.05)),
+    # a center or size that is no sequence ended in the TypeError of len()
+    lambda: _blob(center=None),
+    lambda: _blob(size=0.05),
+    lambda: _blob(center=(0.0, 0.0)),
     # a NaN dimension gave NaN rows and a NaN truth, a negative radius a
     # positive truth
     lambda: Cone(0.3, math.nan),
@@ -652,7 +703,8 @@ def _blob(**changes):
     lambda: Heightfield(shape_seed=7, radius=0.4, target_volume=math.inf),
 ], ids=["negative-seed", "fractional-seed", "fractional-count", "bool-count",
         "string-count", "nan-center", "inf-center", "nan-size", "zero-size",
-        "negative-size", "nan-cone-height",
+        "negative-size", "none-center", "scalar-size", "two-value-center",
+        "nan-cone-height",
         "negative-cone-radius", "inf-cone-radius", "nan-frustum-height",
         "nan-frustum-top", "negative-frustum-top", "equal-frustum-radii",
         "frustum-top-past-base", "nan-cap-radius", "zero-cap-height",
@@ -663,15 +715,16 @@ def test_synth_inputs_raise_typed_errors(call):
         call()
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
-                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1", None],
+                         ids=["nan", "inf", "-inf", "bool", "string", "none"])
 @pytest.mark.parametrize("field", ["footprint_area", "point_density",
                                    "ground_extent[0]", "ground_extent[1]",
-                                   "noise_sigma"])
+                                   "noise_sigma", "tilt_deg", "seed"])
 def test_spec_rejects_values_that_are_not_finite(field, bad):
     # an infinite density ended in the raw OverflowError of the point
     # count's int(), a NaN area built a scene, and an infinite noise sigma
-    # built one after a numpy warning
+    # built one after a numpy warning; a bool density was taken as 1 point
+    # per m^2, and a string tilt ended in a bare TypeError
     spec = reference_scenes()[0]
     if field.startswith("ground_extent"):
         extent = list(spec.ground_extent)
@@ -681,6 +734,19 @@ def test_spec_rejects_values_that_are_not_finite(field, bad):
         change = {field: bad}
     with pytest.raises(InvalidParameter, match=field.split("[")[0]):
         replace(spec, **change)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("pile", 3), ("pile", None), ("pile", reference_scenes()[0]),
+    ("ground_extent", (1.0,)), ("ground_extent", (1.6, 0.8, 0.5)),
+    ("ground_extent", 1.6), ("ground_extent", None),
+    ("clutter", [_blob()]), ("clutter", (_blob(), "wall")), ("clutter", None),
+])
+def test_spec_rejects_a_wrongly_typed_pile_extent_or_clutter(field, bad):
+    # pile = 3 ended in an AttributeError of the footprint check, and a
+    # one-value extent in the unpacking ValueError of generate_scene
+    with pytest.raises(InvalidParameter, match=field):
+        replace(reference_scenes()[0], **{field: bad})
 
 
 # ---------------------------------------------------------------------------
