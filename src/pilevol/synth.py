@@ -147,29 +147,39 @@ class Heightfield:
         return self.target_volume
 
     def _raw_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The unscaled surface: the taper times the wave field inside the
+        footprint disc, +0.0 outside it.
+
+        Outside the disc the taper is exactly 0, so the waves are evaluated
+        on the points inside it alone.  Each of those goes through the
+        ufuncs of a whole-array pass on the same values, and so gets its
+        bits (``tests/test_synth.py`` holds the whole-array formula).
+        """
         kvecs, phases, amps = _heightfield_waves(self.shape_seed, self.radius)
-        taper = _heightfield_taper(np.asarray(np.hypot(x, y)), self.radius)
+        x, y = np.broadcast_arrays(x, y)
+        r = np.hypot(x, y)
+        inside = np.flatnonzero(r < self.radius)
+        x, y = x.take(inside), y.take(inside)
+        taper = _heightfield_taper(r.take(inside), self.radius)
         # four amplitudes of at most 0.25 each, so the field stays >= 0
         field = np.ones_like(taper)
         for k, phi, amp in zip(kvecs, phases, amps):
             field = field + amp * np.cos(k[0] * x + k[1] * y + phi)
-        return taper * field
+        height = np.zeros(r.shape)
+        height.put(inside, taper * field)
+        return height
 
     def surface_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return _heightfield_scale(self) * self._raw_height(x, y)
 
 
 def _heightfield_taper(r: np.ndarray, radius: float) -> np.ndarray:
-    """cos²(π/2 · r/R) inside the footprint, 0 outside, written over the
-    distances ``r`` (an array, >= 0) and returned."""
-    outside = r >= radius
+    """cos²(π/2 · r/R), written over the distances ``r`` (an array, all in
+    [0, R)) and returned."""
     r /= radius
-    # r >= 0, so the upper clamp alone is clip(r/R, 0, 1)
-    np.minimum(r, 1.0, out=r)
     r *= 0.5 * np.pi
     np.cos(r, out=r)
     np.square(r, out=r)
-    r[outside] = 0.0
     return r
 
 

@@ -219,6 +219,74 @@ def test_closed_form_matches_the_old_rule():
             whole_quadrant_quadrature(pile, 2048), rel=1e-11, abs=0), pile.shape_seed
 
 
+def whole_array_raw_height(pile, x, y):
+    """``Heightfield._raw_height`` as a whole-array pass over every point:
+    the taper, clamped and zeroed outside the footprint disc, times the
+    wave field evaluated everywhere."""
+    kvecs, phases, amps = synth._heightfield_waves(pile.shape_seed, pile.radius)
+    r = np.hypot(x, y)
+    taper = np.square(np.cos(np.minimum(r / pile.radius, 1.0) * (0.5 * np.pi)))
+    taper[r >= pile.radius] = 0.0
+    field = np.ones_like(taper)
+    for k, phi, amp in zip(kvecs, phases, amps):
+        field = field + amp * np.cos(k[0] * x + k[1] * y + phi)
+    return taper * field
+
+
+def _drawn_heightfields(count):
+    """``count`` heightfields of drawn shape seeds and radii, each with a
+    drawn ground extent that holds its footprint."""
+    rng = np.random.default_rng(11)
+    piles = []
+    for _ in range(count):
+        radius = float(rng.uniform(0.1, 0.8))
+        pile = Heightfield(shape_seed=int(rng.integers(0, 2 ** 31)), radius=radius,
+                           target_volume=float(rng.uniform(0.01, 0.4)))
+        piles.append((pile, tuple(2.0 * radius * rng.uniform(1.0, 2.5, 2))))
+    return piles
+
+
+SURFACE_CASES = ([(s.pile, s.ground_extent) for s in reference_scenes()
+                  if isinstance(s.pile, Heightfield)] + _drawn_heightfields(20))
+
+
+def rim_points(radius, extent):
+    """The points where the disc test decides: the centre, the rim on
+    both axes, one ulp inside and outside it, a ring of angles at r = R,
+    and the extent's corners."""
+    inner, outer = np.nextafter(radius, 0.0), np.nextafter(radius, np.inf)
+    on_axes = [(0.0, 0.0)]
+    for r in (radius, inner, outer):
+        on_axes += [(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)]
+    angles = np.linspace(0.0, 2.0 * math.pi, 37)
+    ring = np.column_stack([radius * np.cos(angles), radius * np.sin(angles)])
+    half_w, half_l = 0.5 * extent[0], 0.5 * extent[1]
+    corners = [(sx * half_w, sy * half_l) for sx in (-1, 1) for sy in (-1, 1)]
+    return np.vstack([np.array(on_axes), ring, np.array(corners)])
+
+
+@pytest.mark.parametrize("pile, extent", SURFACE_CASES,
+                         ids=[f"seed{p.shape_seed}" for p, _ in SURFACE_CASES])
+def test_heightfield_surface_matches_the_whole_array_reference(pile, extent):
+    # the waves are evaluated on the footprint disc alone, yet every height
+    # keeps the bits of the whole-array formula, and the ground outside
+    # the disc is +0.0
+    rng = np.random.default_rng(pile.shape_seed)
+    n = 4099
+    drawn = np.column_stack([rng.uniform(-0.5 * extent[0], 0.5 * extent[0], n),
+                             rng.uniform(-0.5 * extent[1], 0.5 * extent[1], n)])
+    rim = rim_points(pile.radius, extent)
+    scale = synth._heightfield_scale(pile)
+    for points in (np.vstack([drawn, rim]), rim):
+        x, y = points[:, 0].copy(), points[:, 1].copy()
+        heights = pile.surface_height(x, y)
+        assert heights.tobytes() == (scale * whole_array_raw_height(pile, x, y)).tobytes()
+        outside = np.hypot(x, y) >= pile.radius
+        assert outside.any() and not outside.all()
+        assert (heights[outside] == 0.0).all()
+        assert not np.signbit(heights[outside]).any()
+
+
 def test_raw_height_is_nonnegative_over_the_footprint():
     # the closed form integrates the wave field unclamped: with four
     # amplitudes of at most 0.25 it never goes below 0.  The lowest field
