@@ -34,7 +34,7 @@ from .cloud import AxisRange, PointCloud, passthrough_filter, voxel_downsample
 # no stage calls robust_filter here (the fine filter reaches it through
 # ground.fine_filter), but the benchmark's tracer wraps this module's name
 from .denoise import RadiusFilterParams, gap_trim, robust_filter
-from .errors import ConfigError, EmptyCloud, PilevolError, check_number
+from .errors import ConfigError, DegenerateCloud, EmptyCloud, PilevolError, check_number
 from .ground import (
     MODE_FIRST_PEAK,
     MODE_MID_PLATEAU,
@@ -192,6 +192,7 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
     if len(cloud) == 0:
         raise EmptyCloud("pipeline input cloud is empty")
     rparams = config.effective_radius_params()
+    n_input = len(cloud)
     for stage in STAGE_ORDER[:STAGE_ORDER.index(last) + 1]:
         t0 = time.perf_counter()
         if stage == "passthrough":
@@ -201,6 +202,8 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
         elif stage == "prefilter" and config.enable_prefilter:
             cloud = gap_trim(cloud, rparams.r0)
         elif stage == "posture" and config.enable_posture:
+            if len(cloud) < 3:
+                raise _too_few_for_posture(n_input, report.stage_counts)
             # no name keeps the plane, nor through it the unlevelled cloud
             cloud = correct_posture(
                 cloud, ransac_plane(cloud, replace(config.ransac, seed=config.seed)))
@@ -217,6 +220,20 @@ def _run_stages(config: PipelineConfig, cloud: PointCloud | None,
         report.stage_counts[stage] = len(cloud)
         report.timings_s[stage] = time.perf_counter() - t0
     return cloud
+
+
+def _too_few_for_posture(n_input: int, stage_counts: dict[str, int]) -> DegenerateCloud:
+    """The error for a cloud that reaches posture correction with fewer
+    than 3 points, naming the stage that took it below 3, or the input if
+    it held fewer to begin with."""
+    before = n_input
+    for stage, count in stage_counts.items():
+        if count < 3 <= before:
+            return DegenerateCloud(f"the {stage} stage left {count} of {before} points; "
+                                   "posture correction needs >= 3")
+        before = count
+    return DegenerateCloud(f"the input cloud has {n_input} point(s); posture "
+                           "correction needs >= 3")
 
 
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None,

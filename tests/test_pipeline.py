@@ -23,7 +23,7 @@ from pilevol.cloudio import load_cloud, save_cloud
 from pilevol.config import _KEYS, parse_config_text
 from pilevol import denoise
 from pilevol.denoise import HdbscanParams, RadiusFilterParams
-from pilevol.errors import ConfigError, EmptyCloud
+from pilevol.errors import ConfigError, DegenerateCloud, EmptyCloud
 from pilevol.pose import RansacParams, ransac_plane
 from pilevol import pipeline
 from pilevol.pipeline import (
@@ -384,6 +384,42 @@ def test_emit_histogram_ground_matches_run(small_scene, config):
 def test_pipeline_empty_input():
     with pytest.raises(EmptyCloud):
         run_pipeline(PipelineConfig(), cloud=PointCloud.empty())
+
+
+def _too_few_for_posture_cases():
+    """s01's first three points, of which the gap trim keeps one; s01 in
+    millimetres, where the trim at r0 = 0.025 splits every axis and keeps
+    one point; and s01's first two points, too few from the start."""
+    xyz = _s01_capture(False).cloud.xyz
+    assert len(xyz) == 28140
+    return [(xyz[:3], "the prefilter stage left 1 of 3 points"),
+            (xyz * 1000.0, "the prefilter stage left 1 of 28140 points"),
+            (xyz[:2], r"the input cloud has 2 point\(s\)")]
+
+
+@pytest.mark.parametrize("entry", [run_pipeline, emit_histogram],
+                         ids=["run_pipeline", "emit_histogram"])
+def test_too_few_points_for_posture_name_the_stage_that_left_them(entry):
+    # the plane fit's own "got 1" named neither the stage nor the count
+    # the cloud came in with
+    for xyz, message in _too_few_for_posture_cases():
+        with pytest.raises(DegenerateCloud,
+                           match=f"^{message}; posture correction needs >= 3$"):
+            entry(PipelineConfig(), cloud=PointCloud(xyz))
+    # called directly, the fit keeps its own message
+    with pytest.raises(DegenerateCloud, match=r"^plane fit needs >= 3 points, got 2$"):
+        ransac_plane(PointCloud(_s01_capture(False).cloud.xyz[:2]), RansacParams())
+
+
+@pytest.mark.parametrize("command", ["run", "histogram"])
+def test_cli_too_few_points_for_posture_is_a_stage_failure(command, tmp_path, capsys):
+    for i, (xyz, message) in enumerate(_too_few_for_posture_cases()):
+        path = tmp_path / f"cloud{i}.ply"
+        save_cloud(PointCloud(xyz), path)
+        assert cli_main([command, "--input", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert re.match(f"stage failure: {message}; posture correction needs >= 3\n$",
+                        err), err
 
 
 @pytest.mark.parametrize("entry", [run_pipeline, emit_histogram],
